@@ -146,7 +146,7 @@ def cmd_critical_nodes(args) -> List[str]:
     net = _load_net(args.infile)
     params = {"in": args.infile, "p_star": args.p_star, "top": args.top}
     lines = _header("critical-nodes", params)
-    reports = netgraph.critical_parameters(net, args.p_star, fast_centrality=args.fast)
+    reports = netgraph.critical_parameters(net, args.p_star)
     lines.append("node,clustering,centrality,strength,critical_parameter")
     for r in reports[: args.top]:
         nu = "undefined" if isinstance(r.critical_parameter, netgraph.Undefined) else repr(r.critical_parameter)
@@ -512,7 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--p-star", type=float, default=0.5)
     p.add_argument("--top", type=int, default=10)
-    p.add_argument("--fast", action="store_true", help="use the large-graph centrality path")
     p.set_defaults(func=cmd_critical_nodes)
 
     p = sub.add_parser("path", help="best path between two nodes")

@@ -131,15 +131,22 @@ def _weight_matrix(net: Network, p_star: float = 0.0) -> np.ndarray:
     return m
 
 
+def _csgraph_weight(p: float) -> float:
+    """-log2 p, with p = 1 nudged to the smallest positive float.
+
+    Zero-weight edges need an explicit entry, and csr drops stored zeros
+    on some ops.
+    """
+    w = -math.log2(p)
+    return w if w > 0.0 else 5e-324
+
+
 def _sparse_weights(net: Network, p_star: float = 0.0) -> csr_matrix:
     rows, cols, vals = [], [], []
     for (a, b), p in net.edges.items():
         if p >= p_star:
             i, j = net.index[a], net.index[b]
-            w = -math.log2(p)
-            # zero-weight edges (p = 1) need an explicit epsilon-free entry;
-            # csr drops stored zeros on some ops, so nudge to a tiny float
-            w = w if w > 0.0 else 5e-324
+            w = _csgraph_weight(p)
             rows += [i, j]
             cols += [j, i]
             vals += [w, w]
@@ -279,21 +286,91 @@ def sparsity_index(net: Network, strategy: StrategyKind, p_star: float) -> float
     return area / 0.5
 
 
+def _directed_edges(net: Network, relabel: Optional[np.ndarray] = None):
+    """Every edge in both directions as (tail, head, p) arrays, sorted by (tail, head).
+
+    Nodes are numbered by net.index, mapped through relabel when given.
+    """
+    m = net.n_edges
+    a = np.fromiter((net.index[x] for x, _ in net.edges), np.int64, m)
+    b = np.fromiter((net.index[y] for _, y in net.edges), np.int64, m)
+    p = np.fromiter(net.edges.values(), float, m)
+    if relabel is not None:
+        a, b = relabel[a], relabel[b]
+    tail, head = np.concatenate([a, b]), np.concatenate([b, a])
+    order = np.lexsort((head, tail))
+    return tail[order], head[order], np.concatenate([p, p])[order]
+
+
+# node count of one block-diagonal all-pairs call over neighbour subgraphs;
+# it also bounds the wedges held at once
+_SUBGRAPH_BLOCK = 512
+
+
+def _neighbor_metrics(
+    net: Network, p_star: float, nodes: Optional[Sequence[int]] = None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Clustering coefficient and neighbour-subgraph average weight per node.
+
+    nodes are net.index positions (default: all). Both metrics read the
+    wedges (a, v, b) of each node v, a before b in net order. Clustering
+    counts the wedges closed at threshold p_star. The average weight is
+    average_effective_weight of the subgraph induced by all of v's
+    neighbours, in net order, bit for bit: equal-size subgraphs are laid
+    out block-diagonally, a chunk at a time, for one all-pairs call. It is
+    nan for a node with fewer than two neighbours.
+    """
+    n = net.n_nodes
+    sel = np.arange(n) if nodes is None else np.asarray(nodes, dtype=np.int64)
+    tail, head, p = _directed_edges(net)
+    ptr = np.searchsorted(tail, np.arange(n + 1))
+    keys = tail * n + head
+    strong = p >= p_star
+    n_i = np.bincount(tail[strong], minlength=n)[sel]
+    deg = np.diff(ptr)[sel]
+    clustering = np.zeros(len(sel))
+    w_avg = np.full(len(sel), np.nan)
+    for k in np.unique(deg[deg >= 2]):
+        i, j = np.triu_indices(k, 1)
+        off_diagonal = ~np.eye(k, dtype=bool)
+        members = np.flatnonzero(deg == k)
+        per = max(1, _SUBGRAPH_BLOCK // k)
+        for start in range(0, len(members), per):
+            group = members[start:start + per]
+            ea, eb = ptr[sel[group], None] + i, ptr[sel[group], None] + j
+            ab = head[ea] * n + head[eb]
+            hit = np.minimum(np.searchsorted(keys, ab), len(keys) - 1)
+            linked = (keys[hit] == ab) & (p[hit] >= p_star)
+            e_i = (linked & strong[ea] & strong[eb]).sum(axis=1)
+            pairs = n_i[group] * (n_i[group] - 1)
+            clustering[group] = np.where(pairs > 0, 2.0 * e_i / np.maximum(pairs, 1), 0.0)
+            slot, pair = np.nonzero(linked)
+            w = [_csgraph_weight(x) for x in p[hit[slot, pair]]]
+            a, b = slot * k + i[pair], slot * k + j[pair]
+            size = len(group) * k
+            graph = csr_matrix((w + w, (np.r_[a, b], np.r_[b, a])), shape=(size, size))
+            dist = _sp_shortest_path(graph, method="D", directed=False)
+            r = np.arange(len(group))
+            blocks = dist.reshape(len(r), k, len(r), k)[r, :, r, :]
+            for g, off in zip(group, blocks[:, off_diagonal]):
+                w_avg[g] = _mean_weight(off)
+    return clustering, w_avg
+
+
 def clustering_coefficient(net: Network, v: NodeId, p_star: float) -> float:
     """2 e_i / (n_i (n_i - 1)) over the neighbor subgraph at threshold p_star."""
     if v not in net.index:
         raise KeyError(f"unknown node {v!r}")
-    nbrs = set(net.neighbors(v, p_star))
-    n_i = len(nbrs)
-    if n_i < 2:
-        return 0.0
-    e_i = sum(
-        1
-        for a in nbrs
-        for b, p in net._adj[a].items()
-        if b in nbrs and a < b and p >= p_star
-    )
-    return 2.0 * e_i / (n_i * (n_i - 1))
+    return float(_neighbor_metrics(net, p_star, [net.index[v]])[0][0])
+
+
+def _mean_weight(off: np.ndarray) -> float:
+    """Mean of the off-diagonal distances off; +inf if any pair fails."""
+    if np.isinf(off).any():
+        return math.inf
+    mean = float(off.mean())
+    # denormal placeholders for zero-weight edges collapse back to zero
+    return 0.0 if mean < 1e-300 else mean
 
 
 def average_effective_weight(net: Network, p_star: float) -> float:
@@ -302,74 +379,147 @@ def average_effective_weight(net: Network, p_star: float) -> float:
     if n < 2:
         raise ValueError("need at least 2 nodes")
     dist = _sp_shortest_path(_sparse_weights(net, p_star), method="D", directed=False)
-    off = dist[~np.eye(n, dtype=bool)]
-    if np.isinf(off).any():
-        return math.inf
-    mean = float(off.mean())
-    # denormal placeholders for zero-weight edges collapse back to zero
-    return 0.0 if mean < 1e-300 else mean
-
-
-def _deterministic_pair_paths(net: Network, p_star: float) -> List[Tuple[NodeId, ...]]:
-    """One canonical feasible shortest path per unordered pair.
-
-    The pair is traversed from its smaller to its larger id; paths whose
-    weight exceeds the -log2 p_star budget are dropped.
-    """
-    budget = -math.log2(p_star)
-    order = sorted(net.nodes)
-    paths = []
-    for i, s in enumerate(order):
-        reached = _lex_dijkstra(net, s)
-        for t in order[i + 1:]:
-            hit = reached.get(t)
-            if hit is not None and hit[0] <= budget:
-                paths.append(hit[1])
-    return paths
+    return _mean_weight(dist[~np.eye(n, dtype=bool)])
 
 
 def centrality(net: Network, v: NodeId, p_star: float) -> int:
     """Number of canonical pair paths with v strictly interior."""
     if v not in net.index:
         raise KeyError(f"unknown node {v!r}")
-    return sum(1 for path in _deterministic_pair_paths(net, p_star) if v in path[1:-1])
+    return centrality_all(net, p_star)[v]
+
+
+@dataclass(frozen=True)
+class _SweepGraph:
+    """A network numbered in id order, so that paths compare as number sequences."""
+
+    ids: List[NodeId]
+    number: np.ndarray  # net.index -> position in ids
+    tail: np.ndarray  # both directions of every edge, sorted by (tail, head)
+    head: np.ndarray
+    w: np.ndarray  # -log2 p, the step _lex_dijkstra adds
+    graph: csr_matrix  # the same edges for scipy
+    budget: float
+
+
+def _sweep_graph(net: Network, p_star: float) -> _SweepGraph:
+    budget = -math.log2(p_star)
+    ids = sorted(net.nodes)
+    number = np.empty(net.n_nodes, np.int64)
+    number[[net.index[v] for v in ids]] = np.arange(net.n_nodes)
+    tail, head, p = _directed_edges(net, number)
+    w = np.array([-math.log2(x) for x in p])
+    graph = csr_matrix(([_csgraph_weight(x) for x in p], (tail, head)), shape=(net.n_nodes,) * 2)
+    return _SweepGraph(ids, number, tail, head, w, graph, budget)
+
+
+# upper bound on sources x directed edges that centrality_all holds at once
+_SWEEP_ELEMENTS = 1 << 20
 
 
 def centrality_all(net: Network, p_star: float) -> Dict[NodeId, int]:
-    tau = {v: 0 for v in net.nodes}
-    for path in _deterministic_pair_paths(net, p_star):
-        for u in path[1:-1]:
-            tau[u] += 1
-    return tau
+    """Per node, the number of canonical pair paths with it strictly interior.
 
+    Each unordered pair {s, t} counts once, traversed from the smaller id
+    s to the larger id t, and only when its shortest-path weight is within
+    the -log2 p_star budget (a weight equal to the budget counts). Its
+    canonical path is the one _lex_dijkstra returns: minimum weight, summed
+    in path order, with ties going to the lexicographically smallest
+    node-id sequence.
 
-def centrality_all_fast(net: Network, p_star: float) -> Dict[NodeId, int]:
-    """Predecessor-tree estimate of centrality for large graphs.
-
-    Counts, per source, how many shortest-path targets route through each
-    node using subtree sizes of the scipy predecessor tree, then halves
-    the double count. Ties are resolved by whatever tree scipy returns,
-    so on graphs with exactly degenerate weights prefer centrality_all.
+    Sources are swept a block at a time. scipy gives the distances within
+    the budget; the tight edges (d[u] + w == d[v], exactly) form a DAG.
+    When all tight predecessors of every reached node share one hop depth,
+    a node's canonical parent is the predecessor whose path sorts first, so
+    the canonical tree grows one hop level at a time, each level ranked in
+    path order by (rank of parent, id). Subtree sizes over the targets
+    after the source then give the interior counts: the single-predecessor
+    form of Brandes' dependency accumulation (J. Math. Sociol. 25(2),
+    2001). A source falls back to _lex_dijkstra when some reached node
+    cannot be placed on a level: its tight predecessors differ in hop
+    depth, or a step that leaves the distance unchanged (p = 1, or a weight
+    lost to rounding) makes the tight edges cyclic. The choice depends
+    only on the weights.
     """
-    budget = -math.log2(p_star)
-    w = _sparse_weights(net)
     n = net.n_nodes
-    tau = np.zeros(n, dtype=np.int64)
-    dist, pred = _sp_dijkstra(w, directed=False, return_predecessors=True, limit=budget)
-    for s in range(n):
-        d = dist[s]
-        reach = np.flatnonzero(np.isfinite(d))
-        reach = reach[reach != s]
-        if reach.size == 0:
-            continue
-        acc = np.zeros(n, dtype=np.int64)
-        acc[reach] = 1
-        for v_idx in reach[np.argsort(-d[reach], kind="stable")]:
-            p_idx = pred[s, v_idx]
-            if p_idx >= 0 and p_idx != s:
-                acc[p_idx] += acc[v_idx]
-        tau[reach] += acc[reach] - 1
-    return {net.nodes[i]: int(tau[i] // 2) for i in range(n)}
+    g = _sweep_graph(net, p_star)
+    tau = np.zeros(n, np.int64)
+    block = max(1, _SWEEP_ELEMENTS // max(len(g.w), n, 1))
+    for start in range(0, n - 1, block):
+        sources = np.arange(start, min(start + block, n - 1))
+        counts, exact = _canonical_sweep(g, sources)
+        tau += counts
+        for s in sources[~exact]:
+            source = g.ids[s]
+            for t, (d, path) in _lex_dijkstra(net, source).items():
+                if t > source and d <= g.budget:
+                    for u in path[1:-1]:
+                        tau[g.number[net.index[u]]] += 1
+    return {v: int(tau[g.number[i]]) for i, v in enumerate(net.nodes)}
+
+
+def _canonical_sweep(g: _SweepGraph, sources: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Interior counts of the canonical paths from a block of sources.
+
+    sources are id-order numbers, and so are the nodes of the counts.
+    Returns the counts summed over the sources the sweep resolves exactly,
+    and the mask of those sources.
+    """
+    tail, head, w = g.tail, g.head, g.w
+    n = g.graph.shape[0]
+    rows = len(sources)
+    dist = _sp_dijkstra(g.graph, indices=sources, limit=g.budget)
+    reached = np.isfinite(dist)
+    # nan never compares equal, so edges with an unreached end drop out
+    dist[~reached] = np.nan
+    du = np.take(dist, tail, axis=1)
+    du += w
+    tight = np.take(dist, head, axis=1) == du
+    hit = np.flatnonzero(tight)
+    per_row = tight.sum(axis=1)
+    edge = hit - np.repeat(np.arange(rows) * len(w), per_row)
+    offset = np.repeat(np.arange(rows) * n, per_row)
+    tails, heads = offset + tail[edge], offset + head[edge]
+    size = rows * n
+    indeg = np.bincount(heads, minlength=size)
+    out_ptr = np.zeros(size + 1, np.int64)
+    np.cumsum(np.bincount(tails, minlength=size), out=out_ptr[1:])
+
+    # hop levels of the canonical trees, each in path order
+    frontier = np.arange(rows) * n + sources
+    levels = []
+    latest = np.full(size, -1, np.int64)
+    for level in range(1, n):
+        first = out_ptr[frontier]
+        fan = out_ptr[frontier + 1] - first
+        rank = np.repeat(np.arange(len(frontier)), fan)
+        at = np.arange(len(rank))
+        out = heads[np.repeat(first - np.cumsum(fan) + fan, fan) + at]
+        # out runs in (parent path order, child id) order, so a child's
+        # first hit names its parent, and first hits are in path order
+        tag = level * len(heads) - at
+        np.maximum.at(latest, out, tag)
+        firsts = np.flatnonzero(latest[out] == tag)
+        hits = np.bincount(out, minlength=size)
+        child = out[firsts]
+        # only a child whose tight predecessors all sit on this level
+        whole = hits[child] == indeg[child]
+        child, parent = child[whole], frontier[rank[firsts[whole]]]
+        if not child.size:
+            break
+        levels.append((child, parent))
+        frontier = child
+    placed = sum(np.bincount(c // n, minlength=rows) for c, _ in levels)
+    exact = placed + 1 == reached.sum(axis=1)
+
+    later = reached & (np.arange(n) > sources[:, None])
+    below = later.astype(np.int64).ravel()
+    for child, parent in reversed(levels):
+        starts = np.flatnonzero(np.r_[True, parent[1:] != parent[:-1]])
+        below[parent[starts]] += np.add.reduceat(below[child], starts)
+    inner = below.reshape(rows, n) - later
+    inner[np.arange(rows), sources] = 0
+    return inner[exact].sum(axis=0), exact
 
 
 class Undefined:
@@ -394,48 +544,31 @@ class NodeReport:
     critical_parameter: Union[float, Undefined]
 
 
-def _neighbor_subgraph(net: Network, v: NodeId) -> Network:
-    nbrs = set(net.neighbors(v))
-    nodes = [u for u in net.nodes if u in nbrs]
-    edges = {
-        _edge_key(a, b): p
-        for a in nbrs
-        for b, p in net._adj[a].items()
-        if b in nbrs and a < b
-    }
-    return Network(nodes, edges)
-
-
 def critical_parameters(
     net: Network,
     p_star: float,
     strategy: StrategyKind = StrategyKind.COOPERATIVE,
-    fast_centrality: bool = False,
 ) -> List[NodeReport]:
     """Per-node criticality nu = tau / (C * w_avg) ranked descending.
 
-    w_avg is the average effective weight of the neighbor subgraph, with
-    paths confined to that subgraph. Nodes where the ratio degenerates
-    (C = 0, or w_avg zero or infinite) are flagged Undefined and sort
-    last, by centrality.
+    tau is centrality_all. w_avg is the average effective weight of the
+    subgraph induced by the node's neighbours, with paths confined to that
+    subgraph. Nodes where the ratio degenerates (C = 0, or w_avg zero or
+    infinite) are flagged Undefined and sort last, by centrality.
     """
-    tau = centrality_all_fast(net, p_star) if fast_centrality else centrality_all(net, p_star)
+    # the cooperative strengths' dense n x n matrices set the peak memory;
+    # computed first, their freed pages take the sweep's blocks
     strengths = _all_strengths(net, strategy, p_star)
+    tau = centrality_all(net, p_star)
+    clustering, w_avg = _neighbor_metrics(net, p_star)
     reports = []
-    for v in net.nodes:
-        c = clustering_coefficient(net, v, p_star)
-        sub = _neighbor_subgraph(net, v)
-        if c == 0.0 or sub.n_nodes < 2:
+    for i, v in enumerate(net.nodes):
+        c, w = float(clustering[i]), float(w_avg[i])
+        if c == 0.0 or w == 0.0 or math.isinf(w):
             nu: Union[float, Undefined] = Undefined()
         else:
-            w_avg = average_effective_weight(sub, p_star)
-            if w_avg == 0.0 or math.isinf(w_avg):
-                nu = Undefined()
-            else:
-                nu = tau[v] / (c * w_avg)
-        reports.append(
-            NodeReport(v, c, tau[v], float(strengths[net.index[v]]), nu)
-        )
+            nu = tau[v] / (c * w)
+        reports.append(NodeReport(v, c, tau[v], float(strengths[i]), nu))
     defined = [r for r in reports if not isinstance(r.critical_parameter, Undefined)]
     undefined = [r for r in reports if isinstance(r.critical_parameter, Undefined)]
     defined.sort(key=lambda r: (-r.critical_parameter, -r.centrality))

@@ -289,8 +289,10 @@ def airport_report(
     """Aggregate geography and robustness statistics of a route network.
 
     Sparsity and connection strength use the non-cooperative strategy
-    (direct routes only); critical-node ranking uses the fast centrality
-    path suited to graphs of this size.
+    (direct routes only). The critical-node ranking uses the canonical
+    centrality of netgraph.centrality_all, whose ties go to the
+    lexicographically smallest path, so it does not depend on scipy's
+    tie order.
     """
     if not net.coords:
         raise ValueError("network has no coordinates")
@@ -305,7 +307,7 @@ def airport_report(
         if d > longest:
             longest, pair = d, (a, b)
     strat = netgraph.StrategyKind.NON_COOPERATIVE
-    reports = netgraph.critical_parameters(net, p_star, strat, fast_centrality=True)
+    reports = netgraph.critical_parameters(net, p_star, strat)
     return AirportReport(
         net.n_nodes,
         net.n_edges,

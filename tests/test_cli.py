@@ -158,6 +158,35 @@ class TestGraphCommands:
         assert ups == sorted(ups)
 
 
+class TestCriticalNodesGolden:
+    """critical-nodes on the Square1024 edge list, pinned byte for byte.
+
+    The edge file round-trips the lattice's integer labels as strings, so
+    the lexicographic tie rule sees "10" < "9". The full tables pin every
+    node's centrality, strength and clustering.
+    """
+
+    DIGESTS = {
+        (): "bf3469f9022252f69131087851a4a3e4c97271868fb92714e9661d7d259a0a74",
+        ("--top", "1024"): "11005652e92ccb23ef96c4dfacd142397c55d3f9151e325e53d243308b82a1e7",
+        ("--top", "1024", "--p-star", "0.25"):
+            "d8ef0d73e0c0181399cc9ee50acb99a47765b350327baedff177f96d4d4e1772",
+    }
+
+    @pytest.mark.parametrize("extra", list(DIGESTS), ids=lambda e: " ".join(e) or "default")
+    def test_square1024_output_digest(self, capsys, tmp_path, monkeypatch, extra):
+        import hashlib
+
+        monkeypatch.chdir(tmp_path)
+        code, _, _ = run_cli(
+            capsys, "topology", "--kind", "square1024", "--p", "0.9", "--edges-out", "sq.edges"
+        )
+        assert code == 0
+        code, out, _ = run_cli(capsys, "critical-nodes", "--in", "sq.edges", *extra)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[extra]
+
+
 class TestScenarioCommands:
     def test_satellite(self, capsys):
         code, out, _ = run_cli(capsys, "satellite", "--n", "2")

@@ -24,7 +24,6 @@ from qnetlim.netgraph import (
     build_topology,
     centrality,
     centrality_all,
-    centrality_all_fast,
     clustering_coefficient,
     connection_strength,
     construct_network,
@@ -82,6 +81,76 @@ def enumerate_best_path(net, source, target, p_star):
     if best is None or best[0] > -math.log2(p_star) + 1e-12:
         return None
     return best
+
+
+def pair_paths_oracle(net, p_star):
+    """One canonical feasible shortest path per unordered pair.
+
+    The plain enumeration: _lex_dijkstra from every source, each pair
+    traversed from its smaller to its larger id, paths whose weight exceeds
+    the -log2 p_star budget dropped.
+    """
+    budget = -math.log2(p_star)
+    order = sorted(net.nodes)
+    paths = []
+    for i, s in enumerate(order):
+        reached = ng._lex_dijkstra(net, s)
+        for t in order[i + 1:]:
+            hit = reached.get(t)
+            if hit is not None and hit[0] <= budget:
+                paths.append(hit[1])
+    return paths
+
+
+def centrality_oracle(net, p_star):
+    tau = {v: 0 for v in net.nodes}
+    for path in pair_paths_oracle(net, p_star):
+        for u in path[1:-1]:
+            tau[u] += 1
+    return tau
+
+
+def source_counts_oracle(net, g, number, p_star):
+    """Interior counts, by id-order number, of the canonical paths from one source."""
+    source = g.ids[number]
+    counts = np.zeros(net.n_nodes, np.int64)
+    for t, (d, path) in ng._lex_dijkstra(net, source).items():
+        if t > source and d <= -math.log2(p_star):
+            for u in path[1:-1]:
+                counts[g.number[net.index[u]]] += 1
+    return counts
+
+
+def neighbor_subgraph_oracle(net, v):
+    """The subgraph induced by all of v's neighbours, nodes in net order."""
+    nbrs = set(net.neighbors(v))
+    nodes = [u for u in net.nodes if u in nbrs]
+    edges = {
+        ng._edge_key(a, b): p
+        for a in nbrs
+        for b, p in net._adj[a].items()
+        if b in nbrs and a < b
+    }
+    return Network(nodes, edges)
+
+
+def clustering_oracle(net, v, p_star):
+    nbrs = set(net.neighbors(v, p_star))
+    n_i = len(nbrs)
+    if n_i < 2:
+        return 0.0
+    e_i = sum(
+        1
+        for a in nbrs
+        for b, p in net._adj[a].items()
+        if b in nbrs and a < b and p >= p_star
+    )
+    return 2.0 * e_i / (n_i * (n_i - 1))
+
+
+def strings(net):
+    """The same network with string ids, which sort as "10" < "9"."""
+    return net.relabeled({v: str(v) for v in net.nodes})
 
 
 class TestWeights:
@@ -295,11 +364,144 @@ class TestCentrality:
         assert centrality(net, 1, 0.1) == 1
         assert centrality(net, 3, 0.1) == 0
 
-    def test_fast_matches_exact(self):
+
+class TestCentralityOracle:
+    """centrality_all against the pair-path enumeration, exactly."""
+
+    def assert_matches(self, net, p_stars=(0.5, 0.1, 0.01)):
+        for p_star in p_stars:
+            assert centrality_all(net, p_star) == centrality_oracle(net, p_star)
+
+    def test_grid_string_labels(self):
+        net = strings(build_topology(Grid(7, 5, 0.9)))
+        assert "10" < "9" and {"10", "9"} <= set(net.nodes)
+        self.assert_matches(net)
+
+    def test_square1024_string_labels(self):
+        net = strings(build_topology(Square1024(0.9)))
+        self.assert_matches(net, (0.5,))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [Star(9, 0.8), FullMesh(8, 0.6), Circulant(12, 3, 0.9), Circulant(13, 4, 0.8),
+         Circulant(16, 5, 0.7), Circulant(10, 2, 0.5)],
+        ids=repr,
+    )
+    def test_reference_topologies(self, spec):
+        net = build_topology(spec)
+        self.assert_matches(net)
+        self.assert_matches(strings(net))
+
+    def test_circulant_exercises_fallback(self):
+        net = build_topology(Circulant(16, 5, 0.7))
+        g = ng._sweep_graph(net, 0.01)
+        _, exact = ng._canonical_sweep(g, np.arange(net.n_nodes - 1))
+        assert not exact.all()
+
+    def test_uniform_p_random_graphs(self):
+        rng = random.Random(5)
+        for _ in range(60):
+            n = rng.randint(3, 14)
+            edges = [(i, j, 0.7) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.35]
+            net = Network(range(n), edges)
+            self.assert_matches(net)
+            self.assert_matches(strings(net), (0.1,))
+
+    def test_power_of_two_weights(self):
+        rng = random.Random(6)
+        for _ in range(60):
+            n = rng.randint(3, 14)
+            edges = [
+                (i, j, rng.choice([0.5, 0.25, 0.125]))
+                for i in range(n) for j in range(i + 1, n) if rng.random() < 0.35
+            ]
+            self.assert_matches(Network(range(n), edges), (0.25, 0.0625, 0.01))
+
+    def test_random_weights(self):
         rng = random.Random(17)
         for _ in range(25):
-            net = random_graph(rng, p_edge=0.45)
-            assert centrality_all_fast(net, 0.25) == centrality_all(net, 0.25)
+            self.assert_matches(random_graph(rng, p_edge=0.45), (0.25, 0.01))
+
+    def test_p_one_edges(self):
+        rng = random.Random(7)
+        for _ in range(40):
+            n = rng.randint(3, 12)
+            edges = [
+                (i, j, rng.choice([1.0, 0.5, 0.9]))
+                for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4
+            ]
+            self.assert_matches(Network(range(n), edges), (0.5, 0.1))
+        net = Network(range(4), [(0, 1, 1.0), (1, 2, 0.5), (2, 3, 1.0), (0, 3, 0.5)])
+        g = ng._sweep_graph(net, 0.25)
+        _, exact = ng._canonical_sweep(g, np.arange(3))
+        assert not exact.any()
+        self.assert_matches(net, (0.25,))
+
+    def test_mixed_hop_depths(self):
+        # 0-2 direct weighs 2 bits, as does 0-1-2; (0, 1, 2) sorts first
+        net = Network(range(3), [(0, 1, 0.5), (1, 2, 0.5), (0, 2, 0.25)])
+        assert centrality_all(net, 0.1) == {0: 0, 1: 1, 2: 0}
+        _, exact = ng._canonical_sweep(ng._sweep_graph(net, 0.1), np.arange(2))
+        assert list(exact) == [False, True]
+        flipped = net.relabeled({0: 0, 1: 2, 2: 1})
+        assert centrality_all(flipped, 0.1) == {0: 0, 1: 0, 2: 0}
+
+    def test_weight_equal_to_budget_counts(self):
+        # 0-2 weighs 2 bits, exactly the budget of p* = 0.25; 0-3 is over it
+        net = Network(range(4), [(0, 1, 0.5), (1, 2, 0.5), (2, 3, 0.5)])
+        assert centrality_all(net, 0.25) == {0: 0, 1: 1, 2: 1, 3: 0}
+        self.assert_matches(net, (0.25,))
+
+    def test_disconnected(self):
+        net = Network(range(9), [(0, 1, 0.9), (1, 2, 0.9), (2, 0, 0.9), (2, 3, 0.9),
+                                 (4, 5, 0.8), (5, 6, 0.8), (6, 7, 0.8)])
+        self.assert_matches(net)
+        self.assert_matches(strings(net))
+
+    def test_airport_sampled_sources(self, airport_network):
+        net, p_star = airport_network, 0.1
+        g = ng._sweep_graph(net, p_star)
+        sample = sorted(random.Random(11).sample(range(net.n_nodes - 1), 40))
+        total = np.zeros(net.n_nodes, np.int64)
+        for s in sample:
+            counts, exact = ng._canonical_sweep(g, np.array([s]))
+            want = source_counts_oracle(net, g, s, p_star)
+            assert exact[0]
+            assert np.array_equal(counts, want)
+            total += want
+        counts, exact = ng._canonical_sweep(g, np.array(sample))
+        assert exact.all()
+        assert np.array_equal(counts, total)
+
+
+class TestNeighborMetrics:
+    """Batched clustering and subgraph weights against their per-node oracles."""
+
+    def assert_matches(self, net, p_star):
+        clustering, w_avg = ng._neighbor_metrics(net, p_star)
+        for i, v in enumerate(net.nodes):
+            assert clustering[i] == clustering_oracle(net, v, p_star)
+            sub = neighbor_subgraph_oracle(net, v)
+            if sub.n_nodes < 2:
+                assert math.isnan(w_avg[i])
+            else:
+                # bit for bit, not approximately
+                assert w_avg[i] == average_effective_weight(sub, p_star)
+
+    def test_airport_every_node(self, airport_network):
+        self.assert_matches(airport_network, 0.1)
+
+    def test_random_graphs(self):
+        rng = random.Random(8)
+        for _ in range(30):
+            net = random_graph(rng, n_max=12, p_edge=0.5)
+            for p_star in (0.5, 0.3, 0.01):
+                self.assert_matches(net, p_star)
+
+    def test_p_one_edges(self):
+        net = Network(range(4), [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0), (0, 3, 0.5), (2, 3, 0.5)])
+        for p_star in (0.6, 0.25):
+            self.assert_matches(net, p_star)
 
 
 class TestCriticalParameters:
