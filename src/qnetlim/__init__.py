@@ -11,3 +11,19 @@ Subpackages:
 """
 
 __version__ = "0.1.0"
+
+
+class Sentinel:
+    """Base of the marker results (Undefined, Unbounded, ...).
+
+    Instances compare equal, and hash and print, by class name.
+    """
+
+    def __repr__(self):
+        return type(self).__name__
+
+    def __eq__(self, other):
+        return isinstance(other, type(self))
+
+    def __hash__(self):
+        return hash(type(self).__name__)

@@ -109,11 +109,22 @@ def cmd_nqi(args) -> List[str]:
 
 def _load_net(path) -> netgraph.Network:
     try:
-        return netgraph.load_edge_list(path)
+        net = netgraph.load_edge_list(path)
     except OSError as exc:
         raise DataError(f"cannot read graph file: {exc}")
     except ValueError as exc:
         raise DataError(f"bad graph file: {exc}")
+    if not net.n_edges:
+        raise DataError(f"bad graph file: no edges in {path}")
+    return net
+
+
+# graph's rows: name, metric(net, strategy, p_star)
+_GRAPH_METRICS = (
+    ("link_sparsity", lambda net, s, p: netgraph.link_sparsity(net, p, s)),
+    ("total_connection_strength", netgraph.total_connection_strength),
+    ("sparsity_index", netgraph.sparsity_index),
+)
 
 
 def cmd_graph(args) -> List[str]:
@@ -122,36 +133,26 @@ def cmd_graph(args) -> List[str]:
     lines = _header("graph", params)
     lines.append("metric,non_cooperative,cooperative")
     nc, co = netgraph.StrategyKind.NON_COOPERATIVE, netgraph.StrategyKind.COOPERATIVE
-    lines.append(
-        "link_sparsity,"
-        f"{netgraph.link_sparsity(net, args.p_star, nc)!r},"
-        f"{netgraph.link_sparsity(net, args.p_star, co)!r}"
-    )
-    lines.append(
-        "total_connection_strength,"
-        f"{netgraph.total_connection_strength(net, nc, args.p_star)!r},"
-        f"{netgraph.total_connection_strength(net, co, args.p_star)!r}"
-    )
-    lines.append(
-        "sparsity_index,"
-        f"{netgraph.sparsity_index(net, nc, args.p_star)!r},"
-        f"{netgraph.sparsity_index(net, co, args.p_star)!r}"
-    )
-    avg = netgraph.average_effective_weight(net, args.p_star) if net.n_nodes >= 2 else math.inf
+    for name, metric in _GRAPH_METRICS:
+        lines.append(f"{name},{metric(net, nc, args.p_star)!r},{metric(net, co, args.p_star)!r}")
+    avg = netgraph.average_effective_weight(net, args.p_star)
     lines.append(f"average_effective_weight_bits,{avg!r},{avg!r}")
+    return lines
+
+
+def _node_rows(reports: Sequence[netgraph.NodeReport]) -> List[str]:
+    lines = ["node,clustering,centrality,strength,critical_parameter"]
+    for r in reports:
+        nu = "undefined" if isinstance(r.critical_parameter, netgraph.Undefined) else repr(r.critical_parameter)
+        lines.append(f"{r.node},{r.clustering!r},{r.centrality},{r.strength!r},{nu}")
     return lines
 
 
 def cmd_critical_nodes(args) -> List[str]:
     net = _load_net(args.infile)
     params = {"in": args.infile, "p_star": args.p_star, "top": args.top}
-    lines = _header("critical-nodes", params)
     reports = netgraph.critical_parameters(net, args.p_star)
-    lines.append("node,clustering,centrality,strength,critical_parameter")
-    for r in reports[: args.top]:
-        nu = "undefined" if isinstance(r.critical_parameter, netgraph.Undefined) else repr(r.critical_parameter)
-        lines.append(f"{r.node},{r.clustering!r},{r.centrality},{r.strength!r},{nu}")
-    return lines
+    return _header("critical-nodes", params) + _node_rows(reports[: args.top])
 
 
 def cmd_path(args) -> List[str]:
@@ -172,35 +173,23 @@ def cmd_path(args) -> List[str]:
     return lines
 
 
-_TOPO_KINDS = (
-    "star", "mesh", "circulant", "grid", "cell-square", "cell-octagonal",
-    "cell-heavy-hex", "square1024",
-)
+_TOPOLOGIES = {
+    "star": lambda a: netgraph.Star(a.n, a.p),
+    "mesh": lambda a: netgraph.FullMesh(a.n, a.p),
+    "circulant": lambda a: netgraph.Circulant(a.n, a.d, a.p),
+    "grid": lambda a: netgraph.Grid(a.width, a.height, a.p),
+    "cell-square": lambda a: netgraph.ProcessorCell(netgraph.CellKind.SQUARE, a.p),
+    "cell-octagonal": lambda a: netgraph.ProcessorCell(netgraph.CellKind.OCTAGONAL, a.p),
+    "cell-heavy-hex": lambda a: netgraph.ProcessorCell(netgraph.CellKind.HEAVY_HEXAGONAL, a.p),
+    "square1024": lambda a: netgraph.Square1024(a.p),
+}
 
 
 def cmd_topology(args) -> List[str]:
-    kind = args.kind
-    p = args.p
-    if kind == "star":
-        spec = netgraph.Star(args.n, p)
-    elif kind == "mesh":
-        spec = netgraph.FullMesh(args.n, p)
-    elif kind == "circulant":
-        spec = netgraph.Circulant(args.n, args.d, p)
-    elif kind == "grid":
-        spec = netgraph.Grid(args.width, args.height, p)
-    elif kind == "cell-square":
-        spec = netgraph.ProcessorCell(netgraph.CellKind.SQUARE, p)
-    elif kind == "cell-octagonal":
-        spec = netgraph.ProcessorCell(netgraph.CellKind.OCTAGONAL, p)
-    elif kind == "cell-heavy-hex":
-        spec = netgraph.ProcessorCell(netgraph.CellKind.HEAVY_HEXAGONAL, p)
-    else:
-        spec = netgraph.Square1024(p)
-    net = netgraph.build_topology(spec)
+    net = netgraph.build_topology(_TOPOLOGIES[args.kind](args))
     if args.edges_out:
         netgraph.save_edge_list(net, args.edges_out)
-    params = {"kind": kind, "p": p, "nodes": net.n_nodes, "edges": net.n_edges}
+    params = {"kind": args.kind, "p": args.p, "nodes": net.n_nodes, "edges": net.n_edges}
     lines = _header("topology", params)
     lines.append("nodes,edges,edge_file")
     lines.append(f"{net.n_nodes},{net.n_edges},{args.edges_out or ''}")
@@ -264,21 +253,21 @@ def cmd_airport(args) -> List[str]:
         "airports": airports, "routes": routes, "p_star": args.p_star,
         "skipped_routes": ds.skipped_routes,
     }
-    lines = _header("airport", params)
-    lines.append("metric,value")
-    lines.append(f"n_nodes,{rep.n_nodes}")
-    lines.append(f"n_edges,{rep.n_edges}")
-    lines.append(f"longest_route_km,{rep.longest_route_km!r}")
-    lines.append(f"longest_route_pair,{rep.longest_route_pair[0]}|{rep.longest_route_pair[1]}")
-    lines.append(f"mean_route_km,{rep.mean_route_km!r}")
-    lines.append(f"link_sparsity,{rep.link_sparsity!r}")
-    lines.append(f"total_connection_strength,{rep.total_connection_strength!r}")
-    lines.append("# top critical airports")
-    lines.append("node,clustering,centrality,strength,critical_parameter")
-    for r in rep.top_critical_airports:
-        nu = "undefined" if isinstance(r.critical_parameter, netgraph.Undefined) else repr(r.critical_parameter)
-        lines.append(f"{r.node},{r.clustering!r},{r.centrality},{r.strength!r},{nu}")
-    return lines
+    return _header("airport", params) + _airport_lines(rep)
+
+
+def _airport_lines(rep: scenario.AirportReport) -> List[str]:
+    return [
+        "metric,value",
+        f"n_nodes,{rep.n_nodes}",
+        f"n_edges,{rep.n_edges}",
+        f"longest_route_km,{rep.longest_route_km!r}",
+        f"longest_route_pair,{rep.longest_route_pair[0]}|{rep.longest_route_pair[1]}",
+        f"mean_route_km,{rep.mean_route_km!r}",
+        f"link_sparsity,{rep.link_sparsity!r}",
+        f"total_connection_strength,{rep.total_connection_strength!r}",
+        "# top critical airports",
+    ] + _node_rows(rep.top_critical_airports)
 
 
 def cmd_buffer(args) -> List[str]:
@@ -522,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_path)
 
     p = sub.add_parser("topology", help="generate a reference topology")
-    p.add_argument("--kind", choices=_TOPO_KINDS, required=True)
+    p.add_argument("--kind", choices=_TOPOLOGIES, required=True)
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--d", type=int, default=2, help="circulant degree")
     p.add_argument("--width", type=int, default=4)

@@ -9,9 +9,10 @@ product probability >= p_star, compared strictly with no epsilon.
 from __future__ import annotations
 
 import csv
+import functools
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -19,6 +20,8 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
 from scipy.sparse.csgraph import shortest_path as _sp_shortest_path
+
+from . import Sentinel
 
 NodeId = Union[int, str]
 
@@ -28,11 +31,20 @@ def _edge_key(a: NodeId, b: NodeId) -> Tuple[NodeId, NodeId]:
 
 
 class Network:
-    """Undirected graph with per-edge success probabilities.
+    """Undirected graph with per-edge success probabilities, held as arrays.
 
-    Nodes keep their insertion order; metrics that need a total order on
-    node ids (tie-breaking) compare the ids directly, so a single network
-    should use one orderable id type throughout.
+    Nodes keep their insertion order and index maps each id to its
+    position; edges keeps each edge once, keyed (smaller id, larger id), in
+    the order first given. The constructor also builds the adjacency once,
+    in both directions and sorted by (tail, head) over index positions, as
+    CSR arrays: the edges leaving node i are ptr[i]:ptr[i + 1] of head, p
+    and w = -log2 p (math.log2 per edge, the step every path sum adds).
+
+    A Network is immutable after construction: the arrays, and the cached
+    all-pairs pass keyed on the network itself, assume that it never
+    changes. Metrics that need a total order on node ids (tie-breaking)
+    compare the ids directly, so a single network should use one orderable
+    id type throughout.
     """
 
     def __init__(
@@ -46,13 +58,8 @@ class Network:
             raise ValueError("duplicate node ids")
         self.index = {v: i for i, v in enumerate(self.nodes)}
         self.edges: Dict[Tuple[NodeId, NodeId], float] = {}
-        self._adj: Dict[NodeId, Dict[NodeId, float]] = {v: {} for v in self.nodes}
-        items = edges.items() if isinstance(edges, dict) else ((a, b, p) for a, b, p in edges)
-        for entry in items:
-            if isinstance(edges, dict):
-                (a, b), p = entry
-            else:
-                a, b, p = entry
+        items = ((a, b, p) for (a, b), p in edges.items()) if isinstance(edges, dict) else edges
+        for a, b, p in items:
             if a == b:
                 raise ValueError(f"self-loop on node {a!r}")
             if a not in self.index or b not in self.index:
@@ -60,9 +67,16 @@ class Network:
             if not 0.0 < p <= 1.0:
                 raise ValueError(f"edge probability must be in (0, 1], got {p}")
             self.edges[_edge_key(a, b)] = p
-            self._adj[a][b] = p
-            self._adj[b][a] = p
         self.coords = dict(coords) if coords else None
+
+        m, n = len(self.edges), len(self.nodes)
+        tail = _edge_ends(self)
+        head = tail.reshape(m, 2)[:, ::-1].ravel()
+        order = np.lexsort((head, tail))
+        self.ptr = np.searchsorted(tail[order], np.arange(n + 1))
+        self.head = head[order]
+        self.p = np.repeat(np.fromiter(self.edges.values(), float, m), 2)[order]
+        self.w = np.repeat([-math.log2(x) for x in self.edges.values()], 2)[order]
 
     @property
     def n_nodes(self) -> int:
@@ -76,22 +90,21 @@ class Network:
         return self.edges.get(_edge_key(a, b))
 
     def neighbors(self, v: NodeId, p_star: float = 0.0) -> List[NodeId]:
-        return [u for u, p in self._adj[v].items() if p >= p_star]
-
-    def adjacency_prob(self) -> np.ndarray:
-        """Dense matrix of edge probabilities, 0 where no edge."""
-        n = self.n_nodes
-        m = np.zeros((n, n))
-        for (a, b), p in self.edges.items():
-            i, j = self.index[a], self.index[b]
-            m[i, j] = m[j, i] = p
-        return m
+        """v's neighbours over edges with p >= p_star, in net order."""
+        i = self.index[v]
+        span = slice(self.ptr[i], self.ptr[i + 1])
+        return [self.nodes[j] for j in self.head[span][self.p[span] >= p_star]]
 
     def relabeled(self, mapping: Dict[NodeId, NodeId]) -> "Network":
         nodes = [mapping[v] for v in self.nodes]
         edges = {_edge_key(mapping[a], mapping[b]): p for (a, b), p in self.edges.items()}
         coords = {mapping[v]: c for v, c in self.coords.items()} if self.coords else None
         return Network(nodes, edges, coords)
+
+
+def _edge_ends(net: Network) -> np.ndarray:
+    """Index positions of both ends of each edge, edge by edge in insertion order."""
+    return np.fromiter((net.index[v] for key in net.edges for v in key), np.int64, 2 * net.n_edges)
 
 
 class StrategyKind(str, Enum):
@@ -119,55 +132,66 @@ class EffectiveMatrices:
     f_star: np.ndarray
 
 
-def _weight_matrix(net: Network, p_star: float = 0.0) -> np.ndarray:
-    """Dense -log2 p matrix; +inf off-diagonal where no qualifying edge."""
-    n = net.n_nodes
-    m = np.full((n, n), math.inf)
-    np.fill_diagonal(m, 0.0)
-    for (a, b), p in net.edges.items():
-        if p >= p_star:
-            i, j = net.index[a], net.index[b]
-            m[i, j] = m[j, i] = -math.log2(p)
-    return m
+def _tails(net: Network) -> np.ndarray:
+    """The tail of each CSR entry of net, aligned with net.head."""
+    return np.repeat(np.arange(net.n_nodes), np.diff(net.ptr))
 
 
-def _csgraph_weight(p: float) -> float:
-    """-log2 p, with p = 1 nudged to the smallest positive float.
+def _csgraph_weights(net: Network) -> np.ndarray:
+    """net.w with p = 1 at the smallest positive float instead of zero.
 
     Zero-weight edges need an explicit entry, and csr drops stored zeros
     on some ops.
     """
-    w = -math.log2(p)
-    return w if w > 0.0 else 5e-324
+    return np.where(net.w > 0.0, net.w, 5e-324)
 
 
-def _sparse_weights(net: Network, p_star: float = 0.0) -> csr_matrix:
-    rows, cols, vals = [], [], []
-    for (a, b), p in net.edges.items():
-        if p >= p_star:
-            i, j = net.index[a], net.index[b]
-            w = _csgraph_weight(p)
-            rows += [i, j]
-            cols += [j, i]
-            vals += [w, w]
-    n = net.n_nodes
-    return csr_matrix((vals, (rows, cols)), shape=(n, n))
+def _csgraph(net: Network, keep=slice(None)) -> csr_matrix:
+    """net as a scipy graph of _csgraph_weights, restricted to the entries keep."""
+    ends = (_tails(net)[keep], net.head[keep])
+    return csr_matrix((_csgraph_weights(net)[keep], ends), shape=(net.n_nodes,) * 2)
+
+
+@functools.lru_cache(maxsize=1)
+def _best_weights(net: Network, p_star: float) -> np.ndarray:
+    """All-pairs minimum path weight over the edges with p >= p_star, no budget.
+
+    The one pass every cooperative metric reads. One cached entry suffices,
+    as a command uses one p_star and one network at a time; a per-network
+    cache would keep an n x n array alive on every network evolve returns.
+    The array is shared, so it is read-only.
+    """
+    dist = _sp_shortest_path(_csgraph(net, net.p >= p_star), method="D", directed=False)
+    dist.flags.writeable = False
+    return dist
+
+
+def _f_star(net: Network, p_star: float) -> np.ndarray:
+    """Best-path success probabilities, 0 below p_star and on the diagonal."""
+    dist = _best_weights(net, p_star)
+    f = np.power(2.0, -dist)
+    f[dist == math.inf] = 0.0
+    f[f < p_star] = 0.0
+    np.fill_diagonal(f, 0.0)
+    return f
 
 
 def matrices(net: Network, p_star: float) -> EffectiveMatrices:
     """A, A_star and the all-pairs best-path success matrix f_star.
 
-    f_star entries are the maximum path product when that product is at
-    least p_star, else 0; the diagonal is 0 by definition.
+    A holds -log2 p per edge, A_star only for edges with p >= p_star; both
+    are 0 on the diagonal and +inf elsewhere. f_star entries are the
+    maximum path product when that product is at least p_star, else 0; the
+    diagonal is 0 by definition.
     """
-    a = _weight_matrix(net)
-    a_star = _weight_matrix(net, p_star)
-    dist = _sp_shortest_path(_sparse_weights(net, p_star), method="D", directed=False)
-    f = np.power(2.0, -dist)
-    f[dist == math.inf] = 0.0
-    f[f < p_star] = 0.0
-    np.fill_diagonal(f, 0.0)
-    return EffectiveMatrices(a, a_star, f)
+    n, tail = net.n_nodes, _tails(net)
+    a = np.full((n, n), math.inf)
+    np.fill_diagonal(a, 0.0)
+    a_star = a.copy()
+    a[tail, net.head] = net.w
+    strong = net.p >= p_star
+    a_star[tail[strong], net.head[strong]] = net.w[strong]
+    return EffectiveMatrices(a, a_star, _f_star(net, p_star))
 
 
 class PathStatus(str, Enum):
@@ -190,6 +214,7 @@ def _lex_dijkstra(net: Network, source: NodeId) -> Dict[NodeId, Tuple[float, Tup
     sequence wins; heap entries carry the path so equal-weight pops come
     out in lexicographic order.
     """
+    ptr, head, w = net.ptr.tolist(), net.head.tolist(), net.w.tolist()
     best: Dict[NodeId, Tuple[float, Tuple[NodeId, ...]]] = {}
     heap = [(0.0, (source,))]
     while heap:
@@ -198,9 +223,11 @@ def _lex_dijkstra(net: Network, source: NodeId) -> Dict[NodeId, Tuple[float, Tup
         if v in best:
             continue
         best[v] = (d, path)
-        for u in net.neighbors(v):
+        i = net.index[v]
+        for k in range(ptr[i], ptr[i + 1]):
+            u = net.nodes[head[k]]
             if u not in best:
-                heapq.heappush(heap, (d - math.log2(net.edges[_edge_key(v, u)]), path + (u,)))
+                heapq.heappush(heap, (d + w[k], path + (u,)))
     return best
 
 
@@ -225,10 +252,9 @@ def link_sparsity(net: Network, p_star: float, strategy: StrategyKind) -> float:
     if n == 0:
         raise ValueError("empty network")
     if strategy is StrategyKind.NON_COOPERATIVE:
-        n_star = 2 * sum(1 for p in net.edges.values() if p >= p_star)
+        n_star = int(np.count_nonzero(net.p >= p_star))
     else:
-        f = matrices(net, p_star).f_star
-        n_star = int(np.count_nonzero(f))
+        n_star = int(np.count_nonzero(_f_star(net, p_star)))
     return 1.0 - n_star / n**2
 
 
@@ -248,22 +274,25 @@ def connection_strength(
     if v not in net.index:
         raise KeyError(f"unknown node {v!r}")
     if strategy is StrategyKind.NON_COOPERATIVE:
-        total = sum(p for u in net.neighbors(v, p_star) for p in [net.edges[_edge_key(v, u)]])
+        total = float(_direct_sums(net, p_star)[net.index[v]])
     else:
-        total = float(matrices(net, p_star).f_star[net.index[v]].sum())
+        total = float(_f_star(net, p_star)[net.index[v]].sum())
     if include_self:
         total += 1.0
     return total / net.n_nodes
 
 
+def _direct_sums(net: Network, p_star: float) -> np.ndarray:
+    """Per node, the sum of its edges' p >= p_star, in edge insertion order."""
+    p = np.repeat(np.fromiter(net.edges.values(), float, net.n_edges), 2)
+    strong = p >= p_star
+    return np.bincount(_edge_ends(net)[strong], p[strong], minlength=net.n_nodes)
+
+
 def _all_strengths(net: Network, strategy: StrategyKind, p_star: float) -> np.ndarray:
     if strategy is StrategyKind.NON_COOPERATIVE:
-        sums = [
-            sum(p for p in net._adj[v].values() if p >= p_star) for v in net.nodes
-        ]
-        return np.asarray(sums) / net.n_nodes
-    f = matrices(net, p_star).f_star
-    return f.sum(axis=1) / net.n_nodes
+        return _direct_sums(net, p_star) / net.n_nodes
+    return _f_star(net, p_star).sum(axis=1) / net.n_nodes
 
 
 def total_connection_strength(net: Network, strategy: StrategyKind, p_star: float) -> float:
@@ -286,22 +315,6 @@ def sparsity_index(net: Network, strategy: StrategyKind, p_star: float) -> float
     return area / 0.5
 
 
-def _directed_edges(net: Network, relabel: Optional[np.ndarray] = None):
-    """Every edge in both directions as (tail, head, p) arrays, sorted by (tail, head).
-
-    Nodes are numbered by net.index, mapped through relabel when given.
-    """
-    m = net.n_edges
-    a = np.fromiter((net.index[x] for x, _ in net.edges), np.int64, m)
-    b = np.fromiter((net.index[y] for _, y in net.edges), np.int64, m)
-    p = np.fromiter(net.edges.values(), float, m)
-    if relabel is not None:
-        a, b = relabel[a], relabel[b]
-    tail, head = np.concatenate([a, b]), np.concatenate([b, a])
-    order = np.lexsort((head, tail))
-    return tail[order], head[order], np.concatenate([p, p])[order]
-
-
 # node count of one block-diagonal all-pairs call over neighbour subgraphs;
 # it also bounds the wedges held at once
 _SUBGRAPH_BLOCK = 512
@@ -322,9 +335,9 @@ def _neighbor_metrics(
     """
     n = net.n_nodes
     sel = np.arange(n) if nodes is None else np.asarray(nodes, dtype=np.int64)
-    tail, head, p = _directed_edges(net)
-    ptr = np.searchsorted(tail, np.arange(n + 1))
+    tail, head, p, ptr = _tails(net), net.head, net.p, net.ptr
     keys = tail * n + head
+    weight = _csgraph_weights(net)
     strong = p >= p_star
     n_i = np.bincount(tail[strong], minlength=n)[sel]
     deg = np.diff(ptr)[sel]
@@ -345,10 +358,10 @@ def _neighbor_metrics(
             pairs = n_i[group] * (n_i[group] - 1)
             clustering[group] = np.where(pairs > 0, 2.0 * e_i / np.maximum(pairs, 1), 0.0)
             slot, pair = np.nonzero(linked)
-            w = [_csgraph_weight(x) for x in p[hit[slot, pair]]]
+            w = weight[hit[slot, pair]]
             a, b = slot * k + i[pair], slot * k + j[pair]
             size = len(group) * k
-            graph = csr_matrix((w + w, (np.r_[a, b], np.r_[b, a])), shape=(size, size))
+            graph = csr_matrix((np.r_[w, w], (np.r_[a, b], np.r_[b, a])), shape=(size, size))
             dist = _sp_shortest_path(graph, method="D", directed=False)
             r = np.arange(len(group))
             blocks = dist.reshape(len(r), k, len(r), k)[r, :, r, :]
@@ -365,7 +378,7 @@ def clustering_coefficient(net: Network, v: NodeId, p_star: float) -> float:
 
 
 def _mean_weight(off: np.ndarray) -> float:
-    """Mean of the off-diagonal distances off; +inf if any pair fails."""
+    """Mean of the off-diagonal distances off; +inf if any of them is."""
     if np.isinf(off).any():
         return math.inf
     mean = float(off.mean())
@@ -374,12 +387,17 @@ def _mean_weight(off: np.ndarray) -> float:
 
 
 def average_effective_weight(net: Network, p_star: float) -> float:
-    """Mean shortest-path weight over ordered node pairs; +inf if any pair fails."""
+    """Mean shortest-path weight in bits over ordered pairs of distinct nodes.
+
+    Paths use only the edges with p >= p_star, and no -log2 p_star budget
+    applies: a pair joined only by a path over budget counts its full
+    weight. The result is +inf exactly when the thresholded graph is
+    disconnected.
+    """
     n = net.n_nodes
     if n < 2:
         raise ValueError("need at least 2 nodes")
-    dist = _sp_shortest_path(_sparse_weights(net, p_star), method="D", directed=False)
-    return _mean_weight(dist[~np.eye(n, dtype=bool)])
+    return _mean_weight(_best_weights(net, p_star)[~np.eye(n, dtype=bool)])
 
 
 def centrality(net: Network, v: NodeId, p_star: float) -> int:
@@ -407,10 +425,11 @@ def _sweep_graph(net: Network, p_star: float) -> _SweepGraph:
     ids = sorted(net.nodes)
     number = np.empty(net.n_nodes, np.int64)
     number[[net.index[v] for v in ids]] = np.arange(net.n_nodes)
-    tail, head, p = _directed_edges(net, number)
-    w = np.array([-math.log2(x) for x in p])
-    graph = csr_matrix(([_csgraph_weight(x) for x in p], (tail, head)), shape=(net.n_nodes,) * 2)
-    return _SweepGraph(ids, number, tail, head, w, graph, budget)
+    tail, head = number[_tails(net)], number[net.head]
+    order = np.lexsort((head, tail))
+    tail, head = tail[order], head[order]
+    graph = csr_matrix((_csgraph_weights(net)[order], (tail, head)), shape=(net.n_nodes,) * 2)
+    return _SweepGraph(ids, number, tail, head, net.w[order], graph, budget)
 
 
 # upper bound on sources x directed edges that centrality_all holds at once
@@ -522,17 +541,8 @@ def _canonical_sweep(g: _SweepGraph, sources: np.ndarray) -> Tuple[np.ndarray, n
     return inner[exact].sum(axis=0), exact
 
 
-class Undefined:
+class Undefined(Sentinel):
     """Sentinel for an undefined critical parameter."""
-
-    def __repr__(self):
-        return "Undefined"
-
-    def __eq__(self, other):
-        return isinstance(other, Undefined)
-
-    def __hash__(self):
-        return hash("Undefined")
 
 
 @dataclass(frozen=True)
@@ -556,11 +566,10 @@ def critical_parameters(
     subgraph. Nodes where the ratio degenerates (C = 0, or w_avg zero or
     infinite) are flagged Undefined and sort last, by centrality.
     """
-    # the cooperative strengths' dense n x n matrices set the peak memory;
-    # computed first, their freed pages take the sweep's blocks
-    strengths = _all_strengths(net, strategy, p_star)
     tau = centrality_all(net, p_star)
     clustering, w_avg = _neighbor_metrics(net, p_star)
+    # last, so the cached all-pairs pass is not held through the sweep
+    strengths = _all_strengths(net, strategy, p_star)
     reports = []
     for i, v in enumerate(net.nodes):
         c, w = float(clustering[i]), float(w_avg[i])
@@ -781,16 +790,6 @@ class CriticalSizeResult:
     witness_pair: Optional[Tuple[NodeId, NodeId]]
 
 
-def _hop_distances(net: Network) -> np.ndarray:
-    rows, cols = [], []
-    for a, b in net.edges:
-        i, j = net.index[a], net.index[b]
-        rows += [i, j]
-        cols += [j, i]
-    m = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(net.n_nodes, net.n_nodes))
-    return _sp_shortest_path(m, method="D", directed=False, unweighted=True)
-
-
 def critically_large_check(net: Network, p_star: float, c: float) -> CriticalSizeResult:
     """Whether some node pair is too far apart to ever reach p_star.
 
@@ -800,7 +799,7 @@ def critically_large_check(net: Network, p_star: float, c: float) -> CriticalSiz
     """
     if not 0.0 < c < 1.0:
         raise ValueError("c must be in (0, 1)")
-    if any(p > c for p in net.edges.values()):
+    if (net.p > c).any():
         raise ValueError("some edge probability exceeds c")
     if not 0.0 < p_star < 1.0:
         raise ValueError("p_star must be in (0, 1)")
@@ -808,7 +807,7 @@ def critically_large_check(net: Network, p_star: float, c: float) -> CriticalSiz
     while c**n0 >= p_star:
         n0 += 1
     required = math.ceil(math.log(p_star) / math.log(c)) + 1
-    dist = _hop_distances(net)
+    dist = _sp_shortest_path(_csgraph(net), method="D", directed=False, unweighted=True)
     witness = None
     n = net.n_nodes
     for i in range(n):
@@ -831,8 +830,7 @@ def task_reachability(net: Network, p_star: float) -> ReachabilityReport:
     Counts include the node itself; connectivity at threshold is not
     transitive, so these balls are the honest analogue of components.
     """
-    dist = _sp_shortest_path(_sparse_weights(net), method="D", directed=False)
-    prob = np.power(2.0, -dist)
+    prob = np.power(2.0, -_best_weights(net, p_star))
     counts = {
         net.nodes[i]: int(np.count_nonzero(prob[i] >= p_star)) for i in range(net.n_nodes)
     }

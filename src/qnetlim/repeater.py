@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Tuple, Union
 
-from . import qstate
+from . import Sentinel, qstate
 
 CHSH_THRESHOLD = 1.0 / math.sqrt(2.0)
 TELEPORT_THRESHOLD = 1.0 / 3.0
@@ -120,30 +120,12 @@ def critical_visibility_diqkd(theta: float) -> float:
     return (gamma_l + 1.0) / (3.0 - gamma_l)
 
 
-class Unbounded:
+class Unbounded(Sentinel):
     """Sentinel: every repeater count keeps the chain above threshold."""
 
-    def __repr__(self):
-        return "Unbounded"
 
-    def __eq__(self, other):
-        return isinstance(other, Unbounded)
-
-    def __hash__(self):
-        return hash("Unbounded")
-
-
-class NoneFeasible:
+class NoneFeasible(Sentinel):
     """Sentinel: even a direct link (n = 0) is below threshold."""
-
-    def __repr__(self):
-        return "NoneFeasible"
-
-    def __eq__(self, other):
-        return isinstance(other, NoneFeasible)
-
-    def __hash__(self):
-        return hash("NoneFeasible")
 
 
 MaxRepeaters = Union[int, Unbounded, NoneFeasible]
@@ -189,17 +171,8 @@ def max_repeaters_floor_form(lam: float, q: float, task: TaskSpec) -> MaxRepeate
     return n
 
 
-class Empty:
+class Empty(Sentinel):
     """Sentinel for an empty visibility interval."""
-
-    def __repr__(self):
-        return "Empty"
-
-    def __eq__(self, other):
-        return isinstance(other, Empty)
-
-    def __hash__(self):
-        return hash("Empty")
 
 
 def zero_key_window(

@@ -126,7 +126,7 @@ def memory_factor(p_mem: float, s: int) -> float:
 
 
 def thermal_factor(eta_g: float, kappa_g: float) -> float:
-    return kappa_g * (kappa_g - 1.0) * (eta_g - 1.0) ** 2 + 0.5 * (1.0 + eta_g**2)
+    return qstate.thermal_yield(eta_g, kappa_g)
 
 
 def satellite_yield(

@@ -1,9 +1,11 @@
+import hashlib
 import json
 import math
+import random
 
 import pytest
 
-from qnetlim import netgraph
+from qnetlim import cli, netgraph
 from qnetlim.cli import FIGURE_IDS, main
 
 
@@ -15,6 +17,35 @@ def run_cli(capsys, *argv):
 
 def data_rows(text):
     return [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def write_seeded_edges(path):
+    """300 string ids, full-precision p (a few exactly 1), unsorted edge order."""
+    rng = random.Random(4)
+    n = 300
+    ids = [f"n{k}" for k in rng.sample(range(1000), n)]
+    lines = []
+    for i in range(n):
+        for _ in range(rng.randint(1, 4)):
+            j = rng.randrange(n)
+            if j != i:
+                p = 1.0 if rng.random() < 0.03 else rng.uniform(0.05, 1.0)
+                lines.append(f"{ids[i]},{ids[j]},{p!r}\n")
+    path.write_text("".join(lines))
+
+
+@pytest.fixture
+def lattice_dir(capsys, tmp_path, monkeypatch):
+    """Work in tmp_path, which holds the Square1024 edge list as sq.edges."""
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = run_cli(
+        capsys, "topology", "--kind", "square1024", "--p", "0.9", "--edges-out", "sq.edges"
+    )
+    assert code == 0
 
 
 @pytest.fixture
@@ -48,6 +79,15 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["figure", "not-a-figure"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("cmd", ["graph", "critical-nodes", "evolve", "path"])
+    def test_edge_file_without_edges(self, capsys, tmp_path, cmd):
+        f = tmp_path / "empty.edges"
+        f.write_text("# node_a,node_b,p\n")
+        extra = ["--source", "a", "--target", "b"] if cmd == "path" else []
+        code, out, err = run_cli(capsys, cmd, "--in", str(f), *extra)
+        assert (code, out) == (1, "")
+        assert "no edges" in err
 
     def test_nqi_infeasible(self, capsys):
         code, _, err = run_cli(capsys, "nqi", "--length", "952", "--n", "10", "--q", "0.8")
@@ -185,6 +225,77 @@ class TestCriticalNodesGolden:
         code, out, _ = run_cli(capsys, "critical-nodes", "--in", "sq.edges", *extra)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[extra]
+
+
+class TestGraphGoldens:
+    """graph, evolve, path and critical-nodes output, pinned byte for byte.
+
+    The lattice has uniform p; the seeded edge list has non-uniform p and
+    an unsorted edge order, so it also pins the order in which per-node
+    sums are taken.
+    """
+
+    LATTICE = {
+        ("graph", "--p-star", "0.5"):
+            "386e670e651eb3bee8f8cb3e1c8d918f7f5fc6ba9787e077237c25df0b9ac63c",
+        ("graph", "--p-star", "0.25"):
+            "211f7f94102a1eaf3face11a057977cdc71146e7a253930939cda3339e01456d",
+        ("evolve", "--steps", "10"):
+            "9c93a3f14f6258a07947b8c65d2ce6685217454625568b162b4dfd871dfd1025",
+        ("path", "--source", "0", "--target", "1023", "--p-star", "0.001"):
+            "a9bcd7870f06100dd09f2b43bf4eb6b9d9cd0b2da26dbc6583bf7aff94916fc7",
+    }
+    SEEDED = {
+        ("graph", "--p-star", "0.5"):
+            "b2181361a2e8c3d947b3a371593d18a8ae3a89840d766aacef5226a1cb54ef2c",
+        ("graph", "--p-star", "0.1"):
+            "734677ca4643bf26ca53e974683cd904e547499f25e3cc5bc6e30977c3513303",
+        ("critical-nodes", "--top", "300", "--p-star", "0.1"):
+            "d7def668e18547995b88022663225472d8410aef9e4b6f326a6fbc2f7f4163ec",
+        ("evolve", "--steps", "6"):
+            "ba3a3b4ce5ab29a1cc7cafb095d6fefdac0d4da1f06ebce2a268c3a0973bc336",
+    }
+
+    @pytest.mark.parametrize("argv", list(LATTICE), ids=" ".join)
+    def test_square1024(self, capsys, lattice_dir, argv):
+        code, out, _ = run_cli(capsys, argv[0], "--in", "sq.edges", *argv[1:])
+        assert code == 0
+        assert sha256(out) == self.LATTICE[argv]
+
+    @pytest.mark.parametrize("argv", list(SEEDED), ids=" ".join)
+    def test_seeded_edge_list(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        write_seeded_edges(tmp_path / "mixed.edges")
+        code, out, _ = run_cli(capsys, argv[0], "--in", "mixed.edges", *argv[1:])
+        assert code == 0
+        assert sha256(out) == self.SEEDED[argv]
+
+    def test_airport_report(self, airport_summary):
+        report, _ = airport_summary
+        lines = cli._airport_lines(report)
+        assert lines[0] == "metric,value"
+        assert sha256("\n".join(lines) + "\n") == (
+            "8a033195867a666e7e847d5f19dda9e4c8ff9aee895048bfb5c13acfe0c7a519"
+        )
+
+
+class TestAllPairsPasses:
+    """Cooperative metrics share one scipy all-pairs pass per (network, p_star)."""
+
+    @pytest.mark.parametrize(
+        "argv,passes", [(("graph",), 1), (("evolve", "--steps", "10"), 10)], ids=["graph", "evolve"]
+    )
+    def test_square1024(self, capsys, monkeypatch, lattice_dir, argv, passes):
+        calls = []
+        real = netgraph._sp_shortest_path
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(netgraph, "_sp_shortest_path", counted)
+        code, _, _ = run_cli(capsys, argv[0], "--in", "sq.edges", *argv[1:])
+        assert (code, len(calls)) == (0, passes)
 
 
 class TestScenarioCommands:

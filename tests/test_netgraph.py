@@ -123,14 +123,12 @@ def source_counts_oracle(net, g, number, p_star):
 
 def neighbor_subgraph_oracle(net, v):
     """The subgraph induced by all of v's neighbours, nodes in net order."""
-    nbrs = set(net.neighbors(v))
-    nodes = [u for u in net.nodes if u in nbrs]
-    edges = {
-        ng._edge_key(a, b): p
-        for a in nbrs
-        for b, p in net._adj[a].items()
-        if b in nbrs and a < b
-    }
+    nodes = net.neighbors(v)
+    edges = [
+        (a, b, net.edge_p(a, b))
+        for a, b in itertools.combinations(nodes, 2)
+        if net.edge_p(a, b) is not None
+    ]
     return Network(nodes, edges)
 
 
@@ -141,9 +139,8 @@ def clustering_oracle(net, v, p_star):
         return 0.0
     e_i = sum(
         1
-        for a in nbrs
-        for b, p in net._adj[a].items()
-        if b in nbrs and a < b and p >= p_star
+        for a, b in itertools.combinations(nbrs, 2)
+        if (net.edge_p(a, b) or 0.0) >= p_star
     )
     return 2.0 * e_i / (n_i * (n_i - 1))
 
@@ -151,6 +148,43 @@ def clustering_oracle(net, v, p_star):
 def strings(net):
     """The same network with string ids, which sort as "10" < "9"."""
     return net.relabeled({v: str(v) for v in net.nodes})
+
+
+def shuffled(net, rng):
+    """The same network with its edges given in a random order."""
+    items = list(net.edges.items())
+    rng.shuffle(items)
+    return Network(net.nodes, dict(items))
+
+
+class TestNetwork:
+    def test_arrays_match_edges(self):
+        rng = random.Random(12)
+        for _ in range(20):
+            net = shuffled(strings(random_graph(rng, n_max=12)), rng)
+            assert net.ptr[-1] == len(net.head) == 2 * net.n_edges
+            for i, v in enumerate(net.nodes):
+                span = slice(net.ptr[i], net.ptr[i + 1])
+                heads = list(net.head[span])
+                assert heads == sorted(heads)
+                for j, p, w in zip(heads, net.p[span], net.w[span]):
+                    assert p == net.edge_p(v, net.nodes[j])
+                    assert w == -math.log2(p)
+
+    def test_neighbors_in_net_order(self):
+        rng = random.Random(13)
+        for _ in range(20):
+            net = shuffled(strings(random_graph(rng, n_max=12)), rng)
+            for v in net.nodes:
+                want = [u for u in net.nodes if net.edge_p(v, u) is not None]
+                assert net.neighbors(v) == want
+                assert net.neighbors(v, 0.6) == [u for u in want if net.edge_p(v, u) >= 0.6]
+
+    def test_repeated_edge_keeps_last_p(self):
+        net = Network([1, 2, 3], [(1, 2, 0.5), (2, 3, 0.9), (2, 1, 0.7)])
+        assert net.edges == {(1, 2): 0.7, (2, 3): 0.9}
+        assert list(net.p) == [0.7, 0.7, 0.9, 0.9]
+        assert net.neighbors(2) == [1, 3]
 
 
 class TestWeights:
@@ -170,6 +204,16 @@ class TestWeights:
         assert m.f_star[0, 1] == pytest.approx(0.541703, abs=1e-6)
         assert 2.0 ** -m.A[0, 1] == pytest.approx(0.198, abs=1e-12)
         assert m.f_star[0, 1] > 2.0 ** -m.A[0, 1]
+
+    def test_shared_pass_is_read_only(self):
+        net = square_plus_diagonal()
+        dist = ng._best_weights(net, 0.3)
+        assert ng._best_weights(net, 0.3) is dist
+        with pytest.raises(ValueError):
+            dist[0, 1] = 0.0
+        # each caller gets its own f_star
+        matrices(net, 0.3).f_star[0, 1] = 0.0
+        assert matrices(net, 0.3).f_star[0, 1] == 0.5
 
     def test_matrix_invariants(self):
         rng = random.Random(5)
@@ -347,6 +391,18 @@ class TestClusteringAndWeights:
         assert average_effective_weight(chain, 1e-9) == pytest.approx(4 / 3)
         disc = Network([1, 2, 3], [(1, 2, 0.9)])
         assert average_effective_weight(disc, 0.5) == math.inf
+
+    def test_average_effective_weight_semantics(self):
+        net = build_topology(Square1024(0.9))
+        # most pairs are far beyond the 1-bit budget of p* = 0.5; all count
+        assert average_effective_weight(net, 0.5) == 3.2427326601610655
+        path = Network([1, 2, 3, 4], [(1, 2, 0.9), (2, 3, 0.9), (3, 4, 0.4)])
+        a, b = -math.log2(0.9), -math.log2(0.4)
+        # pairs 1-2, 2-3, 1-3, 3-4, 2-4, 1-4; 1-4 (p = 0.324 < 0.35) still counts
+        want = (a + a + 2 * a + b + (a + b) + (2 * a + b)) / 6
+        assert average_effective_weight(path, 0.35) == pytest.approx(want, rel=1e-15)
+        # dropping the 0.4 edge disconnects node 4
+        assert average_effective_weight(path, 0.5) == math.inf
 
 
 class TestCentrality:

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qnetlim import repeater
+from qnetlim.netgraph import Undefined
 from qnetlim.repeater import (
     ChainConfig,
     Empty,
@@ -38,6 +39,16 @@ ALL_TASKS = [
     TaskSpec(TaskKind.CHSH),
     DIQKD_PI4,
 ]
+
+
+SENTINELS = (Unbounded, NoneFeasible, Empty, Undefined)
+
+
+@pytest.mark.parametrize("cls", SENTINELS, ids=lambda c: c.__name__)
+def test_sentinels_compare_by_class(cls):
+    assert repr(cls()) == cls.__name__
+    assert cls() == cls() and hash(cls()) == hash(cls.__name__)
+    assert all(cls() != other() for other in SENTINELS if other is not cls)
 
 
 def brute_force_max(lam, q, gamma, cap=5000):
