@@ -15,6 +15,8 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from . import qstate
+
 
 class DecayMode(str, Enum):
     ITERATED = "iterated"
@@ -26,11 +28,7 @@ def decayed_fidelity(f0: float, p_mem: float, s: int, mode: DecayMode = DecayMod
     """Fidelity after s depolarizing steps from initial fidelity f0."""
     if mode is DecayMode.ITERATED:
         return (1.0 + (4.0 * f0 - 1.0) * (1.0 - p_mem) ** (2 * s)) / 4.0
-    if s == 0:
-        return f0
-    return (1 - p_mem) ** (2 * s) - 0.25 * (p_mem - 2) * p_mem * (
-        (s - 1) * (1 - p_mem) ** (2 * (s - 1)) + 1
-    )
+    return f0 if s == 0 else qstate.depol_yield(p_mem, s, qstate.DepolYieldMode.PAPER_FORMULA)
 
 
 @dataclass
@@ -54,7 +52,7 @@ class EventKind(str, Enum):
     REJECT = "reject"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEvent:
     tick: int
     event: EventKind
@@ -125,13 +123,6 @@ class MemoryHeap:
             self.items[i], self.items[best] = self.items[best], self.items[i]
             i = best
 
-    def check_heap(self) -> bool:
-        for i in range(1, len(self.items)):
-            parent = (i - 1) // 2
-            if self._higher(self.items[i], self.items[parent]):
-                return False
-        return True
-
     def _min_index(self) -> int:
         # the minimum of a max-heap sits among the leaves; a linear scan
         # is fine at buffer sizes
@@ -173,24 +164,21 @@ class MemoryHeap:
             return None
         return self._remove_at(0)
 
-    def extract_latest(self) -> Optional[StoredPair]:
-        """Compatibility mode: remove the most recently inserted pair."""
-        if not self.items:
-            return None
-        idx = max(
+    def latest_index(self) -> int:
+        """Heap position of the most recently inserted pair (latest-first service)."""
+        return max(
             range(len(self.items)),
             key=lambda i: (self.items[i].insertion_tick, self.items[i].id),
         )
-        return self._remove_at(idx)
-
-    def position_of(self, pair_id: str) -> int:
-        for i, it in enumerate(self.items):
-            if it.id == pair_id:
-                return i
-        raise KeyError(pair_id)
 
     def tick_decay(self) -> Tuple[List[StoredPair], List[StoredPair]]:
-        """Ages every entry one step; returns (survivors, evicted)."""
+        """Ages every entry one step; returns (survivors, evicted).
+
+        Decay can reorder pairs without evicting any (paper-formula mode
+        ignores f0 after one step; p_mem = 1 ties every pair at 1/4), so
+        the survivors are sifted up in array order on every tick. On a
+        valid heap this moves nothing.
+        """
         for it in self.items:
             it.age += 1
             it.current_fidelity = decayed_fidelity(
@@ -198,11 +186,9 @@ class MemoryHeap:
             )
         evicted = [it for it in self.items if it.current_fidelity < self.eta_crit]
         if evicted:
-            survivors = [it for it in self.items if it.current_fidelity >= self.eta_crit]
-            self.items = []
-            for it in survivors:
-                self.items.append(it)
-                self._sift_up(len(self.items) - 1)
+            self.items = [it for it in self.items if it.current_fidelity >= self.eta_crit]
+        for i in range(1, len(self.items)):
+            self._sift_up(i)
         return (list(self.items), evicted)
 
 
@@ -323,7 +309,6 @@ def run(config: SimConfig) -> SimResult:
         for it in sorted(evicted, key=lambda e: e.id):
             evictions += 1
             trace.append(TraceEvent(t, EventKind.EVICT, it.id, "", it.current_fidelity))
-        assert heap.check_heap()
         n_flows = len(rr_order)
         rr_start = rr_ptr
         for step in range(n_flows):
@@ -337,10 +322,7 @@ def run(config: SimConfig) -> SimResult:
                 ready_delay = 0  # root is already at the top
                 pair = heap.extract_max()
             else:
-                idx = max(
-                    range(len(heap.items)),
-                    key=lambda i: (heap.items[i].insertion_tick, heap.items[i].id),
-                )
+                idx = heap.latest_index()
                 ready_delay = sift_ticks(idx)
                 pair = heap._remove_at(idx)
             dispatches += 1

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from . import buffersim, netgraph, qstate, repeater, scenario
@@ -297,7 +298,7 @@ def cmd_buffer(args) -> List[str]:
         "evictions": res.evictions, "rejects": res.rejects, "residual": res.residual,
     }
     lines = _header("buffer", params)
-    lines.extend(buffersim.trace_csv(res.trace).rstrip("\n").split("\n"))
+    lines.append(buffersim.trace_csv(res.trace).rstrip("\n"))
     return lines
 
 
@@ -383,73 +384,57 @@ def _fig_airport(curve_key: str, values: Sequence[float], base: dict) -> List[st
     return lines
 
 
-def _figure_lines(fig_id: str) -> List[str]:
-    gamma = repeater.TaskSpec(repeater.TaskKind.DIQKD, theta=math.pi / 4)
-    sat_base_fig17 = dict(eta_e=0.95, eta_s=0.9, q=1.0, p_mem=0.1, s=1, alpha=1 / 22,
-                          l_b=10.0, l_m=10.0, eta_g=0.5, kappa_g=0.5)
-    if fig_id == "fig4":
-        return _fig_max_relays(gamma, (0.95, 0.99, 1.0))
-    if fig_id == "fig34":
-        return _fig_max_relays(repeater.TaskSpec(repeater.TaskKind.TELEPORTATION), (0.625, 0.95, 0.99))
-    if fig_id == "fig35":
-        return _fig_max_relays(repeater.TaskSpec(repeater.TaskKind.CHSH), (0.625, 0.95, 0.99))
-    if fig_id == "fig36":
-        return _fig_max_relays(repeater.TaskSpec(repeater.TaskKind.ENTANGLEMENT), (0.625, 0.95, 0.99))
-    if fig_id == "fig7":
-        curves = []
-        for eta_s in (0.9, 0.95, 1.0):
-            b = repeater.critical_length_time_bound(
-                repeater.LinkBudget(0.051, 0.001, eta_s, 1, 1.0, 0.5)
-            )
-            curves.append((f"t_s_eta_s={eta_s}", b.bound))
-        return _fig_tradeoff_lines(curves, 0.051, 0.001)
-    if fig_id == "fig8":
-        curves = []
-        for r in (1, 2, 4):
-            b = repeater.critical_length_time_bound(
-                repeater.LinkBudget(0.051, 0.001, 0.95, r, 1.0, 0.5)
-            )
-            curves.append((f"t_s_r={r}", b.bound))
-        return _fig_tradeoff_lines(curves, 0.051, 0.001)
-    if fig_id == "fig12":
-        lines = ["l_km," + ",".join(f"eta_R_f={f}" for f in (1, 2, 4))]
-        for l in _frange(0.0, 100.0, 2.0):
-            row = [f"{l}"]
-            for f in (1, 2, 4):
-                row.append(repr(math.exp(-0.051 * l / f)))
-            lines.append(",".join(row))
-        return lines
-    if fig_id == "fig13":
-        curves = [(f"t_s_f={f}", repeater.f_fold_bound(f, 0.5)) for f in (1, 2, 4)]
-        return _fig_tradeoff_lines(curves, 0.051, 0.001)
-    if fig_id == "fig17":
-        return _fig_satellite("L", (10.0, 20.0, 40.0), sat_base_fig17)
-    if fig_id == "fig18":
-        base = dict(sat_base_fig17, p_mem=0.95, l_b=5.0, l_m=5.0)
-        base.pop("eta_s")
-        return _fig_satellite("eta_s", (0.95, 0.99, 1.0), base)
-    if fig_id == "fig19":
-        base = dict(sat_base_fig17)
-        base.pop("q")
-        return _fig_satellite("q", (0.9, 0.95, 1.0), base)
-    if fig_id == "fig20":
-        base = dict(q=1.0, eta_e=0.95, eta_g=0.5, kappa_g=0.5)
-        return _fig_airport("length_km", (4000.0, 8000.0, 12000.0), base)
-    if fig_id == "fig21":
-        base = dict(length_km=4000.0, eta_e=0.95, eta_g=0.5, kappa_g=0.5)
-        return _fig_airport("q", (0.9, 0.95, 1.0), base)
-    raise DataError(f"unknown figure id {fig_id!r}")
+def _fig_budget_sweep(field: str, values: Sequence[float], base: repeater.LinkBudget) -> List[str]:
+    """Tradeoff lines for one LinkBudget field swept over values."""
+    curves = [
+        (f"t_s_{field}={v}", repeater.critical_length_time_bound(replace(base, **{field: v})).bound)
+        for v in values
+    ]
+    return _fig_tradeoff_lines(curves, base.alpha, base.beta)
 
 
-FIGURE_IDS = (
-    "fig4", "fig7", "fig8", "fig12", "fig13", "fig17", "fig18", "fig19",
-    "fig20", "fig21", "fig34", "fig35", "fig36",
-)
+def _fig12() -> List[str]:
+    lines = ["l_km," + ",".join(f"eta_R_f={f}" for f in (1, 2, 4))]
+    for l in _frange(0.0, 100.0, 2.0):
+        lines.append(",".join([f"{l}"] + [repr(math.exp(-0.051 * l / f)) for f in (1, 2, 4)]))
+    return lines
+
+
+_BUDGET = repeater.LinkBudget(alpha=0.051, beta=0.001, eta_s=1.0, r=1, q=1.0, p_star=0.5)
+# the swept key of a satellite or airport figure overrides its base value
+_SATELLITE = dict(eta_e=0.95, eta_s=0.9, q=1.0, p_mem=0.1, s=1, alpha=1 / 22,
+                  l_b=10.0, l_m=10.0, eta_g=0.5, kappa_g=0.5)
+_AIRPORT = dict(length_km=4000.0, q=1.0, eta_e=0.95, eta_g=0.5, kappa_g=0.5)
+_RELAY_QS = (0.625, 0.95, 0.99)
+
+# figure id -> builder of its CSV lines, in the order the CLI lists them
+_FIGURES = {
+    "fig4": lambda: _fig_max_relays(
+        repeater.TaskSpec(repeater.TaskKind.DIQKD, theta=math.pi / 4), (0.95, 0.99, 1.0)
+    ),
+    "fig7": lambda: _fig_budget_sweep("eta_s", (0.9, 0.95, 1.0), _BUDGET),
+    "fig8": lambda: _fig_budget_sweep("r", (1, 2, 4), replace(_BUDGET, eta_s=0.95)),
+    "fig12": _fig12,
+    "fig13": lambda: _fig_tradeoff_lines(
+        [(f"t_s_f={f}", repeater.f_fold_bound(f, 0.5)) for f in (1, 2, 4)], 0.051, 0.001
+    ),
+    "fig17": lambda: _fig_satellite("L", (10.0, 20.0, 40.0), _SATELLITE),
+    "fig18": lambda: _fig_satellite(
+        "eta_s", (0.95, 0.99, 1.0), dict(_SATELLITE, p_mem=0.95, l_b=5.0, l_m=5.0)
+    ),
+    "fig19": lambda: _fig_satellite("q", (0.9, 0.95, 1.0), _SATELLITE),
+    "fig20": lambda: _fig_airport("length_km", (4000.0, 8000.0, 12000.0), _AIRPORT),
+    "fig21": lambda: _fig_airport("q", (0.9, 0.95, 1.0), _AIRPORT),
+    "fig34": lambda: _fig_max_relays(repeater.TaskSpec(repeater.TaskKind.TELEPORTATION), _RELAY_QS),
+    "fig35": lambda: _fig_max_relays(repeater.TaskSpec(repeater.TaskKind.CHSH), _RELAY_QS),
+    "fig36": lambda: _fig_max_relays(repeater.TaskSpec(repeater.TaskKind.ENTANGLEMENT), _RELAY_QS),
+}
+FIGURE_IDS = tuple(_FIGURES)
 
 
 def cmd_figure(args) -> List[str]:
     lines = _header("figure", {"id": args.fig_id})
-    lines.extend(_figure_lines(args.fig_id))
+    lines.extend(_FIGURES[args.fig_id]())
     return lines
 
 

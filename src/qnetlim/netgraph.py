@@ -9,7 +9,6 @@ product probability >= p_star, compared strictly with no epsilon.
 from __future__ import annotations
 
 import csv
-import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -152,18 +151,26 @@ def _csgraph(net: Network, keep=slice(None)) -> csr_matrix:
     return csr_matrix((_csgraph_weights(net)[keep], ends), shape=(net.n_nodes,) * 2)
 
 
-@functools.lru_cache(maxsize=1)
+_BEST_WEIGHTS: Dict[Tuple[Network, float], np.ndarray] = {}
+
+
 def _best_weights(net: Network, p_star: float) -> np.ndarray:
     """All-pairs minimum path weight over the edges with p >= p_star, no budget.
 
     The one pass every cooperative metric reads. One cached entry suffices,
     as a command uses one p_star and one network at a time; a per-network
     cache would keep an n x n array alive on every network evolve returns.
-    The array is shared, so it is read-only.
+    The entry is dropped before the next pass runs, so the cache does not
+    keep the previous n x n array alive through it. The array is shared,
+    so it is read-only.
     """
-    dist = _sp_shortest_path(_csgraph(net, net.p >= p_star), method="D", directed=False)
-    dist.flags.writeable = False
-    return dist
+    key = (net, p_star)
+    if key not in _BEST_WEIGHTS:
+        _BEST_WEIGHTS.clear()
+        dist = _sp_shortest_path(_csgraph(net, net.p >= p_star), method="D", directed=False)
+        dist.flags.writeable = False
+        _BEST_WEIGHTS[key] = dist
+    return _BEST_WEIGHTS[key]
 
 
 def _f_star(net: Network, p_star: float) -> np.ndarray:

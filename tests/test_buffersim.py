@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -21,10 +22,18 @@ from qnetlim.buffersim import (
     trace_csv,
     write_trace_csv,
 )
+from qnetlim.cli import main
 
 
 def fresh_heap(capacity=8, p_mem=0.1, eta_crit=0.5, **kw):
     return MemoryHeap(capacity, p_mem, eta_crit, **kw)
+
+
+def check_heap(heap):
+    """Oracle: no entry outranks its parent."""
+    return not any(
+        heap._higher(heap.items[i], heap.items[(i - 1) // 2]) for i in range(1, len(heap))
+    )
 
 
 class TestDecay:
@@ -52,20 +61,24 @@ class TestDecay:
 
 class TestHeap:
     def test_heap_property_after_random_ops(self):
-        rng = random.Random(1)
-        heap = fresh_heap(capacity=16, eta_crit=0.0)
-        next_id = 0
-        for step in range(400):
-            op = rng.random()
-            if op < 0.5:
-                pair = StoredPair(f"p{next_id:04d}", step, round(rng.uniform(0.3, 1.0), 3))
-                next_id += 1
-                heap.insert(pair)
-            elif op < 0.8:
-                heap.extract_max()
-            else:
-                heap.tick_decay()
-            assert heap.check_heap()
+        # paper-formula decay ignores f0 < 1 and p_mem = 1 ties every pair
+        # at 1/4, so both reorder pairs without evicting any
+        for mode in DecayMode:
+            for p_mem in (0.0, 0.1, 1.0):
+                rng = random.Random(1)
+                heap = fresh_heap(capacity=16, p_mem=p_mem, eta_crit=0.0, decay_mode=mode)
+                next_id = 0
+                for step in range(400):
+                    op = rng.random()
+                    if op < 0.5:
+                        pair = StoredPair(f"p{next_id:04d}", step, round(rng.uniform(0.3, 1.0), 3))
+                        next_id += 1
+                        heap.insert(pair)
+                    elif op < 0.8:
+                        heap.extract_max()
+                    else:
+                        heap.tick_decay()
+                    assert check_heap(heap), (mode, p_mem, step)
 
     def test_extract_order(self):
         heap = fresh_heap(eta_crit=0.0)
@@ -111,9 +124,9 @@ class TestHeap:
         heap.insert(StoredPair("a", 1, 0.99))
         heap.insert(StoredPair("b", 3, 0.60))
         heap.insert(StoredPair("c", 2, 0.80))
-        assert heap.extract_latest().id == "b"
-        assert heap.extract_latest().id == "c"
-        assert heap.check_heap()
+        assert heap._remove_at(heap.latest_index()).id == "b"
+        assert heap._remove_at(heap.latest_index()).id == "c"
+        assert check_heap(heap)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -287,3 +300,71 @@ class TestTrace:
         lines = trace_csv(res.trace).splitlines()[1:]
         for ev, line in zip(res.trace, lines):
             assert float(line.rsplit(",", 1)[1]) == ev.fidelity
+
+
+def served_pairs(text):
+    """Pair ids in dispatch order, checking each against the stored pairs.
+
+    Replays the buffer trace and asserts that every dispatch takes the
+    best stored pair: highest fidelity, then older insertion, then
+    smaller id.
+    """
+    lines = text.splitlines()
+    stored = {}  # pair id -> (fidelity, insertion tick)
+    served = []
+    for line in lines[lines.index("tick,event,pair_id,flow_id,fidelity") + 1:]:
+        tick, kind, pair, _flow, fid = line.split(",")
+        if kind == "insert":
+            stored[pair] = (float(fid), int(tick))
+        elif kind == "decay":
+            stored[pair] = (float(fid), stored[pair][1])
+        elif kind == "evict":
+            del stored[pair]
+        elif kind == "dispatch":
+            best = min(stored, key=lambda q: (-stored[q][0], stored[q][1], q))
+            assert pair == best, f"tick {tick}"
+            del stored[pair]
+            served.append(pair)
+    return served
+
+
+class TestOrderAfterReordering:
+    """Decay that reorders pairs without evicting any still serves the best pair."""
+
+    def run_buffer(self, capsys, tmp_path, cfg):
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps(cfg))
+        code = main(["buffer", "--config", str(path)])
+        out = capsys.readouterr().out
+        assert code == 0
+        return served_pairs(out)
+
+    def test_paper_formula_below_unit_fidelity(self, capsys, tmp_path):
+        # paper-formula decay ignores f0 after one step, so the younger x3
+        # overtakes x2 at tick 2
+        cfg = {
+            "capacity": 8, "p_mem": 0.1, "eta_crit": 0.3, "horizon": 5,
+            "decay_mode": "paper-formula", "service_order": "highest-fidelity",
+            "arrivals": [
+                {"tick": 1, "producer_id": "P0", "pair_id": "x1", "f0": 0.9},
+                {"tick": 1, "producer_id": "P1", "pair_id": "x2", "f0": 0.95},
+                {"tick": 2, "producer_id": "P0", "pair_id": "x3", "f0": 0.85},
+            ],
+            "flows": [{"flow_id": "F0", "arrival_tick": 4, "t_p": 1, "n_pairs": 2}],
+        }
+        assert self.run_buffer(capsys, tmp_path, cfg) == ["x3", "x1"]
+
+    @pytest.mark.parametrize("eta_crit", [0.0, 0.25])
+    def test_iterated_full_memory_noise(self, capsys, tmp_path, eta_crit):
+        # p_mem = 1 takes every pair to exactly 1/4 in one step; the ties
+        # then go to the older pair, whatever its f0
+        arrivals = [
+            {"tick": t, "producer_id": "P0", "pair_id": pid, "f0": f0}
+            for t, pid, f0 in [(1, "a", 0.7), (1, "b", 0.9), (1, "c", 0.8), (2, "d", 0.95), (2, "e", 0.6)]
+        ]
+        cfg = {
+            "capacity": 8, "p_mem": 1.0, "eta_crit": eta_crit, "horizon": 8,
+            "arrivals": arrivals,
+            "flows": [{"flow_id": "F0", "arrival_tick": 3, "t_p": 1, "n_pairs": 5}],
+        }
+        assert self.run_buffer(capsys, tmp_path, cfg) == ["a", "b", "c", "d", "e"]

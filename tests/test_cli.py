@@ -298,6 +298,58 @@ class TestAllPairsPasses:
         assert (code, len(calls)) == (0, passes)
 
 
+def buffer_config(seed, capacity, n_arrivals, unit_f0=False, **kw):
+    """A small seeded buffer config: arrivals over 25 ticks, three flows."""
+    rng = random.Random(seed)
+    cfg = {
+        "capacity": capacity, "p_mem": 0.05, "eta_crit": 0.4, "horizon": 30,
+        "arrivals": [
+            {"tick": rng.randint(1, 25), "producer_id": f"P{i % 3}", "pair_id": f"x{i:03d}",
+             "f0": 1.0 if unit_f0 else round(rng.uniform(0.5, 1.0), 6)}
+            for i in range(n_arrivals)
+        ],
+        "flows": [
+            {"flow_id": f"F{j}", "arrival_tick": rng.randint(1, 10), "t_p": rng.randint(1, 3),
+             "n_pairs": rng.randint(2, 8)}
+            for j in range(3)
+        ],
+    }
+    cfg.update(kw)
+    return cfg
+
+
+class TestBufferGoldens:
+    """buffer output for small seeded configs, pinned byte for byte."""
+
+    CONFIGS = {
+        "capacity-pressure": lambda: buffer_config(1, 3, 60),
+        "iterated-f0-below-1": lambda: buffer_config(2, 32, 40, p_mem=0.1, eta_crit=0.5),
+        "paper-formula-latest-first": lambda: buffer_config(
+            3, 16, 40, unit_f0=True, p_mem=0.05, eta_crit=0.3,
+            decay_mode="paper-formula", service_order="latest-first",
+        ),
+        "no-decay": lambda: buffer_config(4, 8, 40, p_mem=0.0),
+    }
+    DIGESTS = {
+        "capacity-pressure":
+            "5bc798deaaa4e3f97d3fef1c778c80b538d8f5bf73b4903db76ae50fc67b08f0",
+        "iterated-f0-below-1":
+            "820cc164e1a4a9ecb4958d9c05ef2e6c3bc0ce99dbf4c20853bc619c57dbe416",
+        "paper-formula-latest-first":
+            "5ac86114b40b7b6cd5f376c8e7fc62cc26bde3aeb707a495b309c86203150c9a",
+        "no-decay":
+            "0fe35cc2e3d94c6d570fe96c65583d710323dd8223e640eddee9b44dc039c78d",
+    }
+
+    @pytest.mark.parametrize("name", list(CONFIGS))
+    def test_trace_digest(self, capsys, tmp_path, monkeypatch, name):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sim.json").write_text(json.dumps(self.CONFIGS[name]()))
+        code, out, _ = run_cli(capsys, "buffer", "--config", "sim.json")
+        assert code == 0
+        assert sha256(out) == self.DIGESTS[name]
+
+
 class TestScenarioCommands:
     def test_satellite(self, capsys):
         code, out, _ = run_cli(capsys, "satellite", "--n", "2")
@@ -357,3 +409,32 @@ class TestOutput:
         assert run_cli(capsys, "figure", fig_id, "--out", str(b))[0] == 0
         assert a.read_bytes() == b.read_bytes()
         assert len(a.read_text().splitlines()) > 3
+
+
+class TestFigureGoldens:
+    """Every figure's stdout, pinned byte for byte."""
+
+    DIGESTS = {
+        "fig4": "1d975f79cf3271979336c502dcad05ac61494ac234dc8b5713809aea69bc1767",
+        "fig7": "c1badb9b202963561a94a8868c14e29488ce01ba57162202dda547338151c1f8",
+        "fig8": "fe8430a73bebed537b4b3d5e30a7480c3cbd74808ac7a0c0bc77b6d86ce0dfb2",
+        "fig12": "b4365c0218135cf059ed98fb474c6d0aaf058cfd2d489a8cf499e513eb4579cb",
+        "fig13": "7cd92fb2df76aa1c89b97fbd219f21b1470092ccbbf463916f84b7bb91ac80ed",
+        "fig17": "3b420ec073d1a6fb2b6b0830b1d310c70cbdef6a98e6961b400c0ce918c39baf",
+        "fig18": "ba7cf966c71eb69fb73a3456ed4ee075f129a864a2a90d5a60a16a1f09c8578b",
+        "fig19": "be1ad3e668834cc17851e1d38da7667f0ff55094ddbdfcc029c3a62fee71ccb3",
+        "fig20": "08e32d00934d657c10f2990a8a24a51b6da3ff2a0b0ee34ae0bf05bdd2f778c5",
+        "fig21": "57a8dfd4a17892d72e867a31dd192567bbd4bbe41f158a0fd7f96fa52dbf0b10",
+        "fig34": "850380d0b19bb1e222cf36e3e26f815a991ee2cc9fb19ede38b9be333aaab4ef",
+        "fig35": "b17ba37ff6a7caf61372a8ca6bf50b9afe5cc5e9c70a00499d709373cbbc61fd",
+        "fig36": "d02c41e4f28a60a2a73489756594641bc5bd6b9a71af4facf1f07d1dc8550aff",
+    }
+
+    def test_every_figure_is_pinned(self):
+        assert tuple(self.DIGESTS) == FIGURE_IDS
+
+    @pytest.mark.parametrize("fig_id", FIGURE_IDS)
+    def test_output_digest(self, capsys, fig_id):
+        code, out, _ = run_cli(capsys, "figure", fig_id)
+        assert code == 0
+        assert sha256(out) == self.DIGESTS[fig_id]

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -214,6 +215,23 @@ class TestWeights:
         # each caller gets its own f_star
         matrices(net, 0.3).f_star[0, 1] = 0.0
         assert matrices(net, 0.3).f_star[0, 1] == 0.5
+
+    def test_shared_pass_freed_before_next(self, monkeypatch):
+        # evolve computes one pass per step: the previous step's n x n
+        # array must be gone before scipy allocates the next one
+        first = ng._best_weights(square_plus_diagonal(), 0.3)
+        ref = weakref.ref(first)
+        del first
+        seen = []
+        real = ng._sp_shortest_path
+
+        def probe(*args, **kwargs):
+            seen.append(ref() is None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ng, "_sp_shortest_path", probe)
+        ng._best_weights(square_plus_diagonal(), 0.3)
+        assert seen == [True]
 
     def test_matrix_invariants(self):
         rng = random.Random(5)
