@@ -9,11 +9,10 @@ the active flows.
 
 from __future__ import annotations
 
-import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import qstate
 
@@ -87,6 +86,7 @@ class MemoryHeap:
         self.eta_crit = eta_crit
         self.decay_mode = decay_mode
         self.items: List[StoredPair] = []
+        self._by_age: Dict[int, float] = {}  # see tick_decay
 
     def __len__(self):
         return len(self.items)
@@ -175,21 +175,26 @@ class MemoryHeap:
         """Ages every entry one step; returns (survivors, evicted).
 
         Decay can reorder pairs without evicting any (paper-formula mode
-        ignores f0 after one step; p_mem = 1 ties every pair at 1/4), so
-        the survivors are sifted up in array order on every tick. On a
-        valid heap this moves nothing.
+        ignores f0 after one step; p_mem = 1 ties every pair at 1/4), so on
+        every tick each survivor that outranks its parent is sifted up, in
+        array order. On a valid heap this moves nothing.
         """
+        by_age, iterated = self._by_age, self.decay_mode is DecayMode.ITERATED
         for it in self.items:
-            it.age += 1
-            it.current_fidelity = decayed_fidelity(
-                it.f0, self.p_mem, it.age, self.decay_mode
-            )
+            s = it.age = it.age + 1
+            v = by_age.get(s)
+            if v is None:  # once per age; see run
+                v = by_age[s] = ((1.0 - self.p_mem) ** (2 * s) if iterated
+                                 else decayed_fidelity(1.0, self.p_mem, s, self.decay_mode))
+            it.current_fidelity = (1.0 + (4.0 * it.f0 - 1.0) * v) / 4.0 if iterated else v
         evicted = [it for it in self.items if it.current_fidelity < self.eta_crit]
         if evicted:
             self.items = [it for it in self.items if it.current_fidelity >= self.eta_crit]
-        for i in range(1, len(self.items)):
-            self._sift_up(i)
-        return (list(self.items), evicted)
+        items, higher = self.items, self._higher
+        for i in range(1, len(items)):
+            if higher(items[i], items[(i - 1) // 2]):
+                self._sift_up(i)
+        return (list(items), evicted)
 
 
 def sift_ticks(position: int) -> int:
@@ -266,7 +271,7 @@ class SimResult:
     rejects: int
 
 
-def run(config: SimConfig) -> SimResult:
+def run(config: SimConfig, write: Optional[Callable[[str], object]] = None) -> SimResult:
     """Deterministic replay of the buffer over the configured horizon.
 
     Per tick: (1) scheduled arrivals insert in producer-id order, (2) all
@@ -275,9 +280,17 @@ def run(config: SimConfig) -> SimResult:
     so scarce pairs are shared instead of going to the lowest flow id.
     Service timing per flow follows the finish-time recursion with the
     heap sift distance as the ready delay.
+
+    Decay is looked up per age: ITERATED keeps the factor (1 - p_mem) ** (2 s)
+    and applies `decayed_fidelity`'s own expression to it, so values are
+    bit-identical; PAPER_FORMULA keeps the fidelity, f0-free once s >= 1.
+    With `write` (say a file's `write`), each tick's rows, as `trace_csv`
+    formats them, go to `write` as one string when the tick ends, and
+    `SimResult.trace` is empty: memory does not grow with the trace.
     """
     heap = MemoryHeap(config.capacity, config.p_mem, config.eta_crit, config.decay_mode)
-    trace: List[TraceEvent] = []
+    events: list = []  # (tick, kind, pair_id, flow_id, fidelity); this tick's if writing
+    emit = events.append
     flows = {
         f.flow_id: FlowState(f, f.n_pairs)
         for f in sorted(config.flows, key=lambda f: f.flow_id)
@@ -294,21 +307,18 @@ def run(config: SimConfig) -> SimResult:
             status, evicted_pair = heap.insert(pair)
             if status == "rejected":
                 rejects += 1
-                trace.append(TraceEvent(t, EventKind.REJECT, a.pair_id, "", a.f0))
+                emit((t, EventKind.REJECT, a.pair_id, "", a.f0))
                 continue
             if evicted_pair is not None:
                 evictions += 1
-                trace.append(
-                    TraceEvent(t, EventKind.EVICT, evicted_pair.id, "", evicted_pair.current_fidelity)
-                )
+                emit((t, EventKind.EVICT, evicted_pair.id, "", evicted_pair.current_fidelity))
             inserts += 1
-            trace.append(TraceEvent(t, EventKind.INSERT, a.pair_id, "", a.f0))
+            emit((t, EventKind.INSERT, a.pair_id, "", a.f0))
         survivors, evicted = heap.tick_decay()
-        for it in survivors:
-            trace.append(TraceEvent(t, EventKind.DECAY, it.id, "", it.current_fidelity))
+        events += [(t, EventKind.DECAY, it.id, "", it.current_fidelity) for it in survivors]
         for it in sorted(evicted, key=lambda e: e.id):
             evictions += 1
-            trace.append(TraceEvent(t, EventKind.EVICT, it.id, "", it.current_fidelity))
+            emit((t, EventKind.EVICT, it.id, "", it.current_fidelity))
         n_flows = len(rr_order)
         rr_start = rr_ptr
         for step in range(n_flows):
@@ -330,10 +340,13 @@ def run(config: SimConfig) -> SimResult:
             state.last_finish = finish
             state.dispatch_finishes.append(finish)
             state.remaining -= 1
-            trace.append(TraceEvent(t, EventKind.DISPATCH, pair.id, fid, pair.current_fidelity))
+            emit((t, EventKind.DISPATCH, pair.id, fid, pair.current_fidelity))
             rr_ptr = (rr_start + step + 1) % n_flows
+        if write is not None:
+            write("".join([_trace_row(*ev) for ev in events]))
+            events.clear()
     return SimResult(
-        tuple(trace),
+        tuple(TraceEvent(*ev) for ev in events),
         {fid: tuple(st.dispatch_finishes) for fid, st in flows.items()},
         len(heap),
         inserts,
@@ -343,14 +356,25 @@ def run(config: SimConfig) -> SimResult:
     )
 
 
-def trace_csv(trace: Sequence[TraceEvent]) -> str:
-    buf = io.StringIO()
-    buf.write("tick,event,pair_id,flow_id,fidelity\n")
+TRACE_HEADER = "tick,event,pair_id,flow_id,fidelity\n"
+
+
+def _trace_row(tick: int, kind: EventKind, pair_id: str, flow_id: str, fidelity: float) -> str:
+    # repr keeps every bit; `_value_` skips Enum's `value` descriptor (a call
+    # per row). Private: perfbench's tracer spans every public buffersim call.
+    return f"{tick},{kind._value_},{pair_id},{flow_id},{fidelity!r}\n"
+
+
+def _csv_rows(trace: Sequence[TraceEvent]):
+    yield TRACE_HEADER
     for ev in trace:
-        buf.write(f"{ev.tick},{ev.event.value},{ev.pair_id},{ev.flow_id},{ev.fidelity!r}\n")
-    return buf.getvalue()
+        yield _trace_row(ev.tick, ev.event, ev.pair_id, ev.flow_id, ev.fidelity)
+
+
+def trace_csv(trace: Sequence[TraceEvent]) -> str:
+    return "".join(_csv_rows(trace))
 
 
 def write_trace_csv(trace: Sequence[TraceEvent], path) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write(trace_csv(trace))
+        fh.writelines(_csv_rows(trace))

@@ -14,7 +14,7 @@ import math
 import os
 import sys
 from dataclasses import replace
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import IO, Iterable, List, Optional, Sequence, Tuple
 
 from . import buffersim, netgraph, qstate, repeater, scenario
 
@@ -25,13 +25,19 @@ class DataError(Exception):
     pass
 
 
-def _emit(lines: Iterable[str], out: Optional[str]) -> None:
-    text = "\n".join(lines) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(lines: Iterable[str], out: Optional[str], rows: Optional[IO[str]] = None) -> None:
+    """Writes the lines, then the spooled `rows` file if any, to --out or stdout."""
+    fh = open(out, "w") if out else sys.stdout
+    try:
+        fh.write("\n".join(lines) + "\n")
+        if rows is not None:
+            with rows:
+                rows.seek(0)
+                while chunk := rows.read(1 << 20):
+                    fh.write(chunk)
+    finally:
+        if out:
+            fh.close()
 
 
 def _header(cmd: str, params: dict) -> List[str]:
@@ -271,7 +277,7 @@ def _airport_lines(rep: scenario.AirportReport) -> List[str]:
     ] + _node_rows(rep.top_critical_airports)
 
 
-def cmd_buffer(args) -> List[str]:
+def cmd_buffer(args) -> Tuple[List[str], IO[str]]:
     try:
         with open(args.config) as fh:
             raw = json.load(fh)
@@ -292,14 +298,21 @@ def cmd_buffer(args) -> List[str]:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"bad config contents: {exc}")
-    res = buffersim.run(cfg)
+    import tempfile  # already loaded through numpy
+
+    # the header's counters are known only at the end, so the rows are spooled
+    rows = tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
+    try:
+        rows.write(buffersim.TRACE_HEADER)
+        res = buffersim.run(cfg, rows.write)
+    except BaseException:
+        rows.close()
+        raise
     params = {
         "config": args.config, "inserts": res.inserts, "dispatches": res.dispatches,
         "evictions": res.evictions, "rejects": res.rejects, "residual": res.residual,
     }
-    lines = _header("buffer", params)
-    lines.append(buffersim.trace_csv(res.trace).rstrip("\n"))
-    return lines
+    return _header("buffer", params), rows
 
 
 def cmd_evolve(args) -> List[str]:
@@ -575,7 +588,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    _emit(lines, args.out)
+    lines, rows = lines if isinstance(lines, tuple) else (lines, None)  # buffer spools its rows
+    _emit(lines, args.out, rows)
     return 0
 
 

@@ -302,6 +302,68 @@ class TestTrace:
             assert float(line.rsplit(",", 1)[1]) == ev.fidelity
 
 
+def near_tie_config(rng, mode, order, p_mem, eta_crit):
+    """Random arrivals whose f0 values include 1 and neighbours one ulp apart."""
+    f0s = []
+    for _ in range(36):
+        r = rng.random()
+        if f0s and r < 0.4:
+            f0s.append(math.nextafter(rng.choice(f0s), rng.choice((0.0, 1.0))))
+        else:
+            f0s.append(1.0 if r < 0.5 else rng.uniform(0.3, 1.0))
+    arrivals = tuple(
+        Arrival(rng.randint(1, 20), f"s{i % 3}", f"p{i:03d}", f0) for i, f0 in enumerate(f0s)
+    )
+    flows = tuple(
+        FlowRequest(f"f{i}", rng.randint(1, 12), rng.randint(1, 3), rng.randint(1, 8)) for i in range(3)
+    )
+    return SimConfig(
+        capacity=rng.randint(2, 12), p_mem=p_mem, eta_crit=eta_crit, arrivals=arrivals,
+        flows=flows, horizon=25, decay_mode=mode, service_order=order,
+    )
+
+
+class TestStreaming:
+    """run(cfg, write) streams exactly the rows that trace_csv makes of run(cfg).trace."""
+
+    @pytest.mark.parametrize("eta_crit", [0.0, 0.25, 0.5])
+    @pytest.mark.parametrize("p_mem", [0.0, 0.1, 1.0])
+    @pytest.mark.parametrize("order", list(ServiceOrder))
+    @pytest.mark.parametrize("mode", list(DecayMode))
+    def test_streaming_equals_collecting(self, monkeypatch, tmp_path, mode, order, p_mem, eta_crit):
+        rng = random.Random(f"{mode.value}/{order.value}/{p_mem}/{eta_crit}")
+        tick_decay = MemoryHeap.tick_decay
+        heaps = []
+
+        def checked_tick_decay(heap):
+            # per-age table values equal the per-pair formula bit for bit
+            out = tick_decay(heap)
+            for it in heap.items:
+                assert it.current_fidelity == decayed_fidelity(it.f0, heap.p_mem, it.age, heap.decay_mode)
+            assert check_heap(heap)
+            heaps.append(heap)
+            return out
+
+        monkeypatch.setattr(MemoryHeap, "tick_decay", checked_tick_decay)
+        for _ in range(3):
+            cfg = near_tie_config(rng, mode, order, p_mem, eta_crit)
+            chunks = []
+
+            def write(text):
+                assert check_heap(heaps[-1])  # the heap as the tick ends
+                chunks.append(text)
+
+            streamed = run(cfg, write)
+            collected = run(cfg)
+            assert streamed.trace == ()
+            assert "".join(chunks) == trace_csv(collected.trace)[len("tick,event,pair_id,flow_id,fidelity\n"):]
+            for key in ("flow_finishes", "residual", "inserts", "dispatches", "evictions", "rejects"):
+                assert getattr(streamed, key) == getattr(collected, key), key
+            path = tmp_path / "trace.csv"
+            write_trace_csv(collected.trace, path)
+            assert path.read_bytes() == trace_csv(collected.trace).encode()
+
+
 def served_pairs(text):
     """Pair ids in dispatch order, checking each against the stored pairs.
 

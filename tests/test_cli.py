@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from qnetlim import cli, netgraph
+from qnetlim import buffersim, cli, netgraph
 from qnetlim.cli import FIGURE_IDS, main
 
 
@@ -349,6 +349,39 @@ class TestBufferGoldens:
         assert code == 0
         assert sha256(out) == self.DIGESTS[name]
 
+
+class TestBufferStreaming:
+    """buffer streams its rows: no TraceEvent, no trace_csv string, the same bytes."""
+
+    @pytest.fixture(autouse=True)
+    def no_per_row_objects(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("buffer built the trace in memory")
+
+        monkeypatch.setattr(buffersim, "TraceEvent", refuse)
+        monkeypatch.setattr(buffersim, "trace_csv", refuse)
+
+    @pytest.mark.parametrize("name", list(TestBufferGoldens.CONFIGS))
+    def test_out_file_equals_stdout(self, capsys, tmp_path, monkeypatch, name):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sim.json").write_text(json.dumps(TestBufferGoldens.CONFIGS[name]()))
+        code, out, _ = run_cli(capsys, "buffer", "--config", "sim.json")
+        assert code == 0
+        assert sha256(out) == TestBufferGoldens.DIGESTS[name]
+        code, stdout, _ = run_cli(capsys, "buffer", "--config", "sim.json", "--out", "trace.csv")
+        assert (code, stdout) == (0, "")
+        assert (tmp_path / "trace.csv").read_bytes() == out.encode()
+
+    @pytest.mark.parametrize("cfg, want", [
+        ({"capacity": 4}, 1),  # bad contents
+        (dict(buffer_config(1, 3, 10), capacity=0), 2),  # rejected once the run starts
+    ])
+    def test_failed_run_writes_no_file(self, capsys, tmp_path, cfg, want):
+        (tmp_path / "sim.json").write_text(json.dumps(cfg))
+        out_path = tmp_path / "trace.csv"
+        code, _, _ = run_cli(capsys, "buffer", "--config", str(tmp_path / "sim.json"), "--out", str(out_path))
+        assert code == want
+        assert not out_path.exists()
 
 class TestScenarioCommands:
     def test_satellite(self, capsys):
