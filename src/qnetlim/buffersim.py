@@ -166,10 +166,8 @@ class MemoryHeap:
 
     def latest_index(self) -> int:
         """Heap position of the most recently inserted pair (latest-first service)."""
-        return max(
-            range(len(self.items)),
-            key=lambda i: (self.items[i].insertion_tick, self.items[i].id),
-        )
+        keys = [(item.insertion_tick, item.id) for item in self.items]
+        return keys.index(max(keys))
 
     def tick_decay(self) -> Tuple[List[StoredPair], List[StoredPair]]:
         """Ages every entry one step; returns (survivors, evicted).

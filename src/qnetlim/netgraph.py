@@ -4,6 +4,10 @@ Edges carry a success probability p in (0, 1]. All weights are in bits,
 w = -log2 p, so that 2**(-w) recovers the probability exactly. A pair of
 nodes is considered task-connected at threshold p_star when some path has
 product probability >= p_star, compared strictly with no epsilon.
+
+scipy is imported on first use, inside the three wrappers below, because
+its ~0.4 s import would otherwise slow every command that loads this
+module, including the closed-form ones that never build a graph.
 """
 
 from __future__ import annotations
@@ -16,13 +20,25 @@ from enum import Enum
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
-from scipy.sparse.csgraph import shortest_path as _sp_shortest_path
 
 from . import Sentinel
 
 NodeId = Union[int, str]
+
+
+def _csr_matrix(*args, **kwargs):
+    from scipy.sparse import csr_matrix
+    return csr_matrix(*args, **kwargs)
+
+
+def _sp_dijkstra(*args, **kwargs):
+    from scipy.sparse.csgraph import dijkstra
+    return dijkstra(*args, **kwargs)
+
+
+def _sp_shortest_path(*args, **kwargs):
+    from scipy.sparse.csgraph import shortest_path
+    return shortest_path(*args, **kwargs)
 
 
 def _edge_key(a: NodeId, b: NodeId) -> Tuple[NodeId, NodeId]:
@@ -145,10 +161,10 @@ def _csgraph_weights(net: Network) -> np.ndarray:
     return np.where(net.w > 0.0, net.w, 5e-324)
 
 
-def _csgraph(net: Network, keep=slice(None)) -> csr_matrix:
+def _csgraph(net: Network, keep=slice(None)) -> scipy.sparse.csr_matrix:
     """net as a scipy graph of _csgraph_weights, restricted to the entries keep."""
     ends = (_tails(net)[keep], net.head[keep])
-    return csr_matrix((_csgraph_weights(net)[keep], ends), shape=(net.n_nodes,) * 2)
+    return _csr_matrix((_csgraph_weights(net)[keep], ends), shape=(net.n_nodes,) * 2)
 
 
 _BEST_WEIGHTS: Dict[Tuple[Network, float], np.ndarray] = {}
@@ -368,7 +384,7 @@ def _neighbor_metrics(
             w = weight[hit[slot, pair]]
             a, b = slot * k + i[pair], slot * k + j[pair]
             size = len(group) * k
-            graph = csr_matrix((np.r_[w, w], (np.r_[a, b], np.r_[b, a])), shape=(size, size))
+            graph = _csr_matrix((np.r_[w, w], (np.r_[a, b], np.r_[b, a])), shape=(size, size))
             dist = _sp_shortest_path(graph, method="D", directed=False)
             r = np.arange(len(group))
             blocks = dist.reshape(len(r), k, len(r), k)[r, :, r, :]
@@ -423,7 +439,7 @@ class _SweepGraph:
     tail: np.ndarray  # both directions of every edge, sorted by (tail, head)
     head: np.ndarray
     w: np.ndarray  # -log2 p, the step _lex_dijkstra adds
-    graph: csr_matrix  # the same edges for scipy
+    graph: scipy.sparse.csr_matrix  # the same edges for scipy
     budget: float
 
 
@@ -435,7 +451,7 @@ def _sweep_graph(net: Network, p_star: float) -> _SweepGraph:
     tail, head = number[_tails(net)], number[net.head]
     order = np.lexsort((head, tail))
     tail, head = tail[order], head[order]
-    graph = csr_matrix((_csgraph_weights(net)[order], (tail, head)), shape=(net.n_nodes,) * 2)
+    graph = _csr_matrix((_csgraph_weights(net)[order], (tail, head)), shape=(net.n_nodes,) * 2)
     return _SweepGraph(ids, number, tail, head, net.w[order], graph, budget)
 
 

@@ -1,7 +1,10 @@
 import hashlib
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -471,3 +474,49 @@ class TestFigureGoldens:
         code, out, _ = run_cli(capsys, "figure", fig_id)
         assert code == 0
         assert sha256(out) == self.DIGESTS[fig_id]
+
+
+_LOADED_AFTER = """
+import contextlib, io, json, sys
+from qnetlim.cli import main
+loaded = {}
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    loaded[" ".join(argv)] = [code, *sorted({"scipy", "networkx"} & sys.modules.keys())]
+print(json.dumps(loaded))
+"""
+
+
+def loaded_after(*argvs):
+    """Exit code and heavy modules loaded after each command, in one fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_AFTER, json.dumps(argvs)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+class TestImportHygiene:
+    """Commands that never build a graph leave scipy and networkx unimported."""
+
+    def test_closed_form_commands(self, tmp_path):
+        (tmp_path / "sim.json").write_text(json.dumps(buffer_config(1, 3, 60)))
+        argvs = [
+            ["chain", "--lambda", "0.99"],
+            ["tradeoff"],
+            ["nqi", "--length", "100", "--n", "4"],
+            ["satellite", "--n", "3"],
+            ["atmosphere"],
+            *(["figure", fig_id] for fig_id in FIGURE_IDS),
+            ["buffer", "--config", str(tmp_path / "sim.json")],
+            ["topology", "--kind", "grid"],
+        ]
+        loaded = loaded_after(*argvs)
+        assert loaded == {" ".join(argv): [0] for argv in argvs}
+
+    def test_graph_loads_scipy(self, edge_file):
+        (loaded,) = loaded_after(["graph", "--in", edge_file]).values()
+        assert loaded[0] == 0 and "scipy" in loaded
