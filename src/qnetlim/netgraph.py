@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import heapq
 import math
+import os
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -189,13 +190,18 @@ def _best_weights(net: Network, p_star: float) -> np.ndarray:
     return _BEST_WEIGHTS[key]
 
 
-def _f_star(net: Network, p_star: float) -> np.ndarray:
-    """Best-path success probabilities, 0 below p_star and on the diagonal."""
-    dist = _best_weights(net, p_star)
+def _f_star(net: Network, p_star: float, rows: slice = slice(None)) -> np.ndarray:
+    """Best-path success probabilities, 0 below p_star and on the diagonal.
+
+    rows selects the source nodes, as a slice of net.index positions, so a
+    caller that reads one row computes one row.
+    """
+    dist = _best_weights(net, p_star)[rows]
     f = np.power(2.0, -dist)
     f[dist == math.inf] = 0.0
     f[f < p_star] = 0.0
-    np.fill_diagonal(f, 0.0)
+    sources = np.arange(net.n_nodes)[rows]
+    f[np.arange(len(sources)), sources] = 0.0
     return f
 
 
@@ -299,7 +305,8 @@ def connection_strength(
     if strategy is StrategyKind.NON_COOPERATIVE:
         total = float(_direct_sums(net, p_star)[net.index[v]])
     else:
-        total = float(_f_star(net, p_star)[net.index[v]].sum())
+        i = net.index[v]
+        total = float(_f_star(net, p_star, slice(i, i + 1))[0].sum())
     if include_self:
         total += 1.0
     return total / net.n_nodes
@@ -455,8 +462,20 @@ def _sweep_graph(net: Network, p_star: float) -> _SweepGraph:
     return _SweepGraph(ids, number, tail, head, net.w[order], graph, budget)
 
 
-# upper bound on sources x directed edges that centrality_all holds at once
+# upper bound on sources x directed edges that centrality_all holds at once,
+# summed over its worker processes
 _SWEEP_ELEMENTS = 1 << 20
+# a sweep over at least this many sources x directed edges runs in forked
+# worker processes; a smaller one is not worth the fork
+_FORK_ELEMENTS = 1 << 24
+_MAX_WORKERS = 4
+
+
+def _workers() -> int:
+    """Processes for a large sweep: the usable cores, at most _MAX_WORKERS."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min(len(os.sched_getaffinity(0)), _MAX_WORKERS)
 
 
 def centrality_all(net: Network, p_star: float) -> Dict[NodeId, int]:
@@ -482,14 +501,26 @@ def centrality_all(net: Network, p_star: float) -> Dict[NodeId, int]:
     depth, or a step that leaves the distance unchanged (p = 1, or a weight
     lost to rounding) makes the tight edges cyclic. The choice depends
     only on the weights.
+
+    A sweep of at least _FORK_ELEMENTS (sources x directed edges) runs its
+    blocks in forked worker processes, one per usable core and at most
+    _MAX_WORKERS, where the platform reports its cores (Linux); smaller
+    sweeps, and every sweep elsewhere, run in this process. The workers
+    share _SWEEP_ELEMENTS, so a block holds 1/workers of it and the summed
+    working set stays the same. Fallback sources run in this process, in
+    ascending order, as their blocks come back. Blocks are independent and
+    their counts are integers, so the totals do not depend on the split or
+    on the order of summation: source-parallel Brandes, as in Bader and
+    Madduri (ICPP 2006).
     """
     n = net.n_nodes
     g = _sweep_graph(net, p_star)
+    width = max(len(g.w), n, 1)
+    workers = _workers() if (n - 1) * width >= _FORK_ELEMENTS else 1
+    block = max(1, _SWEEP_ELEMENTS // workers // width)
+    blocks = [np.arange(start, min(start + block, n - 1)) for start in range(0, n - 1, block)]
     tau = np.zeros(n, np.int64)
-    block = max(1, _SWEEP_ELEMENTS // max(len(g.w), n, 1))
-    for start in range(0, n - 1, block):
-        sources = np.arange(start, min(start + block, n - 1))
-        counts, exact = _canonical_sweep(g, sources)
+    for sources, (counts, exact) in zip(blocks, _sweeps(g, blocks, workers)):
         tau += counts
         for s in sources[~exact]:
             source = g.ids[s]
@@ -498,6 +529,35 @@ def centrality_all(net: Network, p_star: float) -> Dict[NodeId, int]:
                     for u in path[1:-1]:
                         tau[g.number[net.index[u]]] += 1
     return {v: int(tau[g.number[i]]) for i, v in enumerate(net.nodes)}
+
+
+def _sweeps(g: _SweepGraph, blocks: List[np.ndarray], workers: int):
+    """_canonical_sweep over each block, in order: here, or in forked workers."""
+    if workers == 1:
+        yield from (_canonical_sweep(g, sources) for sources in blocks)
+        return
+    import multiprocessing
+
+    # loaded here once rather than once per worker
+    from scipy.sparse import csgraph  # noqa: F401
+
+    # the initializer hands g over by fork, never by pickle
+    with multiprocessing.get_context("fork").Pool(workers, _adopt, (g,)) as pool:
+        yield from pool.imap(_pooled_sweep, blocks)
+
+
+# set only inside pool workers, by _adopt
+_POOLED_GRAPH: Optional[_SweepGraph] = None
+
+
+def _adopt(g: _SweepGraph) -> None:
+    """Pool initializer: keep the sweep graph this worker inherited."""
+    global _POOLED_GRAPH
+    _POOLED_GRAPH = g
+
+
+def _pooled_sweep(sources: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    return _canonical_sweep(_POOLED_GRAPH, sources)
 
 
 def _canonical_sweep(g: _SweepGraph, sources: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -854,9 +914,7 @@ def task_reachability(net: Network, p_star: float) -> ReachabilityReport:
     transitive, so these balls are the honest analogue of components.
     """
     prob = np.power(2.0, -_best_weights(net, p_star))
-    counts = {
-        net.nodes[i]: int(np.count_nonzero(prob[i] >= p_star)) for i in range(net.n_nodes)
-    }
+    counts = dict(zip(net.nodes, np.count_nonzero(prob >= p_star, axis=1).tolist()))
     return ReachabilityReport(counts, max(counts.values()) / net.n_nodes)
 
 

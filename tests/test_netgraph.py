@@ -1,6 +1,11 @@
+import hashlib
 import itertools
 import math
+import multiprocessing
+import os
 import random
+import subprocess
+import sys
 import weakref
 
 import numpy as np
@@ -8,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import test_cli
 from qnetlim import netgraph as ng
+from qnetlim.cli import main as cli_main
 from qnetlim.netgraph import (
     CellKind,
     Circulant,
@@ -62,6 +69,17 @@ def random_graph(rng, n_max=8, p_edge=0.5):
             if rng.random() < p_edge:
                 edges.append((i, j, round(rng.uniform(0.3, 1.0), 4)))
     return Network(nodes, edges)
+
+
+def seeded_graph(seed=8, n=60):
+    """A connected ring plus random chords, with full-precision p, a few exactly 1."""
+    rng = random.Random(seed)
+    edges = [(i, (i + 1) % n, rng.uniform(0.3, 1.0)) for i in range(n)]
+    edges += [
+        (i, j, 1.0 if rng.random() < 0.05 else rng.uniform(0.05, 1.0))
+        for i in range(n) for j in range(i + 2, n) if rng.random() < 0.06
+    ]
+    return Network(range(n), edges)
 
 
 def enumerate_best_path(net, source, target, p_star):
@@ -354,6 +372,16 @@ class TestSparsityAndStrength:
             got = connection_strength(net, 0, NC, 1e-9, include_self=True)
             assert got == pytest.approx(want, abs=1e-12)
 
+    @pytest.mark.parametrize("p_star", [0.5, 0.1])
+    def test_cooperative_strength_reads_one_row(self, p_star):
+        # on the p = 0.5 chain some path products equal p* exactly
+        chain = Network(range(12), [(i, i + 1, 0.5) for i in range(11)])
+        for net in (build_topology(Square1024(0.9)), seeded_graph(), chain):
+            full = ng._f_star(net, p_star)
+            for v in net.nodes:
+                want = float(full[net.index[v]].sum()) / net.n_nodes
+                assert connection_strength(net, v, CO, p_star) == want
+
     def test_coop_at_most_noncoop_sparsity(self):
         rng = random.Random(3)
         for _ in range(15):
@@ -548,6 +576,110 @@ class TestCentralityOracle:
         assert np.array_equal(counts, total)
 
 
+def force_pool(monkeypatch, workers, elements=1 << 8):
+    """Make centrality_all fork workers over blocks of a few sources, whatever its size."""
+    monkeypatch.setattr(ng, "_FORK_ELEMENTS", 0)
+    monkeypatch.setattr(ng, "_SWEEP_ELEMENTS", elements)
+    monkeypatch.setattr(ng, "_workers", lambda: workers)
+
+
+def count_contexts(monkeypatch):
+    """Record each multiprocessing context centrality_all asks for."""
+    asked = []
+    get_context = multiprocessing.get_context
+
+    def spy(method=None):
+        asked.append(method)
+        return get_context(method)
+
+    monkeypatch.setattr(multiprocessing, "get_context", spy)
+    return asked
+
+
+class TestParallelSweep:
+    """centrality_all in forked workers against the in-process sweep, exactly."""
+
+    def cases(self):
+        rng = random.Random(7)
+        p_one = [
+            Network(range(n), [
+                (i, j, rng.choice([1.0, 0.5, 0.9]))
+                for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4
+            ])
+            for n in (9, 12, 12)
+        ]
+        p_one.append(Network(range(4), [(0, 1, 1.0), (1, 2, 0.5), (2, 3, 1.0), (0, 3, 0.5)]))
+        mixed = Network(range(3), [(0, 1, 0.5), (1, 2, 0.5), (0, 2, 0.25)])
+        disconnected = Network(range(9), [(0, 1, 0.9), (1, 2, 0.9), (2, 0, 0.9), (2, 3, 0.9),
+                                          (4, 5, 0.8), (5, 6, 0.8), (6, 7, 0.8)])
+        circulant = build_topology(Circulant(16, 5, 0.7))
+        nets = [circulant, strings(circulant), *p_one, mixed, disconnected, strings(disconnected),
+                strings(build_topology(Grid(7, 5, 0.9))), seeded_graph()]
+        return [(net, p_star) for net in nets for p_star in (0.25, 0.01)]
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_matches_in_process(self, monkeypatch, workers):
+        cases = self.cases()
+        want = [centrality_all(net, p_star) for net, p_star in cases]
+        # the circulant at p* = 0.01 leaves sources to the fallback
+        assert not ng._canonical_sweep(ng._sweep_graph(*cases[1]), np.arange(15))[1].all()
+        force_pool(monkeypatch, workers)
+        asked = count_contexts(monkeypatch)
+        assert [centrality_all(net, p_star) for net, p_star in cases] == want
+        assert asked == ["fork"] * len(cases)
+
+    @pytest.mark.parametrize("extra", list(test_cli.TestCriticalNodesGolden.DIGESTS),
+                             ids=lambda e: " ".join(e) or "default")
+    def test_square1024_golden_digests(self, capsys, tmp_path, monkeypatch, extra):
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(["topology", "--kind", "square1024", "--p", "0.9", "--edges-out", "sq.edges"]) == 0
+        force_pool(monkeypatch, 2, elements=1 << 16)
+        asked = count_contexts(monkeypatch)
+        capsys.readouterr()
+        assert cli_main(["critical-nodes", "--in", "sq.edges", *extra]) == 0
+        out = capsys.readouterr().out
+        assert asked == ["fork"]
+        assert hashlib.sha256(out.encode()).hexdigest() == test_cli.TestCriticalNodesGolden.DIGESTS[extra]
+
+    def test_below_gate_starts_no_process(self, monkeypatch):
+        def refuse(method=None):
+            raise AssertionError("a sweep below the gate asked for a process")
+
+        monkeypatch.setattr(multiprocessing, "get_context", refuse)
+        net = build_topology(Square1024(0.9))
+        assert (net.n_nodes - 1) * len(net.w) < ng._FORK_ELEMENTS
+        monkeypatch.setattr(ng, "_workers", lambda: 4)
+        want = centrality_all(net, 0.5)
+        assert sum(want.values()) > 0
+        # one usable core runs in process whatever the size
+        force_pool(monkeypatch, 1)
+        assert centrality_all(net, 0.5) == want
+
+    def test_worker_count(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        assert ng._workers() == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)))
+        assert ng._workers() == 4
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert ng._workers() == 1
+
+    def test_buffered_stdout_written_once(self):
+        script = (
+            "import sys\n"
+            "from qnetlim import netgraph as ng\n"
+            "ng._FORK_ELEMENTS, ng._SWEEP_ELEMENTS, ng._workers = 0, 1 << 8, lambda: 2\n"
+            "sys.stdout.write('before\\n')\n"
+            "tau = ng.centrality_all(ng.build_topology(ng.Grid(6, 6, 0.9)), 0.1)\n"
+            "print('after', sum(tau.values()))\n"
+        )
+        src = os.path.dirname(os.path.dirname(ng.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, check=True, timeout=120)
+        want = sum(centrality_all(build_topology(Grid(6, 6, 0.9)), 0.1).values())
+        assert proc.stdout == f"before\nafter {want}\n"
+
+
 class TestNeighborMetrics:
     """Batched clustering and subgraph weights against their per-node oracles."""
 
@@ -698,6 +830,15 @@ class TestPercolation:
     def test_everything_reachable(self):
         net = build_topology(FullMesh(5, 0.9))
         assert task_reachability(net, 0.5).max_fraction == 1.0
+
+    @pytest.mark.parametrize("p_star", [0.5, 0.1])
+    def test_reachability_counts_row_by_row(self, p_star):
+        # on the p = 0.5 chain some path products equal p* exactly
+        chain = Network(range(12), [(i, i + 1, 0.5) for i in range(11)])
+        for net in (build_topology(Square1024(0.9)), seeded_graph(), chain):
+            prob = np.power(2.0, -ng._best_weights(net, p_star))
+            want = {v: int(np.count_nonzero(prob[i] >= p_star)) for i, v in enumerate(net.nodes)}
+            assert task_reachability(net, p_star).counts == want
 
     def test_grid_fraction_decreases(self):
         fracs = [
