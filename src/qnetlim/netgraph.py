@@ -53,8 +53,11 @@ class Network:
     position; edges keeps each edge once, keyed (smaller id, larger id), in
     the order first given. The constructor also builds the adjacency once,
     in both directions and sorted by (tail, head) over index positions, as
-    CSR arrays: the edges leaving node i are ptr[i]:ptr[i + 1] of head, p
-    and w = -log2 p (math.log2 per edge, the step every path sum adds).
+    CSR arrays: the edges leaving node i are ptr[i]:ptr[i + 1] of tail,
+    head, p and w = -log2 p (math.log2 per edge, the step every path sum
+    adds). order[k] is where CSR entry k sits among the edge ends listed
+    edge by edge in insertion order, so x[order] = csr_array puts a CSR
+    array back in that order.
 
     A Network is immutable after construction: the arrays, and the cached
     all-pairs pass keyed on the network itself, assume that it never
@@ -86,10 +89,11 @@ class Network:
         self.coords = dict(coords) if coords else None
 
         m, n = len(self.edges), len(self.nodes)
-        tail = _edge_ends(self)
-        head = tail.reshape(m, 2)[:, ::-1].ravel()
-        order = np.lexsort((head, tail))
-        self.ptr = np.searchsorted(tail[order], np.arange(n + 1))
+        ends = np.fromiter((self.index[v] for key in self.edges for v in key), np.int64, 2 * m)
+        head = ends.reshape(m, 2)[:, ::-1].ravel()
+        self.order = order = np.lexsort((head, ends))
+        self.tail = ends[order]
+        self.ptr = np.searchsorted(self.tail, np.arange(n + 1))
         self.head = head[order]
         self.p = np.repeat(np.fromiter(self.edges.values(), float, m), 2)[order]
         self.w = np.repeat([-math.log2(x) for x in self.edges.values()], 2)[order]
@@ -118,11 +122,6 @@ class Network:
         return Network(nodes, edges, coords)
 
 
-def _edge_ends(net: Network) -> np.ndarray:
-    """Index positions of both ends of each edge, edge by edge in insertion order."""
-    return np.fromiter((net.index[v] for key in net.edges for v in key), np.int64, 2 * net.n_edges)
-
-
 class StrategyKind(str, Enum):
     NON_COOPERATIVE = "non-cooperative"
     COOPERATIVE = "cooperative"
@@ -148,11 +147,6 @@ class EffectiveMatrices:
     f_star: np.ndarray
 
 
-def _tails(net: Network) -> np.ndarray:
-    """The tail of each CSR entry of net, aligned with net.head."""
-    return np.repeat(np.arange(net.n_nodes), np.diff(net.ptr))
-
-
 def _csgraph_weights(net: Network) -> np.ndarray:
     """net.w with p = 1 at the smallest positive float instead of zero.
 
@@ -164,7 +158,7 @@ def _csgraph_weights(net: Network) -> np.ndarray:
 
 def _csgraph(net: Network, keep=slice(None)) -> scipy.sparse.csr_matrix:
     """net as a scipy graph of _csgraph_weights, restricted to the entries keep."""
-    ends = (_tails(net)[keep], net.head[keep])
+    ends = (net.tail[keep], net.head[keep])
     return _csr_matrix((_csgraph_weights(net)[keep], ends), shape=(net.n_nodes,) * 2)
 
 
@@ -213,7 +207,7 @@ def matrices(net: Network, p_star: float) -> EffectiveMatrices:
     maximum path product when that product is at least p_star, else 0; the
     diagonal is 0 by definition.
     """
-    n, tail = net.n_nodes, _tails(net)
+    n, tail = net.n_nodes, net.tail
     a = np.full((n, n), math.inf)
     np.fill_diagonal(a, 0.0)
     a_star = a.copy()
@@ -314,9 +308,10 @@ def connection_strength(
 
 def _direct_sums(net: Network, p_star: float) -> np.ndarray:
     """Per node, the sum of its edges' p >= p_star, in edge insertion order."""
-    p = np.repeat(np.fromiter(net.edges.values(), float, net.n_edges), 2)
+    ends, p = np.empty_like(net.tail), np.empty_like(net.p)
+    ends[net.order], p[net.order] = net.tail, net.p
     strong = p >= p_star
-    return np.bincount(_edge_ends(net)[strong], p[strong], minlength=net.n_nodes)
+    return np.bincount(ends[strong], p[strong], minlength=net.n_nodes)
 
 
 def _all_strengths(net: Network, strategy: StrategyKind, p_star: float) -> np.ndarray:
@@ -365,7 +360,7 @@ def _neighbor_metrics(
     """
     n = net.n_nodes
     sel = np.arange(n) if nodes is None else np.asarray(nodes, dtype=np.int64)
-    tail, head, p, ptr = _tails(net), net.head, net.p, net.ptr
+    tail, head, p, ptr = net.tail, net.head, net.p, net.ptr
     keys = tail * n + head
     weight = _csgraph_weights(net)
     strong = p >= p_star
@@ -455,7 +450,7 @@ def _sweep_graph(net: Network, p_star: float) -> _SweepGraph:
     ids = sorted(net.nodes)
     number = np.empty(net.n_nodes, np.int64)
     number[[net.index[v] for v in ids]] = np.arange(net.n_nodes)
-    tail, head = number[_tails(net)], number[net.head]
+    tail, head = number[net.tail], number[net.head]
     order = np.lexsort((head, tail))
     tail, head = tail[order], head[order]
     graph = _csr_matrix((_csgraph_weights(net)[order], (tail, head)), shape=(net.n_nodes,) * 2)
@@ -802,12 +797,11 @@ def construct_network(
     """Complete core mesh with distinct attachment points for two parties.
 
     Core nodes are "c0".."c<n_a+n_b-1>"; external nodes are "a0..",
-    "b0..", each attached to its own core node. The certificate verifies
-    vertex-disjoint A-to-B paths (unit node capacities, max-flow) and
-    pairwise connectivity.
+    "b0..", each attached to its own core node. The certificate counts the
+    vertex-disjoint A-to-B paths of the network, as a unit-capacity maximum
+    flow on its CSR arrays, checks that there are min(n_a, n_b) of them,
+    and checks that every A-B pair is connected.
     """
-    import networkx as nx
-
     if n_a < 1 or n_b < 1:
         raise ValueError("party sizes must be >= 1")
     n_core = n_a + n_b
@@ -816,48 +810,45 @@ def construct_network(
     b_nodes = [f"b{i}" for i in range(n_b)]
     nodes: List[NodeId] = core + a_nodes + b_nodes
 
-    def mesh_prob(i, j):
-        if isinstance(mesh_p, dict):
-            return mesh_p[(i, j)]
-        return mesh_p
-
-    def attach_prob(name):
-        if isinstance(attach_p, dict):
-            return attach_p[name]
-        return attach_p
+    def prob(given, key):
+        return given[key] if isinstance(given, dict) else given
 
     edges = [
-        (core[i], core[j], mesh_prob(i, j))
+        (core[i], core[j], prob(mesh_p, (i, j)))
         for i in range(n_core)
         for j in range(i + 1, n_core)
     ]
-    edges += [(a_nodes[i], core[i], attach_prob(a_nodes[i])) for i in range(n_a)]
-    edges += [(b_nodes[i], core[n_a + i], attach_prob(b_nodes[i])) for i in range(n_b)]
+    edges += [(a, core[i], prob(attach_p, a)) for i, a in enumerate(a_nodes)]
+    edges += [(b, core[n_a + i], prob(attach_p, b)) for i, b in enumerate(b_nodes)]
     net = Network(nodes, edges)
+    flow, connected = _disjoint_paths(net, a_nodes, b_nodes)
+    return net, ConstructionCertificate(flow, flow >= min(n_a, n_b), connected)
 
-    g = nx.Graph()
-    g.add_nodes_from(nodes)
-    g.add_edges_from((a, b) for a, b, _ in edges)
-    # node-capacity max flow via node splitting
-    dg = nx.DiGraph()
-    for v in g.nodes:
-        dg.add_edge(("in", v), ("out", v), capacity=1)
-    for a, b in g.edges:
-        dg.add_edge(("out", a), ("in", b), capacity=1)
-        dg.add_edge(("out", b), ("in", a), capacity=1)
-    dg.add_node("S")
-    dg.add_node("T")
-    for a in a_nodes:
-        dg.add_edge("S", ("in", a), capacity=1)
-        dg[("in", a)][("out", a)]["capacity"] = 1
-    for b in b_nodes:
-        dg.add_edge(("out", b), "T", capacity=1)
-    flow = nx.maximum_flow_value(dg, "S", "T")
-    want = min(n_a, n_b)
-    connected = all(
-        nx.has_path(g, a, b) for a in a_nodes for b in b_nodes
-    )
-    return net, ConstructionCertificate(flow, flow >= want, connected)
+
+def _disjoint_paths(
+    net: Network, a_nodes: Sequence[NodeId], b_nodes: Sequence[NodeId]
+) -> Tuple[int, bool]:
+    """Vertex-disjoint A-to-B paths, and whether every A-B pair is connected.
+
+    The count is a maximum flow with unit capacities on net with every node
+    split (Menger): in-copy i and out-copy n + i joined by one arc, an arc
+    out(tail) -> in(head) per CSR entry, a source 2n feeding the A in-copies
+    and a sink 2n + 1 fed by the B out-copies, so no two paths share a
+    node, party nodes included.
+    """
+    from scipy.sparse.csgraph import maximum_flow
+
+    n = net.n_nodes
+    a = np.array([net.index[v] for v in a_nodes], np.int64)
+    b = np.array([net.index[v] for v in b_nodes], np.int64)
+    source, sink = 2 * n, 2 * n + 1
+    split = np.arange(n)
+    tails = np.concatenate([split, n + net.tail, np.full(len(a), source), n + b])
+    heads = np.concatenate([n + split, net.head, a, np.full(len(b), sink)])
+    cap = _csr_matrix((np.ones(len(tails), np.int32), (tails, heads)), shape=(sink + 1,) * 2)
+    flow = int(maximum_flow(cap, source, sink).flow_value)
+    hops = _sp_dijkstra(_csgraph(net), indices=a, unweighted=True)
+    return flow, bool(np.isfinite(hops[:, b]).all())
 
 
 # ---------------------------------------------------------------------------

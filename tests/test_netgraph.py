@@ -176,19 +176,69 @@ def shuffled(net, rng):
     return Network(net.nodes, dict(items))
 
 
+def direct_sums_oracle(net, p_star):
+    """Per node, its edges' p >= p_star added up one by one in net.edges order."""
+    sums = {v: 0.0 for v in net.nodes}
+    for (a, b), p in net.edges.items():
+        if p >= p_star:
+            sums[a] += p
+            sums[b] += p
+    return sums
+
+
+def reaches(net, sources, targets, removed=frozenset()):
+    """Whether a path avoiding the removed nodes joins some source to some target."""
+    seen = set(sources) - removed
+    stack = list(seen)
+    while stack:
+        v = stack.pop()
+        if v in targets:
+            return True
+        for u in net.neighbors(v):
+            if u not in seen and u not in removed:
+                seen.add(u)
+                stack.append(u)
+    return False
+
+
+def separator_oracle(net, a_nodes, b_nodes):
+    """Size of the smallest node set, party nodes included, whose removal
+    separates A from B: by Menger's theorem, the most vertex-disjoint A-B paths."""
+    for k in range(net.n_nodes + 1):
+        for cut in itertools.combinations(net.nodes, k):
+            if not reaches(net, a_nodes, set(b_nodes), frozenset(cut)):
+                return k
+
+
+def certificate_oracle(net, a_nodes, b_nodes):
+    connected = all(reaches(net, [a], {b}) for a in a_nodes for b in b_nodes)
+    return separator_oracle(net, a_nodes, b_nodes), connected
+
+
 class TestNetwork:
     def test_arrays_match_edges(self):
+        # node 0's edges summed in (tail, head) order, 0.1 + 0.2 + 0.3, give
+        # 0.6000000000000001; in insertion order they give 0.6
+        fan = Network([0, 1, 2, 3], [(0, 3, 0.3), (0, 2, 0.2), (0, 1, 0.1)])
+        assert sum(fan.p[fan.ptr[0]:fan.ptr[1]]) != direct_sums_oracle(fan, 0.05)[0]
         rng = random.Random(12)
-        for _ in range(20):
-            net = shuffled(strings(random_graph(rng, n_max=12)), rng)
+        for net in [fan] + [shuffled(strings(random_graph(rng, n_max=12)), rng) for _ in range(20)]:
             assert net.ptr[-1] == len(net.head) == 2 * net.n_edges
             for i, v in enumerate(net.nodes):
                 span = slice(net.ptr[i], net.ptr[i + 1])
                 heads = list(net.head[span])
                 assert heads == sorted(heads)
+                assert list(net.tail[span]) == [i] * len(heads)
                 for j, p, w in zip(heads, net.p[span], net.w[span]):
                     assert p == net.edge_p(v, net.nodes[j])
                     assert w == -math.log2(p)
+            # non-cooperative strengths add up in edge insertion order
+            for p_star in (0.05, 0.5, 0.9):
+                sums = direct_sums_oracle(net, p_star)
+                for v in net.nodes:
+                    assert connection_strength(net, v, NC, p_star) == sums[v] / net.n_nodes
+                want = float((np.array([sums[v] for v in net.nodes]) / net.n_nodes).sum())
+                assert total_connection_strength(net, NC, p_star) == want
 
     def test_neighbors_in_net_order(self):
         rng = random.Random(13)
@@ -799,6 +849,52 @@ class TestTopologies:
         assert cert1.disjoint_paths == 1
         _, cert32 = construct_network(3, 2)
         assert cert32.disjoint_paths >= 2
+        for n_a, n_b in itertools.product(range(1, 7), repeat=2):
+            net, cert = construct_network(n_a, n_b)
+            assert net.n_nodes == 2 * (n_a + n_b)
+            assert (cert.disjoint_paths, cert.disjoint_ok, cert.all_pairs_connected) == (
+                min(n_a, n_b), True, True)
+
+
+class TestConstructionCertificate:
+    def test_bowtie(self):
+        # two triangles sharing node 2: two edge-disjoint A-B paths, but
+        # both pass through node 2
+        net = Network(range(5), [(0, 1, 0.9), (1, 2, 0.9), (0, 2, 0.9),
+                                 (2, 3, 0.9), (3, 4, 0.9), (2, 4, 0.9)])
+        assert ng._disjoint_paths(net, [0, 1], [3, 4]) == (1, True)
+        assert certificate_oracle(net, [0, 1], [3, 4]) == (1, True)
+        # a party node counts against the paths like any other
+        assert ng._disjoint_paths(net, [2], [0, 1, 3, 4]) == (1, True)
+
+    def test_random_graphs(self):
+        rng = random.Random(21)
+        for trial in range(240):
+            net = random_graph(rng, n_max=12, p_edge=rng.choice([0.15, 0.3, 0.5]))
+            if trial % 2:
+                net = shuffled(strings(net), rng)
+            nodes = list(net.nodes)
+            rng.shuffle(nodes)
+            n_a = rng.randint(1, len(nodes) - 1)
+            n_b = rng.randint(1, len(nodes) - n_a)
+            a_nodes, b_nodes = nodes[:n_a], nodes[n_a:n_a + n_b]
+            want = certificate_oracle(net, a_nodes, b_nodes)
+            assert ng._disjoint_paths(net, a_nodes, b_nodes) == want, trial
+
+    def test_runs_without_networkx(self):
+        script = (
+            "import sys\n"
+            "sys.modules['networkx'] = None\n"
+            "from qnetlim.netgraph import construct_network\n"
+            "print(construct_network(3, 2)[1])\n"
+        )
+        src = os.path.dirname(os.path.dirname(ng.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (
+            "ConstructionCertificate(disjoint_paths=2, disjoint_ok=True, all_pairs_connected=True)\n")
 
 
 class TestPercolation:
