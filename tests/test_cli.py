@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -474,6 +475,124 @@ class TestFigureGoldens:
         code, out, _ = run_cli(capsys, "figure", fig_id)
         assert code == 0
         assert sha256(out) == self.DIGESTS[fig_id]
+
+
+class TestClosedFormGoldens:
+    """tradeoff, satellite and atmosphere: output, exit code and stderr, and the parser, pinned."""
+
+    RUNS = [
+        ("tradeoff", 0, "8c413671c1fb184b2f2e5ef8e4c7b6adf3459c1761abac0e14fe2eb3887914fe", ""),
+        ("tradeoff --alpha 0.04 --beta 0.002 --eta-s 0.97 --r 2 --q 0.99 --p-star 0.4 --f 2", 0,
+         "91b2ee6d8aa374526ed564dea27d4d796acfc85424538e8bc91d264c9a2df652", ""),
+        ("tradeoff --eta-s 0.5", 1, sha256(""),
+         "error: infeasible even at zero distance: bound is not positive\n"),
+        ("tradeoff --r 0", 2, sha256(""), "usage error: r must be >= 1\n"),
+        ("satellite --n 1", 0, "a27e86d16e47fb4ed6e8456ab5f83a9c7e0d8d338517491f7db9a94592345103", ""),
+        ("satellite --n 3 --eta-e 0.9 --eta-s 0.8 --q 0.95 --p-mem 0.05 --s 3 --alpha 0.05 "
+         "--l-b 7.5 --l-m 12.5 --eta-g 0.7 --kappa-g 0.2 --eta-crit 0.1 --convention derivation", 0,
+         "047e21505c81db6089e2747e1e7c2a786e86a181c3b1830392830720f6e01824", ""),
+        ("satellite --n 4 --convention summary", 0,
+         "09a9f3601b0d2126c5ae01420075c3aee61c28d1192a01c73a451efcec231581", ""),
+        ("satellite --n 2 --s 5 --eta-crit 0.9", 0,
+         "bb14d73baf09e01953ec4ac04568bc1d072b5efbac5651fbf2e6a2f30a54ae51", ""),
+        ("satellite --n 2 --eta-e 1.5", 2, sha256(""), "usage error: eta_e must be in [0, 1]\n"),
+        ("satellite --n 0", 2, sha256(""), "usage error: n must be >= 1\n"),
+        ("atmosphere", 0, "87a9bd502b3d16785b9bfb8d3fe35efe40a3090a07c25558086d21b27f08e6ea", ""),
+        ("atmosphere --omega0 0.02 --z-rayleigh 1000 --z 20000 --r 0.75 --sigma-r 1 "
+         "--fresnel-ratio 1 --xi-t 0.9 --xi-r 0.8 --xi-as 0.7 --eta 2", 0,
+         "5ab228a62aeff39d418735eea0f74a21100686c3a635e5d9c53242a21993cf3d", ""),
+        ("atmosphere --xi-t 1.5", 2, sha256(""), "usage error: xi_t must be in [0, 1]\n"),
+        ("atmosphere --omega0 0", 2, sha256(""),
+         "usage error: beam waist and Rayleigh range must be positive\n"),
+    ]
+
+    # (option strings, dest, type, default, required, choices), --help left out
+    OPTIONS = {
+        "tradeoff": [
+            (("--alpha",), "alpha", "float", 0.051, False, None),
+            (("--beta",), "beta", "float", 0.001, False, None),
+            (("--eta-s",), "eta_s", "float", 1.0, False, None),
+            (("--r",), "r", "int", 1, False, None),
+            (("--q",), "q", "float", 1.0, False, None),
+            (("--p-star",), "p_star", "float", 0.5, False, None),
+            (("--f",), "f", "float", None, False, None),
+            (("--out",), "out", None, None, False, None),
+        ],
+        "satellite": [
+            (("--n",), "n", "int", None, True, None),
+            (("--eta-e",), "eta_e", "float", 0.95, False, None),
+            (("--eta-s",), "eta_s", "float", 0.9, False, None),
+            (("--q",), "q", "float", 1.0, False, None),
+            (("--p-mem",), "p_mem", "float", 0.1, False, None),
+            (("--s",), "s", "int", 1, False, None),
+            (("--alpha",), "alpha", "float", 0.045454545454545456, False, None),
+            (("--l-b",), "l_b", "float", 10.0, False, None),
+            (("--l-m",), "l_m", "float", 10.0, False, None),
+            (("--eta-g",), "eta_g", "float", 0.5, False, None),
+            (("--kappa-g",), "kappa_g", "float", 0.5, False, None),
+            (("--eta-crit",), "eta_crit", "float", 0.0, False, None),
+            (("--convention",), "convention", None, "derivation", False, ["derivation", "summary"]),
+            (("--out",), "out", None, None, False, None),
+        ],
+        "atmosphere": [
+            (("--omega0",), "omega0", "float", 0.0021, False, None),
+            (("--z-rayleigh",), "z_rayleigh", "float", 17.8, False, None),
+            (("--z",), "z", "float", 0.0, False, None),
+            (("--r",), "r", "float", 0.1, False, None),
+            (("--sigma-r",), "sigma_r", "float", 0.1, False, None),
+            (("--fresnel-ratio",), "fresnel_ratio", "float", 0.1, False, None),
+            (("--xi-t",), "xi_t", "float", 1.0, False, None),
+            (("--xi-r",), "xi_r", "float", 1.0, False, None),
+            (("--xi-as",), "xi_as", "float", 1.0, False, None),
+            (("--eta",), "eta", "float", 1.0, False, None),
+            (("--out",), "out", None, None, False, None),
+        ],
+    }
+
+    # value (a function by name) and type name of every parsed option
+    NAMESPACES = {
+        "tradeoff": {
+            "alpha": (0.051, "float"), "beta": (0.001, "float"), "command": ("tradeoff", "str"),
+            "eta_s": (1.0, "float"), "f": (None, "NoneType"), "func": ("cmd_tradeoff", "function"),
+            "out": (None, "NoneType"), "p_star": (0.5, "float"), "q": (1.0, "float"), "r": (1, "int"),
+        },
+        "satellite --n 1": {
+            "alpha": (0.045454545454545456, "float"), "command": ("satellite", "str"),
+            "convention": ("derivation", "str"), "eta_crit": (0.0, "float"),
+            "eta_e": (0.95, "float"), "eta_g": (0.5, "float"), "eta_s": (0.9, "float"),
+            "func": ("cmd_satellite", "function"), "kappa_g": (0.5, "float"),
+            "l_b": (10.0, "float"), "l_m": (10.0, "float"), "n": (1, "int"),
+            "out": (None, "NoneType"), "p_mem": (0.1, "float"), "q": (1.0, "float"), "s": (1, "int"),
+        },
+        "atmosphere": {
+            "command": ("atmosphere", "str"), "eta": (1.0, "float"),
+            "fresnel_ratio": (0.1, "float"), "func": ("cmd_atmosphere", "function"),
+            "omega0": (0.0021, "float"), "out": (None, "NoneType"), "r": (0.1, "float"),
+            "sigma_r": (0.1, "float"), "xi_as": (1.0, "float"), "xi_r": (1.0, "float"),
+            "xi_t": (1.0, "float"), "z": (0.0, "float"), "z_rayleigh": (17.8, "float"),
+        },
+    }
+
+    @pytest.mark.parametrize("argv,code,digest,err", RUNS, ids=[r[0] for r in RUNS])
+    def test_run(self, capsys, argv, code, digest, err):
+        got_code, out, got_err = run_cli(capsys, *argv.split())
+        assert (got_code, sha256(out), got_err) == (code, digest, err)
+
+    @pytest.mark.parametrize("command", OPTIONS)
+    def test_options(self, command):
+        (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        got = [
+            (tuple(a.option_strings), a.dest, getattr(a.type, "__name__", None), a.default,
+             a.required, a.choices)
+            for a in sub.choices[command]._actions if a.dest != "help"
+        ]
+        assert got == self.OPTIONS[command]
+
+    @pytest.mark.parametrize("argv", NAMESPACES)
+    def test_parsed_namespace(self, argv):
+        ns = vars(cli.build_parser().parse_args(argv.split()))
+        got = {k: (v.__name__ if callable(v) else v, type(v).__name__) for k, v in ns.items()}
+        assert got == self.NAMESPACES[argv]
 
 
 _LOADED_AFTER = """
