@@ -9,12 +9,13 @@ Exit codes: 0 success, 1 data error (bad files, infeasible parameters),
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
 import sys
-from dataclasses import replace
-from typing import IO, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import MISSING, fields, replace
+from typing import IO, Iterable, List, Optional, Sequence, Tuple, get_type_hints
 
 from . import buffersim, netgraph, qstate, repeater, scenario
 
@@ -53,6 +54,11 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _field_values(args, cls) -> dict:
+    """The parsed value of each field of the dataclass cls, by field name."""
+    return {f.name: getattr(args, f.name) for f in fields(cls)}
+
+
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 # ---------------------------------------------------------------------------
@@ -85,16 +91,9 @@ def cmd_chain(args) -> List[str]:
 
 
 def cmd_tradeoff(args) -> List[str]:
-    budget = repeater.LinkBudget(
-        alpha=args.alpha, beta=args.beta, eta_s=args.eta_s,
-        r=args.r, q=args.q, p_star=args.p_star,
-    )
-    bound = repeater.critical_length_time_bound(budget)
-    params = {
-        "alpha": args.alpha, "beta": args.beta, "eta_s": args.eta_s,
-        "r": args.r, "q": args.q, "p_star": args.p_star, "f": args.f,
-    }
-    lines = _header("tradeoff", params)
+    params = _field_values(args, repeater.LinkBudget)
+    bound = repeater.critical_length_time_bound(repeater.LinkBudget(**params))
+    lines = _header("tradeoff", dict(params, f=args.f))
     lines.append("bound,feasible_at_zero,f_fold_bound")
     fb = repeater.f_fold_bound(args.f, args.p_star) if args.f else ""
     lines.append(f"{bound.bound!r},{bound.feasible_at_zero},{_fmt(fb)}")
@@ -204,33 +203,18 @@ def cmd_topology(args) -> List[str]:
 
 
 def cmd_satellite(args) -> List[str]:
-    p = scenario.SatelliteYieldParams(
-        n=args.n, eta_e=args.eta_e, eta_s=args.eta_s, q=args.q,
-        p_mem=args.p_mem, s=args.s, alpha=args.alpha,
-        l_b=args.l_b, l_m=args.l_m, eta_g=args.eta_g, kappa_g=args.kappa_g,
-        eta_crit=args.eta_crit,
-    )
+    params = _field_values(args, scenario.SatelliteYieldParams)
+    p = scenario.SatelliteYieldParams(**params)
     conv = scenario.YieldConvention(args.convention)
-    params = {k: getattr(args, k) for k in (
-        "n", "eta_e", "eta_s", "q", "p_mem", "s", "alpha", "l_b", "l_m",
-        "eta_g", "kappa_g", "eta_crit", "convention",
-    )}
-    lines = _header("satellite", params)
+    lines = _header("satellite", dict(params, convention=args.convention))
     lines.append("yield")
     lines.append(repr(scenario.satellite_yield(p, conv)))
     return lines
 
 
 def cmd_atmosphere(args) -> List[str]:
-    p = scenario.AtmosphereParams(
-        omega0=args.omega0, z_rayleigh=args.z_rayleigh, z=args.z, r=args.r,
-        sigma_r=args.sigma_r, fresnel_ratio=args.fresnel_ratio,
-        xi_t=args.xi_t, xi_r=args.xi_r, xi_as=args.xi_as, eta=args.eta,
-    )
-    params = {k: getattr(args, k) for k in (
-        "omega0", "z_rayleigh", "z", "r", "sigma_r", "fresnel_ratio",
-        "xi_t", "xi_r", "xi_as", "eta",
-    )}
+    params = _field_values(args, scenario.AtmosphereParams)
+    p = scenario.AtmosphereParams(**params)
     lines = _header("atmosphere", params)
     lines.append("transmittance")
     lines.append(repr(scenario.atmospheric_transmittance(p)))
@@ -356,30 +340,25 @@ def _fig_max_relays(task: repeater.TaskSpec, qs: Sequence[float]) -> List[str]:
     return lines
 
 
-def _fig_tradeoff_lines(curves: Sequence[Tuple[str, float]], alpha: float, beta: float) -> List[str]:
+def _fig_tradeoff_lines(curves: Sequence[Tuple[str, float]], budget: repeater.LinkBudget) -> List[str]:
     """Storage time t against fiber length l on the budget line alpha*l + beta*t = B."""
     lines = ["l_km," + ",".join(name for name, _ in curves)]
     for l in _frange(0.0, 30.0, 0.5):
         row = [f"{l}"]
         for _, bound in curves:
-            t = (bound - alpha * l) / beta
+            t = (bound - budget.alpha * l) / budget.beta
             row.append(repr(t) if t >= 0 else "")
         lines.append(",".join(row))
     return lines
 
 
-def _fig_satellite(curve_key: str, values: Sequence[float], base: dict) -> List[str]:
+def _fig_satellite(curve_key: str, values: Sequence[float], **base) -> List[str]:
     lines = ["n," + ",".join(f"yield_{curve_key}={v}" for v in values)]
     for n in range(2, 21):
         row = [str(n)]
         for v in values:
-            kw = dict(base)
-            if curve_key == "L":
-                kw["l_b"] = v / 2.0
-                kw["l_m"] = v / 2.0
-            else:
-                kw[curve_key] = v
-            p = scenario.SatelliteYieldParams(n=n, **kw)
+            swept = {"l_b": v / 2.0, "l_m": v / 2.0} if curve_key == "L" else {curve_key: v}
+            p = scenario.SatelliteYieldParams(n=n, **{**base, **swept})
             row.append(repr(scenario.satellite_yield(p)))
         lines.append(",".join(row))
     return lines
@@ -390,9 +369,7 @@ def _fig_airport(curve_key: str, values: Sequence[float], base: dict) -> List[st
     for l0 in _frange(250.0, 2000.0, 50.0):
         row = [str(l0)]
         for v in values:
-            kw = dict(base)
-            kw[curve_key] = v
-            row.append(repr(scenario.airport_yield(l0_km=l0, **kw)))
+            row.append(repr(scenario.airport_yield(l0_km=l0, **{**base, curve_key: v})))
         lines.append(",".join(row))
     return lines
 
@@ -403,20 +380,19 @@ def _fig_budget_sweep(field: str, values: Sequence[float], base: repeater.LinkBu
         (f"t_s_{field}={v}", repeater.critical_length_time_bound(replace(base, **{field: v})).bound)
         for v in values
     ]
-    return _fig_tradeoff_lines(curves, base.alpha, base.beta)
+    return _fig_tradeoff_lines(curves, base)
 
 
 def _fig12() -> List[str]:
     lines = ["l_km," + ",".join(f"eta_R_f={f}" for f in (1, 2, 4))]
     for l in _frange(0.0, 100.0, 2.0):
-        lines.append(",".join([f"{l}"] + [repr(math.exp(-0.051 * l / f)) for f in (1, 2, 4)]))
+        lines.append(",".join([f"{l}"] + [repr(math.exp(-_BUDGET.alpha * l / f)) for f in (1, 2, 4)]))
     return lines
 
 
-_BUDGET = repeater.LinkBudget(alpha=0.051, beta=0.001, eta_s=1.0, r=1, q=1.0, p_star=0.5)
-# the swept key of a satellite or airport figure overrides its base value
-_SATELLITE = dict(eta_e=0.95, eta_s=0.9, q=1.0, p_mem=0.1, s=1, alpha=1 / 22,
-                  l_b=10.0, l_m=10.0, eta_g=0.5, kappa_g=0.5)
+_BUDGET = repeater.LinkBudget()
+# the swept key of a satellite or airport figure overrides its base value;
+# a satellite figure's base is SatelliteYieldParams' defaults
 _AIRPORT = dict(length_km=4000.0, q=1.0, eta_e=0.95, eta_g=0.5, kappa_g=0.5)
 _RELAY_QS = (0.625, 0.95, 0.99)
 
@@ -429,13 +405,11 @@ _FIGURES = {
     "fig8": lambda: _fig_budget_sweep("r", (1, 2, 4), replace(_BUDGET, eta_s=0.95)),
     "fig12": _fig12,
     "fig13": lambda: _fig_tradeoff_lines(
-        [(f"t_s_f={f}", repeater.f_fold_bound(f, 0.5)) for f in (1, 2, 4)], 0.051, 0.001
+        [(f"t_s_f={f}", repeater.f_fold_bound(f, _BUDGET.p_star)) for f in (1, 2, 4)], _BUDGET
     ),
-    "fig17": lambda: _fig_satellite("L", (10.0, 20.0, 40.0), _SATELLITE),
-    "fig18": lambda: _fig_satellite(
-        "eta_s", (0.95, 0.99, 1.0), dict(_SATELLITE, p_mem=0.95, l_b=5.0, l_m=5.0)
-    ),
-    "fig19": lambda: _fig_satellite("q", (0.9, 0.95, 1.0), _SATELLITE),
+    "fig17": lambda: _fig_satellite("L", (10.0, 20.0, 40.0)),
+    "fig18": lambda: _fig_satellite("eta_s", (0.95, 0.99, 1.0), p_mem=0.95, l_b=5.0, l_m=5.0),
+    "fig19": lambda: _fig_satellite("q", (0.9, 0.95, 1.0)),
     "fig20": lambda: _fig_airport("length_km", (4000.0, 8000.0, 12000.0), _AIRPORT),
     "fig21": lambda: _fig_airport("q", (0.9, 0.95, 1.0), _AIRPORT),
     "fig34": lambda: _fig_max_relays(repeater.TaskSpec(repeater.TaskKind.TELEPORTATION), _RELAY_QS),
@@ -456,6 +430,23 @@ def cmd_figure(args) -> List[str]:
 # ---------------------------------------------------------------------------
 
 
+def _add_fields_parser(sub, name: str, summary: str, cls) -> argparse.ArgumentParser:
+    """A subcommand with one --field-name option per field of the dataclass cls.
+
+    Each option takes its field's type and default; a field without a default
+    is required. The class docstring, with the units, is the description.
+    """
+    p = sub.add_parser(name, help=summary, description=inspect.cleandoc(cls.__doc__),
+                       formatter_class=argparse.RawDescriptionHelpFormatter)
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        required = f.default is MISSING
+        p.add_argument("--" + f.name.replace("_", "-"), type=hints[f.name], required=required,
+                       default=None if required else f.default,
+                       help="required" if required else "default %(default)s")
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qnetlim",
@@ -474,13 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="evaluate a fixed repeater count instead of the maximum")
     p.set_defaults(func=cmd_chain)
 
-    p = sub.add_parser("tradeoff", help="fiber length / storage time budget")
-    p.add_argument("--alpha", type=float, default=0.051, help="fiber loss, 1/km")
-    p.add_argument("--beta", type=float, default=0.001, help="memory loss, 1/s")
-    p.add_argument("--eta-s", type=float, default=1.0, help="source efficiency")
-    p.add_argument("--r", type=int, default=1, help="repeater count >= 1")
-    p.add_argument("--q", type=float, default=1.0)
-    p.add_argument("--p-star", type=float, default=0.5)
+    p = _add_fields_parser(sub, "tradeoff", "fiber length / storage time budget", repeater.LinkBudget)
     p.add_argument("--f", type=float, help="also report the f-fold advantage bound")
     p.set_defaults(func=cmd_tradeoff)
 
@@ -518,34 +503,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edges-out", help="write the edge list here")
     p.set_defaults(func=cmd_topology)
 
-    p = sub.add_parser("satellite", help="satellite chain entanglement yield")
-    p.add_argument("--n", type=int, required=True, help="satellite-satellite links")
-    p.add_argument("--eta-e", type=float, default=0.95)
-    p.add_argument("--eta-s", type=float, default=0.9)
-    p.add_argument("--q", type=float, default=1.0)
-    p.add_argument("--p-mem", type=float, default=0.1)
-    p.add_argument("--s", type=int, default=1)
-    p.add_argument("--alpha", type=float, default=1 / 22)
-    p.add_argument("--l-b", type=float, default=10.0, help="fiber to first endpoint, km")
-    p.add_argument("--l-m", type=float, default=10.0, help="fiber to second endpoint, km")
-    p.add_argument("--eta-g", type=float, default=0.5)
-    p.add_argument("--kappa-g", type=float, default=0.5)
-    p.add_argument("--eta-crit", type=float, default=0.0)
+    p = _add_fields_parser(
+        sub, "satellite", "satellite chain entanglement yield", scenario.SatelliteYieldParams
+    )
     p.add_argument("--convention", choices=[c.value for c in scenario.YieldConvention],
                    default="derivation")
     p.set_defaults(func=cmd_satellite)
 
-    p = sub.add_parser("atmosphere", help="free-space link transmittance")
-    p.add_argument("--omega0", type=float, default=0.0021, help="beam waist, m")
-    p.add_argument("--z-rayleigh", type=float, default=17.8, help="Rayleigh range, m")
-    p.add_argument("--z", type=float, default=0.0, help="link distance, m")
-    p.add_argument("--r", type=float, default=0.1, help="aperture radius, m")
-    p.add_argument("--sigma-r", type=float, default=0.1)
-    p.add_argument("--fresnel-ratio", type=float, default=0.1)
-    p.add_argument("--xi-t", type=float, default=1.0)
-    p.add_argument("--xi-r", type=float, default=1.0)
-    p.add_argument("--xi-as", type=float, default=1.0)
-    p.add_argument("--eta", type=float, default=1.0)
+    p = _add_fields_parser(sub, "atmosphere", "free-space link transmittance", scenario.AtmosphereParams)
     p.set_defaults(func=cmd_atmosphere)
 
     p = sub.add_parser("airport", help="airport route network report")

@@ -86,14 +86,22 @@ class ChainConfig:
 
 @dataclass(frozen=True)
 class LinkBudget:
-    """Loss parameters for the fiber length / storage time trade-off."""
+    """Loss parameters for the fiber length / storage time trade-off.
 
-    alpha: float
-    beta: float
-    eta_s: float
-    r: int
-    q: float
-    p_star: float
+    alpha   fiber loss rate, 1/km
+    beta    memory loss rate, 1/s
+    eta_s   source efficiency, in [0, 1]
+    r       repeater count, >= 1
+    q       Bell measurement success probability, in [0, 1]
+    p_star  critical end-to-end success probability, in (0, 1)
+    """
+
+    alpha: float = 0.051
+    beta: float = 0.001
+    eta_s: float = 1.0
+    r: int = 1
+    q: float = 1.0
+    p_star: float = 0.5
 
     def __post_init__(self):
         if self.alpha < 0 or self.beta < 0:
@@ -131,20 +139,28 @@ class NoneFeasible(Sentinel):
 MaxRepeaters = Union[int, Unbounded, NoneFeasible]
 
 
+def _precheck(lam: float, q: float, task: TaskSpec) -> Tuple[float, Optional[MaxRepeaters]]:
+    """The task threshold, and the answer where no formula is needed.
+
+    Past it lam > gamma, so n = 0 is feasible, and the decay q lam < 1.
+    """
+    gamma = task.threshold()
+    if not 0.0 <= lam <= 1.0 or not 0.0 <= q <= 1.0:
+        raise ValueError("lam and q must be in [0, 1]")
+    if lam <= gamma:
+        return gamma, NoneFeasible()
+    return gamma, Unbounded() if q == 1.0 and lam == 1.0 else None
+
+
 def max_repeaters(lam: float, q: float, task: TaskSpec) -> MaxRepeaters:
     """Largest n with q^n lam^(n+1) strictly above the task threshold.
 
     Solved by inverting the logarithm, then verified by stepping the
     integer up or down so floating point rounding cannot shift the answer.
     """
-    gamma = task.threshold()
-    if not 0.0 <= lam <= 1.0 or not 0.0 <= q <= 1.0:
-        raise ValueError("lam and q must be in [0, 1]")
-    if lam <= gamma:
-        return NoneFeasible()
-    if q == 1.0 and lam == 1.0:
-        return Unbounded() if gamma < 1.0 else NoneFeasible()
-    # lam > gamma here, so n = 0 is feasible and the decay q lam < 1
+    gamma, known = _precheck(lam, q, task)
+    if known is not None:
+        return known
     decay = q * lam
     if decay <= 0.0:
         return 0
@@ -158,13 +174,14 @@ def max_repeaters(lam: float, q: float, task: TaskSpec) -> MaxRepeaters:
 def max_repeaters_floor_form(lam: float, q: float, task: TaskSpec) -> MaxRepeaters:
     """Published closed-form variant floor(log(lam/gamma)/log(1/(q lam))) - 1.
 
-    Conservative: can undercount max_repeaters by one.
+    Conservative: can undercount max_repeaters by one. At q lam = 0 it
+    gives NoneFeasible, its limit as q lam -> 0.
     """
-    gamma = task.threshold()
-    if lam <= gamma:
+    gamma, known = _precheck(lam, q, task)
+    if known is not None:
+        return known
+    if q * lam == 0.0:
         return NoneFeasible()
-    if q == 1.0 and lam == 1.0:
-        return Unbounded() if gamma < 1.0 else NoneFeasible()
     n = int(math.floor(math.log(lam / gamma) / math.log(1.0 / (q * lam)))) - 1
     if n < 0:
         return NoneFeasible()
@@ -201,10 +218,12 @@ class TradeOffBound:
 
 
 def critical_length_time_bound(budget: LinkBudget) -> TradeOffBound:
-    """Right side of alpha*l + beta*t < (1/2r) ln(q^r eta_s^(r+1) / p*)."""
-    val = (1.0 / (2.0 * budget.r)) * math.log(
-        budget.q**budget.r * budget.eta_s ** (budget.r + 1) / budget.p_star
-    )
+    """Right side of alpha*l + beta*t < (1/2r) ln(q^r eta_s^(r+1) / p*).
+
+    -inf when the logarithm's argument is 0, as at q = 0 or eta_s = 0.
+    """
+    arg = budget.q**budget.r * budget.eta_s ** (budget.r + 1) / budget.p_star
+    val = (1.0 / (2.0 * budget.r)) * math.log(arg) if arg > 0.0 else -math.inf
     return TradeOffBound(val, val > 0.0)
 
 

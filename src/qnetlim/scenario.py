@@ -1,8 +1,8 @@
 """Real-world link calculators: atmosphere, satellite chains, airport routes.
 
-The satellite yield composes independent loss factors (fiber, erasure,
-source, Bell measurement, memory, thermal); each factor is exposed on its
-own so the composed value can be cross-checked against their product.
+The satellite yield is the product of independent loss factors (fiber,
+erasure, source, memory, thermal, Bell measurement), each exposed on its
+own; the airport yield reuses three of them.
 """
 
 from __future__ import annotations
@@ -22,18 +22,23 @@ EARTH_RADIUS_KM = 6371.0
 class AtmosphereParams:
     """Free-space optical link parameters.
 
-    omega0 is the beam waist (m), z_rayleigh the Rayleigh range (m), z the
-    link distance (m), r the receiving aperture radius (m). sigma_r and
-    fresnel_ratio characterize turbulence; eta is the pointing-error ratio
-    sigma_p / omega_at.
+    omega0         beam waist, m
+    z_rayleigh     Rayleigh range, m
+    z              link distance, m
+    r              receiving aperture radius, m
+    sigma_r        turbulence strength; sigma_r^2 is the Rytov variance, >= 0
+    fresnel_ratio  Fresnel ratio of the turbulent beam, >= 0
+    xi_t, xi_r     transmitter and receiver loss prefactors, in [0, 1]
+    xi_as          atmospheric loss prefactor, in [0, 1]
+    eta            pointing-error ratio sigma_p / omega_at, > 0
     """
 
-    omega0: float
-    z_rayleigh: float
-    z: float
-    r: float
-    sigma_r: float
-    fresnel_ratio: float
+    omega0: float = 0.0021
+    z_rayleigh: float = 17.8
+    z: float = 0.0
+    r: float = 0.1
+    sigma_r: float = 0.1
+    fresnel_ratio: float = 0.1
     xi_t: float = 1.0
     xi_r: float = 1.0
     xi_as: float = 1.0
@@ -76,17 +81,31 @@ class YieldConvention(str, Enum):
 
 @dataclass(frozen=True)
 class SatelliteYieldParams:
+    """Loss parameters of an n-link satellite chain with fiber last miles.
+
+    n               satellite-satellite links, >= 1
+    eta_e           per-link erasure efficiency, in [0, 1]
+    eta_s           source efficiency, in [0, 1]
+    q               Bell measurement success probability, in [0, 1]
+    p_mem           depolarizing probability per memory step
+    s               memory storage steps, >= 0
+    alpha           fiber loss rate, 1/km
+    l_b, l_m        fiber to the first and to the second endpoint, km
+    eta_g, kappa_g  ground-link thermal channel: transmissivity and noise, in [0, 1]
+    eta_crit        memory fidelity below which stored pairs are deleted, in [0, 1]
+    """
+
     n: int
-    eta_e: float
-    eta_s: float
-    q: float
-    p_mem: float
-    s: int
-    alpha: float
-    l_b: float
-    l_m: float
-    eta_g: float
-    kappa_g: float
+    eta_e: float = 0.95
+    eta_s: float = 0.9
+    q: float = 1.0
+    p_mem: float = 0.1
+    s: int = 1
+    alpha: float = 1 / 22
+    l_b: float = 10.0
+    l_m: float = 10.0
+    eta_g: float = 0.5
+    kappa_g: float = 0.5
     eta_crit: float = 0.0
 
     def __post_init__(self):
@@ -140,20 +159,14 @@ def satellite_yield(
     mem = memory_factor(p.p_mem, p.s)
     if mem < p.eta_crit:
         return 0.0
-    erasure_pow = p.n - 1 if convention is YieldConvention.DERIVATION else p.n
-    out = (
-        math.exp(-p.alpha * (p.l_b + p.l_m))
-        * (p.eta_e**2) ** erasure_pow
-        * p.eta_s ** (p.n - 1)
+    return (
+        fiber_factor(p.alpha, p.l_b + p.l_m)
+        * erasure_factor(p.eta_e, p.n, convention)
+        * source_factor(p.eta_s, p.n)
         * mem
-        * (
-            p.kappa_g * (p.kappa_g - 1.0) * (p.eta_g - 1.0) ** 2
-            + 0.5 * (1.0 + p.eta_g**2)
-        )
+        * thermal_factor(p.eta_g, p.kappa_g)
+        * bell_factor(p.q, p.n, convention)
     )
-    if convention is YieldConvention.DERIVATION:
-        out *= p.q ** (p.n - 1)
-    return out
 
 
 def airport_yield(
@@ -165,7 +178,7 @@ def airport_yield(
     if length_km < l0_km:
         raise ValueError("length_km must be at least l0_km")
     n = int(length_km // l0_km)
-    return q ** (n - 1) * (eta_e**2) ** (n - 1) * thermal_factor(eta_g, kappa_g)
+    return bell_factor(q, n) * erasure_factor(eta_e, n) * thermal_factor(eta_g, kappa_g)
 
 
 # ---------------------------------------------------------------------------

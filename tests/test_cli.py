@@ -93,6 +93,12 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert "no edges" in err
 
+    @pytest.mark.parametrize("option", ["--q", "--eta-s"])
+    def test_tradeoff_zero_efficiency(self, capsys, option):
+        code, out, err = run_cli(capsys, "tradeoff", option, "0")
+        assert (code, out) == (1, "")
+        assert err == "error: infeasible even at zero distance: bound is not positive\n"
+
     def test_nqi_infeasible(self, capsys):
         code, _, err = run_cli(capsys, "nqi", "--length", "952", "--n", "10", "--q", "0.8")
         assert code == 1
@@ -118,6 +124,10 @@ class TestChain:
         n, vis, feasible = rows[1].split(",")
         assert float(vis) == pytest.approx(0.59049)
         assert feasible == "True"
+
+    def test_zero_q(self, capsys):
+        code, out, err = run_cli(capsys, "chain", "--lambda", "0.9", "--q", "0")
+        assert (code, data_rows(out)[1], err) == (0, "0,NoneFeasible", "")
 
     def test_header_lines(self, capsys):
         _, out, _ = run_cli(capsys, "chain", "--lambda", "0.9", "--task", "chsh")
@@ -401,6 +411,20 @@ class TestScenarioCommands:
         )
         rows = data_rows(out)
         assert float(rows[1]) == pytest.approx(0.3837485, abs=1e-6)
+
+    @pytest.mark.parametrize("command,units,default", [
+        ("tradeoff", "alpha   fiber loss rate, 1/km", "default 0.051"),
+        ("satellite", "l_b, l_m        fiber to the first and to the second endpoint, km",
+         "default 0.045454545454545456"),
+        ("atmosphere", "z_rayleigh     Rayleigh range, m", "default 17.8"),
+    ])
+    def test_help_prints_units_and_defaults(self, capsys, monkeypatch, command, units, default):
+        monkeypatch.setenv("COLUMNS", "100")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        out = capsys.readouterr().out
+        assert exc.value.code == 0
+        assert units in out.splitlines() and default in out
 
     def test_buffer(self, capsys, tmp_path):
         cfg = {

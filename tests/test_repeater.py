@@ -132,6 +132,16 @@ class TestMaxRepeaters:
                     gamma = task.threshold()
                     assert chain_visibility(ChainConfig(lam, q, floor)) > gamma
 
+    def test_floor_form_range_and_zero_decay(self):
+        task = TaskSpec(TaskKind.ENTANGLEMENT)
+        for lam, q in ((1.5, 0.5), (0.9, -0.1), (0.9, 1.5)):
+            with pytest.raises(ValueError):
+                max_repeaters_floor_form(lam, q, task)
+        # q lam = 0 is the floor form's limit as q lam -> 0
+        assert max_repeaters_floor_form(0.9, 0.0, task) == NoneFeasible()
+        assert max_repeaters_floor_form(0.9, 1e-300, task) == NoneFeasible()
+        assert max_repeaters(0.9, 0.0, task) == 0
+
     def test_brute_force_grid(self):
         lams = [0.75 + 0.05 * i for i in range(6)]
         for lam in lams:
@@ -193,6 +203,11 @@ class TestTradeOffs:
         assert b.bound == pytest.approx(0.31611, abs=1e-4)
         b = critical_length_time_bound(LinkBudget(0.05, 0.01, 0.5, 1, 1.0, 0.5))
         assert not b.feasible_at_zero
+
+    @pytest.mark.parametrize("q,eta_s", [(0.0, 1.0), (1.0, 0.0)])
+    def test_bound_with_a_zero_efficiency(self, q, eta_s):
+        b = critical_length_time_bound(LinkBudget(q=q, eta_s=eta_s))
+        assert (b.bound, b.feasible_at_zero) == (-math.inf, False)
 
     def test_bound_monotone_in_r(self):
         for q in (0.8, 0.9, 1.0):

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -40,6 +41,39 @@ SAT_BASE = dict(
 
 def sat_params(**overrides):
     return SatelliteYieldParams(**{**SAT_BASE, **overrides})
+
+
+def unit_draw(rng):
+    """A value in [0, 1] that is exactly 0 or 1 a fifth of the time."""
+    r = rng.random()
+    return 0.0 if r < 0.1 else 1.0 if r < 0.2 else rng.random()
+
+
+def thermal_oracle(eta_g, kappa_g):
+    return kappa_g * (kappa_g - 1.0) * (eta_g - 1.0) ** 2 + 0.5 * (1.0 + eta_g**2)
+
+
+def satellite_oracle(p, convention):
+    """satellite_yield as one inline closed form, apart from the memory factor."""
+    mem = memory_factor(p.p_mem, p.s)
+    if mem < p.eta_crit:
+        return 0.0
+    erasure_pow = p.n - 1 if convention is YieldConvention.DERIVATION else p.n
+    out = (
+        math.exp(-p.alpha * (p.l_b + p.l_m))
+        * (p.eta_e**2) ** erasure_pow
+        * p.eta_s ** (p.n - 1)
+        * mem
+        * thermal_oracle(p.eta_g, p.kappa_g)
+    )
+    if convention is YieldConvention.DERIVATION:
+        out *= p.q ** (p.n - 1)
+    return out
+
+
+def airport_oracle(length_km, l0_km, q, eta_e, eta_g, kappa_g):
+    n = int(length_km // l0_km)
+    return q ** (n - 1) * (eta_e**2) ** (n - 1) * thermal_oracle(eta_g, kappa_g)
 
 
 class TestAtmosphere:
@@ -153,6 +187,23 @@ class TestSatelliteYield:
                 )
                 assert satellite_yield(p, conv) == pytest.approx(want, abs=1e-15)
 
+    def test_matches_inline_oracle_bit_for_bit(self):
+        rng = random.Random(10)
+        got, want = [], []
+        for _ in range(10_000):
+            p = SatelliteYieldParams(
+                n=rng.randint(1, 30), eta_e=unit_draw(rng), eta_s=unit_draw(rng),
+                q=unit_draw(rng), p_mem=unit_draw(rng), s=rng.randint(0, 8),
+                alpha=rng.choice((0.0, rng.uniform(0.0, 0.2))),
+                l_b=rng.choice((0.0, rng.uniform(0.0, 50.0))), l_m=rng.uniform(0.0, 50.0),
+                eta_g=unit_draw(rng), kappa_g=unit_draw(rng),
+                eta_crit=rng.choice((0.0, unit_draw(rng))),
+            )
+            for conv in YieldConvention:
+                got.append(satellite_yield(p, conv).hex())
+                want.append(satellite_oracle(p, conv).hex())
+        assert got == want
+
     def test_reference_point(self):
         p = sat_params(q=1.0, eta_g=0.5, kappa_g=0.5)
         assert satellite_yield(p) == pytest.approx(0.1578459, abs=1e-6)
@@ -206,6 +257,17 @@ class TestAirportYield:
         got = airport_yield(5000.0, 1000.0, 0.9, 0.95, 0.5, 0.5)
         want = 0.9**4 * (0.95**2) ** 4 * thermal_factor(0.5, 0.5)
         assert got == pytest.approx(want, abs=1e-15)
+
+    def test_matches_inline_oracle_bit_for_bit(self):
+        rng = random.Random(11)
+        got, want = [], []
+        for _ in range(10_000):
+            l0 = rng.uniform(1.0, 3000.0)
+            length = rng.choice((l0, l0 * rng.uniform(1.0, 30.0)))
+            args = (length, l0, unit_draw(rng), unit_draw(rng), unit_draw(rng), unit_draw(rng))
+            got.append(airport_yield(*args).hex())
+            want.append(airport_oracle(*args).hex())
+        assert got == want
 
     def test_too_short_raises(self):
         with pytest.raises(ValueError):
