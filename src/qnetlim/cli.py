@@ -15,9 +15,12 @@ import math
 import os
 import sys
 from dataclasses import MISSING, fields, replace
-from typing import IO, Iterable, List, Optional, Sequence, Tuple, get_type_hints
+from typing import IO, TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple, get_type_hints
 
-from . import buffersim, netgraph, qstate, repeater, scenario
+from . import buffersim, repeater, scenario
+
+if TYPE_CHECKING:
+    from .netgraph import Network, NodeReport
 
 DATA_DIR_ENV = "QNETLIM_DATA_DIR"
 
@@ -95,7 +98,7 @@ def cmd_tradeoff(args) -> List[str]:
     bound = repeater.critical_length_time_bound(repeater.LinkBudget(**params))
     lines = _header("tradeoff", dict(params, f=args.f))
     lines.append("bound,feasible_at_zero,f_fold_bound")
-    fb = repeater.f_fold_bound(args.f, args.p_star) if args.f else ""
+    fb = repeater.f_fold_bound(args.f, args.p_star) if args.f is not None else ""
     lines.append(f"{bound.bound!r},{bound.feasible_at_zero},{_fmt(fb)}")
     if not bound.feasible_at_zero:
         raise DataError("infeasible even at zero distance: bound is not positive")
@@ -113,7 +116,13 @@ def cmd_nqi(args) -> List[str]:
     return lines
 
 
-def _load_net(path) -> netgraph.Network:
+# The graph commands import netgraph when they run, so that the closed-form
+# and buffer commands never load it or numpy.
+
+
+def _load_net(path) -> Network:
+    from . import netgraph
+
     try:
         net = netgraph.load_edge_list(path)
     except OSError as exc:
@@ -125,36 +134,40 @@ def _load_net(path) -> netgraph.Network:
     return net
 
 
-# graph's rows: name, metric(net, strategy, p_star)
-_GRAPH_METRICS = (
-    ("link_sparsity", lambda net, s, p: netgraph.link_sparsity(net, p, s)),
-    ("total_connection_strength", netgraph.total_connection_strength),
-    ("sparsity_index", netgraph.sparsity_index),
-)
+# graph's rows: netgraph functions of (net, strategy=, p_star=)
+_GRAPH_METRICS = ("link_sparsity", "total_connection_strength", "sparsity_index")
 
 
 def cmd_graph(args) -> List[str]:
+    from . import netgraph
+
     net = _load_net(args.infile)
     params = {"in": args.infile, "p_star": args.p_star, "weights": "bits (-log2 p)"}
     lines = _header("graph", params)
     lines.append("metric,non_cooperative,cooperative")
     nc, co = netgraph.StrategyKind.NON_COOPERATIVE, netgraph.StrategyKind.COOPERATIVE
-    for name, metric in _GRAPH_METRICS:
-        lines.append(f"{name},{metric(net, nc, args.p_star)!r},{metric(net, co, args.p_star)!r}")
+    for name in _GRAPH_METRICS:
+        metric = getattr(netgraph, name)
+        nc_value, co_value = (metric(net, strategy=s, p_star=args.p_star) for s in (nc, co))
+        lines.append(f"{name},{nc_value!r},{co_value!r}")
     avg = netgraph.average_effective_weight(net, args.p_star)
     lines.append(f"average_effective_weight_bits,{avg!r},{avg!r}")
     return lines
 
 
-def _node_rows(reports: Sequence[netgraph.NodeReport]) -> List[str]:
+def _node_rows(reports: Sequence[NodeReport]) -> List[str]:
+    from .netgraph import Undefined
+
     lines = ["node,clustering,centrality,strength,critical_parameter"]
     for r in reports:
-        nu = "undefined" if isinstance(r.critical_parameter, netgraph.Undefined) else repr(r.critical_parameter)
+        nu = "undefined" if isinstance(r.critical_parameter, Undefined) else repr(r.critical_parameter)
         lines.append(f"{r.node},{r.clustering!r},{r.centrality},{r.strength!r},{nu}")
     return lines
 
 
 def cmd_critical_nodes(args) -> List[str]:
+    from . import netgraph
+
     net = _load_net(args.infile)
     params = {"in": args.infile, "p_star": args.p_star, "top": args.top}
     reports = netgraph.critical_parameters(net, args.p_star)
@@ -162,6 +175,8 @@ def cmd_critical_nodes(args) -> List[str]:
 
 
 def cmd_path(args) -> List[str]:
+    from . import netgraph
+
     net = _load_net(args.infile)
     params = {"in": args.infile, "source": args.source, "target": args.target, "p_star": args.p_star}
     lines = _header("path", params)
@@ -179,20 +194,23 @@ def cmd_path(args) -> List[str]:
     return lines
 
 
+# topology kind -> spec(netgraph, args)
 _TOPOLOGIES = {
-    "star": lambda a: netgraph.Star(a.n, a.p),
-    "mesh": lambda a: netgraph.FullMesh(a.n, a.p),
-    "circulant": lambda a: netgraph.Circulant(a.n, a.d, a.p),
-    "grid": lambda a: netgraph.Grid(a.width, a.height, a.p),
-    "cell-square": lambda a: netgraph.ProcessorCell(netgraph.CellKind.SQUARE, a.p),
-    "cell-octagonal": lambda a: netgraph.ProcessorCell(netgraph.CellKind.OCTAGONAL, a.p),
-    "cell-heavy-hex": lambda a: netgraph.ProcessorCell(netgraph.CellKind.HEAVY_HEXAGONAL, a.p),
-    "square1024": lambda a: netgraph.Square1024(a.p),
+    "star": lambda ng, a: ng.Star(a.n, a.p),
+    "mesh": lambda ng, a: ng.FullMesh(a.n, a.p),
+    "circulant": lambda ng, a: ng.Circulant(a.n, a.d, a.p),
+    "grid": lambda ng, a: ng.Grid(a.width, a.height, a.p),
+    "cell-square": lambda ng, a: ng.ProcessorCell(ng.CellKind.SQUARE, a.p),
+    "cell-octagonal": lambda ng, a: ng.ProcessorCell(ng.CellKind.OCTAGONAL, a.p),
+    "cell-heavy-hex": lambda ng, a: ng.ProcessorCell(ng.CellKind.HEAVY_HEXAGONAL, a.p),
+    "square1024": lambda ng, a: ng.Square1024(a.p),
 }
 
 
 def cmd_topology(args) -> List[str]:
-    net = netgraph.build_topology(_TOPOLOGIES[args.kind](args))
+    from . import netgraph
+
+    net = netgraph.build_topology(_TOPOLOGIES[args.kind](netgraph, args))
     if args.edges_out:
         netgraph.save_edge_list(net, args.edges_out)
     params = {"kind": args.kind, "p": args.p, "nodes": net.n_nodes, "edges": net.n_edges}
@@ -282,7 +300,7 @@ def cmd_buffer(args) -> Tuple[List[str], IO[str]]:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"bad config contents: {exc}")
-    import tempfile  # already loaded through numpy
+    import tempfile  # only buffer spools, so only buffer pays for the import
 
     # the header's counters are known only at the end, so the rows are spooled
     rows = tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
@@ -300,6 +318,8 @@ def cmd_buffer(args) -> Tuple[List[str], IO[str]]:
 
 
 def cmd_evolve(args) -> List[str]:
+    from . import netgraph
+
     net = _load_net(args.infile)
     seq = netgraph.evolve(net, args.w, args.k, args.p_star, args.steps)
     params = {"in": args.infile, "w": args.w, "k": args.k, "p_star": args.p_star, "steps": args.steps}
@@ -430,6 +450,14 @@ def cmd_figure(args) -> List[str]:
 # ---------------------------------------------------------------------------
 
 
+def _count(text: str) -> int:
+    """argparse type of a count option: an int >= 0."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
 def _add_fields_parser(sub, name: str, summary: str, cls) -> argparse.ArgumentParser:
     """A subcommand with one --field-name option per field of the dataclass cls.
 
@@ -483,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("critical-nodes", help="critical-parameter node ranking")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--p-star", type=float, default=0.5)
-    p.add_argument("--top", type=int, default=10)
+    p.add_argument("--top", type=_count, default=10)
     p.set_defaults(func=cmd_critical_nodes)
 
     p = sub.add_parser("path", help="best path between two nodes")
@@ -518,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--routes", help="routes.csv (default from data dir)")
     p.add_argument("--data-dir", help=f"snapshot directory (default ${DATA_DIR_ENV})")
     p.add_argument("--p-star", type=float, default=0.1)
-    p.add_argument("--top", type=int, default=10)
+    p.add_argument("--top", type=_count, default=10)
     p.set_defaults(func=cmd_airport)
 
     p = sub.add_parser("buffer", help="entanglement buffer simulation")
@@ -530,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w", type=float, default=0.9)
     p.add_argument("--k", type=float, default=0.3)
     p.add_argument("--p-star", type=float, default=0.1)
-    p.add_argument("--steps", type=int, default=10)
+    p.add_argument("--steps", type=_count, default=10)
     p.set_defaults(func=cmd_evolve)
 
     p = sub.add_parser("figure", help="regenerate a figure data series as CSV")

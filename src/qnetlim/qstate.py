@@ -16,6 +16,10 @@ from typing import List, Tuple, Union
 
 import numpy as np
 
+from .yields import check_unit_interval
+# the scalar yields live in the numpy-free yields module; re-exported here
+from .yields import DepolYieldMode, depol_yield, thermal_yield  # noqa: F401
+
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIGENVALUE_TOL = 1e-10
@@ -140,10 +144,7 @@ class Thermal:
     kappa_g: float
 
     def __post_init__(self):
-        for name in ("eta_g", "kappa_g"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
+        check_unit_interval(eta_g=self.eta_g, kappa_g=self.kappa_g)
 
     def kraus_ops(self) -> List[np.ndarray]:
         eg, kg = self.eta_g, self.kappa_g
@@ -191,36 +192,6 @@ def apply_pair_channel(
             op = np.kron(ki, kj)
             out += op @ state.matrix @ op.conj().T
     return TwoQubitState(out)
-
-
-class DepolYieldMode(str, Enum):
-    PAPER_FORMULA = "paper-formula"
-    ITERATED_CHANNEL = "iterated-channel"
-
-
-def depol_yield(p: float, n: int, mode: DepolYieldMode = DepolYieldMode.PAPER_FORMULA) -> float:
-    """Fidelity with Psi+ after n two-sided depolarizing steps.
-
-    The two modes agree for n <= 2 and split for n >= 3; the closed-form
-    mode matches the published yield expression while the iterated mode
-    matches literal repeated channel application.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    mode = DepolYieldMode(mode)
-    if mode is DepolYieldMode.PAPER_FORMULA:
-        if n == 0:
-            return 1.0
-        return (1 - p) ** (2 * n) - 0.25 * (p - 2) * p * (
-            (n - 1) * (1 - p) ** (2 * (n - 1)) + 1
-        )
-    return (1.0 + 3.0 * (1.0 - p) ** (2 * n)) / 4.0
-
-
-def thermal_yield(eta_g: float, kappa_g: float) -> float:
-    """Fidelity with Psi+ after a two-sided thermal channel."""
-    Thermal(eta_g, kappa_g)  # range check
-    return 0.5 * (1.0 + eta_g**2) + kappa_g * (kappa_g - 1.0) * (1.0 - eta_g) ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Tuple, Union
 
-from . import Sentinel, qstate
+from . import Sentinel, yields
 
 CHSH_THRESHOLD = 1.0 / math.sqrt(2.0)
 TELEPORT_THRESHOLD = 1.0 / 3.0
@@ -279,7 +279,7 @@ def required_f_diqkd(
     eta_mem is the closed-form depolarizing memory yield after s_steps.
     Returns +inf when the memory factor alone is already below gamma.
     """
-    eta_mem = qstate.depol_yield(p_mem, s_steps, qstate.DepolYieldMode.PAPER_FORMULA)
+    eta_mem = yields.depol_yield(p_mem, s_steps, yields.DepolYieldMode.PAPER_FORMULA)
     if eta_mem**2 < gamma:
         return math.inf
     if eta_mem**2 == gamma:

@@ -11,9 +11,12 @@ import csv
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
-from . import netgraph, qstate
+from . import yields
+
+if TYPE_CHECKING:
+    from .netgraph import Network, NodeReport
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -87,7 +90,7 @@ class SatelliteYieldParams:
     eta_e           per-link erasure efficiency, in [0, 1]
     eta_s           source efficiency, in [0, 1]
     q               Bell measurement success probability, in [0, 1]
-    p_mem           depolarizing probability per memory step
+    p_mem           depolarizing probability per memory step, in [0, 1]
     s               memory storage steps, >= 0
     alpha           fiber loss rate, 1/km
     l_b, l_m        fiber to the first and to the second endpoint, km
@@ -111,7 +114,7 @@ class SatelliteYieldParams:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        for name in ("eta_e", "eta_s", "q", "eta_g", "kappa_g", "eta_crit"):
+        for name in ("eta_e", "eta_s", "q", "p_mem", "eta_g", "kappa_g", "eta_crit"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
@@ -141,11 +144,11 @@ def bell_factor(q: float, n: int, convention: YieldConvention = YieldConvention.
 
 
 def memory_factor(p_mem: float, s: int) -> float:
-    return qstate.depol_yield(p_mem, s, qstate.DepolYieldMode.PAPER_FORMULA)
+    return yields.depol_yield(p_mem, s, yields.DepolYieldMode.PAPER_FORMULA)
 
 
 def thermal_factor(eta_g: float, kappa_g: float) -> float:
-    return qstate.thermal_yield(eta_g, kappa_g)
+    return yields.thermal_yield(eta_g, kappa_g)
 
 
 def satellite_yield(
@@ -274,7 +277,9 @@ def route_probability(length_km: float) -> float:
     return LONG_ROUTE_P
 
 
-def load_airport_network(dataset: AirportDataset) -> netgraph.Network:
+def load_airport_network(dataset: AirportDataset) -> Network:
+    from . import netgraph
+
     coords = {a.id: (a.lat, a.lon) for a in dataset.airports}
     edges = []
     for src, dst in dataset.routes:
@@ -293,11 +298,11 @@ class AirportReport:
     mean_route_km: float
     link_sparsity: float
     total_connection_strength: float
-    top_critical_airports: List[netgraph.NodeReport]
+    top_critical_airports: List[NodeReport]
 
 
 def airport_report(
-    net: netgraph.Network, p_star: float = 0.1, top_n: int = 10
+    net: Network, p_star: float = 0.1, top_n: int = 10
 ) -> AirportReport:
     """Aggregate geography and robustness statistics of a route network.
 
@@ -307,6 +312,8 @@ def airport_report(
     lexicographically smallest path, so it does not depend on scipy's
     tie order.
     """
+    from . import netgraph
+
     if not net.coords:
         raise ValueError("network has no coordinates")
     longest = -1.0

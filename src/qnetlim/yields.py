@@ -1,0 +1,47 @@
+"""Closed-form fidelities with Psi+ after two-sided noise, in plain floats.
+
+These scalar yields are what the repeater, scenario and buffer layers
+need from the channel models. They live apart from ``qstate`` so that
+those layers, and the commands built on them, run without numpy.
+"""
+
+from __future__ import annotations
+
+from enum import Enum
+
+
+def check_unit_interval(**values: float) -> None:
+    """Raises ValueError naming the first value outside [0, 1]."""
+    for name, v in values.items():
+        if not 0.0 <= v <= 1.0:
+            raise ValueError(f"{name} must be in [0, 1], got {v}")
+
+
+class DepolYieldMode(str, Enum):
+    PAPER_FORMULA = "paper-formula"
+    ITERATED_CHANNEL = "iterated-channel"
+
+
+def depol_yield(p: float, n: int, mode: DepolYieldMode = DepolYieldMode.PAPER_FORMULA) -> float:
+    """Fidelity with Psi+ after n two-sided depolarizing steps.
+
+    The two modes agree for n <= 2 and split for n >= 3; the closed-form
+    mode matches the published yield expression while the iterated mode
+    matches literal repeated channel application.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    mode = DepolYieldMode(mode)
+    if mode is DepolYieldMode.PAPER_FORMULA:
+        if n == 0:
+            return 1.0
+        return (1 - p) ** (2 * n) - 0.25 * (p - 2) * p * (
+            (n - 1) * (1 - p) ** (2 * (n - 1)) + 1
+        )
+    return (1.0 + 3.0 * (1.0 - p) ** (2 * n)) / 4.0
+
+
+def thermal_yield(eta_g: float, kappa_g: float) -> float:
+    """Fidelity with Psi+ after a two-sided thermal channel."""
+    check_unit_interval(eta_g=eta_g, kappa_g=kappa_g)
+    return 0.5 * (1.0 + eta_g**2) + kappa_g * (kappa_g - 1.0) * (1.0 - eta_g) ** 2

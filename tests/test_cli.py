@@ -104,6 +104,32 @@ class TestExitCodes:
         assert code == 1
         assert "bound" in err
 
+    @pytest.mark.parametrize("f", ["0", "0.5"])
+    def test_tradeoff_f_below_one(self, capsys, f):
+        code, out, err = run_cli(capsys, "tradeoff", "--f", f)
+        assert (code, out, err) == (2, "", "usage error: f must be >= 1\n")
+
+    @pytest.mark.parametrize("p_mem", ["3", "-1"])
+    def test_satellite_p_mem_out_of_range(self, capsys, p_mem):
+        code, out, err = run_cli(capsys, "satellite", "--n", "2", "--p-mem", p_mem)
+        assert (code, out, err) == (2, "", "usage error: p_mem must be in [0, 1]\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["critical-nodes", "--top", "-1"],
+        ["airport", "--top", "-1"],
+        ["evolve", "--steps", "-1"],
+    ], ids=" ".join)
+    def test_negative_count_is_a_usage_error(self, capsys, edge_file, argv):
+        extra = [] if argv[0] == "airport" else ["--in", edge_file]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, *extra])
+        assert exc.value.code == 2
+        assert f"argument {argv[1]}: must be >= 0, got -1" in capsys.readouterr().err
+
+    def test_top_zero_prints_no_rows(self, capsys, edge_file):
+        code, out, _ = run_cli(capsys, "critical-nodes", "--top", "0", "--in", edge_file)
+        assert (code, data_rows(out)) == (0, ["node,clustering,centrality,strength,critical_parameter"])
+
 
 class TestChain:
     def test_max_repeaters_output(self, capsys):
@@ -622,28 +648,33 @@ class TestClosedFormGoldens:
 _LOADED_AFTER = """
 import contextlib, io, json, sys
 from qnetlim.cli import main
+HEAVY = {"numpy", "scipy", "networkx", "qnetlim.netgraph", "qnetlim.qstate"}
 loaded = {}
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
-    loaded[" ".join(argv)] = [code, *sorted({"scipy", "networkx"} & sys.modules.keys())]
+    loaded[" ".join(argv)] = [code, *sorted(HEAVY & sys.modules.keys())]
 print(json.dumps(loaded))
 """
 
 
+def src_env():
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def loaded_after(*argvs):
     """Exit code and heavy modules loaded after each command, in one fresh interpreter."""
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-c", _LOADED_AFTER, json.dumps(argvs)],
-        env=env, capture_output=True, text=True, check=True,
+        env=src_env(), capture_output=True, text=True, check=True,
     )
     return json.loads(proc.stdout)
 
 
 class TestImportHygiene:
-    """Commands that never build a graph leave scipy and networkx unimported."""
+    """Commands that never build a graph leave numpy, scipy, netgraph and qstate unimported."""
 
     def test_closed_form_commands(self, tmp_path):
         (tmp_path / "sim.json").write_text(json.dumps(buffer_config(1, 3, 60)))
@@ -655,11 +686,23 @@ class TestImportHygiene:
             ["atmosphere"],
             *(["figure", fig_id] for fig_id in FIGURE_IDS),
             ["buffer", "--config", str(tmp_path / "sim.json")],
-            ["topology", "--kind", "grid"],
         ]
         loaded = loaded_after(*argvs)
         assert loaded == {" ".join(argv): [0] for argv in argvs}
 
+    def test_topology_loads_numpy_not_scipy(self):
+        (loaded,) = loaded_after(["topology", "--kind", "grid"]).values()
+        assert loaded == [0, "numpy", "qnetlim.netgraph"]
+
     def test_graph_loads_scipy(self, edge_file):
         (loaded,) = loaded_after(["graph", "--in", edge_file]).values()
         assert loaded[0] == 0 and "scipy" in loaded
+
+    def test_package_attribute_imports_netgraph(self):
+        code = (
+            "import sys, qnetlim.cli, qnetlim\n"
+            "assert 'qnetlim.netgraph' not in sys.modules\n"
+            "assert getattr(qnetlim, 'netgraph') is sys.modules['qnetlim.netgraph']\n"
+            "assert getattr(qnetlim, 'no_such_module', None) is None\n"
+        )
+        subprocess.run([sys.executable, "-c", code], env=src_env(), check=True)

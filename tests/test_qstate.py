@@ -130,6 +130,20 @@ class TestYields:
                     thermal_yield(eta_g, kappa_g), abs=1e-10
                 )
 
+    def test_reexported_from_yields(self):
+        from qnetlim import yields
+
+        assert qstate.depol_yield is yields.depol_yield
+        assert qstate.thermal_yield is yields.thermal_yield
+        assert qstate.DepolYieldMode is yields.DepolYieldMode
+
+    @pytest.mark.parametrize("eta_g,kappa_g,bad", [(1.2, 0.0, "eta_g"), (0.5, -0.1, "kappa_g"),
+                                                   (math.nan, 0.5, "eta_g")])
+    def test_thermal_range_shared_with_channel(self, eta_g, kappa_g, bad):
+        for build in (thermal_yield, Thermal):
+            with pytest.raises(ValueError, match=f"^{bad} must be in \\[0, 1\\]"):
+                build(eta_g, kappa_g)
+
 
 class TestSwap:
     def test_isotropic_composition(self):
