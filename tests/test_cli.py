@@ -126,6 +126,14 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert f"argument {argv[1]}: must be >= 0, got -1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("task,err", [
+        ("diqkd", "DIQKD requires theta in (0, pi/2)"),
+        ("custom", "Custom requires p_star in (0, 1)"),
+    ])
+    def test_task_without_its_parameter(self, capsys, task, err):
+        code, out, got = run_cli(capsys, "chain", "--lambda", "0.9", "--task", task)
+        assert (code, out, got) == (2, "", f"usage error: {err}\n")
+
     def test_top_zero_prints_no_rows(self, capsys, edge_file):
         code, out, _ = run_cli(capsys, "critical-nodes", "--top", "0", "--in", edge_file)
         assert (code, data_rows(out)) == (0, ["node,clustering,centrality,strength,critical_parameter"])
