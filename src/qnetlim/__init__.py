@@ -10,12 +10,17 @@ Subpackages:
 - ``buffersim``: deterministic entanglement-buffer simulation
 - ``cli``      : command-line front end (``python -m qnetlim``)
 
-Only ``qstate`` and ``netgraph`` import numpy. A submodule is imported on
-first access as an attribute of the package, so ``qnetlim.netgraph`` works
-after ``import qnetlim`` alone.
+``Range`` declares the values a scalar parameter may take, once, and
+checks them. Only ``qstate`` and ``netgraph`` import numpy. A submodule is
+imported on first access as an attribute of the package, so
+``qnetlim.netgraph`` works after ``import qnetlim`` alone.
 """
 
+import math
 import sys
+from dataclasses import MISSING, field, fields
+from functools import cache
+from typing import Optional
 
 __version__ = "0.1.0"
 
@@ -44,3 +49,59 @@ class Sentinel:
 
     def __hash__(self):
         return hash(type(self).__name__)
+
+
+def _bound(text: str) -> float:
+    """A range bound: a number or pi, optionally over a number ("pi/2", "4/3")."""
+    num, _, den = text.partition("/")
+    return (math.pi if num == "pi" else float(num)) / float(den or 1)
+
+
+class Range:
+    """The values a scalar parameter may take, declared as a message shows them.
+
+    spec is "[lo, hi]", with "(" or ")" at an open end, or ">= lo" or
+    "> lo" for a range with no upper bound, which excludes +inf. min and max
+    are the smallest and largest floats in the range, an open end being the
+    nearest float inside it, so check is one test min <= v <= max, which
+    NaN fails. check raises ValueError, also for None, with message, by
+    default "{name} must be {text}".
+    """
+
+    def __init__(self, spec: str, message: Optional[str] = None):
+        self.text = spec if spec[0] == ">" else "in " + spec
+        self.message = message
+        if spec[0] == ">":  # "> lo" is "(lo, inf)", ">= lo" is "[lo, inf)"
+            op, _, lo = spec.partition(" ")
+            spec = ("(" if op == ">" else "[") + lo + ", inf)"
+        lo, hi = map(_bound, spec[1:-1].split(", "))
+        self.min = math.nextafter(lo, math.inf) if spec[0] == "(" else lo
+        self.max = math.nextafter(hi, -math.inf) if spec[-1] == ")" else hi
+
+    def check(self, name: str, v) -> None:
+        if v is None or not self.min <= v <= self.max:
+            raise ValueError(self.message or f"{name} must be {self.text}")
+
+
+UNIT = Range("[0, 1]")  # every probability, efficiency and fidelity
+
+
+def ranged(spec: str, default=MISSING, message: Optional[str] = None):
+    """A dataclass field whose values lie in Range(spec, message); see check_fields."""
+    return field(default=default, metadata={"range": Range(spec, message)})
+
+
+@cache
+def _ranged_fields(cls) -> tuple:
+    """(name, range, annotated int) of each field of cls that declares a Range."""
+    return tuple((f.name, f.metadata["range"], f.type in ("int", int))
+                 for f in fields(cls) if "range" in f.metadata)
+
+
+def check_fields(obj) -> None:
+    """Checks each Range a field of the dataclass obj declares; an int field must hold an int."""
+    for name, rng, integer in _ranged_fields(type(obj)):
+        v = getattr(obj, name)
+        if integer and not isinstance(v, int):
+            raise ValueError(f"{name} must be an integer")
+        rng.check(name, v)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from . import yields
+from . import UNIT, Range, check_fields, ranged, yields
 
 
 class DecayMode(str, Enum):
@@ -75,12 +75,9 @@ class MemoryHeap:
         eta_crit: float,
         decay_mode: DecayMode = DecayMode.ITERATED,
     ):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        if not 0.0 <= p_mem <= 1.0:
-            raise ValueError("p_mem must be in [0, 1]")
-        if not 0.0 <= eta_crit <= 1.0:
-            raise ValueError("eta_crit must be in [0, 1]")
+        Range(">= 1").check("capacity", capacity)
+        UNIT.check("p_mem", p_mem)
+        UNIT.check("eta_crit", eta_crit)
         self.capacity = capacity
         self.p_mem = p_mem
         self.eta_crit = eta_crit
@@ -219,7 +216,9 @@ class Arrival:
     tick: int
     producer_id: str
     pair_id: str
-    f0: float = 1.0
+    f0: float = ranged("[0, 1]", 1.0)
+
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
@@ -237,13 +236,12 @@ class SimConfig:
     eta_crit: float
     arrivals: Tuple[Arrival, ...]
     flows: Tuple[FlowRequest, ...]
-    horizon: int
+    horizon: int = ranged(">= 1")
     decay_mode: DecayMode = DecayMode.ITERATED
     service_order: ServiceOrder = ServiceOrder.HIGHEST_FIDELITY
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        check_fields(self)
         if len({f.flow_id for f in self.flows}) != len(self.flows):
             raise ValueError("duplicate flow ids")
         if len({a.pair_id for a in self.arrivals}) != len(self.arrivals):

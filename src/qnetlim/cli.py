@@ -462,7 +462,8 @@ def _add_fields_parser(sub, name: str, summary: str, cls) -> argparse.ArgumentPa
     """A subcommand with one --field-name option per field of the dataclass cls.
 
     Each option takes its field's type and default; a field without a default
-    is required. The class docstring, with the units, is the description.
+    is required. Its help adds the field's range. The class docstring, with
+    the units, is the description.
     """
     p = sub.add_parser(name, help=summary, description=inspect.cleandoc(cls.__doc__),
                        formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -471,7 +472,8 @@ def _add_fields_parser(sub, name: str, summary: str, cls) -> argparse.ArgumentPa
         required = f.default is MISSING
         p.add_argument("--" + f.name.replace("_", "-"), type=hints[f.name], required=required,
                        default=None if required else f.default,
-                       help="required" if required else "default %(default)s")
+                       help=("required" if required else "default %(default)s")
+                       + ", " + f.metadata["range"].text)
     return p
 
 

@@ -22,9 +22,12 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from . import Sentinel
+from . import Range, Sentinel
 
 NodeId = Union[int, str]
+_EDGE_P = Range("(0, 1]")
+# the one range of p_star, checked wherever p_star enters a computation
+_P_STAR = Range("(0, 1)")
 
 
 def _csr_matrix(*args, **kwargs):
@@ -83,8 +86,7 @@ class Network:
                 raise ValueError(f"self-loop on node {a!r}")
             if a not in self.index or b not in self.index:
                 raise ValueError(f"edge references unknown node: {a!r}-{b!r}")
-            if not 0.0 < p <= 1.0:
-                raise ValueError(f"edge probability must be in (0, 1], got {p}")
+            _EDGE_P.check("edge probability", p)
             self.edges[_edge_key(a, b)] = p
         self.coords = dict(coords) if coords else None
 
@@ -129,10 +131,8 @@ class StrategyKind(str, Enum):
 
 def effective_weight(p: float, p_star: float) -> float:
     """-log2 p in bits when p >= p_star, else +inf."""
-    if not 0.0 < p <= 1.0:
-        raise ValueError("p must be in (0, 1]")
-    if not 0.0 < p_star < 1.0:
-        raise ValueError("p_star must be in (0, 1)")
+    _EDGE_P.check("p", p)
+    _P_STAR.check("p_star", p_star)
     if p < p_star:
         return math.inf
     return -math.log2(p)
@@ -175,6 +175,7 @@ def _best_weights(net: Network, p_star: float) -> np.ndarray:
     keep the previous n x n array alive through it. The array is shared,
     so it is read-only.
     """
+    _P_STAR.check("p_star", p_star)
     key = (net, p_star)
     if key not in _BEST_WEIGHTS:
         _BEST_WEIGHTS.clear()
@@ -256,6 +257,7 @@ def _lex_dijkstra(net: Network, source: NodeId) -> Dict[NodeId, Tuple[float, Tup
 
 def shortest_path(net: Network, source: NodeId, target: NodeId, p_star: float) -> PathResult:
     """Minimum-weight path, Found only when its product probability >= p_star."""
+    _P_STAR.check("p_star", p_star)
     for v in (source, target):
         if v not in net.index:
             raise KeyError(f"unknown node {v!r}")
@@ -275,6 +277,7 @@ def link_sparsity(net: Network, p_star: float, strategy: StrategyKind) -> float:
     if n == 0:
         raise ValueError("empty network")
     if strategy is StrategyKind.NON_COOPERATIVE:
+        _P_STAR.check("p_star", p_star)
         n_star = int(np.count_nonzero(net.p >= p_star))
     else:
         n_star = int(np.count_nonzero(_f_star(net, p_star)))
@@ -308,6 +311,7 @@ def connection_strength(
 
 def _direct_sums(net: Network, p_star: float) -> np.ndarray:
     """Per node, the sum of its edges' p >= p_star, in edge insertion order."""
+    _P_STAR.check("p_star", p_star)
     ends, p = np.empty_like(net.tail), np.empty_like(net.p)
     ends[net.order], p[net.order] = net.tail, net.p
     strong = p >= p_star
@@ -358,6 +362,7 @@ def _neighbor_metrics(
     out block-diagonally, a chunk at a time, for one all-pairs call. It is
     nan for a node with fewer than two neighbours.
     """
+    _P_STAR.check("p_star", p_star)
     n = net.n_nodes
     sel = np.arange(n) if nodes is None else np.asarray(nodes, dtype=np.int64)
     tail, head, p, ptr = net.tail, net.head, net.p, net.ptr
@@ -446,6 +451,7 @@ class _SweepGraph:
 
 
 def _sweep_graph(net: Network, p_star: float) -> _SweepGraph:
+    _P_STAR.check("p_star", p_star)
     budget = -math.log2(p_star)
     ids = sorted(net.nodes)
     number = np.empty(net.n_nodes, np.int64)
@@ -694,13 +700,6 @@ class FullMesh:
 
 
 @dataclass(frozen=True)
-class PartialMesh:
-    n: int
-    edge_list: Tuple[Tuple[int, int], ...]
-    p: float
-
-
-@dataclass(frozen=True)
 class Circulant:
     n: int
     d: int
@@ -725,7 +724,7 @@ class Square1024:
     p: float
 
 
-TopologySpec = Union[Star, FullMesh, PartialMesh, Circulant, Grid, ProcessorCell, Square1024]
+TopologySpec = Union[Star, FullMesh, Circulant, Grid, ProcessorCell, Square1024]
 
 
 def build_topology(spec: TopologySpec) -> Network:
@@ -744,8 +743,6 @@ def build_topology(spec: TopologySpec) -> Network:
             raise ValueError("mesh needs n >= 2")
         edges = [(i, j, spec.p) for i in range(spec.n) for j in range(i + 1, spec.n)]
         return Network(range(spec.n), edges)
-    if isinstance(spec, PartialMesh):
-        return Network(range(spec.n), [(a, b, spec.p) for a, b in spec.edge_list])
     if isinstance(spec, Circulant):
         n, d, p = spec.n, spec.d, spec.p
         if d < 1 or d >= n:
@@ -871,12 +868,10 @@ def critically_large_check(net: Network, p_star: float, c: float) -> CriticalSiz
     count with c**n0 < p_star; a pair at graph distance of at least
     ceil(log p_star / log c) + 1 certifies the network critically large.
     """
-    if not 0.0 < c < 1.0:
-        raise ValueError("c must be in (0, 1)")
+    Range("(0, 1)").check("c", c)
     if (net.p > c).any():
         raise ValueError("some edge probability exceeds c")
-    if not 0.0 < p_star < 1.0:
-        raise ValueError("p_star must be in (0, 1)")
+    _P_STAR.check("p_star", p_star)
     n0 = 1
     while c**n0 >= p_star:
         n0 += 1
@@ -917,22 +912,21 @@ def evolve(
     An edge whose updated probability would not stay above p_star closes
     permanently (probability 0, removed). Returns the network and its
     cooperative link sparsity for t = 1 .. steps, starting from the given
-    network at t = 1.
+    network at t = 1; none for steps = 0.
     """
-    if not 0.0 < w <= 1.0:
-        raise ValueError("w must be in (0, 1]")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    current = net
-    out = [(current, link_sparsity(current, p_star, StrategyKind.COOPERATIVE))]
-    for t in range(1, steps):
-        factor = w * math.exp(-k * t)
-        new_edges = {}
-        for key, p in current.edges.items():
-            p_next = factor * p
-            if p_next > p_star:
-                new_edges[key] = p_next
-        current = Network(current.nodes, new_edges, current.coords)
+    Range("(0, 1]").check("w", w)
+    Range(">= 0").check("k", k)
+    _P_STAR.check("p_star", p_star)
+    current, out = net, []
+    for t in range(steps):
+        if t:
+            factor = w * math.exp(-k * t)
+            new_edges = {}
+            for key, p in current.edges.items():
+                p_next = factor * p
+                if p_next > p_star:
+                    new_edges[key] = p_next
+            current = Network(current.nodes, new_edges, current.coords)
         out.append((current, link_sparsity(current, p_star, StrategyKind.COOPERATIVE)))
     return out
 

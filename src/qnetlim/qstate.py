@@ -10,13 +10,13 @@ The maximally entangled states use the convention
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import List, Tuple, Union
 
 import numpy as np
 
-from .yields import check_unit_interval
+from . import UNIT, Range, check_fields, ranged
 # the scalar yields live in the numpy-free yields module; re-exported here
 from .yields import DepolYieldMode, depol_yield, thermal_yield  # noqa: F401
 
@@ -76,8 +76,7 @@ def make_bell(kind: BellKind) -> TwoQubitState:
 
 def make_isotropic(visibility: float) -> TwoQubitState:
     """lam * Psi+ + (1 - lam) * I/4 for visibility lam in [0, 1]."""
-    if not 0.0 <= visibility <= 1.0:
-        raise ValueError(f"visibility must be in [0, 1], got {visibility}")
+    UNIT.check("visibility", visibility)
     psi = make_bell(BellKind.PSI_PLUS).matrix
     return TwoQubitState(visibility * psi + (1.0 - visibility) * np.eye(4) / 4.0)
 
@@ -95,13 +94,11 @@ def fidelity_psi_plus(state: TwoQubitState) -> float:
 
 @dataclass(frozen=True)
 class Depolarizing:
-    """Qubit depolarizing channel, p in [0, 4/3]."""
+    """Qubit depolarizing channel."""
 
-    p: float
+    p: float = ranged("[0, 4/3]")
 
-    def __post_init__(self):
-        if not 0.0 <= self.p <= 4.0 / 3.0:
-            raise ValueError(f"depolarizing parameter must be in [0, 4/3], got {self.p}")
+    __post_init__ = check_fields
 
     def kraus_ops(self) -> List[np.ndarray]:
         k0 = math.sqrt(1.0 - 3.0 * self.p / 4.0) * _I2.astype(complex)
@@ -117,11 +114,9 @@ class Erasure:
     level is the erasure flag; completeness holds on the qubit input space.
     """
 
-    eta_e: float
+    eta_e: float = ranged("[0, 1]")
 
-    def __post_init__(self):
-        if not 0.0 <= self.eta_e <= 1.0:
-            raise ValueError(f"erasure parameter must be in [0, 1], got {self.eta_e}")
+    __post_init__ = check_fields
 
     def kraus_ops(self) -> List[np.ndarray]:
         keep = math.sqrt(self.eta_e) * np.array(
@@ -138,13 +133,12 @@ class Erasure:
 
 @dataclass(frozen=True)
 class Thermal:
-    """Qubit thermal-loss channel (GADC reparameterization), eta_g, kappa_g in [0, 1]."""
+    """Qubit thermal-loss channel (GADC reparameterization)."""
 
-    eta_g: float
-    kappa_g: float
+    eta_g: float = ranged("[0, 1]")
+    kappa_g: float = ranged("[0, 1]")
 
-    def __post_init__(self):
-        check_unit_interval(eta_g=self.eta_g, kappa_g=self.kappa_g)
+    __post_init__ = check_fields
 
     def kraus_ops(self) -> List[np.ndarray]:
         eg, kg = self.eta_g, self.kappa_g
@@ -235,8 +229,7 @@ def bell_swap(state1: TwoQubitState, state2: TwoQubitState, q: float) -> SwapOut
     visibilities lam1, lam2 it equals the isotropic state of visibility
     q * lam1 * lam2.
     """
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q must be in [0, 1], got {q}")
+    UNIT.check("q", q)
     # joint state on (A, A', B', B)
     joint = np.kron(state1.matrix, state2.matrix).reshape([2] * 8)
     branches: List[SwapBranch] = []
@@ -311,10 +304,8 @@ class TeleportFidelity:
 
 def teleport_fidelity(singlet_fraction: float, d: int = 2) -> TeleportFidelity:
     """Best teleportation fidelity from singlet fraction f on a d x d system."""
-    if not 0.0 <= singlet_fraction <= 1.0:
-        raise ValueError("singlet fraction must be in [0, 1]")
-    if d < 2:
-        raise ValueError("d must be >= 2")
+    UNIT.check("singlet_fraction", singlet_fraction)
+    Range(">= 2").check("d", d)
     return TeleportFidelity(
         (singlet_fraction * d + 1.0) / (d + 1.0), 2.0 / (d + 1.0)
     )
@@ -322,14 +313,10 @@ def teleport_fidelity(singlet_fraction: float, d: int = 2) -> TeleportFidelity:
 
 @dataclass(frozen=True)
 class TiltedChshParams:
-    alpha: float
-    beta: float
+    alpha: float = ranged(">= 1")
+    beta: float = ranged(">= 0")
 
-    def __post_init__(self):
-        if self.alpha < 1.0:
-            raise ValueError("alpha must be >= 1")
-        if self.beta < 0.0:
-            raise ValueError("beta must be >= 0")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
@@ -348,9 +335,7 @@ def isotropic_separable(visibility: float, d: int = 2) -> bool:
 
     For d = 2 this reduces to lam <= 1/3.
     """
-    if not 0.0 <= visibility <= 1.0:
-        raise ValueError("visibility must be in [0, 1]")
-    if d < 2:
-        raise ValueError("d must be >= 2")
+    UNIT.check("visibility", visibility)
+    Range(">= 2").check("d", d)
     p = (visibility * (d**2 - 1) + 1.0) / d**2
     return p <= 1.0 / d + 1e-15

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Tuple, Union
 
-from . import Sentinel, yields
+from . import UNIT, Range, Sentinel, check_fields, ranged, yields
 
 CHSH_THRESHOLD = 1.0 / math.sqrt(2.0)
 TELEPORT_THRESHOLD = 1.0 / 3.0
@@ -34,6 +34,15 @@ class EntanglementMode(str, Enum):
     PAPER_APPENDIX_H = "paper-appendix-h"
 
 
+_OPEN_UNIT = Range("(0, 1)")
+_THETA = Range("(0, pi/2)")
+# the parameter a task kind requires, and its range
+_TASK_PARAMETERS = {
+    TaskKind.DIQKD: ("theta", Range("(0, pi/2)", "DIQKD requires theta in (0, pi/2)")),
+    TaskKind.CUSTOM: ("p_star", Range("(0, 1)", "Custom requires p_star in (0, 1)")),
+}
+
+
 @dataclass(frozen=True)
 class TaskSpec:
     """A task together with its critical visibility threshold.
@@ -48,12 +57,9 @@ class TaskSpec:
     entanglement_mode: EntanglementMode = EntanglementMode.PPT_THRESHOLD
 
     def __post_init__(self):
-        if self.kind is TaskKind.DIQKD:
-            if self.theta is None or not 0.0 < self.theta < math.pi / 2:
-                raise ValueError("DIQKD requires theta in (0, pi/2)")
-        if self.kind is TaskKind.CUSTOM:
-            if self.p_star is None or not 0.0 < self.p_star < 1.0:
-                raise ValueError("Custom requires p_star in (0, 1)")
+        if self.kind in _TASK_PARAMETERS:
+            name, rng = _TASK_PARAMETERS[self.kind]
+            rng.check(name, getattr(self, name))
 
     def threshold(self) -> float:
         if self.kind is TaskKind.CHSH:
@@ -71,17 +77,11 @@ class TaskSpec:
 
 @dataclass(frozen=True)
 class ChainConfig:
-    lam: float
-    q: float
-    n: int
+    lam: float = ranged("[0, 1]")
+    q: float = ranged("[0, 1]")
+    n: int = ranged(">= 0")
 
-    def __post_init__(self):
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError("lam must be in [0, 1]")
-        if not 0.0 <= self.q <= 1.0:
-            raise ValueError("q must be in [0, 1]")
-        if self.n < 0:
-            raise ValueError("n must be >= 0")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
@@ -90,30 +90,20 @@ class LinkBudget:
 
     alpha   fiber loss rate, 1/km
     beta    memory loss rate, 1/s
-    eta_s   source efficiency, in [0, 1]
-    r       repeater count, >= 1
-    q       Bell measurement success probability, in [0, 1]
-    p_star  critical end-to-end success probability, in (0, 1)
+    eta_s   source efficiency
+    r       repeater count
+    q       Bell measurement success probability
+    p_star  critical end-to-end success probability
     """
 
-    alpha: float = 0.051
-    beta: float = 0.001
-    eta_s: float = 1.0
-    r: int = 1
-    q: float = 1.0
-    p_star: float = 0.5
+    alpha: float = ranged(">= 0", 0.051)
+    beta: float = ranged(">= 0", 0.001)
+    eta_s: float = ranged("[0, 1]", 1.0)
+    r: int = ranged(">= 1", 1)
+    q: float = ranged("[0, 1]", 1.0)
+    p_star: float = ranged("(0, 1)", 0.5)
 
-    def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("loss rates must be nonnegative")
-        if not 0.0 <= self.eta_s <= 1.0:
-            raise ValueError("eta_s must be in [0, 1]")
-        if self.r < 1:
-            raise ValueError("r must be >= 1")
-        if not 0.0 <= self.q <= 1.0:
-            raise ValueError("q must be in [0, 1]")
-        if not 0.0 < self.p_star < 1.0:
-            raise ValueError("p_star must be in (0, 1)")
+    __post_init__ = check_fields
 
 
 def chain_visibility(cfg: ChainConfig) -> float:
@@ -122,8 +112,7 @@ def chain_visibility(cfg: ChainConfig) -> float:
 
 def critical_visibility_diqkd(theta: float) -> float:
     """Visibility below which the one-parameter-family key rate vanishes."""
-    if not 0.0 < theta < math.pi / 2:
-        raise ValueError("theta must be in (0, pi/2)")
+    _THETA.check("theta", theta)
     gamma_l = 1.0 / (math.cos(theta) + math.sin(theta))
     return (gamma_l + 1.0) / (3.0 - gamma_l)
 
@@ -145,8 +134,8 @@ def _precheck(lam: float, q: float, task: TaskSpec) -> Tuple[float, Optional[Max
     Past it lam > gamma, so n = 0 is feasible, and the decay q lam < 1.
     """
     gamma = task.threshold()
-    if not 0.0 <= lam <= 1.0 or not 0.0 <= q <= 1.0:
-        raise ValueError("lam and q must be in [0, 1]")
+    UNIT.check("lam", lam)
+    UNIT.check("q", q)
     if lam <= gamma:
         return gamma, NoneFeasible()
     return gamma, Unbounded() if q == 1.0 and lam == 1.0 else None
@@ -229,10 +218,8 @@ def critical_length_time_bound(budget: LinkBudget) -> TradeOffBound:
 
 def f_fold_bound(f: float, p_star: float) -> float:
     """Largest alpha*l_c + beta*t_c compatible with an f-fold advantage."""
-    if f < 1.0:
-        raise ValueError("f must be >= 1")
-    if not 0.0 < p_star < 1.0:
-        raise ValueError("p_star must be in (0, 1)")
+    Range(">= 1").check("f", f)
+    _OPEN_UNIT.check("p_star", p_star)
     return -f * math.log(p_star)
 
 
@@ -244,24 +231,22 @@ class StarFactor:
 
 def star_repeater_factor(n: int) -> StarFactor:
     """Improvement factor 2 sin(pi/n) of a central node in a regular n-gon."""
-    if n < 3:
-        raise ValueError("n must be >= 3")
+    Range(">= 3").check("n", n)
     return StarFactor(2.0 * math.sin(math.pi / n), n < 6)
 
 
 def required_f_lattice(r: int, length_km: float, alpha: float, eps: float) -> float:
     """Improvement factor needed to span r links of given length: r L alpha / ln(1/eps)."""
-    if eps >= 1.0 or eps <= 0.0:
-        raise ValueError("eps must be in (0, 1)")
-    if r < 1 or length_km <= 0 or alpha <= 0:
-        raise ValueError("r, length and alpha must be positive")
+    _OPEN_UNIT.check("eps", eps)
+    Range(">= 1").check("r", r)
+    Range("> 0").check("length_km", length_km)
+    Range("> 0").check("alpha", alpha)
     return r * length_km * alpha / math.log(1.0 / eps)
 
 
 def max_length_lattice(f: float, alpha: float, eps: float) -> float:
     """Companion bound L <= (f/alpha) ln(1/eps) for a single link."""
-    if eps >= 1.0 or eps <= 0.0:
-        raise ValueError("eps must be in (0, 1)")
+    _OPEN_UNIT.check("eps", eps)
     return (f / alpha) * math.log(1.0 / eps)
 
 
@@ -293,10 +278,9 @@ def nqi_alpha_bound(length_km: float, n: int, q: float) -> Optional[float]:
     alpha < ln(3 q^n) / (L (1 + 1/n)), natural log. None when 3 q^n <= 1,
     in which case no positive loss rate works.
     """
-    if length_km <= 0 or n < 1:
-        raise ValueError("length and n must be positive")
-    if not 0.0 < q <= 1.0:
-        raise ValueError("q must be in (0, 1]")
+    Range("> 0").check("length_km", length_km)
+    Range(">= 1").check("n", n)
+    Range("(0, 1]").check("q", q)
     arg = 3.0 * q**n
     if arg <= 1.0:
         return None
@@ -315,8 +299,7 @@ def critical_probability(task: TaskKind, d: int = 2) -> CriticalProbability:
     Teleportation needs strictly more than 1/d; entanglement survives at
     exactly 1/d, so the bound is inclusive there.
     """
-    if d < 2:
-        raise ValueError("d must be >= 2")
+    Range(">= 2").check("d", d)
     if task is TaskKind.TELEPORTATION:
         return CriticalProbability(1.0 / d, True)
     if task is TaskKind.ENTANGLEMENT:

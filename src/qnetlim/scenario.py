@@ -9,16 +9,19 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, List, Tuple
 
-from . import yields
+from . import Range, check_fields, ranged, yields
 
 if TYPE_CHECKING:
     from .netgraph import Network, NodeReport
 
 EARTH_RADIUS_KM = 6371.0
+_LATITUDE = Range("[-90, 90]")
+_LONGITUDE = Range("[-180, 180]")
+_BEAM = "beam waist and Rayleigh range must be positive"
 
 
 @dataclass(frozen=True)
@@ -29,37 +32,25 @@ class AtmosphereParams:
     z_rayleigh     Rayleigh range, m
     z              link distance, m
     r              receiving aperture radius, m
-    sigma_r        turbulence strength; sigma_r^2 is the Rytov variance, >= 0
-    fresnel_ratio  Fresnel ratio of the turbulent beam, >= 0
-    xi_t, xi_r     transmitter and receiver loss prefactors, in [0, 1]
-    xi_as          atmospheric loss prefactor, in [0, 1]
-    eta            pointing-error ratio sigma_p / omega_at, > 0
+    sigma_r        turbulence strength; sigma_r^2 is the Rytov variance
+    fresnel_ratio  Fresnel ratio of the turbulent beam
+    xi_t, xi_r     transmitter and receiver loss prefactors
+    xi_as          atmospheric loss prefactor
+    eta            pointing-error ratio sigma_p / omega_at
     """
 
-    omega0: float = 0.0021
-    z_rayleigh: float = 17.8
-    z: float = 0.0
-    r: float = 0.1
-    sigma_r: float = 0.1
-    fresnel_ratio: float = 0.1
-    xi_t: float = 1.0
-    xi_r: float = 1.0
-    xi_as: float = 1.0
-    eta: float = 1.0
+    omega0: float = ranged("> 0", 0.0021, _BEAM)
+    z_rayleigh: float = ranged("> 0", 17.8, _BEAM)
+    z: float = ranged(">= 0", 0.0)
+    r: float = ranged(">= 0", 0.1)
+    sigma_r: float = ranged(">= 0", 0.1)
+    fresnel_ratio: float = ranged(">= 0", 0.1)
+    xi_t: float = ranged("[0, 1]", 1.0)
+    xi_r: float = ranged("[0, 1]", 1.0)
+    xi_as: float = ranged("[0, 1]", 1.0)
+    eta: float = ranged("> 0", 1.0)
 
-    def __post_init__(self):
-        if self.omega0 <= 0 or self.z_rayleigh <= 0:
-            raise ValueError("beam waist and Rayleigh range must be positive")
-        if self.z < 0 or self.r < 0:
-            raise ValueError("distance and aperture must be nonnegative")
-        if self.sigma_r < 0 or self.fresnel_ratio < 0:
-            raise ValueError("turbulence parameters must be nonnegative")
-        for name in ("xi_t", "xi_r", "xi_as"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
+    __post_init__ = check_fields
 
 
 def atmospheric_transmittance(p: AtmosphereParams) -> float:
@@ -86,42 +77,32 @@ class YieldConvention(str, Enum):
 class SatelliteYieldParams:
     """Loss parameters of an n-link satellite chain with fiber last miles.
 
-    n               satellite-satellite links, >= 1
-    eta_e           per-link erasure efficiency, in [0, 1]
-    eta_s           source efficiency, in [0, 1]
-    q               Bell measurement success probability, in [0, 1]
-    p_mem           depolarizing probability per memory step, in [0, 1]
-    s               memory storage steps, >= 0
+    n               satellite-satellite links
+    eta_e           per-link erasure efficiency
+    eta_s           source efficiency
+    q               Bell measurement success probability
+    p_mem           depolarizing probability per memory step
+    s               memory storage steps
     alpha           fiber loss rate, 1/km
     l_b, l_m        fiber to the first and to the second endpoint, km
-    eta_g, kappa_g  ground-link thermal channel: transmissivity and noise, in [0, 1]
-    eta_crit        memory fidelity below which stored pairs are deleted, in [0, 1]
+    eta_g, kappa_g  ground-link thermal channel: transmissivity and noise
+    eta_crit        memory fidelity below which stored pairs are deleted
     """
 
-    n: int
-    eta_e: float = 0.95
-    eta_s: float = 0.9
-    q: float = 1.0
-    p_mem: float = 0.1
-    s: int = 1
-    alpha: float = 1 / 22
-    l_b: float = 10.0
-    l_m: float = 10.0
-    eta_g: float = 0.5
-    kappa_g: float = 0.5
-    eta_crit: float = 0.0
+    n: int = ranged(">= 1")
+    eta_e: float = ranged("[0, 1]", 0.95)
+    eta_s: float = ranged("[0, 1]", 0.9)
+    q: float = ranged("[0, 1]", 1.0)
+    p_mem: float = ranged("[0, 1]", 0.1)
+    s: int = ranged(">= 0", 1)
+    alpha: float = ranged(">= 0", 1 / 22)
+    l_b: float = ranged(">= 0", 10.0)
+    l_m: float = ranged(">= 0", 10.0)
+    eta_g: float = ranged("[0, 1]", 0.5)
+    kappa_g: float = ranged("[0, 1]", 0.5)
+    eta_crit: float = ranged("[0, 1]", 0.0)
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        for name in ("eta_e", "eta_s", "q", "p_mem", "eta_g", "kappa_g", "eta_crit"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
-        if self.s < 0:
-            raise ValueError("s must be >= 0")
-        if self.alpha < 0 or self.l_b < 0 or self.l_m < 0:
-            raise ValueError("fiber parameters must be nonnegative")
+    __post_init__ = check_fields
 
 
 def fiber_factor(alpha: float, l_total: float) -> float:
@@ -176,9 +157,8 @@ def airport_yield(
     length_km: float, l0_km: float, q: float, eta_e: float, eta_g: float, kappa_g: float
 ) -> float:
     """Yield between two ground sites L km apart served by satellites every L0 km."""
-    if l0_km <= 0:
-        raise ValueError("l0_km must be positive")
-    if length_km < l0_km:
+    Range("> 0").check("l0_km", l0_km)
+    if not l0_km <= length_km:
         raise ValueError("length_km must be at least l0_km")
     n = int(length_km // l0_km)
     return bell_factor(q, n) * erasure_factor(eta_e, n) * thermal_factor(eta_g, kappa_g)
@@ -206,12 +186,10 @@ class AirportDataset:
 
 def great_circle_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     """Haversine distance on a 6371 km sphere, inputs in degrees."""
-    for lat in (lat1, lat2):
-        if abs(lat) > 90.0:
-            raise ValueError("latitude out of range")
-    for lon in (lon1, lon2):
-        if abs(lon) > 180.0:
-            raise ValueError("longitude out of range")
+    _LATITUDE.check("lat1", lat1)
+    _LATITUDE.check("lat2", lat2)
+    _LONGITUDE.check("lon1", lon1)
+    _LONGITUDE.check("lon2", lon2)
     phi1, phi2 = math.radians(lat1), math.radians(lat2)
     dphi = phi2 - phi1
     dlam = math.radians(lon2 - lon1)

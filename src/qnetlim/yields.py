@@ -9,12 +9,9 @@ from __future__ import annotations
 
 from enum import Enum
 
+from . import UNIT, Range
 
-def check_unit_interval(**values: float) -> None:
-    """Raises ValueError naming the first value outside [0, 1]."""
-    for name, v in values.items():
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"{name} must be in [0, 1], got {v}")
+_STEPS = Range(">= 0")
 
 
 class DepolYieldMode(str, Enum):
@@ -29,8 +26,7 @@ def depol_yield(p: float, n: int, mode: DepolYieldMode = DepolYieldMode.PAPER_FO
     mode matches the published yield expression while the iterated mode
     matches literal repeated channel application.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _STEPS.check("n", n)
     mode = DepolYieldMode(mode)
     if mode is DepolYieldMode.PAPER_FORMULA:
         if n == 0:
@@ -43,5 +39,6 @@ def depol_yield(p: float, n: int, mode: DepolYieldMode = DepolYieldMode.PAPER_FO
 
 def thermal_yield(eta_g: float, kappa_g: float) -> float:
     """Fidelity with Psi+ after a two-sided thermal channel."""
-    check_unit_interval(eta_g=eta_g, kappa_g=kappa_g)
+    UNIT.check("eta_g", eta_g)
+    UNIT.check("kappa_g", kappa_g)
     return 0.5 * (1.0 + eta_g**2) + kappa_g * (kappa_g - 1.0) * (1.0 - eta_g) ** 2

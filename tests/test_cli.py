@@ -1,15 +1,17 @@
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 
 import pytest
 
-from qnetlim import buffersim, cli, netgraph
+from qnetlim import buffersim, cli, netgraph, repeater, scenario
 from qnetlim.cli import FIGURE_IDS, main
 
 
@@ -137,6 +139,68 @@ class TestExitCodes:
     def test_top_zero_prints_no_rows(self, capsys, edge_file):
         code, out, _ = run_cli(capsys, "critical-nodes", "--top", "0", "--in", edge_file)
         assert (code, data_rows(out)) == (0, ["node,clustering,centrality,strength,critical_parameter"])
+
+    def test_steps_zero_prints_no_rows(self, capsys, edge_file):
+        code, out, _ = run_cli(capsys, "evolve", "--steps", "0", "--in", edge_file)
+        assert (code, data_rows(out)) == (0, ["t,edges,cooperative_link_sparsity"])
+
+
+class TestRangeProbes:
+    """Values outside a parameter's range, NaN and +inf included, are usage errors."""
+
+    PROBES = [
+        ("graph --p-star 2", "p_star must be in (0, 1)"),
+        ("graph --p-star nan", "p_star must be in (0, 1)"),
+        ("critical-nodes --p-star nan", "p_star must be in (0, 1)"),
+        ("path --source 1 --target 3 --p-star nan", "p_star must be in (0, 1)"),
+        ("evolve --p-star nan", "p_star must be in (0, 1)"),
+        ("airport --p-star nan", "p_star must be in (0, 1)"),
+        ("evolve --k nan", "k must be >= 0"),
+        ("satellite --n 2 --alpha nan", "alpha must be >= 0"),
+        ("satellite --n 2 --l-b nan", "l_b must be >= 0"),
+        ("atmosphere --eta nan", "eta must be > 0"),
+        ("atmosphere --z nan", "z must be >= 0"),
+        ("tradeoff --alpha nan", "alpha must be >= 0"),
+        ("tradeoff --alpha inf", "alpha must be >= 0"),
+        ("tradeoff --f nan", "f must be >= 1"),
+        ("nqi --length nan --n 3", "length_km must be > 0"),
+    ]
+
+    @pytest.mark.parametrize("argv,err", PROBES, ids=[p[0] for p in PROBES])
+    def test_usage_error(self, capsys, edge_file, argv, err):
+        command, *rest = argv.split()
+        graph = command in ("graph", "critical-nodes", "path", "evolve")
+        code, out, got = run_cli(capsys, command, *rest, *(["--in", edge_file] if graph else []))
+        assert (code, out, got) == (2, "", f"usage error: {err}\n")
+
+    @pytest.mark.parametrize("edit,err", [
+        ({"f0": math.nan}, "f0 must be in [0, 1]"),
+        ({"f0": 1.5}, "f0 must be in [0, 1]"),
+        ({"horizon": 5.5}, "horizon must be an integer"),
+    ], ids=["f0-nan", "f0-above-1", "fractional-horizon"])
+    def test_bad_buffer_config_is_a_data_error(self, capsys, tmp_path, edit, err):
+        cfg = buffer_config(1, 3, 10)
+        if "f0" in edit:
+            cfg["arrivals"][0].update(edit)
+        else:
+            cfg.update(edit)
+        (tmp_path / "sim.json").write_text(json.dumps(cfg))
+        code, out, got = run_cli(capsys, "buffer", "--config", str(tmp_path / "sim.json"))
+        assert (code, out, got) == (1, "", f"error: bad config contents: {err}\n")
+
+    @pytest.mark.parametrize("command,cls", [
+        ("tradeoff", repeater.LinkBudget),
+        ("satellite", scenario.SatelliteYieldParams),
+        ("atmosphere", scenario.AtmosphereParams),
+    ])
+    def test_help_prints_each_range(self, capsys, command, cls):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        # one line per option, whatever the terminal width
+        text = " ".join(capsys.readouterr().out.split())
+        for f in dataclasses.fields(cls):
+            rng = f.metadata["range"].text
+            assert re.search(f"--{f.name.replace('_', '-')} {f.name.upper()} [^-]*, {re.escape(rng)} ", text)
 
 
 class TestChain:
