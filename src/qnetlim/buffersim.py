@@ -213,7 +213,7 @@ class ServiceOrder(str, Enum):
 
 @dataclass(frozen=True)
 class Arrival:
-    tick: int
+    tick: int = ranged(">= 1")
     producer_id: str
     pair_id: str
     f0: float = ranged("[0, 1]", 1.0)
@@ -224,16 +224,18 @@ class Arrival:
 @dataclass(frozen=True)
 class FlowRequest:
     flow_id: str
-    arrival_tick: int
-    t_p: int
-    n_pairs: int = 1
+    arrival_tick: int = ranged(">= 0")
+    t_p: int = ranged(">= 0")
+    n_pairs: int = ranged(">= 0", 1)
+
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    capacity: int
-    p_mem: float
-    eta_crit: float
+    capacity: int = ranged(">= 1")
+    p_mem: float = ranged("[0, 1]")
+    eta_crit: float = ranged("[0, 1]")
     arrivals: Tuple[Arrival, ...]
     flows: Tuple[FlowRequest, ...]
     horizon: int = ranged(">= 1")
@@ -361,16 +363,6 @@ def _trace_row(tick: int, kind: EventKind, pair_id: str, flow_id: str, fidelity:
     return f"{tick},{kind._value_},{pair_id},{flow_id},{fidelity!r}\n"
 
 
-def _csv_rows(trace: Sequence[TraceEvent]):
-    yield TRACE_HEADER
-    for ev in trace:
-        yield _trace_row(ev.tick, ev.event, ev.pair_id, ev.flow_id, ev.fidelity)
-
-
 def trace_csv(trace: Sequence[TraceEvent]) -> str:
-    return "".join(_csv_rows(trace))
-
-
-def write_trace_csv(trace: Sequence[TraceEvent], path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.writelines(_csv_rows(trace))
+    rows = (_trace_row(ev.tick, ev.event, ev.pair_id, ev.flow_id, ev.fidelity) for ev in trace)
+    return TRACE_HEADER + "".join(rows)

@@ -1,9 +1,15 @@
 """Weighted undirected networks and robustness metrics.
 
 Edges carry a success probability p in (0, 1]. All weights are in bits,
-w = -log2 p, so that 2**(-w) recovers the probability exactly. A pair of
-nodes is considered task-connected at threshold p_star when some path has
-product probability >= p_star, compared strictly with no epsilon.
+w = -log2 p, and a path weighs the sum of its edge weights. A pair of
+nodes is task-connected at threshold p_star when its best path weighs
+d <= -log2 p_star bits, compared with no epsilon. Every path metric (the
+cooperative link sparsity and connection strength, task_reachability,
+shortest_path and centrality) reads that one rule, through _budget. The
+non-cooperative metrics test each edge's p >= p_star; math.log2 is
+monotone, so such an edge always counts cooperatively too. 2**(-d) is a
+path's probability only up to rounding (for p = 0.07 it gives
+0.06999999999999999), so no path probability is compared with p_star.
 
 scipy is imported on first use, inside the three wrappers below, because
 its ~0.4 s import would otherwise slow every command that loads this
@@ -12,7 +18,6 @@ module, including the closed-form ones that never build a graph.
 
 from __future__ import annotations
 
-import csv
 import heapq
 import math
 import os
@@ -28,6 +33,12 @@ NodeId = Union[int, str]
 _EDGE_P = Range("(0, 1]")
 # the one range of p_star, checked wherever p_star enters a computation
 _P_STAR = Range("(0, 1)")
+
+
+def _budget(p_star: float) -> float:
+    """-log2 p_star, the most a path may weigh to connect a pair at p_star."""
+    _P_STAR.check("p_star", p_star)
+    return -math.log2(p_star)
 
 
 def _csr_matrix(*args, **kwargs):
@@ -186,15 +197,13 @@ def _best_weights(net: Network, p_star: float) -> np.ndarray:
 
 
 def _f_star(net: Network, p_star: float, rows: slice = slice(None)) -> np.ndarray:
-    """Best-path success probabilities, 0 below p_star and on the diagonal.
+    """Best-path success probabilities, 0 over the budget and on the diagonal.
 
     rows selects the source nodes, as a slice of net.index positions, so a
     caller that reads one row computes one row.
     """
     dist = _best_weights(net, p_star)[rows]
-    f = np.power(2.0, -dist)
-    f[dist == math.inf] = 0.0
-    f[f < p_star] = 0.0
+    f = np.where(dist <= _budget(p_star), np.power(2.0, -dist), 0.0)
     sources = np.arange(net.n_nodes)[rows]
     f[np.arange(len(sources)), sources] = 0.0
     return f
@@ -204,9 +213,9 @@ def matrices(net: Network, p_star: float) -> EffectiveMatrices:
     """A, A_star and the all-pairs best-path success matrix f_star.
 
     A holds -log2 p per edge, A_star only for edges with p >= p_star; both
-    are 0 on the diagonal and +inf elsewhere. f_star entries are the
-    maximum path product when that product is at least p_star, else 0; the
-    diagonal is 0 by definition.
+    are 0 on the diagonal and +inf elsewhere. f_star entries are 2**-d for
+    the best path weight d when d is within the -log2 p_star budget, else
+    0; the diagonal is 0 by definition.
     """
     n, tail = net.n_nodes, net.tail
     a = np.full((n, n), math.inf)
@@ -256,15 +265,14 @@ def _lex_dijkstra(net: Network, source: NodeId) -> Dict[NodeId, Tuple[float, Tup
 
 
 def shortest_path(net: Network, source: NodeId, target: NodeId, p_star: float) -> PathResult:
-    """Minimum-weight path, Found only when its product probability >= p_star."""
-    _P_STAR.check("p_star", p_star)
+    """Minimum-weight path, Found only when its weight is within the -log2 p_star budget."""
+    budget = _budget(p_star)
     for v in (source, target):
         if v not in net.index:
             raise KeyError(f"unknown node {v!r}")
     if source == target:
         return PathResult((source,), 0.0, 1.0, PathStatus.FOUND)
     reached = _lex_dijkstra(net, source)
-    budget = -math.log2(p_star)
     if target not in reached or reached[target][0] > budget:
         return PathResult((), math.inf, 0.0, PathStatus.DISCONNECTED)
     d, path = reached[target]
@@ -437,32 +445,6 @@ def centrality(net: Network, v: NodeId, p_star: float) -> int:
     return centrality_all(net, p_star)[v]
 
 
-@dataclass(frozen=True)
-class _SweepGraph:
-    """A network numbered in id order, so that paths compare as number sequences."""
-
-    ids: List[NodeId]
-    number: np.ndarray  # net.index -> position in ids
-    tail: np.ndarray  # both directions of every edge, sorted by (tail, head)
-    head: np.ndarray
-    w: np.ndarray  # -log2 p, the step _lex_dijkstra adds
-    graph: scipy.sparse.csr_matrix  # the same edges for scipy
-    budget: float
-
-
-def _sweep_graph(net: Network, p_star: float) -> _SweepGraph:
-    _P_STAR.check("p_star", p_star)
-    budget = -math.log2(p_star)
-    ids = sorted(net.nodes)
-    number = np.empty(net.n_nodes, np.int64)
-    number[[net.index[v] for v in ids]] = np.arange(net.n_nodes)
-    tail, head = number[net.tail], number[net.head]
-    order = np.lexsort((head, tail))
-    tail, head = tail[order], head[order]
-    graph = _csr_matrix((_csgraph_weights(net)[order], (tail, head)), shape=(net.n_nodes,) * 2)
-    return _SweepGraph(ids, number, tail, head, net.w[order], graph, budget)
-
-
 # upper bound on sources x directed edges that centrality_all holds at once,
 # summed over its worker processes
 _SWEEP_ELEMENTS = 1 << 20
@@ -489,19 +471,21 @@ def centrality_all(net: Network, p_star: float) -> Dict[NodeId, int]:
     in path order, with ties going to the lexicographically smallest
     node-id sequence.
 
-    Sources are swept a block at a time. scipy gives the distances within
-    the budget; the tight edges (d[u] + w == d[v], exactly) form a DAG.
-    When all tight predecessors of every reached node share one hop depth,
-    a node's canonical parent is the predecessor whose path sorts first, so
-    the canonical tree grows one hop level at a time, each level ranked in
-    path order by (rank of parent, id). Subtree sizes over the targets
-    after the source then give the interior counts: the single-predecessor
-    form of Brandes' dependency accumulation (J. Math. Sociol. 25(2),
-    2001). A source falls back to _lex_dijkstra when some reached node
-    cannot be placed on a level: its tight predecessors differ in hop
-    depth, or a step that leaves the distance unchanged (p = 1, or a weight
-    lost to rounding) makes the tight edges cyclic. The choice depends
-    only on the weights.
+    Sources are swept a block at a time over net with its nodes in id
+    order (net itself when they already are), so that paths compare as
+    index sequences. scipy gives the distances within the budget; the
+    tight edges (d[u] + w == d[v], exactly) form a DAG. When all tight
+    predecessors of every reached node share one hop depth, a node's
+    canonical parent is the predecessor whose path sorts first, so the
+    canonical tree grows one hop level at a time, each level ranked in path
+    order by (rank of parent, id). Subtree sizes over the targets after the
+    source then give the interior counts: the single-predecessor form of
+    Brandes' dependency accumulation (J. Math. Sociol. 25(2), 2001). A
+    source falls back to _lex_dijkstra when some reached node cannot be
+    placed on a level: its tight predecessors differ in hop depth, or a
+    step that leaves the distance unchanged (p = 1, or a weight lost to
+    rounding) makes the tight edges cyclic. The choice depends only on the
+    weights.
 
     A sweep of at least _FORK_ELEMENTS (sources x directed edges) runs its
     blocks in forked worker processes, one per usable core and at most
@@ -515,63 +499,69 @@ def centrality_all(net: Network, p_star: float) -> Dict[NodeId, int]:
     Madduri (ICPP 2006).
     """
     n = net.n_nodes
-    g = _sweep_graph(net, p_star)
+    budget = _budget(p_star)
+    ids = sorted(net.nodes)
+    g = net if ids == net.nodes else Network(ids, net.edges)
     width = max(len(g.w), n, 1)
     workers = _workers() if (n - 1) * width >= _FORK_ELEMENTS else 1
     block = max(1, _SWEEP_ELEMENTS // workers // width)
     blocks = [np.arange(start, min(start + block, n - 1)) for start in range(0, n - 1, block)]
     tau = np.zeros(n, np.int64)
-    for sources, (counts, exact) in zip(blocks, _sweeps(g, blocks, workers)):
+    sweep = (g, _csgraph(g), budget)
+    for sources, (counts, exact) in zip(blocks, _sweeps(sweep, blocks, workers)):
         tau += counts
         for s in sources[~exact]:
-            source = g.ids[s]
-            for t, (d, path) in _lex_dijkstra(net, source).items():
-                if t > source and d <= g.budget:
+            source = ids[s]
+            for t, (d, path) in _lex_dijkstra(g, source).items():
+                if t > source and d <= budget:
                     for u in path[1:-1]:
-                        tau[g.number[net.index[u]]] += 1
-    return {v: int(tau[g.number[i]]) for i, v in enumerate(net.nodes)}
+                        tau[g.index[u]] += 1
+    return {v: int(tau[g.index[v]]) for v in net.nodes}
 
 
-def _sweeps(g: _SweepGraph, blocks: List[np.ndarray], workers: int):
-    """_canonical_sweep over each block, in order: here, or in forked workers."""
+def _sweeps(sweep: tuple, blocks: List[np.ndarray], workers: int):
+    """_canonical_sweep(*sweep, block) over each block, in order: here, or in forked workers."""
     if workers == 1:
-        yield from (_canonical_sweep(g, sources) for sources in blocks)
+        yield from (_canonical_sweep(*sweep, sources) for sources in blocks)
         return
     import multiprocessing
 
     # loaded here once rather than once per worker
     from scipy.sparse import csgraph  # noqa: F401
 
-    # the initializer hands g over by fork, never by pickle
-    with multiprocessing.get_context("fork").Pool(workers, _adopt, (g,)) as pool:
+    # the initializer hands the sweep over by fork, never by pickle
+    with multiprocessing.get_context("fork").Pool(workers, _adopt, sweep) as pool:
         yield from pool.imap(_pooled_sweep, blocks)
 
 
-# set only inside pool workers, by _adopt
-_POOLED_GRAPH: Optional[_SweepGraph] = None
+# set only inside pool workers, by _adopt: _canonical_sweep's (g, graph, budget)
+_POOLED_SWEEP: tuple = ()
 
 
-def _adopt(g: _SweepGraph) -> None:
-    """Pool initializer: keep the sweep graph this worker inherited."""
-    global _POOLED_GRAPH
-    _POOLED_GRAPH = g
+def _adopt(*sweep) -> None:
+    """Pool initializer: keep the sweep this worker inherited."""
+    global _POOLED_SWEEP
+    _POOLED_SWEEP = sweep
 
 
 def _pooled_sweep(sources: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    return _canonical_sweep(_POOLED_GRAPH, sources)
+    return _canonical_sweep(*_POOLED_SWEEP, sources)
 
 
-def _canonical_sweep(g: _SweepGraph, sources: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def _canonical_sweep(
+    g: Network, graph: scipy.sparse.csr_matrix, budget: float, sources: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
     """Interior counts of the canonical paths from a block of sources.
 
-    sources are id-order numbers, and so are the nodes of the counts.
-    Returns the counts summed over the sources the sweep resolves exactly,
-    and the mask of those sources.
+    g is a network whose nodes are in id order, graph is _csgraph(g), and
+    sources and the nodes of the counts are g.index positions. Returns the
+    counts summed over the sources the sweep resolves exactly, and the
+    mask of those sources.
     """
     tail, head, w = g.tail, g.head, g.w
-    n = g.graph.shape[0]
+    n = g.n_nodes
     rows = len(sources)
-    dist = _sp_dijkstra(g.graph, indices=sources, limit=g.budget)
+    dist = _sp_dijkstra(graph, indices=sources, limit=budget)
     reached = np.isfinite(dist)
     # nan never compares equal, so edges with an unreached end drop out
     dist[~reached] = np.nan
@@ -894,13 +884,13 @@ class ReachabilityReport:
 
 
 def task_reachability(net: Network, p_star: float) -> ReachabilityReport:
-    """Per-node size of the ball reachable at product probability >= p_star.
+    """Per-node size of the ball reachable within the -log2 p_star budget.
 
     Counts include the node itself; connectivity at threshold is not
     transitive, so these balls are the honest analogue of components.
     """
-    prob = np.power(2.0, -_best_weights(net, p_star))
-    counts = dict(zip(net.nodes, np.count_nonzero(prob >= p_star, axis=1).tolist()))
+    within = _best_weights(net, p_star) <= _budget(p_star)
+    counts = dict(zip(net.nodes, np.count_nonzero(within, axis=1).tolist()))
     return ReachabilityReport(counts, max(counts.values()) / net.n_nodes)
 
 
@@ -961,12 +951,3 @@ def save_edge_list(net: Network, path) -> None:
         fh.write("# node_a,node_b,p\n")
         for (a, b), p in sorted(net.edges.items()):
             fh.write(f"{a},{b},{p}\n")
-
-
-def export_matrix_csv(m: np.ndarray, node_ids: Sequence[NodeId], path) -> None:
-    """CSV with a header row of node ids; +inf written as the literal `inf`."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(node_ids))
-        for row in m:
-            writer.writerow(["inf" if math.isinf(x) else repr(float(x)) for x in row])

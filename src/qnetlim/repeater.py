@@ -190,7 +190,9 @@ def zero_key_window(
     when the lower bound reaches the upper bound (e.g. n = 0).
     """
     gamma = critical_visibility_diqkd(theta)
-    if n <= 0:
+    Range("(0, 1]").check("q", q)
+    Range(">= 0").check("n", n)
+    if n == 0:
         return Empty()
     upper = min(1.0, (gamma / q**n) ** (1.0 / (n + 1)))
     if gamma >= upper:
@@ -246,6 +248,8 @@ def required_f_lattice(r: int, length_km: float, alpha: float, eps: float) -> fl
 
 def max_length_lattice(f: float, alpha: float, eps: float) -> float:
     """Companion bound L <= (f/alpha) ln(1/eps) for a single link."""
+    Range("> 0").check("f", f)
+    Range("> 0").check("alpha", alpha)
     _OPEN_UNIT.check("eps", eps)
     return (f / alpha) * math.log(1.0 / eps)
 
@@ -262,12 +266,16 @@ def required_f_diqkd(
     """Smallest f with eta_mem^2 exp(-exponent_factor alpha l t / f) >= gamma.
 
     eta_mem is the closed-form depolarizing memory yield after s_steps.
-    Returns +inf when the memory factor alone is already below gamma.
+    Returns +inf when the memory factor alone does not exceed gamma.
     """
+    Range(">= 0").check("alpha", alpha)
+    Range(">= 0").check("length_km", length_km)
+    Range(">= 0").check("t_links", t_links)
+    UNIT.check("p_mem", p_mem)
+    Range("(0, 1]").check("gamma", gamma)
+    Range("> 0").check("exponent_factor", exponent_factor)
     eta_mem = yields.depol_yield(p_mem, s_steps, yields.DepolYieldMode.PAPER_FORMULA)
-    if eta_mem**2 < gamma:
-        return math.inf
-    if eta_mem**2 == gamma:
+    if eta_mem**2 <= gamma:
         return math.inf
     return exponent_factor * alpha * length_km * t_links / math.log(eta_mem**2 / gamma)
 

@@ -20,7 +20,6 @@ from qnetlim.buffersim import (
     run,
     sift_ticks,
     trace_csv,
-    write_trace_csv,
 )
 from qnetlim.cli import main
 
@@ -279,15 +278,11 @@ class TestRun:
 
 
 class TestTrace:
-    def test_byte_identical_across_runs(self, tmp_path):
+    def test_byte_identical_across_runs(self):
         cfg = three_flow_config()
         a = trace_csv(run(cfg).trace)
         b = trace_csv(run(cfg).trace)
         assert a == b
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_trace_csv(run(cfg).trace, p1)
-        write_trace_csv(run(cfg).trace, p2)
-        assert p1.read_bytes() == p2.read_bytes()
 
     def test_header_and_shape(self):
         res = run(three_flow_config())
@@ -330,7 +325,7 @@ class TestStreaming:
     @pytest.mark.parametrize("p_mem", [0.0, 0.1, 1.0])
     @pytest.mark.parametrize("order", list(ServiceOrder))
     @pytest.mark.parametrize("mode", list(DecayMode))
-    def test_streaming_equals_collecting(self, monkeypatch, tmp_path, mode, order, p_mem, eta_crit):
+    def test_streaming_equals_collecting(self, monkeypatch, mode, order, p_mem, eta_crit):
         rng = random.Random(f"{mode.value}/{order.value}/{p_mem}/{eta_crit}")
         tick_decay = MemoryHeap.tick_decay
         heaps = []
@@ -359,9 +354,6 @@ class TestStreaming:
             assert "".join(chunks) == trace_csv(collected.trace)[len("tick,event,pair_id,flow_id,fidelity\n"):]
             for key in ("flow_finishes", "residual", "inserts", "dispatches", "evictions", "rejects"):
                 assert getattr(streamed, key) == getattr(collected, key), key
-            path = tmp_path / "trace.csv"
-            write_trace_csv(collected.trace, path)
-            assert path.read_bytes() == trace_csv(collected.trace).encode()
 
 
 def served_pairs(text):

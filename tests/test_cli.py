@@ -177,11 +177,24 @@ class TestRangeProbes:
         ({"f0": math.nan}, "f0 must be in [0, 1]"),
         ({"f0": 1.5}, "f0 must be in [0, 1]"),
         ({"horizon": 5.5}, "horizon must be an integer"),
-    ], ids=["f0-nan", "f0-above-1", "fractional-horizon"])
+        ({"tick": 1.5}, "tick must be an integer"),
+        ({"tick": 0}, "tick must be >= 1"),
+        ({"arrival_tick": -1}, "arrival_tick must be >= 0"),
+        ({"t_p": -3}, "t_p must be >= 0"),
+        ({"n_pairs": 2.5}, "n_pairs must be an integer"),
+        ({"capacity": 0}, "capacity must be >= 1"),
+        ({"capacity": 1.5}, "capacity must be an integer"),
+        ({"p_mem": math.nan}, "p_mem must be in [0, 1]"),
+        ({"eta_crit": 2}, "eta_crit must be in [0, 1]"),
+    ], ids=["f0-nan", "f0-above-1", "fractional-horizon", "fractional-tick", "tick-0",
+            "negative-arrival-tick", "negative-t-p", "fractional-n-pairs", "capacity-0",
+            "fractional-capacity", "p-mem-nan", "eta-crit-above-1"])
     def test_bad_buffer_config_is_a_data_error(self, capsys, tmp_path, edit, err):
         cfg = buffer_config(1, 3, 10)
-        if "f0" in edit:
+        if edit.keys() & {"f0", "tick"}:
             cfg["arrivals"][0].update(edit)
+        elif edit.keys() & {"arrival_tick", "t_p", "n_pairs"}:
+            cfg["flows"][0].update(edit)
         else:
             cfg.update(edit)
         (tmp_path / "sim.json").write_text(json.dumps(cfg))
@@ -486,9 +499,18 @@ class TestBufferStreaming:
 
     @pytest.mark.parametrize("cfg, want", [
         ({"capacity": 4}, 1),  # bad contents
-        (dict(buffer_config(1, 3, 10), capacity=0), 2),  # rejected once the run starts
+        (dict(buffer_config(1, 3, 10), capacity=0), 1),  # a value out of range is bad contents too
+        (None, 2),  # a valid config whose run fails after writing rows
     ])
-    def test_failed_run_writes_no_file(self, capsys, tmp_path, cfg, want):
+    def test_failed_run_writes_no_file(self, capsys, tmp_path, monkeypatch, cfg, want):
+        if cfg is None:
+            cfg = buffer_config(1, 3, 10)
+
+            def fail(config, write):
+                write("1,insert,x000,,0.9\n")
+                raise ValueError("the run failed")
+
+            monkeypatch.setattr(buffersim, "run", fail)
         (tmp_path / "sim.json").write_text(json.dumps(cfg))
         out_path = tmp_path / "trace.csv"
         code, _, _ = run_cli(capsys, "buffer", "--config", str(tmp_path / "sim.json"), "--out", str(out_path))

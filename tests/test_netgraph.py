@@ -130,14 +130,24 @@ def centrality_oracle(net, p_star):
 
 
 def source_counts_oracle(net, g, number, p_star):
-    """Interior counts, by id-order number, of the canonical paths from one source."""
-    source = g.ids[number]
+    """Interior counts, by position in the id-ordered g, of the canonical paths from one source."""
+    source = g.nodes[number]
     counts = np.zeros(net.n_nodes, np.int64)
     for t, (d, path) in ng._lex_dijkstra(net, source).items():
         if t > source and d <= -math.log2(p_star):
             for u in path[1:-1]:
-                counts[g.number[net.index[u]]] += 1
+                counts[g.index[u]] += 1
     return counts
+
+
+def id_ordered(net):
+    """net with its nodes in id order, the numbering _canonical_sweep works in."""
+    return Network(sorted(net.nodes), net.edges)
+
+
+def canonical_sweep(g, p_star, sources):
+    """_canonical_sweep on the id-ordered network g from the given source positions."""
+    return ng._canonical_sweep(g, ng._csgraph(g), -math.log2(p_star), np.asarray(sources))
 
 
 def neighbor_subgraph_oracle(net, v):
@@ -360,6 +370,103 @@ class TestShortestPath:
         assert checked > 30
 
 
+class TestThresholdRule:
+    """Every path metric reads one rule: a pair is within p* when its best path weighs d <= -log2 p*."""
+
+    # a pair whose only path sits on the boundary: its product equals p*
+    PROBES = {
+        "one-edge": ([("a", "b", 0.07)], 0.07, ["a", "b"]),
+        "two-hop": ([("a", "b", 0.8), ("b", "c", 0.85)], 0.68, ["a", "b", "c"]),
+    }
+
+    # edge probabilities, given the graph's uniform p
+    DRAWS = {
+        "uniform": lambda rng, p: p,
+        "power-of-two": lambda rng, p: rng.choice([0.5, 0.25, 0.125]),
+        "p-one": lambda rng, p: rng.choice([1.0, 0.5, 0.9]),
+        "random": lambda rng, p: rng.uniform(0.05, 1.0),
+    }
+
+    def random_cases(self, kind, count=50):
+        """(net, p*) with p* an edge's p, and the product along a short walk."""
+        rng = random.Random(kind)
+        for _ in range(count):
+            n, p = rng.randint(3, 9), rng.uniform(0.3, 0.95)
+            edges = [(i, j, self.DRAWS[kind](rng, p))
+                     for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
+            if not edges:
+                continue
+            net = Network(range(n), edges)
+            walk = [rng.choice(edges)[0]]
+            for _ in range(rng.randint(2, 4)):
+                walk.append(rng.choice(net.neighbors(walk[-1])))
+            product = math.prod(net.edge_p(a, b) for a, b in zip(walk, walk[1:]) if a != b)
+            for p_star in (rng.choice(edges)[2], product):
+                if p_star < 1.0:
+                    yield net, p_star
+
+    def mismatches(self, net, p_star):
+        """Ordered pairs on which f*, shortest_path and task_reachability disagree."""
+        f = ng._f_star(net, p_star)
+        counts = task_reachability(net, p_star).counts
+        bad = []
+        for i, s in enumerate(net.nodes):
+            found = [shortest_path(net, s, t, p_star).status is PathStatus.FOUND for t in net.nodes]
+            found[i] = False
+            bad += [(s, t) for j, t in enumerate(net.nodes) if (f[i, j] > 0) != found[j]]
+            if counts[s] != 1 + sum(found):
+                bad.append((s, "reachability"))
+        return bad
+
+    def test_boundary_probes(self):
+        for edges, p_star, path in self.PROBES.values():
+            net = Network(path, edges)
+            weight = sum(-math.log2(p) for *_, p in edges)
+            within = weight <= -math.log2(p_star)
+            s, t = path[0], path[-1]
+            assert (shortest_path(net, s, t, p_star).status is PathStatus.FOUND) == within
+            assert (matrices(net, p_star).f_star[0, -1] > 0) == within
+            assert task_reachability(net, p_star).counts[s] == (len(path) if within else len(path) - 1)
+            assert centrality_all(net, p_star)[path[1]] == (len(path) > 2 and within)
+            assert link_sparsity(net, p_star, CO) <= link_sparsity(net, p_star, NC)
+            assert self.mismatches(net, p_star) == []
+        # the one-edge pair has p = p*, so it counts cooperatively too
+        one = Network(["a", "b"], self.PROBES["one-edge"][0])
+        assert link_sparsity(one, 0.07, CO) == link_sparsity(one, 0.07, NC) == 0.5
+
+    @pytest.mark.parametrize("name", list(PROBES))
+    def test_boundary_probes_cli(self, capsys, tmp_path, name):
+        edges, p_star, path = self.PROBES[name]
+        (tmp_path / "g.edges").write_text("".join(f"{a},{b},{p}\n" for a, b, p in edges))
+        common = ["--in", str(tmp_path / "g.edges"), "--p-star", str(p_star)]
+
+        def run(*argv):
+            capsys.readouterr()
+            code = cli_main([*argv, *common])
+            rows = [line.split(",") for line in capsys.readouterr().out.splitlines()
+                    if not line.startswith("#")]
+            return code, {row[0]: row[1:] for row in rows[1:]}
+
+        found = {(s, t): run("path", "--source", s, "--target", t)[0] == 0
+                 for s, t in itertools.permutations(path, 2)}
+        code, graph = run("graph")
+        non_cooperative, cooperative = map(float, graph["link_sparsity"])
+        assert code == 0
+        assert cooperative == 1 - sum(found.values()) / len(path) ** 2
+        assert cooperative <= non_cooperative
+        code, nodes = run("critical-nodes")
+        assert code == 0
+        assert int(nodes[path[1]][1]) == (len(path) > 2 and found[path[0], path[-1]])
+
+    @pytest.mark.parametrize("kind", list(DRAWS))
+    def test_random_graphs(self, kind):
+        cases = list(self.random_cases(kind))
+        assert len(cases) > 60
+        for net, p_star in cases:
+            assert self.mismatches(net, p_star) == [], (net.edges, p_star)
+            assert link_sparsity(net, p_star, CO) <= link_sparsity(net, p_star, NC)
+
+
 class TestSparsityAndStrength:
     def test_full_mesh(self):
         net = build_topology(FullMesh(6, 0.9))
@@ -546,8 +653,7 @@ class TestCentralityOracle:
 
     def test_circulant_exercises_fallback(self):
         net = build_topology(Circulant(16, 5, 0.7))
-        g = ng._sweep_graph(net, 0.01)
-        _, exact = ng._canonical_sweep(g, np.arange(net.n_nodes - 1))
+        _, exact = canonical_sweep(net, 0.01, np.arange(net.n_nodes - 1))
         assert not exact.all()
 
     def test_uniform_p_random_graphs(self):
@@ -584,8 +690,7 @@ class TestCentralityOracle:
             ]
             self.assert_matches(Network(range(n), edges), (0.5, 0.1))
         net = Network(range(4), [(0, 1, 1.0), (1, 2, 0.5), (2, 3, 1.0), (0, 3, 0.5)])
-        g = ng._sweep_graph(net, 0.25)
-        _, exact = ng._canonical_sweep(g, np.arange(3))
+        _, exact = canonical_sweep(net, 0.25, np.arange(3))
         assert not exact.any()
         self.assert_matches(net, (0.25,))
 
@@ -593,7 +698,7 @@ class TestCentralityOracle:
         # 0-2 direct weighs 2 bits, as does 0-1-2; (0, 1, 2) sorts first
         net = Network(range(3), [(0, 1, 0.5), (1, 2, 0.5), (0, 2, 0.25)])
         assert centrality_all(net, 0.1) == {0: 0, 1: 1, 2: 0}
-        _, exact = ng._canonical_sweep(ng._sweep_graph(net, 0.1), np.arange(2))
+        _, exact = canonical_sweep(net, 0.1, np.arange(2))
         assert list(exact) == [False, True]
         flipped = net.relabeled({0: 0, 1: 2, 2: 1})
         assert centrality_all(flipped, 0.1) == {0: 0, 1: 0, 2: 0}
@@ -612,16 +717,16 @@ class TestCentralityOracle:
 
     def test_airport_sampled_sources(self, airport_network):
         net, p_star = airport_network, 0.1
-        g = ng._sweep_graph(net, p_star)
+        g = id_ordered(net)
         sample = sorted(random.Random(11).sample(range(net.n_nodes - 1), 40))
         total = np.zeros(net.n_nodes, np.int64)
         for s in sample:
-            counts, exact = ng._canonical_sweep(g, np.array([s]))
+            counts, exact = canonical_sweep(g, p_star, [s])
             want = source_counts_oracle(net, g, s, p_star)
             assert exact[0]
             assert np.array_equal(counts, want)
             total += want
-        counts, exact = ng._canonical_sweep(g, np.array(sample))
+        counts, exact = canonical_sweep(g, p_star, sample)
         assert exact.all()
         assert np.array_equal(counts, total)
 
@@ -672,7 +777,8 @@ class TestParallelSweep:
         cases = self.cases()
         want = [centrality_all(net, p_star) for net, p_star in cases]
         # the circulant at p* = 0.01 leaves sources to the fallback
-        assert not ng._canonical_sweep(ng._sweep_graph(*cases[1]), np.arange(15))[1].all()
+        net, p_star = cases[1]
+        assert not canonical_sweep(id_ordered(net), p_star, np.arange(15))[1].all()
         force_pool(monkeypatch, workers)
         asked = count_contexts(monkeypatch)
         assert [centrality_all(net, p_star) for net, p_star in cases] == want
@@ -932,8 +1038,8 @@ class TestPercolation:
         # on the p = 0.5 chain some path products equal p* exactly
         chain = Network(range(12), [(i, i + 1, 0.5) for i in range(11)])
         for net in (build_topology(Square1024(0.9)), seeded_graph(), chain):
-            prob = np.power(2.0, -ng._best_weights(net, p_star))
-            want = {v: int(np.count_nonzero(prob[i] >= p_star)) for i, v in enumerate(net.nodes)}
+            within = ng._best_weights(net, p_star) <= -math.log2(p_star)
+            want = {v: int(np.count_nonzero(within[i])) for i, v in enumerate(net.nodes)}
             assert task_reachability(net, p_star).counts == want
 
     def test_grid_fraction_decreases(self):
@@ -982,12 +1088,3 @@ class TestIO:
         path.write_text("# a comment\na,b,0.5\n\nb,c,0.25\n")
         net = load_edge_list(path)
         assert net.n_edges == 2
-
-    def test_matrix_export_inf(self, tmp_path):
-        net = Network([1, 2, 3], [(1, 2, 0.5)])
-        m = matrices(net, 0.25)
-        out = tmp_path / "a.csv"
-        ng.export_matrix_csv(m.A_star, net.nodes, out)
-        text = out.read_text()
-        assert "inf" in text
-        assert text.splitlines()[0] == "1,2,3"

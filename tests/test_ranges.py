@@ -75,6 +75,14 @@ class TestDeclaredFields:
         with pytest.raises(ValueError, match="^horizon must be an integer$"):
             buffersim.SimConfig(1, 0.1, 0.5, (), (), 5.5)
 
+    @pytest.mark.parametrize("cls", [buffersim.Arrival, buffersim.FlowRequest, buffersim.SimConfig],
+                             ids=lambda c: c.__name__)
+    def test_every_numeric_buffer_field_declares_a_range(self, cls):
+        numeric = [f for f in dataclasses.fields(cls) if f.type in ("int", "float")]
+        assert numeric
+        for f in numeric:
+            assert isinstance(f.metadata.get("range"), Range), f.name
+
     def test_arrival_f0(self):
         for f0 in (math.nan, 1.5, -0.1):
             with pytest.raises(ValueError, match=r"^f0 must be in \[0, 1\]$"):
@@ -92,6 +100,19 @@ class TestCallSites:
         net = Network([1, 2], [(1, 2, 0.8)])
         assert evolve(net, 0.9, 0.3, 0.1, 0) == []
         assert len(evolve(net, 0.9, 0.3, 0.1, 1)) == 1
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: repeater.max_length_lattice(2, 0, 0.5), "alpha must be > 0"),
+        (lambda: repeater.max_length_lattice(math.nan, 0.051, 0.5), "f must be > 0"),
+        (lambda: repeater.zero_key_window(0.9, math.nan, 2, 0.7), "q must be in (0, 1]"),
+        (lambda: repeater.zero_key_window(0.9, 0.9, -1, 0.7), "n must be >= 0"),
+        (lambda: repeater.required_f_diqkd(0.04, 25.0, 10, 0.01, 1, math.nan), "gamma must be in (0, 1]"),
+        (lambda: repeater.required_f_diqkd(0.04, 25.0, 10, math.nan, 1, 0.7), "p_mem must be in [0, 1]"),
+    ], ids=["lattice-alpha-0", "lattice-f-nan", "window-q-nan", "window-n-negative",
+            "diqkd-gamma-nan", "diqkd-p-mem-nan"])
+    def test_repeater_inputs(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
 
     @pytest.mark.parametrize("theta", [None, math.nan, 0.0, math.pi / 2])
     def test_diqkd_theta(self, theta):
