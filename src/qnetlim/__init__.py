@@ -84,6 +84,9 @@ class Range:
 
 
 UNIT = Range("[0, 1]")  # every probability, efficiency and fidelity
+# the critical success probability p* of every graph metric, and of the
+# graph commands' --p-star
+P_STAR = Range("(0, 1)")
 
 
 def ranged(spec: str, default=MISSING, message: Optional[str] = None):

@@ -17,7 +17,7 @@ import sys
 from dataclasses import MISSING, fields, replace
 from typing import IO, TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple, get_type_hints
 
-from . import buffersim, repeater, scenario
+from . import P_STAR, buffersim, repeater, scenario
 
 if TYPE_CHECKING:
     from .netgraph import Network, NodeReport
@@ -145,12 +145,13 @@ def cmd_graph(args) -> List[str]:
     params = {"in": args.infile, "p_star": args.p_star, "weights": "bits (-log2 p)"}
     lines = _header("graph", params)
     lines.append("metric,non_cooperative,cooperative")
+    # first, so that its full all-pairs pass also serves the rows' f*
+    avg = netgraph.average_effective_weight(net, args.p_star)
     nc, co = netgraph.StrategyKind.NON_COOPERATIVE, netgraph.StrategyKind.COOPERATIVE
     for name in _GRAPH_METRICS:
         metric = getattr(netgraph, name)
         nc_value, co_value = (metric(net, strategy=s, p_star=args.p_star) for s in (nc, co))
         lines.append(f"{name},{nc_value!r},{co_value!r}")
-    avg = netgraph.average_effective_weight(net, args.p_star)
     lines.append(f"average_effective_weight_bits,{avg!r},{avg!r}")
     return lines
 
@@ -477,6 +478,10 @@ def _add_fields_parser(sub, name: str, summary: str, cls) -> argparse.ArgumentPa
     return p
 
 
+# the graph commands' --p-star, checked by netgraph against P_STAR
+_P_STAR_HELP = "critical success probability, default %(default)s, " + P_STAR.text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qnetlim",
@@ -485,11 +490,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("chain", help="linear repeater chain feasibility")
-    p.add_argument("--lambda", dest="lam", type=float, required=True, help="link visibility in [0,1]")
-    p.add_argument("--q", type=float, default=1.0, help="Bell measurement success probability")
+    chain = {f.name: f.metadata["range"].text for f in fields(repeater.ChainConfig)}
+    task = {kind: rng.text for kind, (_, rng) in repeater.TASK_PARAMETERS.items()}
+    p.add_argument("--lambda", dest="lam", type=float, required=True,
+                   help="link visibility, " + chain["lam"])
+    p.add_argument("--q", type=float, default=1.0,
+                   help="Bell measurement success probability, " + chain["q"])
     p.add_argument("--task", choices=[t.value for t in repeater.TaskKind], default="entanglement")
-    p.add_argument("--theta", type=float, help="DIQKD angle in radians, (0, pi/2)")
-    p.add_argument("--p-star", type=float, help="custom critical probability in (0,1)")
+    p.add_argument("--theta", type=float, help="DIQKD angle, radians, " + task[repeater.TaskKind.DIQKD])
+    p.add_argument("--p-star", type=float,
+                   help="custom critical probability, " + task[repeater.TaskKind.CUSTOM])
     p.add_argument("--ent-mode", choices=[m.value for m in repeater.EntanglementMode],
                    default="ppt-threshold")
     p.add_argument("--n", type=int, help="evaluate a fixed repeater count instead of the maximum")
@@ -507,12 +517,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("graph", help="robustness metrics of an edge-list graph")
     p.add_argument("--in", dest="infile", required=True, help="edge list file (a,b,p per line)")
-    p.add_argument("--p-star", type=float, default=0.5)
+    p.add_argument("--p-star", type=float, default=0.5, help=_P_STAR_HELP)
     p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("critical-nodes", help="critical-parameter node ranking")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--p-star", type=float, default=0.5)
+    p.add_argument("--p-star", type=float, default=0.5, help=_P_STAR_HELP)
     p.add_argument("--top", type=_count, default=10)
     p.set_defaults(func=cmd_critical_nodes)
 
@@ -520,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
-    p.add_argument("--p-star", type=float, default=0.5)
+    p.add_argument("--p-star", type=float, default=0.5, help=_P_STAR_HELP)
     p.set_defaults(func=cmd_path)
 
     p = sub.add_parser("topology", help="generate a reference topology")
@@ -547,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--airports", help="airports.csv (default from data dir)")
     p.add_argument("--routes", help="routes.csv (default from data dir)")
     p.add_argument("--data-dir", help=f"snapshot directory (default ${DATA_DIR_ENV})")
-    p.add_argument("--p-star", type=float, default=0.1)
+    p.add_argument("--p-star", type=float, default=0.1, help=_P_STAR_HELP)
     p.add_argument("--top", type=_count, default=10)
     p.set_defaults(func=cmd_airport)
 
@@ -559,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--w", type=float, default=0.9)
     p.add_argument("--k", type=float, default=0.3)
-    p.add_argument("--p-star", type=float, default=0.1)
+    p.add_argument("--p-star", type=float, default=0.1, help=_P_STAR_HELP)
     p.add_argument("--steps", type=_count, default=10)
     p.set_defaults(func=cmd_evolve)
 

@@ -5,11 +5,12 @@ w = -log2 p, and a path weighs the sum of its edge weights. A pair of
 nodes is task-connected at threshold p_star when its best path weighs
 d <= -log2 p_star bits, compared with no epsilon. Every path metric (the
 cooperative link sparsity and connection strength, task_reachability,
-shortest_path and centrality) reads that one rule, through _budget. The
-non-cooperative metrics test each edge's p >= p_star; math.log2 is
-monotone, so such an edge always counts cooperatively too. 2**(-d) is a
-path's probability only up to rounding (for p = 0.07 it gives
-0.06999999999999999), so no path probability is compared with p_star.
+shortest_path, centrality and critically_large_check's n0) reads that one
+rule, through _budget. The non-cooperative metrics test each edge's
+p >= p_star; math.log2 is monotone, so such an edge always counts
+cooperatively too. 2**(-d) is a path's probability only up to rounding
+(for p = 0.07 it gives 0.06999999999999999), so no path probability is
+compared with p_star.
 
 scipy is imported on first use, inside the three wrappers below, because
 its ~0.4 s import would otherwise slow every command that loads this
@@ -27,17 +28,15 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from . import Range, Sentinel
+from . import P_STAR, Range, Sentinel
 
 NodeId = Union[int, str]
 _EDGE_P = Range("(0, 1]")
-# the one range of p_star, checked wherever p_star enters a computation
-_P_STAR = Range("(0, 1)")
 
 
 def _budget(p_star: float) -> float:
     """-log2 p_star, the most a path may weigh to connect a pair at p_star."""
-    _P_STAR.check("p_star", p_star)
+    P_STAR.check("p_star", p_star)
     return -math.log2(p_star)
 
 
@@ -143,7 +142,7 @@ class StrategyKind(str, Enum):
 def effective_weight(p: float, p_star: float) -> float:
     """-log2 p in bits when p >= p_star, else +inf."""
     _EDGE_P.check("p", p)
-    _P_STAR.check("p_star", p_star)
+    P_STAR.check("p_star", p_star)
     if p < p_star:
         return math.inf
     return -math.log2(p)
@@ -173,37 +172,55 @@ def _csgraph(net: Network, keep=slice(None)) -> scipy.sparse.csr_matrix:
     return _csr_matrix((_csgraph_weights(net)[keep], ends), shape=(net.n_nodes,) * 2)
 
 
-_BEST_WEIGHTS: Dict[Tuple[Network, float], np.ndarray] = {}
+# the one cached all-pairs pass: (network, p_star) -> (limit, distances)
+_BEST_WEIGHTS: Dict[Tuple[Network, float], Tuple[float, np.ndarray]] = {}
 
 
-def _best_weights(net: Network, p_star: float) -> np.ndarray:
-    """All-pairs minimum path weight over the edges with p >= p_star, no budget.
+def _best_weights(net: Network, p_star: float, full: bool = False) -> np.ndarray:
+    """All-pairs minimum path weight over the edges with p >= p_star.
 
-    The one pass every cooperative metric reads. One cached entry suffices,
-    as a command uses one p_star and one network at a time; a per-network
-    cache would keep an n x n array alive on every network evolve returns.
-    The entry is dropped before the next pass runs, so the cache does not
-    keep the previous n x n array alive through it. The array is shared,
-    so it is read-only.
+    The one pass every cooperative metric reads. It is bounded by the
+    -log2 p_star budget, as f* reads only the pairs within it: a pair over
+    budget may read +inf (scipy keeps a distance equal to its limit).
+    full=True, which only average_effective_weight asks for, lifts the
+    bound. One cached entry suffices, as a command uses one p_star and one
+    network at a time; a per-network cache would keep an n x n array alive
+    on every network evolve returns. A bounded request reads whichever
+    pass is cached and a full one replaces a bounded one, so no answer
+    depends on the call order. The previous array is freed before the next
+    pass runs. The array is shared, so it is read-only.
     """
-    _P_STAR.check("p_star", p_star)
-    key = (net, p_star)
-    if key not in _BEST_WEIGHTS:
+    budget = _budget(p_star)
+    limit = math.inf if full else budget
+    entry = _BEST_WEIGHTS.get((net, p_star))
+    if entry is None or entry[0] < limit:
+        entry = None  # not held through the next pass
         _BEST_WEIGHTS.clear()
-        dist = _sp_shortest_path(_csgraph(net, net.p >= p_star), method="D", directed=False)
+        dist = _sp_dijkstra(_csgraph(net, net.p >= p_star), directed=False, limit=limit)
         dist.flags.writeable = False
-        _BEST_WEIGHTS[key] = dist
-    return _BEST_WEIGHTS[key]
+        entry = _BEST_WEIGHTS[net, p_star] = (limit, dist)
+    return entry[1]
+
+
+def _within_budget(
+    net: Network, p_star: float, rows: slice = slice(None)
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The pass's rows (a slice of net.index positions), and which pairs are within budget."""
+    dist = _best_weights(net, p_star)[rows]
+    return dist, dist <= _budget(p_star)
 
 
 def _f_star(net: Network, p_star: float, rows: slice = slice(None)) -> np.ndarray:
-    """Best-path success probabilities, 0 over the budget and on the diagonal.
+    """Best-path success probabilities 2**-d, 0 over the budget and on the diagonal.
 
     rows selects the source nodes, as a slice of net.index positions, so a
-    caller that reads one row computes one row.
+    caller that reads one row computes one row. The power is taken only
+    within the budget, by the same ufunc on the same weights as over the
+    whole array, so the values do not depend on which pass is cached.
     """
-    dist = _best_weights(net, p_star)[rows]
-    f = np.where(dist <= _budget(p_star), np.power(2.0, -dist), 0.0)
+    dist, within = _within_budget(net, p_star, rows)
+    f = np.zeros(dist.shape)
+    np.power(2.0, -dist, out=f, where=within)
     sources = np.arange(net.n_nodes)[rows]
     f[np.arange(len(sources)), sources] = 0.0
     return f
@@ -285,10 +302,12 @@ def link_sparsity(net: Network, p_star: float, strategy: StrategyKind) -> float:
     if n == 0:
         raise ValueError("empty network")
     if strategy is StrategyKind.NON_COOPERATIVE:
-        _P_STAR.check("p_star", p_star)
+        P_STAR.check("p_star", p_star)
         n_star = int(np.count_nonzero(net.p >= p_star))
     else:
-        n_star = int(np.count_nonzero(_f_star(net, p_star)))
+        # the off-diagonal pairs within the budget, those with f* > 0:
+        # 2**-d > 0 for every d <= budget <= 1074
+        n_star = int(np.count_nonzero(_within_budget(net, p_star)[1])) - n
     return 1.0 - n_star / n**2
 
 
@@ -319,7 +338,7 @@ def connection_strength(
 
 def _direct_sums(net: Network, p_star: float) -> np.ndarray:
     """Per node, the sum of its edges' p >= p_star, in edge insertion order."""
-    _P_STAR.check("p_star", p_star)
+    P_STAR.check("p_star", p_star)
     ends, p = np.empty_like(net.tail), np.empty_like(net.p)
     ends[net.order], p[net.order] = net.tail, net.p
     strong = p >= p_star
@@ -370,7 +389,7 @@ def _neighbor_metrics(
     out block-diagonally, a chunk at a time, for one all-pairs call. It is
     nan for a node with fewer than two neighbours.
     """
-    _P_STAR.check("p_star", p_star)
+    P_STAR.check("p_star", p_star)
     n = net.n_nodes
     sel = np.arange(n) if nodes is None else np.asarray(nodes, dtype=np.int64)
     tail, head, p, ptr = net.tail, net.head, net.p, net.ptr
@@ -435,7 +454,7 @@ def average_effective_weight(net: Network, p_star: float) -> float:
     n = net.n_nodes
     if n < 2:
         raise ValueError("need at least 2 nodes")
-    return _mean_weight(_best_weights(net, p_star)[~np.eye(n, dtype=bool)])
+    return _mean_weight(_best_weights(net, p_star, full=True)[~np.eye(n, dtype=bool)])
 
 
 def centrality(net: Network, v: NodeId, p_star: float) -> int:
@@ -855,16 +874,19 @@ def critically_large_check(net: Network, p_star: float, c: float) -> CriticalSiz
     """Whether some node pair is too far apart to ever reach p_star.
 
     c must upper-bound every edge probability. n0 is the smallest hop
-    count with c**n0 < p_star; a pair at graph distance of at least
-    ceil(log p_star / log c) + 1 certifies the network critically large.
+    count whose chain of p = c edges, its weights summed hop by hop as a
+    path sums them, weighs more than the -log2 p_star budget. A pair at
+    graph distance of at least ceil(log p_star / log c) + 1 certifies the
+    network critically large.
     """
     Range("(0, 1)").check("c", c)
     if (net.p > c).any():
         raise ValueError("some edge probability exceeds c")
-    _P_STAR.check("p_star", p_star)
-    n0 = 1
-    while c**n0 >= p_star:
-        n0 += 1
+    budget = _budget(p_star)
+    step = -math.log2(c)
+    n0, weight = 1, step
+    while weight <= budget:
+        n0, weight = n0 + 1, weight + step
     required = math.ceil(math.log(p_star) / math.log(c)) + 1
     dist = _sp_shortest_path(_csgraph(net), method="D", directed=False, unweighted=True)
     witness = None
@@ -889,7 +911,7 @@ def task_reachability(net: Network, p_star: float) -> ReachabilityReport:
     Counts include the node itself; connectivity at threshold is not
     transitive, so these balls are the honest analogue of components.
     """
-    within = _best_weights(net, p_star) <= _budget(p_star)
+    within = _within_budget(net, p_star)[1]
     counts = dict(zip(net.nodes, np.count_nonzero(within, axis=1).tolist()))
     return ReachabilityReport(counts, max(counts.values()) / net.n_nodes)
 
@@ -906,7 +928,7 @@ def evolve(
     """
     Range("(0, 1]").check("w", w)
     Range(">= 0").check("k", k)
-    _P_STAR.check("p_star", p_star)
+    P_STAR.check("p_star", p_star)
     current, out = net, []
     for t in range(steps):
         if t:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Tuple, Union
 
-from . import UNIT, Range, Sentinel, check_fields, ranged, yields
+from . import P_STAR, UNIT, Range, Sentinel, check_fields, ranged, yields
 
 CHSH_THRESHOLD = 1.0 / math.sqrt(2.0)
 TELEPORT_THRESHOLD = 1.0 / 3.0
@@ -37,7 +37,7 @@ class EntanglementMode(str, Enum):
 _OPEN_UNIT = Range("(0, 1)")
 _THETA = Range("(0, pi/2)")
 # the parameter a task kind requires, and its range
-_TASK_PARAMETERS = {
+TASK_PARAMETERS = {
     TaskKind.DIQKD: ("theta", Range("(0, pi/2)", "DIQKD requires theta in (0, pi/2)")),
     TaskKind.CUSTOM: ("p_star", Range("(0, 1)", "Custom requires p_star in (0, 1)")),
 }
@@ -57,8 +57,8 @@ class TaskSpec:
     entanglement_mode: EntanglementMode = EntanglementMode.PPT_THRESHOLD
 
     def __post_init__(self):
-        if self.kind in _TASK_PARAMETERS:
-            name, rng = _TASK_PARAMETERS[self.kind]
+        if self.kind in TASK_PARAMETERS:
+            name, rng = TASK_PARAMETERS[self.kind]
             rng.check(name, getattr(self, name))
 
     def threshold(self) -> float:
@@ -221,7 +221,7 @@ def critical_length_time_bound(budget: LinkBudget) -> TradeOffBound:
 def f_fold_bound(f: float, p_star: float) -> float:
     """Largest alpha*l_c + beta*t_c compatible with an f-fold advantage."""
     Range(">= 1").check("f", f)
-    _OPEN_UNIT.check("p_star", p_star)
+    P_STAR.check("p_star", p_star)
     return -f * math.log(p_star)
 
 

@@ -11,6 +11,7 @@ import sys
 
 import pytest
 
+import qnetlim
 from qnetlim import buffersim, cli, netgraph, repeater, scenario
 from qnetlim.cli import FIGURE_IDS, main
 
@@ -215,6 +216,23 @@ class TestRangeProbes:
             rng = f.metadata["range"].text
             assert re.search(f"--{f.name.replace('_', '-')} {f.name.upper()} [^-]*, {re.escape(rng)} ", text)
 
+    # (command, option, Range that checks the option's value)
+    OPTION_RANGES = [
+        ("chain", "--lambda LAM", repeater.ChainConfig.__dataclass_fields__["lam"].metadata["range"]),
+        ("chain", "--theta THETA", repeater.TASK_PARAMETERS[repeater.TaskKind.DIQKD][1]),
+        ("chain", "--p-star P_STAR", repeater.TASK_PARAMETERS[repeater.TaskKind.CUSTOM][1]),
+        *((command, "--p-star P_STAR", qnetlim.P_STAR)
+          for command in ("graph", "critical-nodes", "path", "evolve", "airport")),
+    ]
+
+    @pytest.mark.parametrize("command,option,rng", OPTION_RANGES,
+                             ids=[f"{c} {o.split()[0]}" for c, o, _ in OPTION_RANGES])
+    def test_help_prints_option_range(self, capsys, command, option, rng):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert re.search(f"{option} [^-]*, {re.escape(rng.text)} ", text)
+
 
 class TestChain:
     def test_max_repeaters_output(self, capsys):
@@ -405,22 +423,30 @@ class TestGraphGoldens:
 
 
 class TestAllPairsPasses:
-    """Cooperative metrics share one scipy all-pairs pass per (network, p_star)."""
+    """Cooperative metrics share one scipy all-pairs pass per (network, p_star).
 
-    @pytest.mark.parametrize(
-        "argv,passes", [(("graph",), 1), (("evolve", "--steps", "10"), 10)], ids=["graph", "evolve"]
-    )
-    def test_square1024(self, capsys, monkeypatch, lattice_dir, argv, passes):
+    The pass is bounded by the -log2 p_star budget unless
+    average_effective_weight needs every distance. Each pass is recorded
+    by its limit; the centrality sweep's per-source calls are not passes.
+    """
+
+    @pytest.mark.parametrize("argv,limits", [
+        (("graph",), [math.inf]),
+        (("evolve", "--steps", "10"), [-math.log2(0.1)] * 10),
+        (("critical-nodes",), [-math.log2(0.5)]),
+    ], ids=["graph", "evolve", "critical-nodes"])
+    def test_square1024(self, capsys, monkeypatch, lattice_dir, argv, limits):
         calls = []
-        real = netgraph._sp_shortest_path
+        real = netgraph._sp_dijkstra
 
         def counted(*args, **kwargs):
-            calls.append(args)
+            if kwargs.get("indices") is None:
+                calls.append(kwargs["limit"])
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(netgraph, "_sp_shortest_path", counted)
+        monkeypatch.setattr(netgraph, "_sp_dijkstra", counted)
         code, _, _ = run_cli(capsys, argv[0], "--in", "sq.edges", *argv[1:])
-        assert (code, len(calls)) == (0, passes)
+        assert (code, calls) == (0, limits)
 
 
 def buffer_config(seed, capacity, n_arrivals, unit_f0=False, **kw):

@@ -295,21 +295,22 @@ class TestWeights:
         assert matrices(net, 0.3).f_star[0, 1] == 0.5
 
     def test_shared_pass_freed_before_next(self, monkeypatch):
-        # evolve computes one pass per step: the previous step's n x n
-        # array must be gone before scipy allocates the next one
-        first = ng._best_weights(square_plus_diagonal(), 0.3)
-        ref = weakref.ref(first)
-        del first
+        # evolve computes one pass per step, and a full request replaces a
+        # bounded entry: the previous n x n array must be gone before scipy
+        # allocates the next one
+        refs = [weakref.ref(ng._best_weights(square_plus_diagonal(), 0.3))]
         seen = []
-        real = ng._sp_shortest_path
+        real = ng._sp_dijkstra
 
         def probe(*args, **kwargs):
-            seen.append(ref() is None)
+            seen.append(refs[-1]() is None)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(ng, "_sp_shortest_path", probe)
-        ng._best_weights(square_plus_diagonal(), 0.3)
-        assert seen == [True]
+        monkeypatch.setattr(ng, "_sp_dijkstra", probe)
+        net = square_plus_diagonal()
+        refs.append(weakref.ref(ng._best_weights(net, 0.3)))
+        ng._best_weights(net, 0.3, full=True)
+        assert seen == [True, True]
 
     def test_matrix_invariants(self):
         rng = random.Random(5)
@@ -465,6 +466,82 @@ class TestThresholdRule:
         for net, p_star in cases:
             assert self.mismatches(net, p_star) == [], (net.edges, p_star)
             assert link_sparsity(net, p_star, CO) <= link_sparsity(net, p_star, NC)
+
+
+def unbounded_pass(net, p_star):
+    """The all-pairs pass with no budget, by scipy's shortest_path: the oracle of the bounded one."""
+    from scipy.sparse.csgraph import shortest_path
+
+    return shortest_path(ng._csgraph(net, net.p >= p_star), method="D", directed=False)
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+class TestBudgetLimitedPass:
+    """The metrics that read only f* give, bit for bit, what they give on the unbounded pass."""
+
+    def cases(self):
+        rng = random.Random(14)
+        near_one = math.nextafter(1.0, 0.0)
+        chain = Network(range(6), [(i, i + 1, 0.5) for i in range(5)])
+        yield from ((random_graph(rng), rng.uniform(0.01, 0.9)) for _ in range(20))
+        yield from ((seeded_graph(seed), p_star) for seed in (8, 9) for p_star in (0.3, 0.05))
+        for spec in (Grid(6, 5, 0.9), Star(9, 0.8), FullMesh(7, 0.5), Circulant(12, 4, 0.9),
+                     Grid(5, 5, 1.0), FullMesh(5, 1.0), Square1024(0.9)):
+            yield from ((build_topology(spec), p_star) for p_star in (0.5, 0.1))
+        # boundary graphs: p* an edge's p and a walk's product
+        for kind in TestThresholdRule.DRAWS:
+            yield from TestThresholdRule().random_cases(kind, 10)
+        # a distance equal to the budget is kept: 0.5 ** 2 and 0.5 ** 4
+        yield from ((chain, p_star) for p_star in (0.25, 0.0625))
+        mixed = Network(range(5), [(0, 1, 1.0), (1, 2, near_one), (2, 3, 1.0), (3, 4, 0.5)])
+        yield from ((g, p_star) for g in (mixed, build_topology(Grid(4, 4, 1.0)))
+                    for p_star in (near_one, 1 - 1e-12, 1e-300))
+        yield seeded_graph(), 1e-300
+
+    def oracle(self, net, p_star):
+        """bounded_readers' values, then the average weight, all from the unbounded pass."""
+        n = net.n_nodes
+        dist = unbounded_pass(net, p_star)
+        budget = -math.log2(p_star)
+        f = np.where(dist <= budget, np.power(2.0, -dist), 0.0)
+        np.fill_diagonal(f, 0.0)
+        strengths = f.sum(axis=1) / n
+        z = np.sort(strengths)
+        index = 1.0
+        if z.sum():
+            y = np.concatenate([[0.0], np.cumsum(z) / z.sum()])
+            index = float(np.trapezoid(y, dx=1.0 / n)) / 0.5
+        counts = np.count_nonzero(dist <= budget, axis=1)
+        average = ng._mean_weight(dist[~np.eye(n, dtype=bool)])
+        return (f, 1.0 - np.count_nonzero(f) / n**2, float(strengths.sum()), index,
+                counts.tolist(), counts.max() / n, average)
+
+    def bounded_readers(self, net, p_star):
+        reach = task_reachability(net, p_star)
+        return (ng._f_star(net, p_star), link_sparsity(net, p_star, CO),
+                total_connection_strength(net, CO, p_star), sparsity_index(net, CO, p_star),
+                [reach.counts[v] for v in net.nodes], reach.max_fraction)
+
+    @pytest.mark.parametrize("full_first", [False, True], ids=["bounded-first", "full-first"])
+    def test_equals_unbounded_pass(self, full_first):
+        checked = 0
+        for net, p_star in self.cases():
+            want = self.oracle(net, p_star)
+            ng._BEST_WEIGHTS.clear()
+            if full_first:
+                average = average_effective_weight(net, p_star)
+            got = self.bounded_readers(net, p_star)
+            if not full_first:
+                average = average_effective_weight(net, p_star)
+            got += (average,)
+            assert [bits(x) for x in got] == [bits(x) for x in want], (net.edges, p_star)
+            rows = [ng._f_star(net, p_star, slice(i, i + 1))[0] for i in range(net.n_nodes)]
+            assert bits(rows) == bits(want[0]), (net.edges, p_star)
+            checked += 1
+        assert checked > 100, checked
 
 
 class TestSparsityAndStrength:
@@ -1017,6 +1094,24 @@ class TestPercolation:
         res = critically_large_check(tri, 0.5, 0.45)
         assert res.n0 == 1
         assert not res.is_critically_large
+
+    def test_n0_probe(self):
+        # two hops of p = c weigh more than -log2 c**2, although c * c == c**2
+        c = 0.9219849457519236
+        chain = Network(range(3), [(0, 1, c), (1, 2, c)])
+        assert shortest_path(chain, 0, 2, c**2).status is PathStatus.DISCONNECTED
+        assert critically_large_check(chain, c**2, c).n0 == 2
+
+    def test_n0_follows_the_weight_rule(self):
+        # a chain of n0 - 1 edges of p = c is within p*, one of n0 edges is not
+        rng = random.Random(26)
+        for _ in range(200):
+            c = rng.uniform(0.3, 0.95)
+            p_star = rng.choice([rng.uniform(1e-3, 0.99), c ** rng.randint(1, 6)])
+            n0 = critically_large_check(Network([0, 1], [(0, 1, c)]), p_star, c).n0
+            for hops, status in ((n0 - 1, PathStatus.FOUND), (n0, PathStatus.DISCONNECTED)):
+                chain = Network(range(hops + 1), [(i, i + 1, c) for i in range(hops)])
+                assert shortest_path(chain, 0, hops, p_star).status is status, (c, p_star, n0)
 
     def test_validation(self):
         net = build_topology(FullMesh(3, 0.95))
