@@ -1,16 +1,16 @@
 """Weighted undirected networks and robustness metrics.
 
 Edges carry a success probability p in (0, 1]. All weights are in bits,
-w = -log2 p, and a path weighs the sum of its edge weights. A pair of
-nodes is task-connected at threshold p_star when its best path weighs
-d <= -log2 p_star bits, compared with no epsilon. Every path metric (the
-cooperative link sparsity and connection strength, task_reachability,
-shortest_path, centrality and critically_large_check's n0) reads that one
-rule, through _budget. The non-cooperative metrics test each edge's
-p >= p_star; math.log2 is monotone, so such an edge always counts
-cooperatively too. 2**(-d) is a path's probability only up to rounding
-(for p = 0.07 it gives 0.06999999999999999), so no path probability is
-compared with p_star.
+w = -log2 p, and a path weighs the sum of its edge weights. One rule,
+with no epsilon, decides what p_star admits: an edge is usable when its
+w <= -log2 p_star, and a pair of nodes is task-connected when its best
+path weighs d <= -log2 p_star. Every metric reads it through _budget, and
+every edge test but evolve's decay law is the mask _strong. A usable
+edge is a path within budget, so it always counts cooperatively too.
+Neither p nor 2**(-d) is compared with p_star: an edge of p just below
+p_star can weigh exactly -log2 p_star, and 2**(-d) is a path's
+probability only up to rounding (for p = 0.07 it gives
+0.06999999999999999).
 
 scipy is imported on first use, inside the three wrappers below, because
 its ~0.4 s import would otherwise slow every command that loads this
@@ -38,6 +38,11 @@ def _budget(p_star: float) -> float:
     """-log2 p_star, the most a path may weigh to connect a pair at p_star."""
     P_STAR.check("p_star", p_star)
     return -math.log2(p_star)
+
+
+def _strong(net: Network, p_star: float) -> np.ndarray:
+    """Per CSR entry of net, whether the edge is usable at p_star: w <= -log2 p_star."""
+    return net.w <= _budget(p_star)
 
 
 def _csr_matrix(*args, **kwargs):
@@ -121,11 +126,14 @@ class Network:
     def edge_p(self, a: NodeId, b: NodeId) -> Optional[float]:
         return self.edges.get(_edge_key(a, b))
 
-    def neighbors(self, v: NodeId, p_star: float = 0.0) -> List[NodeId]:
-        """v's neighbours over edges with p >= p_star, in net order."""
+    def neighbors(self, v: NodeId, p_star: Optional[float] = None) -> List[NodeId]:
+        """v's neighbours, over the edges usable at p_star if given, in net order."""
         i = self.index[v]
         span = slice(self.ptr[i], self.ptr[i + 1])
-        return [self.nodes[j] for j in self.head[span][self.p[span] >= p_star]]
+        heads = self.head[span]
+        if p_star is not None:
+            heads = heads[_strong(self, p_star)[span]]
+        return [self.nodes[j] for j in heads]
 
     def relabeled(self, mapping: Dict[NodeId, NodeId]) -> "Network":
         nodes = [mapping[v] for v in self.nodes]
@@ -140,12 +148,10 @@ class StrategyKind(str, Enum):
 
 
 def effective_weight(p: float, p_star: float) -> float:
-    """-log2 p in bits when p >= p_star, else +inf."""
+    """-log2 p in bits when it is within the -log2 p_star budget, else +inf."""
     _EDGE_P.check("p", p)
-    P_STAR.check("p_star", p_star)
-    if p < p_star:
-        return math.inf
-    return -math.log2(p)
+    w = -math.log2(p)
+    return w if w <= _budget(p_star) else math.inf
 
 
 @dataclass(frozen=True)
@@ -177,7 +183,7 @@ _BEST_WEIGHTS: Dict[Tuple[Network, float], Tuple[float, np.ndarray]] = {}
 
 
 def _best_weights(net: Network, p_star: float, full: bool = False) -> np.ndarray:
-    """All-pairs minimum path weight over the edges with p >= p_star.
+    """All-pairs minimum path weight over the edges usable at p_star.
 
     The one pass every cooperative metric reads. It is bounded by the
     -log2 p_star budget, as f* reads only the pairs within it: a pair over
@@ -196,50 +202,46 @@ def _best_weights(net: Network, p_star: float, full: bool = False) -> np.ndarray
     if entry is None or entry[0] < limit:
         entry = None  # not held through the next pass
         _BEST_WEIGHTS.clear()
-        dist = _sp_dijkstra(_csgraph(net, net.p >= p_star), directed=False, limit=limit)
+        dist = _sp_dijkstra(_csgraph(net, _strong(net, p_star)), directed=False, limit=limit)
         dist.flags.writeable = False
         entry = _BEST_WEIGHTS[net, p_star] = (limit, dist)
     return entry[1]
 
 
-def _within_budget(
-    net: Network, p_star: float, rows: slice = slice(None)
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The pass's rows (a slice of net.index positions), and which pairs are within budget."""
-    dist = _best_weights(net, p_star)[rows]
+def _within_budget(net: Network, p_star: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The all-pairs pass, and which pairs are within budget."""
+    dist = _best_weights(net, p_star)
     return dist, dist <= _budget(p_star)
 
 
-def _f_star(net: Network, p_star: float, rows: slice = slice(None)) -> np.ndarray:
+def _f_star(net: Network, p_star: float) -> np.ndarray:
     """Best-path success probabilities 2**-d, 0 over the budget and on the diagonal.
 
-    rows selects the source nodes, as a slice of net.index positions, so a
-    caller that reads one row computes one row. The power is taken only
-    within the budget, by the same ufunc on the same weights as over the
-    whole array, so the values do not depend on which pass is cached.
+    The power is taken only within the budget, by the same ufunc on the
+    same weights as over the whole array, so the values do not depend on
+    which pass is cached.
     """
-    dist, within = _within_budget(net, p_star, rows)
+    dist, within = _within_budget(net, p_star)
     f = np.zeros(dist.shape)
     np.power(2.0, -dist, out=f, where=within)
-    sources = np.arange(net.n_nodes)[rows]
-    f[np.arange(len(sources)), sources] = 0.0
+    np.fill_diagonal(f, 0.0)
     return f
 
 
 def matrices(net: Network, p_star: float) -> EffectiveMatrices:
     """A, A_star and the all-pairs best-path success matrix f_star.
 
-    A holds -log2 p per edge, A_star only for edges with p >= p_star; both
-    are 0 on the diagonal and +inf elsewhere. f_star entries are 2**-d for
-    the best path weight d when d is within the -log2 p_star budget, else
-    0; the diagonal is 0 by definition.
+    A holds -log2 p per edge, A_star only for the edges usable at p_star,
+    w <= -log2 p_star; both are 0 on the diagonal and +inf elsewhere.
+    f_star entries are 2**-d for the best path weight d when d is within
+    the same budget, else 0; the diagonal is 0 by definition.
     """
     n, tail = net.n_nodes, net.tail
     a = np.full((n, n), math.inf)
     np.fill_diagonal(a, 0.0)
     a_star = a.copy()
     a[tail, net.head] = net.w
-    strong = net.p >= p_star
+    strong = _strong(net, p_star)
     a_star[tail[strong], net.head[strong]] = net.w[strong]
     return EffectiveMatrices(a, a_star, _f_star(net, p_star))
 
@@ -302,8 +304,7 @@ def link_sparsity(net: Network, p_star: float, strategy: StrategyKind) -> float:
     if n == 0:
         raise ValueError("empty network")
     if strategy is StrategyKind.NON_COOPERATIVE:
-        P_STAR.check("p_star", p_star)
-        n_star = int(np.count_nonzero(net.p >= p_star))
+        n_star = int(np.count_nonzero(_strong(net, p_star)))
     else:
         # the off-diagonal pairs within the budget, those with f* > 0:
         # 2**-d > 0 for every d <= budget <= 1074
@@ -329,19 +330,16 @@ def connection_strength(
     if strategy is StrategyKind.NON_COOPERATIVE:
         total = float(_direct_sums(net, p_star)[net.index[v]])
     else:
-        i = net.index[v]
-        total = float(_f_star(net, p_star, slice(i, i + 1))[0].sum())
+        total = float(_f_star(net, p_star)[net.index[v]].sum())
     if include_self:
         total += 1.0
     return total / net.n_nodes
 
 
 def _direct_sums(net: Network, p_star: float) -> np.ndarray:
-    """Per node, the sum of its edges' p >= p_star, in edge insertion order."""
-    P_STAR.check("p_star", p_star)
-    ends, p = np.empty_like(net.tail), np.empty_like(net.p)
-    ends[net.order], p[net.order] = net.tail, net.p
-    strong = p >= p_star
+    """Per node, the sum of the p of its edges usable at p_star, in edge insertion order."""
+    ends, p, strong = np.empty_like(net.tail), np.empty_like(net.p), np.empty(len(net.p), bool)
+    ends[net.order], p[net.order], strong[net.order] = net.tail, net.p, _strong(net, p_star)
     return np.bincount(ends[strong], p[strong], minlength=net.n_nodes)
 
 
@@ -389,13 +387,12 @@ def _neighbor_metrics(
     out block-diagonally, a chunk at a time, for one all-pairs call. It is
     nan for a node with fewer than two neighbours.
     """
-    P_STAR.check("p_star", p_star)
     n = net.n_nodes
     sel = np.arange(n) if nodes is None else np.asarray(nodes, dtype=np.int64)
-    tail, head, p, ptr = net.tail, net.head, net.p, net.ptr
+    tail, head, ptr = net.tail, net.head, net.ptr
     keys = tail * n + head
     weight = _csgraph_weights(net)
-    strong = p >= p_star
+    strong = _strong(net, p_star)
     n_i = np.bincount(tail[strong], minlength=n)[sel]
     deg = np.diff(ptr)[sel]
     clustering = np.zeros(len(sel))
@@ -410,7 +407,7 @@ def _neighbor_metrics(
             ea, eb = ptr[sel[group], None] + i, ptr[sel[group], None] + j
             ab = head[ea] * n + head[eb]
             hit = np.minimum(np.searchsorted(keys, ab), len(keys) - 1)
-            linked = (keys[hit] == ab) & (p[hit] >= p_star)
+            linked = (keys[hit] == ab) & strong[hit]
             e_i = (linked & strong[ea] & strong[eb]).sum(axis=1)
             pairs = n_i[group] * (n_i[group] - 1)
             clustering[group] = np.where(pairs > 0, 2.0 * e_i / np.maximum(pairs, 1), 0.0)
@@ -446,9 +443,9 @@ def _mean_weight(off: np.ndarray) -> float:
 def average_effective_weight(net: Network, p_star: float) -> float:
     """Mean shortest-path weight in bits over ordered pairs of distinct nodes.
 
-    Paths use only the edges with p >= p_star, and no -log2 p_star budget
-    applies: a pair joined only by a path over budget counts its full
-    weight. The result is +inf exactly when the thresholded graph is
+    Paths use only the edges usable at p_star, w <= -log2 p_star, but no
+    budget bounds a path: a pair joined only by a path over budget counts
+    its full weight. The result is +inf exactly when the thresholded graph is
     disconnected.
     """
     n = net.n_nodes
@@ -875,9 +872,10 @@ def critically_large_check(net: Network, p_star: float, c: float) -> CriticalSiz
 
     c must upper-bound every edge probability. n0 is the smallest hop
     count whose chain of p = c edges, its weights summed hop by hop as a
-    path sums them, weighs more than the -log2 p_star budget. A pair at
-    graph distance of at least ceil(log p_star / log c) + 1 certifies the
-    network critically large.
+    path sums them, weighs more than the -log2 p_star budget. A pair more
+    than n0 hops apart, required_distance = n0 + 1, certifies the network
+    critically large; the witness is the first such pair in net order, a
+    disconnected pair included.
     """
     Range("(0, 1)").check("c", c)
     if (net.p > c).any():
@@ -887,16 +885,10 @@ def critically_large_check(net: Network, p_star: float, c: float) -> CriticalSiz
     n0, weight = 1, step
     while weight <= budget:
         n0, weight = n0 + 1, weight + step
-    required = math.ceil(math.log(p_star) / math.log(c)) + 1
-    dist = _sp_shortest_path(_csgraph(net), method="D", directed=False, unweighted=True)
-    witness = None
-    n = net.n_nodes
-    for i in range(n):
-        far = np.flatnonzero(dist[i, i + 1:] >= required)
-        if far.size:
-            witness = (net.nodes[i], net.nodes[i + 1 + int(far[0])])
-            break
-    return CriticalSizeResult(witness is not None, n0, required, witness)
+    hops = _sp_shortest_path(_csgraph(net), method="D", directed=False, unweighted=True)
+    far = np.argwhere(np.triu(hops > n0, 1))
+    witness = (net.nodes[far[0, 0]], net.nodes[far[0, 1]]) if len(far) else None
+    return CriticalSizeResult(witness is not None, n0, n0 + 1, witness)
 
 
 @dataclass(frozen=True)

@@ -145,6 +145,37 @@ class TestExitCodes:
         code, out, _ = run_cli(capsys, "evolve", "--steps", "0", "--in", edge_file)
         assert (code, data_rows(out)) == (0, ["t,edges,cooperative_link_sparsity"])
 
+    @pytest.mark.parametrize("text,err", [
+        ("a,b\n", "bad graph file: not enough values"),
+        ("a,b,1.5\n", "bad graph file: edge probability"),
+        ("a,b,0.5\nb,b,0.5\n", "bad graph file: self-loop on node 'b'"),
+    ])
+    def test_bad_graph_file(self, capsys, tmp_path, text, err):
+        f = tmp_path / "bad.edges"
+        f.write_text(text)
+        code, out, stderr = run_cli(capsys, "graph", "--in", str(f))
+        assert (code, out) == (1, "")
+        assert err in stderr
+
+    def test_path_unknown_node(self, capsys, edge_file):
+        code, out, err = run_cli(
+            capsys, "path", "--in", edge_file, "--source", "1", "--target", "9"
+        )
+        assert (code, out) == (1, "")
+        assert "unknown node: \"unknown node '9'\"" in err
+
+    @pytest.mark.parametrize("text,err", [
+        (None, "cannot read config"),
+        ('{"capacity": 4', "bad config file"),
+    ])
+    def test_unreadable_buffer_config(self, capsys, tmp_path, text, err):
+        path = tmp_path / "sim.json"
+        if text is not None:
+            path.write_text(text)
+        code, out, stderr = run_cli(capsys, "buffer", "--config", str(path))
+        assert (code, out) == (1, "")
+        assert f"error: {err}" in stderr
+
 
 class TestRangeProbes:
     """Values outside a parameter's range, NaN and +inf included, are usage errors."""
@@ -596,6 +627,49 @@ class TestScenarioCommands:
         path.write_text("{\"capacity\": 4}")
         code, _, err = run_cli(capsys, "buffer", "--config", str(path))
         assert code == 1
+
+
+class TestAirportCommand:
+    """airport on a six-airport snapshot given by --airports and --routes."""
+
+    AIRPORTS = [
+        ("A", "Alpha", 0.0, 0.0), ("B", "Bravo", 0.0, 0.3), ("C", "Charlie", 0.0, 1.0),
+        ("D", "Delta", 1.0, 0.0), ("E", "Echo", 1.0, 1.0), ("F", "Foxtrot", 0.2, 0.2),
+    ]
+    # B-A repeats A-B, and A-Z names an unknown airport
+    ROUTES = ["A,B", "B,C", "C,D", "D,E", "E,F", "F,A", "A,C", "B,A", "A,Z"]
+
+    def write(self, tmp_path, airports=None):
+        lines = airports or [f"{a},{name},{lat},{lon}" for a, name, lat, lon in self.AIRPORTS]
+        (tmp_path / "airports.csv").write_text("id,name,lat,lon\n" + "\n".join(lines) + "\n")
+        (tmp_path / "routes.csv").write_text("src_id,dst_id\n" + "\n".join(self.ROUTES) + "\n")
+        return ["--airports", str(tmp_path / "airports.csv"),
+                "--routes", str(tmp_path / "routes.csv")]
+
+    def test_report(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "airport", *self.write(tmp_path), "--top", "4")
+        assert code == 0
+        assert "# skipped_routes = 1" in out.splitlines()
+        rows = data_rows(out)
+        assert rows[:3] == ["metric,value", "n_nodes,6", "n_edges,7"]
+        nodes = rows[rows.index("node,clustering,centrality,strength,critical_parameter") + 1:]
+        assert len(nodes) == 4
+        ds = scenario.load_airport_dataset(tmp_path / "airports.csv", tmp_path / "routes.csv")
+        rep = scenario.airport_report(scenario.load_airport_network(ds), p_star=0.1, top_n=4)
+        assert f"link_sparsity,{rep.link_sparsity!r}" in rows
+        assert [r.split(",")[0] for r in nodes] == [r.node for r in rep.top_critical_airports]
+
+    def test_missing_file(self, capsys, tmp_path):
+        argv = self.write(tmp_path)
+        (tmp_path / "routes.csv").unlink()
+        code, out, err = run_cli(capsys, "airport", *argv)
+        assert (code, out) == (1, "")
+        assert "error: cannot read dataset" in err
+
+    def test_malformed_record(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "airport", *self.write(tmp_path, ["A,Alpha,north,0.0"]))
+        assert (code, out) == (1, "")
+        assert "airports.csv:2: malformed airport record" in err
 
 
 class TestOutput:

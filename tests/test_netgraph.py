@@ -265,6 +265,15 @@ class TestNetwork:
         assert list(net.p) == [0.7, 0.7, 0.9, 0.9]
         assert net.neighbors(2) == [1, 3]
 
+    @pytest.mark.parametrize("nodes,edges,err", [
+        ([1, 2, 1], [], "duplicate node ids"),
+        ([1, 2], [(1, 2, 0.5), (2, 2, 0.5)], "self-loop on node 2"),
+        ([1, 2], [(1, 3, 0.5)], "edge references unknown node: 1-3"),
+    ])
+    def test_rejects_bad_input(self, nodes, edges, err):
+        with pytest.raises(ValueError, match=err):
+            Network(nodes, edges)
+
 
 class TestWeights:
     def test_effective_weight(self):
@@ -372,7 +381,7 @@ class TestShortestPath:
 
 
 class TestThresholdRule:
-    """Every path metric reads one rule: a pair is within p* when its best path weighs d <= -log2 p*."""
+    """One rule for every metric: an edge or a pair is within p* when w or d <= -log2 p*."""
 
     # a pair whose only path sits on the boundary: its product equals p*
     PROBES = {
@@ -388,9 +397,22 @@ class TestThresholdRule:
         "random": lambda rng, p: rng.uniform(0.05, 1.0),
     }
 
+    # p* at which the edge of p = nextafter(p*, 0) weighs exactly -log2 p*
+    TIED = [0.001, 1e-20, 1e-50, 1e-100, 1e-200, 1e-300]
+
+    @staticmethod
+    def tied_p(p_star):
+        """The p just below p*, if its weight equals the -log2 p* budget, else None."""
+        p = math.nextafter(p_star, 0.0)
+        return p if -math.log2(p) == -math.log2(p_star) else None
+
     def random_cases(self, kind, count=50):
-        """(net, p*) with p* an edge's p, and the product along a short walk."""
-        rng = random.Random(kind)
+        """(net, p*) with p* an edge's p, and the product along a short walk.
+
+        Where some p below p* weighs exactly -log2 p*, the network comes
+        again with a few edges of that p added or put in place of others.
+        """
+        rng, tie_rng = random.Random(kind), random.Random(f"{kind}-tied")
         for _ in range(count):
             n, p = rng.randint(3, 9), rng.uniform(0.3, 0.95)
             edges = [(i, j, self.DRAWS[kind](rng, p))
@@ -405,9 +427,16 @@ class TestThresholdRule:
             for p_star in (rng.choice(edges)[2], product):
                 if p_star < 1.0:
                     yield net, p_star
+                    tied = self.tied_p(p_star)
+                    if tied is not None:
+                        extra = [(i, j, tied) for i in range(n) for j in range(i + 1, n)
+                                 if tie_rng.random() < 0.2]
+                        extra.append((*tie_rng.choice(edges)[:2], tied))
+                        yield Network(range(n), edges + extra), p_star
 
     def mismatches(self, net, p_star):
-        """Ordered pairs on which f*, shortest_path and task_reachability disagree."""
+        """Ordered pairs on which f*, shortest_path and task_reachability disagree,
+        and usable edges whose ends are not within p*."""
         f = ng._f_star(net, p_star)
         counts = task_reachability(net, p_star).counts
         bad = []
@@ -415,6 +444,7 @@ class TestThresholdRule:
             found = [shortest_path(net, s, t, p_star).status is PathStatus.FOUND for t in net.nodes]
             found[i] = False
             bad += [(s, t) for j, t in enumerate(net.nodes) if (f[i, j] > 0) != found[j]]
+            bad += [(s, t) for t in net.neighbors(s, p_star) if not found[net.index[t]]]
             if counts[s] != 1 + sum(found):
                 bad.append((s, "reachability"))
         return bad
@@ -435,11 +465,12 @@ class TestThresholdRule:
         one = Network(["a", "b"], self.PROBES["one-edge"][0])
         assert link_sparsity(one, 0.07, CO) == link_sparsity(one, 0.07, NC) == 0.5
 
-    @pytest.mark.parametrize("name", list(PROBES))
-    def test_boundary_probes_cli(self, capsys, tmp_path, name):
-        edges, p_star, path = self.PROBES[name]
-        (tmp_path / "g.edges").write_text("".join(f"{a},{b},{p}\n" for a, b, p in edges))
-        common = ["--in", str(tmp_path / "g.edges"), "--p-star", str(p_star)]
+    @staticmethod
+    def cli_runner(capsys, tmp_path, edges, p_star):
+        """run(*argv): the exit code and the data rows, keyed by first field, of
+        a graph command on the edge list edges at p*."""
+        (tmp_path / "g.edges").write_text("".join(f"{a},{b},{p!r}\n" for a, b, p in edges))
+        common = ["--in", str(tmp_path / "g.edges"), "--p-star", repr(p_star)]
 
         def run(*argv):
             capsys.readouterr()
@@ -448,6 +479,12 @@ class TestThresholdRule:
                     if not line.startswith("#")]
             return code, {row[0]: row[1:] for row in rows[1:]}
 
+        return run
+
+    @pytest.mark.parametrize("name", list(PROBES))
+    def test_boundary_probes_cli(self, capsys, tmp_path, name):
+        edges, p_star, path = self.PROBES[name]
+        run = self.cli_runner(capsys, tmp_path, edges, p_star)
         found = {(s, t): run("path", "--source", s, "--target", t)[0] == 0
                  for s, t in itertools.permutations(path, 2)}
         code, graph = run("graph")
@@ -459,10 +496,54 @@ class TestThresholdRule:
         assert code == 0
         assert int(nodes[path[1]][1]) == (len(path) > 2 and found[path[0], path[-1]])
 
+    @staticmethod
+    def tied_edges(p_star):
+        """a-b of p just below p*, which weighs exactly -log2 p*, and b-c of p = 1."""
+        tied = TestThresholdRule.tied_p(p_star)
+        assert tied is not None and tied < p_star
+        return [("a", "b", tied), ("b", "c", 1.0)]
+
+    @pytest.mark.parametrize("p_star", TIED)
+    def test_tied_edge_counts(self, p_star):
+        edges = self.tied_edges(p_star)
+        net = Network(["a", "b", "c"], edges)
+        budget = -math.log2(p_star)
+        assert effective_weight(edges[0][2], p_star) == budget
+        assert net.neighbors("a", p_star) == ["b"]
+        assert net.neighbors("b", p_star) == ["a", "c"]
+        assert matrices(net, p_star).A_star[0, 1] == budget
+        assert shortest_path(net, "a", "c", p_star).status is PathStatus.FOUND
+        assert task_reachability(net, p_star).counts == {"a": 3, "b": 3, "c": 3}
+        assert link_sparsity(net, p_star, NC) == 1 - 4 / 9
+        assert link_sparsity(net, p_star, CO) == 1 - 6 / 9
+        assert centrality_all(net, p_star) == {"a": 0, "b": 1, "c": 0}
+        for strategy in (NC, CO):
+            assert connection_strength(net, "a", strategy, p_star) > 0
+        assert self.mismatches(net, p_star) == []
+        # closing the triangle: a-b is the link between a's and c's neighbours
+        triangle = Network(["a", "b", "c"], edges + [("a", "c", 1.0)])
+        assert [clustering_coefficient(triangle, v, p_star) for v in "abc"] == [1.0] * 3
+
+    @pytest.mark.parametrize("p_star", TIED)
+    def test_tied_edge_counts_cli(self, capsys, tmp_path, p_star):
+        run = self.cli_runner(capsys, tmp_path, self.tied_edges(p_star), p_star)
+        code, graph = run("graph")
+        assert code == 0
+        assert list(map(float, graph["link_sparsity"])) == [1 - 4 / 9, 1 - 6 / 9]
+        code, path = run("path", "--source", "a", "--target", "c")
+        assert code == 0
+        assert path["found"][-1] == "a-b-c"
+        code, nodes = run("critical-nodes")
+        assert code == 0
+        assert int(nodes["b"][1]) == 1
+        assert float(nodes["a"][2]) > 0
+
     @pytest.mark.parametrize("kind", list(DRAWS))
     def test_random_graphs(self, kind):
         cases = list(self.random_cases(kind))
         assert len(cases) > 60
+        assert sum(any(p == self.tied_p(p_star) for p in net.edges.values())
+                   for net, p_star in cases) > 10
         for net, p_star in cases:
             assert self.mismatches(net, p_star) == [], (net.edges, p_star)
             assert link_sparsity(net, p_star, CO) <= link_sparsity(net, p_star, NC)
@@ -472,7 +553,7 @@ def unbounded_pass(net, p_star):
     """The all-pairs pass with no budget, by scipy's shortest_path: the oracle of the bounded one."""
     from scipy.sparse.csgraph import shortest_path
 
-    return shortest_path(ng._csgraph(net, net.p >= p_star), method="D", directed=False)
+    return shortest_path(ng._csgraph(net, net.w <= -math.log2(p_star)), method="D", directed=False)
 
 
 def bits(x):
@@ -538,8 +619,9 @@ class TestBudgetLimitedPass:
                 average = average_effective_weight(net, p_star)
             got += (average,)
             assert [bits(x) for x in got] == [bits(x) for x in want], (net.edges, p_star)
-            rows = [ng._f_star(net, p_star, slice(i, i + 1))[0] for i in range(net.n_nodes)]
-            assert bits(rows) == bits(want[0]), (net.edges, p_star)
+            strengths = [connection_strength(net, v, CO, p_star) for v in net.nodes]
+            rows = [float(row.sum()) / net.n_nodes for row in want[0]]
+            assert bits(strengths) == bits(rows), (net.edges, p_star)
             checked += 1
         assert checked > 100, checked
 
@@ -1112,6 +1194,27 @@ class TestPercolation:
             for hops, status in ((n0 - 1, PathStatus.FOUND), (n0, PathStatus.DISCONNECTED)):
                 chain = Network(range(hops + 1), [(i, i + 1, c) for i in range(hops)])
                 assert shortest_path(chain, 0, hops, p_star).status is status, (c, p_star, n0)
+
+    @pytest.mark.parametrize("p_star", [0.25, 0.125])
+    def test_required_distance_at_an_exact_power(self, p_star):
+        # 0.5 ** 2 and 0.5 ** 3 are exact, so log p* / log c is a whole number
+        res = critically_large_check(Network([0, 1], [(0, 1, 0.5)]), p_star, 0.5)
+        assert res.required_distance == res.n0 + 1
+
+    def test_required_distance_follows_n0(self):
+        # p* = c**k, exact or rounded: a chain of n0 hops is not critically
+        # large, one of n0 + 1 hops is, with its ends as the witness
+        rng = random.Random(27)
+        for _ in range(200):
+            c = rng.uniform(0.3, 0.95)
+            p_star = c ** rng.randint(1, 6)
+            res = critically_large_check(Network([0, 1], [(0, 1, c)]), p_star, c)
+            assert res.required_distance == res.n0 + 1, (c, p_star)
+            for hops in (res.n0, res.n0 + 1):
+                chain = Network(range(hops + 1), [(i, i + 1, c) for i in range(hops)])
+                far = critically_large_check(chain, p_star, c)
+                assert far.witness_pair == ((0, hops) if hops > res.n0 else None), (c, p_star)
+                assert far.is_critically_large == (hops > res.n0)
 
     def test_validation(self):
         net = build_topology(FullMesh(3, 0.95))
