@@ -574,6 +574,70 @@ class TestBufferStreaming:
         assert code == want
         assert not out_path.exists()
 
+
+def mid_buffer_config(decay_mode, service_order):
+    """Capacity 64, horizon 400, 4 arrivals per tick: the heap is full and evicts most ticks."""
+    rng = random.Random(f"{decay_mode}/{service_order}")
+    return {
+        "capacity": 64, "p_mem": 0.02, "eta_crit": 0.5, "horizon": 400,
+        "decay_mode": decay_mode, "service_order": service_order,
+        "arrivals": [
+            {"tick": t, "producer_id": f"P{k}", "pair_id": f"t{t}p{k}",
+             "f0": 1.0 if rng.random() < 0.3 else round(rng.uniform(0.5, 1.0), 6)}
+            for t in range(1, 401) for k in range(4)
+        ],
+        "flows": [
+            {"flow_id": f"F{j}", "arrival_tick": rng.randint(1, 40), "t_p": rng.randint(1, 3), "n_pairs": 300}
+            for j in range(3)
+        ],
+    }
+
+
+class TestBufferMidGolden:
+    """A mid-size buffer run per decay mode and service order, pinned byte for byte.
+
+    The CLI trace does not show flow_finishes, which latest-first service
+    derives from heap positions, so run(cfg).flow_finishes is pinned too.
+    """
+
+    CASES = [(mode.value, order.value) for mode in buffersim.DecayMode for order in buffersim.ServiceOrder]
+    # (trace sha256, sha256 of flow_finishes as sorted-key JSON)
+    DIGESTS = {
+        ("iterated", "highest-fidelity"): (
+            "c184f4e038ba6dea9eee181dbe88740e695de424bc9b41bd2669bacc2290d270",
+            "3265d993e45349a8c1f536b0dfe10af355ce19707b7a6a56e525231500424f6c",
+        ),
+        ("iterated", "latest-first"): (
+            "71dc660516591019c850e0ea3ec2fd5d51184bab93290f8fef82b0f20aff6ad1",
+            "25fe16c20373baf13eaa91de8ba70a7e474fc1ae1aea05b38f8fce900547e897",
+        ),
+        ("paper-formula", "highest-fidelity"): (
+            "c110bfda646d0a5f473abfd0834f480033f3f775db14227e18115cef7d96ba71",
+            "121ed5ca118fa0f64f1c85190458086ef0f14cc2f049f680c70d8a8bb9e2c868",
+        ),
+        ("paper-formula", "latest-first"): (
+            "423cfefa71b67c07c07a549a88e01cb3e20b3eca16095162e0906f36eb8e3a5e",
+            "c3a16581a4f524d3eaae97c781c811bcbcc488040d13a5c68a9322f3539d6813",
+        ),
+    }
+
+    @pytest.mark.parametrize("mode,order", CASES, ids=[f"{m}/{o}" for m, o in CASES])
+    def test_trace_and_finishes(self, capsys, tmp_path, monkeypatch, mode, order):
+        raw = mid_buffer_config(mode, order)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sim.json").write_text(json.dumps(raw))
+        code, out, _ = run_cli(capsys, "buffer", "--config", "sim.json")
+        assert code == 0
+        cfg = buffersim.SimConfig(
+            raw["capacity"], raw["p_mem"], raw["eta_crit"],
+            tuple(buffersim.Arrival(**a) for a in raw["arrivals"]),
+            tuple(buffersim.FlowRequest(**f) for f in raw["flows"]),
+            raw["horizon"], buffersim.DecayMode(mode), buffersim.ServiceOrder(order),
+        )
+        finishes = buffersim.run(cfg).flow_finishes
+        assert (sha256(out), sha256(json.dumps(finishes, sort_keys=True))) == self.DIGESTS[(mode, order)]
+
+
 class TestScenarioCommands:
     def test_satellite(self, capsys):
         code, out, _ = run_cli(capsys, "satellite", "--n", "2")
