@@ -87,6 +87,9 @@ UNIT = Range("[0, 1]")  # every probability, efficiency and fidelity
 # the critical success probability p* of every graph metric, and of the
 # graph commands' --p-star
 P_STAR = Range("(0, 1)")
+# netgraph.evolve's per-step weight w and decay rate k, and evolve's --w and --k
+EVOLVE_W = Range("(0, 1]")
+EVOLVE_K = Range(">= 0")
 
 
 def ranged(spec: str, default=MISSING, message: Optional[str] = None):

@@ -30,7 +30,7 @@ def decayed_fidelity(f0: float, p_mem: float, s: int, mode: DecayMode = DecayMod
     return f0 if s == 0 else yields.depol_yield(p_mem, s, yields.DepolYieldMode.PAPER_FORMULA)
 
 
-@dataclass
+@dataclass(slots=True)
 class StoredPair:
     id: str
     insertion_tick: int
@@ -84,6 +84,7 @@ class MemoryHeap:
         self.decay_mode = decay_mode
         self.items: List[StoredPair] = []
         self._by_age: Dict[int, float] = {}  # see tick_decay
+        self._reprs: Dict[int, str] = {}  # paper-formula: repr of _by_age[s]
 
     def __len__(self):
         return len(self.items)
@@ -97,10 +98,15 @@ class MemoryHeap:
         return a.id < b.id
 
     def _sift_up(self, i: int) -> int:
+        items, higher = self.items, self._higher
+        it = items[i]
+        f = it.current_fidelity
         while i > 0:
             parent = (i - 1) // 2
-            if self._higher(self.items[i], self.items[parent]):
-                self.items[i], self.items[parent] = self.items[parent], self.items[i]
+            up = items[parent]
+            g = up.current_fidelity
+            if f > g or (f == g and higher(it, up)):
+                items[i], items[parent] = up, it
                 i = parent
             else:
                 break
@@ -121,11 +127,15 @@ class MemoryHeap:
             i = best
 
     def _min_index(self) -> int:
-        # the minimum of a max-heap sits among the leaves; a linear scan
-        # is fine at buffer sizes
-        lo = 0
-        for i in range(1, len(self.items)):
-            if self._higher(self.items[lo], self.items[i]):
+        # the minimum of a max-heap sits among the leaves; scan the
+        # fidelities, then rank the pairs that tie on the lowest one
+        items = self.items
+        fids = [it.current_fidelity for it in items]
+        low = min(fids)
+        lo = i = fids.index(low)
+        for _ in range(fids.count(low) - 1):
+            i = fids.index(low, i + 1)
+            if self._higher(items[lo], items[i]):
                 lo = i
         return lo
 
@@ -163,33 +173,56 @@ class MemoryHeap:
 
     def latest_index(self) -> int:
         """Heap position of the most recently inserted pair (latest-first service)."""
-        keys = [(item.insertion_tick, item.id) for item in self.items]
-        return keys.index(max(keys))
+        items = self.items
+        ticks = [it.insertion_tick for it in items]
+        last = max(ticks)
+        latest = i = ticks.index(last)
+        for _ in range(ticks.count(last) - 1):  # same tick: the larger id
+            i = ticks.index(last, i + 1)
+            if items[i].id > items[latest].id:
+                latest = i
+        return latest
 
     def tick_decay(self) -> Tuple[List[StoredPair], List[StoredPair]]:
         """Ages every entry one step; returns (survivors, evicted).
 
         Decay can reorder pairs without evicting any (paper-formula mode
-        ignores f0 after one step; p_mem = 1 ties every pair at 1/4), so on
-        every tick each survivor that outranks its parent is sifted up, in
-        array order. On a valid heap this moves nothing.
+        ignores f0 after one step; p_mem = 1 ties every pair at 1/4), and
+        evicting compacts the array, so on every tick each survivor that
+        outranks its parent is sifted up, in array order. On a valid heap
+        this moves nothing.
         """
-        by_age, iterated = self._by_age, self.decay_mode is DecayMode.ITERATED
-        for it in self.items:
-            s = it.age = it.age + 1
-            v = by_age.get(s)
-            if v is None:  # once per age; see run
-                v = by_age[s] = ((1.0 - self.p_mem) ** (2 * s) if iterated
-                                 else decayed_fidelity(1.0, self.p_mem, s, self.decay_mode))
-            it.current_fidelity = (1.0 + (4.0 * it.f0 - 1.0) * v) / 4.0 if iterated else v
-        evicted = [it for it in self.items if it.current_fidelity < self.eta_crit]
+        by_age, items = self._by_age, self.items
+        if self.decay_mode is DecayMode.ITERATED:
+            for it in items:
+                s = it.age = it.age + 1
+                v = by_age.get(s)
+                if v is None:  # once per age; see run
+                    v = by_age[s] = (1.0 - self.p_mem) ** (2 * s)
+                it.current_fidelity = (1.0 + (4.0 * it.f0 - 1.0) * v) / 4.0
+        else:
+            for it in items:
+                s = it.age = it.age + 1
+                v = by_age.get(s)
+                if v is None:
+                    v = by_age[s] = decayed_fidelity(1.0, self.p_mem, s, self.decay_mode)
+                    self._reprs[s] = repr(v)
+                it.current_fidelity = v
+        eta = self.eta_crit
+        evicted = [it for it in items if it.current_fidelity < eta]
         if evicted:
-            self.items = [it for it in self.items if it.current_fidelity >= self.eta_crit]
+            items = self.items = [it for it in items if it.current_fidelity >= eta]
+        self._restore_order()
+        return (list(items), evicted)
+
+    def _restore_order(self) -> None:
+        """Sifts up, in array order, each entry that outranks its parent."""
         items, higher = self.items, self._higher
         for i in range(1, len(items)):
-            if higher(items[i], items[(i - 1) // 2]):
+            it, up = items[i], items[(i - 1) // 2]
+            f, g = it.current_fidelity, up.current_fidelity
+            if f > g or (f == g and higher(it, up)):
                 self._sift_up(i)
-        return (list(items), evicted)
 
 
 def sift_ticks(position: int) -> int:
@@ -281,14 +314,19 @@ def run(config: SimConfig, write: Optional[Callable[[str], object]] = None) -> S
 
     Decay is looked up per age: ITERATED keeps the factor (1 - p_mem) ** (2 s)
     and applies `decayed_fidelity`'s own expression to it, so values are
-    bit-identical; PAPER_FORMULA keeps the fidelity, f0-free once s >= 1.
+    bit-identical; PAPER_FORMULA keeps the fidelity, f0-free once s >= 1,
+    and its repr.
     With `write` (say a file's `write`), each tick's rows, as `trace_csv`
     formats them, go to `write` as one string when the tick ends, and
-    `SimResult.trace` is empty: memory does not grow with the trace.
+    `SimResult.trace` is empty: memory does not grow with the trace. The
+    decay rows, most of the trace, are formatted in one pass per tick;
+    in PAPER_FORMULA mode they print the per-age repr.
     """
     heap = MemoryHeap(config.capacity, config.p_mem, config.eta_crit, config.decay_mode)
-    events: list = []  # (tick, kind, pair_id, flow_id, fidelity); this tick's if writing
-    emit = events.append
+    events: list = []  # (tick, kind, pair_id, flow_id, fidelity), if collecting
+    rows: List[str] = []  # this tick's formatted rows, if writing
+    emit = events.append if write is None else (lambda ev: rows.append(_trace_row(*ev)))
+    reprs = heap._reprs if config.decay_mode is DecayMode.PAPER_FORMULA else None
     flows = {
         f.flow_id: FlowState(f, f.n_pairs)
         for f in sorted(config.flows, key=lambda f: f.flow_id)
@@ -313,7 +351,14 @@ def run(config: SimConfig, write: Optional[Callable[[str], object]] = None) -> S
             inserts += 1
             emit((t, EventKind.INSERT, a.pair_id, "", a.f0))
         survivors, evicted = heap.tick_decay()
-        events += [(t, EventKind.DECAY, it.id, "", it.current_fidelity) for it in survivors]
+        if write is None:
+            events += [(t, EventKind.DECAY, it.id, "", it.current_fidelity) for it in survivors]
+        else:
+            prefix = f"{t},decay,"
+            if reprs is None:
+                rows += [f"{prefix}{it.id},,{it.current_fidelity!r}\n" for it in survivors]
+            else:  # every survivor is at least one step old
+                rows += [f"{prefix}{it.id},,{reprs[it.age]}\n" for it in survivors]
         for it in sorted(evicted, key=lambda e: e.id):
             evictions += 1
             emit((t, EventKind.EVICT, it.id, "", it.current_fidelity))
@@ -341,8 +386,8 @@ def run(config: SimConfig, write: Optional[Callable[[str], object]] = None) -> S
             emit((t, EventKind.DISPATCH, pair.id, fid, pair.current_fidelity))
             rr_ptr = (rr_start + step + 1) % n_flows
         if write is not None:
-            write("".join([_trace_row(*ev) for ev in events]))
-            events.clear()
+            write("".join(rows))
+            rows.clear()
     return SimResult(
         tuple(TraceEvent(*ev) for ev in events),
         {fid: tuple(st.dispatch_finishes) for fid, st in flows.items()},

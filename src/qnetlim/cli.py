@@ -17,7 +17,7 @@ import sys
 from dataclasses import MISSING, fields, replace
 from typing import IO, TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple, get_type_hints
 
-from . import P_STAR, buffersim, repeater, scenario
+from . import EVOLVE_K, EVOLVE_W, P_STAR, buffersim, repeater, scenario
 
 if TYPE_CHECKING:
     from .netgraph import Network, NodeReport
@@ -510,9 +510,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_tradeoff)
 
     p = sub.add_parser("nqi", help="fiber loss bound for an n-node line")
-    p.add_argument("--length", type=float, required=True, help="end-to-end length, km")
-    p.add_argument("--n", type=int, required=True, help="number of links")
-    p.add_argument("--q", type=float, default=1.0)
+    p.add_argument("--length", type=float, required=True,
+                   help="length of the line, km, " + repeater.NQI_LENGTH.text)
+    p.add_argument("--n", type=int, required=True, help="number of links, " + repeater.NQI_N.text)
+    p.add_argument("--q", type=float, default=1.0,
+                   help="Bell measurement success probability, default %(default)s, "
+                   + repeater.NQI_Q.text)
     p.set_defaults(func=cmd_nqi)
 
     p = sub.add_parser("graph", help="robustness metrics of an edge-list graph")
@@ -567,8 +570,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evolve", help="time-varying network decay")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--w", type=float, default=0.9)
-    p.add_argument("--k", type=float, default=0.3)
+    p.add_argument("--w", type=float, default=0.9,
+                   help="weight per step, default %(default)s, " + EVOLVE_W.text)
+    p.add_argument("--k", type=float, default=0.3,
+                   help="decay rate, default %(default)s, " + EVOLVE_K.text)
     p.add_argument("--p-star", type=float, default=0.1, help=_P_STAR_HELP)
     p.add_argument("--steps", type=_count, default=10)
     p.set_defaults(func=cmd_evolve)

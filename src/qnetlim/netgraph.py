@@ -28,7 +28,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from . import P_STAR, Range, Sentinel
+from . import EVOLVE_K, EVOLVE_W, P_STAR, Range, Sentinel
 
 NodeId = Union[int, str]
 _EDGE_P = Range("(0, 1]")
@@ -918,8 +918,8 @@ def evolve(
     cooperative link sparsity for t = 1 .. steps, starting from the given
     network at t = 1; none for steps = 0.
     """
-    Range("(0, 1]").check("w", w)
-    Range(">= 0").check("k", k)
+    EVOLVE_W.check("w", w)
+    EVOLVE_K.check("k", k)
     P_STAR.check("p_star", p_star)
     current, out = net, []
     for t in range(steps):

@@ -280,15 +280,21 @@ def required_f_diqkd(
     return exponent_factor * alpha * length_km * t_links / math.log(eta_mem**2 / gamma)
 
 
+# nqi_alpha_bound's ranges, and nqi's --length, --n and --q
+NQI_LENGTH = Range("> 0")
+NQI_N = Range(">= 1")
+NQI_Q = Range("(0, 1]")
+
+
 def nqi_alpha_bound(length_km: float, n: int, q: float) -> Optional[float]:
     """Largest fiber loss rate keeping an n-node line entangled end to end.
 
     alpha < ln(3 q^n) / (L (1 + 1/n)), natural log. None when 3 q^n <= 1,
     in which case no positive loss rate works.
     """
-    Range("> 0").check("length_km", length_km)
-    Range(">= 1").check("n", n)
-    Range("(0, 1]").check("q", q)
+    NQI_LENGTH.check("length_km", length_km)
+    NQI_N.check("n", n)
+    NQI_Q.check("q", q)
     arg = 3.0 * q**n
     if arg <= 1.0:
         return None

@@ -134,6 +134,122 @@ class TestHeap:
             MemoryHeap(4, 1.5, 0.5)
 
 
+class OracleHeap(MemoryHeap):
+    """The heap scans as plain _higher scans: the oracles of the fast ones."""
+
+    def _sift_up(self, i):
+        while i > 0:
+            parent = (i - 1) // 2
+            if self._higher(self.items[i], self.items[parent]):
+                self.items[i], self.items[parent] = self.items[parent], self.items[i]
+                i = parent
+            else:
+                break
+        return i
+
+    def _min_index(self):
+        lo = 0
+        for i in range(1, len(self.items)):
+            if self._higher(self.items[lo], self.items[i]):
+                lo = i
+        return lo
+
+    def latest_index(self):
+        keys = [(item.insertion_tick, item.id) for item in self.items]
+        return keys.index(max(keys))
+
+    def _restore_order(self):
+        for i in range(1, len(self.items)):
+            if self._higher(self.items[i], self.items[(i - 1) // 2]):
+                self._sift_up(i)
+
+
+def layout(heap):
+    return [(it.id, it.insertion_tick, it.age, it.current_fidelity) for it in heap.items]
+
+
+class TestHeapScanOracles:
+    """Every fast heap scan picks what its _higher oracle picks, ties included."""
+
+    CASES = [
+        (DecayMode.ITERATED, 1.0, 0.25),  # every pair at exactly 1/4 after one step
+        (DecayMode.ITERATED, 1.0, 0.0),
+        (DecayMode.ITERATED, 0.1, 0.5),
+        (DecayMode.ITERATED, 0.0, 0.0),  # no decay: equal f0 values tie for good
+        (DecayMode.PAPER_FORMULA, 0.05, 0.3),  # same-age pairs tie whatever their f0
+        (DecayMode.PAPER_FORMULA, 1.0, 0.0),
+        (DecayMode.PAPER_FORMULA, 0.1, 0.5),
+    ]
+
+    @staticmethod
+    def f0_values(rng, n):
+        """f0 = 1, a few repeated values and neighbours one ulp apart."""
+        out = []
+        for _ in range(n):
+            r = rng.random()
+            if out and r < 0.4:
+                out.append(math.nextafter(rng.choice(out), rng.choice((0.0, 1.0))))
+            elif out and r < 0.5:
+                out.append(rng.choice(out))
+            else:
+                out.append(1.0 if r < 0.75 else rng.uniform(0.3, 1.0))
+        return out
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("mode,p_mem,eta_crit", CASES)
+    def test_same_picks_and_layout(self, mode, p_mem, eta_crit, seed):
+        rng = random.Random(f"{mode.value}/{p_mem}/{eta_crit}/{seed}")
+        capacity = rng.randint(4, 24)
+        fast = MemoryHeap(capacity, p_mem, eta_crit, mode)
+        slow = OracleHeap(capacity, p_mem, eta_crit, mode)
+        f0s = iter(self.f0_values(rng, 3000))
+        for tick in range(1, 150):
+            # several pairs per tick, ids in no particular order
+            for _ in range(rng.randint(0, 5)):
+                pid, f0 = f"q{rng.randrange(10**6):06d}", next(f0s)
+                got = fast.insert(StoredPair(pid, tick, f0))
+                want = slow.insert(StoredPair(pid, tick, f0))
+                assert (got[0], got[1] and got[1].id) == (want[0], want[1] and want[1].id)
+                assert layout(fast) == layout(slow)
+            got, want = fast.tick_decay(), slow.tick_decay()
+            assert [[it.id for it in part] for part in got] == [[it.id for it in part] for part in want]
+            assert layout(fast) == layout(slow), tick
+            if fast.items:
+                # the fast scans against the oracles on the same array
+                assert fast._min_index() == OracleHeap._min_index(fast)
+                assert fast.latest_index() == OracleHeap.latest_index(fast)
+            for _ in range(rng.randint(0, 3)):
+                if not fast.items:
+                    break
+                if rng.random() < 0.5:
+                    assert fast.extract_max().id == slow.extract_max().id
+                else:
+                    assert fast.latest_index() == slow.latest_index()
+                    assert fast._remove_at(fast.latest_index()).id == slow._remove_at(slow.latest_index()).id
+                assert layout(fast) == layout(slow)
+
+    @pytest.mark.parametrize("mode,p_mem,eta_crit", CASES)
+    def test_restore_scan_on_shuffled_arrays(self, mode, p_mem, eta_crit):
+        # the restore scan on arrays far from heap order, as compaction leaves them
+        rng = random.Random(f"restore/{mode.value}/{p_mem}/{eta_crit}")
+        for _ in range(40):
+            n = rng.randint(1, 40)
+            pairs = [StoredPair(f"q{rng.randrange(10**6):06d}", rng.randint(1, 4), f0)
+                     for f0 in self.f0_values(rng, n)]
+            for it in pairs:
+                it.age = rng.randint(0, 3)
+                it.current_fidelity = decayed_fidelity(it.f0, p_mem, it.age, mode)
+            fast = MemoryHeap(64, p_mem, eta_crit, mode)
+            slow = OracleHeap(64, p_mem, eta_crit, mode)
+            fast.items, slow.items = list(pairs), list(pairs)
+            assert fast._min_index() == OracleHeap._min_index(fast)
+            assert fast.latest_index() == OracleHeap.latest_index(fast)
+            fast._restore_order()
+            slow._restore_order()
+            assert [it.id for it in fast.items] == [it.id for it in slow.items]
+            assert check_heap(fast)
+
+
 class TestTiming:
     def test_sift_ticks(self):
         assert [sift_ticks(i) for i in range(8)] == [0, 1, 2, 2, 3, 3, 3, 3]

@@ -254,6 +254,11 @@ class TestRangeProbes:
         ("chain", "--p-star P_STAR", repeater.TASK_PARAMETERS[repeater.TaskKind.CUSTOM][1]),
         *((command, "--p-star P_STAR", qnetlim.P_STAR)
           for command in ("graph", "critical-nodes", "path", "evolve", "airport")),
+        ("evolve", "--w W", qnetlim.EVOLVE_W),
+        ("evolve", "--k K", qnetlim.EVOLVE_K),
+        ("nqi", "--length LENGTH", repeater.NQI_LENGTH),
+        ("nqi", "--n N", repeater.NQI_N),
+        ("nqi", "--q Q", repeater.NQI_Q),
     ]
 
     @pytest.mark.parametrize("command,option,rng", OPTION_RANGES,
