@@ -11,9 +11,11 @@ Subpackages:
 - ``cli``      : command-line front end (``python -m qnetlim``)
 
 ``Range`` declares the values a scalar parameter may take, once, and
-checks them. Only ``qstate`` and ``netgraph`` import numpy. A submodule is
-imported on first access as an attribute of the package, so
-``qnetlim.netgraph`` works after ``import qnetlim`` alone.
+checks them; the ranges of the graph commands' options are declared here,
+so that building those options needs no numpy. Only ``qstate`` and
+``netgraph`` import numpy. A submodule is imported on first access as an
+attribute of the package, so ``qnetlim.netgraph`` works after
+``import qnetlim`` alone.
 """
 
 import math
@@ -63,8 +65,8 @@ class Range:
     spec is "[lo, hi]", with "(" or ")" at an open end, or ">= lo" or
     "> lo" for a range with no upper bound, which excludes +inf. min and max
     are the smallest and largest floats in the range, an open end being the
-    nearest float inside it, so check is one test min <= v <= max, which
-    NaN fails. check raises ValueError, also for None, with message, by
+    nearest float inside it, so `v in range` is one test min <= v <= max,
+    which NaN fails. check raises ValueError, also for None, with message, by
     default "{name} must be {text}".
     """
 
@@ -78,8 +80,11 @@ class Range:
         self.min = math.nextafter(lo, math.inf) if spec[0] == "(" else lo
         self.max = math.nextafter(hi, -math.inf) if spec[-1] == ")" else hi
 
+    def __contains__(self, v) -> bool:
+        return v is not None and self.min <= v <= self.max
+
     def check(self, name: str, v) -> None:
-        if v is None or not self.min <= v <= self.max:
+        if v not in self:
             raise ValueError(self.message or f"{name} must be {self.text}")
 
 
@@ -90,6 +95,13 @@ P_STAR = Range("(0, 1)")
 # netgraph.evolve's per-step weight w and decay rate k, and evolve's --w and --k
 EVOLVE_W = Range("(0, 1]")
 EVOLVE_K = Range(">= 0")
+# every edge probability, and topology's --p
+EDGE_P = Range("(0, 1]")
+# netgraph.build_topology's star and mesh node count n, circulant degree d
+# (also d < n) and grid width and height, and topology's options of each
+TOPOLOGY_N = Range(">= 2")
+TOPOLOGY_D = Range(">= 1")
+GRID_SIDE = Range(">= 1")
 
 
 def ranged(spec: str, default=MISSING, message: Optional[str] = None):

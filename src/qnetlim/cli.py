@@ -2,24 +2,29 @@
 
 Every subcommand writes CSV (or a short text report) with the resolved
 parameters echoed as `#` comment lines, either to stdout or to --out.
-Exit codes: 0 success, 1 data error (bad files, infeasible parameters),
-2 usage error.
+Exit codes: 0 success, 1 data error (bad files, infeasible parameters,
+unwritable output), 2 usage error.
+
+Each subcommand's option builder and handler import the module they read
+when they run, and `main` builds the options of the one subcommand it
+runs, so a command loads only its own layer.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import inspect
-import json
 import math
 import os
 import sys
-from dataclasses import MISSING, fields, replace
+from dataclasses import MISSING, fields
 from typing import IO, TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple, get_type_hints
 
-from . import EVOLVE_K, EVOLVE_W, P_STAR, buffersim, repeater, scenario
+from . import EDGE_P, EVOLVE_K, EVOLVE_W, GRID_SIDE, P_STAR, TOPOLOGY_D, TOPOLOGY_N
 
 if TYPE_CHECKING:
+    from . import repeater, scenario
     from .netgraph import Network, NodeReport
 
 DATA_DIR_ENV = "QNETLIM_DATA_DIR"
@@ -30,18 +35,22 @@ class DataError(Exception):
 
 
 def _emit(lines: Iterable[str], out: Optional[str], rows: Optional[IO[str]] = None) -> None:
-    """Writes the lines, then the spooled `rows` file if any, to --out or stdout."""
-    fh = open(out, "w") if out else sys.stdout
+    """Writes the lines, then the spooled `rows` file if any, to --out or stdout.
+
+    `rows` is closed in every case; an OSError is a DataError.
+    """
     try:
-        fh.write("\n".join(lines) + "\n")
-        if rows is not None:
-            with rows:
+        with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
+            fh.write("\n".join(lines) + "\n")
+            if rows is not None:
                 rows.seek(0)
                 while chunk := rows.read(1 << 20):
                     fh.write(chunk)
+    except OSError as exc:
+        raise DataError(f"cannot write output: {exc}")
     finally:
-        if out:
-            fh.close()
+        if rows is not None:
+            rows.close()
 
 
 def _header(cmd: str, params: dict) -> List[str]:
@@ -67,14 +76,11 @@ def _field_values(args, cls) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _make_task(args) -> repeater.TaskSpec:
-    kind = repeater.TaskKind(args.task)
-    mode = repeater.EntanglementMode(args.ent_mode)
-    return repeater.TaskSpec(kind, theta=args.theta, p_star=args.p_star, entanglement_mode=mode)
-
-
 def cmd_chain(args) -> List[str]:
-    task = _make_task(args)
+    from . import repeater
+
+    task = repeater.TaskSpec(repeater.TaskKind(args.task), theta=args.theta, p_star=args.p_star,
+                             entanglement_mode=repeater.EntanglementMode(args.ent_mode))
     params = {
         "lambda": args.lam, "q": args.q, "task": args.task,
         "theta": args.theta, "p_star": args.p_star, "threshold": task.threshold(),
@@ -94,6 +100,8 @@ def cmd_chain(args) -> List[str]:
 
 
 def cmd_tradeoff(args) -> List[str]:
+    from . import repeater
+
     params = _field_values(args, repeater.LinkBudget)
     bound = repeater.critical_length_time_bound(repeater.LinkBudget(**params))
     lines = _header("tradeoff", dict(params, f=args.f))
@@ -106,6 +114,8 @@ def cmd_tradeoff(args) -> List[str]:
 
 
 def cmd_nqi(args) -> List[str]:
+    from . import repeater
+
     params = {"length_km": args.length, "n": args.n, "q": args.q}
     lines = _header("nqi", params)
     bound = repeater.nqi_alpha_bound(args.length, args.n, args.q)
@@ -114,10 +124,6 @@ def cmd_nqi(args) -> List[str]:
     lines.append("alpha_bound_per_km")
     lines.append(repr(bound))
     return lines
-
-
-# The graph commands import netgraph when they run, so that the closed-form
-# and buffer commands never load it or numpy.
 
 
 def _load_net(path) -> Network:
@@ -213,7 +219,10 @@ def cmd_topology(args) -> List[str]:
 
     net = netgraph.build_topology(_TOPOLOGIES[args.kind](netgraph, args))
     if args.edges_out:
-        netgraph.save_edge_list(net, args.edges_out)
+        try:
+            netgraph.save_edge_list(net, args.edges_out)
+        except OSError as exc:
+            raise DataError(f"cannot write output: {exc}")
     params = {"kind": args.kind, "p": args.p, "nodes": net.n_nodes, "edges": net.n_edges}
     lines = _header("topology", params)
     lines.append("nodes,edges,edge_file")
@@ -222,6 +231,8 @@ def cmd_topology(args) -> List[str]:
 
 
 def cmd_satellite(args) -> List[str]:
+    from . import scenario
+
     params = _field_values(args, scenario.SatelliteYieldParams)
     p = scenario.SatelliteYieldParams(**params)
     conv = scenario.YieldConvention(args.convention)
@@ -232,6 +243,8 @@ def cmd_satellite(args) -> List[str]:
 
 
 def cmd_atmosphere(args) -> List[str]:
+    from . import scenario
+
     params = _field_values(args, scenario.AtmosphereParams)
     p = scenario.AtmosphereParams(**params)
     lines = _header("atmosphere", params)
@@ -248,6 +261,8 @@ def _default_data_dir() -> str:
 
 
 def cmd_airport(args) -> List[str]:
+    from . import scenario
+
     data_dir = args.data_dir or os.path.join(_default_data_dir(), "airport_snapshot")
     airports = args.airports or os.path.join(data_dir, "airports.csv")
     routes = args.routes or os.path.join(data_dir, "routes.csv")
@@ -281,6 +296,11 @@ def _airport_lines(rep: scenario.AirportReport) -> List[str]:
 
 
 def cmd_buffer(args) -> Tuple[List[str], IO[str]]:
+    import json
+    import tempfile
+
+    from . import buffersim
+
     try:
         with open(args.config) as fh:
             raw = json.load(fh)
@@ -301,8 +321,6 @@ def cmd_buffer(args) -> Tuple[List[str], IO[str]]:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"bad config contents: {exc}")
-    import tempfile  # only buffer spools, so only buffer pays for the import
-
     # the header's counters are known only at the end, so the rows are spooled
     rows = tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
     try:
@@ -345,7 +363,10 @@ def _frange(start: float, stop: float, step: float) -> List[float]:
     return out
 
 
-def _fig_max_relays(task: repeater.TaskSpec, qs: Sequence[float]) -> List[str]:
+def _fig_max_relays(kind: str, qs: Sequence[float], **params) -> List[str]:
+    from . import repeater
+
+    task = repeater.TaskSpec(repeater.TaskKind(kind), **params)
     lines = ["lambda," + ",".join(f"n_max_q={q}" for q in qs)]
     for lam in _frange(0.7, 1.0, 0.005):
         row = [f"{lam}"]
@@ -374,6 +395,8 @@ def _fig_tradeoff_lines(curves: Sequence[Tuple[str, float]], budget: repeater.Li
 
 
 def _fig_satellite(curve_key: str, values: Sequence[float], **base) -> List[str]:
+    from . import scenario
+
     lines = ["n," + ",".join(f"yield_{curve_key}={v}" for v in values)]
     for n in range(2, 21):
         row = [str(n)]
@@ -385,57 +408,69 @@ def _fig_satellite(curve_key: str, values: Sequence[float], **base) -> List[str]
     return lines
 
 
-def _fig_airport(curve_key: str, values: Sequence[float], base: dict) -> List[str]:
+def _fig_airport(curve_key: str, values: Sequence[float]) -> List[str]:
+    from . import scenario
+
     lines = ["l0_km," + ",".join(f"yield_{curve_key}={v}" for v in values)]
     for l0 in _frange(250.0, 2000.0, 50.0):
         row = [str(l0)]
         for v in values:
-            row.append(repr(scenario.airport_yield(l0_km=l0, **{**base, curve_key: v})))
+            row.append(repr(scenario.airport_yield(l0_km=l0, **{**_AIRPORT, curve_key: v})))
         lines.append(",".join(row))
     return lines
 
 
-def _fig_budget_sweep(field: str, values: Sequence[float], base: repeater.LinkBudget) -> List[str]:
-    """Tradeoff lines for one LinkBudget field swept over values."""
+def _fig_budget_sweep(field: str, values: Sequence[float], **base) -> List[str]:
+    """Tradeoff lines for one LinkBudget field swept over values, from LinkBudget(**base)."""
+    from . import repeater
+
     curves = [
-        (f"t_s_{field}={v}", repeater.critical_length_time_bound(replace(base, **{field: v})).bound)
+        (f"t_s_{field}={v}",
+         repeater.critical_length_time_bound(repeater.LinkBudget(**{**base, field: v})).bound)
         for v in values
     ]
-    return _fig_tradeoff_lines(curves, base)
+    return _fig_tradeoff_lines(curves, repeater.LinkBudget(**base))
 
 
 def _fig12() -> List[str]:
+    from . import repeater
+
+    alpha = repeater.LinkBudget().alpha
     lines = ["l_km," + ",".join(f"eta_R_f={f}" for f in (1, 2, 4))]
     for l in _frange(0.0, 100.0, 2.0):
-        lines.append(",".join([f"{l}"] + [repr(math.exp(-_BUDGET.alpha * l / f)) for f in (1, 2, 4)]))
+        lines.append(",".join([f"{l}"] + [repr(math.exp(-alpha * l / f)) for f in (1, 2, 4)]))
     return lines
 
 
-_BUDGET = repeater.LinkBudget()
+def _fig13() -> List[str]:
+    from . import repeater
+
+    budget = repeater.LinkBudget()
+    curves = [(f"t_s_f={f}", repeater.f_fold_bound(f, budget.p_star)) for f in (1, 2, 4)]
+    return _fig_tradeoff_lines(curves, budget)
+
+
 # the swept key of a satellite or airport figure overrides its base value;
-# a satellite figure's base is SatelliteYieldParams' defaults
+# a satellite figure's base is SatelliteYieldParams' defaults, a tradeoff
+# figure's LinkBudget's
 _AIRPORT = dict(length_km=4000.0, q=1.0, eta_e=0.95, eta_g=0.5, kappa_g=0.5)
 _RELAY_QS = (0.625, 0.95, 0.99)
 
 # figure id -> builder of its CSV lines, in the order the CLI lists them
 _FIGURES = {
-    "fig4": lambda: _fig_max_relays(
-        repeater.TaskSpec(repeater.TaskKind.DIQKD, theta=math.pi / 4), (0.95, 0.99, 1.0)
-    ),
-    "fig7": lambda: _fig_budget_sweep("eta_s", (0.9, 0.95, 1.0), _BUDGET),
-    "fig8": lambda: _fig_budget_sweep("r", (1, 2, 4), replace(_BUDGET, eta_s=0.95)),
+    "fig4": lambda: _fig_max_relays("diqkd", (0.95, 0.99, 1.0), theta=math.pi / 4),
+    "fig7": lambda: _fig_budget_sweep("eta_s", (0.9, 0.95, 1.0)),
+    "fig8": lambda: _fig_budget_sweep("r", (1, 2, 4), eta_s=0.95),
     "fig12": _fig12,
-    "fig13": lambda: _fig_tradeoff_lines(
-        [(f"t_s_f={f}", repeater.f_fold_bound(f, _BUDGET.p_star)) for f in (1, 2, 4)], _BUDGET
-    ),
+    "fig13": _fig13,
     "fig17": lambda: _fig_satellite("L", (10.0, 20.0, 40.0)),
     "fig18": lambda: _fig_satellite("eta_s", (0.95, 0.99, 1.0), p_mem=0.95, l_b=5.0, l_m=5.0),
     "fig19": lambda: _fig_satellite("q", (0.9, 0.95, 1.0)),
-    "fig20": lambda: _fig_airport("length_km", (4000.0, 8000.0, 12000.0), _AIRPORT),
-    "fig21": lambda: _fig_airport("q", (0.9, 0.95, 1.0), _AIRPORT),
-    "fig34": lambda: _fig_max_relays(repeater.TaskSpec(repeater.TaskKind.TELEPORTATION), _RELAY_QS),
-    "fig35": lambda: _fig_max_relays(repeater.TaskSpec(repeater.TaskKind.CHSH), _RELAY_QS),
-    "fig36": lambda: _fig_max_relays(repeater.TaskSpec(repeater.TaskKind.ENTANGLEMENT), _RELAY_QS),
+    "fig20": lambda: _fig_airport("length_km", (4000.0, 8000.0, 12000.0)),
+    "fig21": lambda: _fig_airport("q", (0.9, 0.95, 1.0)),
+    "fig34": lambda: _fig_max_relays("teleportation", _RELAY_QS),
+    "fig35": lambda: _fig_max_relays("chsh", _RELAY_QS),
+    "fig36": lambda: _fig_max_relays("entanglement", _RELAY_QS),
 }
 FIGURE_IDS = tuple(_FIGURES)
 
@@ -459,15 +494,15 @@ def _count(text: str) -> int:
     return n
 
 
-def _add_fields_parser(sub, name: str, summary: str, cls) -> argparse.ArgumentParser:
-    """A subcommand with one --field-name option per field of the dataclass cls.
+def _add_fields(p: argparse.ArgumentParser, cls) -> None:
+    """One --field-name option per field of the dataclass cls.
 
     Each option takes its field's type and default; a field without a default
     is required. Its help adds the field's range. The class docstring, with
     the units, is the description.
     """
-    p = sub.add_parser(name, help=summary, description=inspect.cleandoc(cls.__doc__),
-                       formatter_class=argparse.RawDescriptionHelpFormatter)
+    p.description = inspect.cleandoc(cls.__doc__)
+    p.formatter_class = argparse.RawDescriptionHelpFormatter
     hints = get_type_hints(cls)
     for f in fields(cls):
         required = f.default is MISSING
@@ -475,21 +510,15 @@ def _add_fields_parser(sub, name: str, summary: str, cls) -> argparse.ArgumentPa
                        default=None if required else f.default,
                        help=("required" if required else "default %(default)s")
                        + ", " + f.metadata["range"].text)
-    return p
 
 
 # the graph commands' --p-star, checked by netgraph against P_STAR
 _P_STAR_HELP = "critical success probability, default %(default)s, " + P_STAR.text
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qnetlim",
-        description="Feasibility limits and robustness analysis of quantum networks.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _chain_options(p: argparse.ArgumentParser) -> None:
+    from . import repeater
 
-    p = sub.add_parser("chain", help="linear repeater chain feasibility")
     chain = {f.name: f.metadata["range"].text for f in fields(repeater.ChainConfig)}
     task = {kind: rng.text for kind, (_, rng) in repeater.TASK_PARAMETERS.items()}
     p.add_argument("--lambda", dest="lam", type=float, required=True,
@@ -505,11 +534,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="evaluate a fixed repeater count instead of the maximum")
     p.set_defaults(func=cmd_chain)
 
-    p = _add_fields_parser(sub, "tradeoff", "fiber length / storage time budget", repeater.LinkBudget)
+
+def _tradeoff_options(p: argparse.ArgumentParser) -> None:
+    from . import repeater
+
+    _add_fields(p, repeater.LinkBudget)
     p.add_argument("--f", type=float, help="also report the f-fold advantage bound")
     p.set_defaults(func=cmd_tradeoff)
 
-    p = sub.add_parser("nqi", help="fiber loss bound for an n-node line")
+
+def _nqi_options(p: argparse.ArgumentParser) -> None:
+    from . import repeater
+
     p.add_argument("--length", type=float, required=True,
                    help="length of the line, km, " + repeater.NQI_LENGTH.text)
     p.add_argument("--n", type=int, required=True, help="number of links, " + repeater.NQI_N.text)
@@ -518,45 +554,61 @@ def build_parser() -> argparse.ArgumentParser:
                    + repeater.NQI_Q.text)
     p.set_defaults(func=cmd_nqi)
 
-    p = sub.add_parser("graph", help="robustness metrics of an edge-list graph")
+
+def _graph_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--in", dest="infile", required=True, help="edge list file (a,b,p per line)")
     p.add_argument("--p-star", type=float, default=0.5, help=_P_STAR_HELP)
     p.set_defaults(func=cmd_graph)
 
-    p = sub.add_parser("critical-nodes", help="critical-parameter node ranking")
+
+def _critical_nodes_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--p-star", type=float, default=0.5, help=_P_STAR_HELP)
     p.add_argument("--top", type=_count, default=10)
     p.set_defaults(func=cmd_critical_nodes)
 
-    p = sub.add_parser("path", help="best path between two nodes")
+
+def _path_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--p-star", type=float, default=0.5, help=_P_STAR_HELP)
     p.set_defaults(func=cmd_path)
 
-    p = sub.add_parser("topology", help="generate a reference topology")
+
+def _topology_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kind", choices=_TOPOLOGIES, required=True)
-    p.add_argument("--n", type=int, default=8)
-    p.add_argument("--d", type=int, default=2, help="circulant degree")
-    p.add_argument("--width", type=int, default=4)
-    p.add_argument("--height", type=int, default=4)
-    p.add_argument("--p", type=float, default=0.9)
+    p.add_argument("--n", type=int, default=8,
+                   help="star, mesh and circulant node count, default %(default)s, " + TOPOLOGY_N.text)
+    p.add_argument("--d", type=int, default=2,
+                   help="circulant degree, default %(default)s, " + TOPOLOGY_D.text + " and < n")
+    p.add_argument("--width", type=int, default=4,
+                   help="grid width, default %(default)s, " + GRID_SIDE.text)
+    p.add_argument("--height", type=int, default=4,
+                   help="grid height, default %(default)s, " + GRID_SIDE.text)
+    p.add_argument("--p", type=float, default=0.9,
+                   help="edge probability, default %(default)s, " + EDGE_P.text)
     p.add_argument("--edges-out", help="write the edge list here")
     p.set_defaults(func=cmd_topology)
 
-    p = _add_fields_parser(
-        sub, "satellite", "satellite chain entanglement yield", scenario.SatelliteYieldParams
-    )
+
+def _satellite_options(p: argparse.ArgumentParser) -> None:
+    from . import scenario
+
+    _add_fields(p, scenario.SatelliteYieldParams)
     p.add_argument("--convention", choices=[c.value for c in scenario.YieldConvention],
                    default="derivation")
     p.set_defaults(func=cmd_satellite)
 
-    p = _add_fields_parser(sub, "atmosphere", "free-space link transmittance", scenario.AtmosphereParams)
+
+def _atmosphere_options(p: argparse.ArgumentParser) -> None:
+    from . import scenario
+
+    _add_fields(p, scenario.AtmosphereParams)
     p.set_defaults(func=cmd_atmosphere)
 
-    p = sub.add_parser("airport", help="airport route network report")
+
+def _airport_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--airports", help="airports.csv (default from data dir)")
     p.add_argument("--routes", help="routes.csv (default from data dir)")
     p.add_argument("--data-dir", help=f"snapshot directory (default ${DATA_DIR_ENV})")
@@ -564,11 +616,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top", type=_count, default=10)
     p.set_defaults(func=cmd_airport)
 
-    p = sub.add_parser("buffer", help="entanglement buffer simulation")
+
+def _buffer_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True, help="JSON simulation config")
     p.set_defaults(func=cmd_buffer)
 
-    p = sub.add_parser("evolve", help="time-varying network decay")
+
+def _evolve_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--w", type=float, default=0.9,
                    help="weight per step, default %(default)s, " + EVOLVE_W.text)
@@ -578,28 +632,65 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=_count, default=10)
     p.set_defaults(func=cmd_evolve)
 
-    p = sub.add_parser("figure", help="regenerate a figure data series as CSV")
+
+def _figure_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("fig_id", choices=FIGURE_IDS)
     p.set_defaults(func=cmd_figure)
 
-    for sp in sub.choices.values():
-        sp.add_argument("--out", help="write output here instead of stdout")
+
+# subcommand -> (help line, builder of its options), in the order the CLI lists them
+_COMMANDS = {
+    "chain": ("linear repeater chain feasibility", _chain_options),
+    "tradeoff": ("fiber length / storage time budget", _tradeoff_options),
+    "nqi": ("fiber loss bound for an n-node line", _nqi_options),
+    "graph": ("robustness metrics of an edge-list graph", _graph_options),
+    "critical-nodes": ("critical-parameter node ranking", _critical_nodes_options),
+    "path": ("best path between two nodes", _path_options),
+    "topology": ("generate a reference topology", _topology_options),
+    "satellite": ("satellite chain entanglement yield", _satellite_options),
+    "atmosphere": ("free-space link transmittance", _atmosphere_options),
+    "airport": ("airport route network report", _airport_options),
+    "buffer": ("entanglement buffer simulation", _buffer_options),
+    "evolve": ("time-varying network decay", _evolve_options),
+    "figure": ("regenerate a figure data series as CSV", _figure_options),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The qnetlim parser, with the options of every subcommand or of `command` alone.
+
+    Every other subcommand keeps its name and help line, which is all that
+    `qnetlim --help` and an invalid-choice error print.
+    """
+    parser = argparse.ArgumentParser(
+        prog="qnetlim",
+        description="Feasibility limits and robustness analysis of quantum networks.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, add_options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        if command in (None, name):
+            add_options(p)
+            p.add_argument("--out", help="write output here instead of stdout")
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top-level parser has no option that takes a value, so its first
+    # positional argument, the subcommand, is the first one without a dash
+    command = next((a for a in argv if not a.startswith("-")), "")
+    args = build_parser(command).parse_args(argv)
     try:
         lines = args.func(args)
+        lines, rows = lines if isinstance(lines, tuple) else (lines, None)  # buffer spools its rows
+        _emit(lines, args.out, rows)
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    lines, rows = lines if isinstance(lines, tuple) else (lines, None)  # buffer spools its rows
-    _emit(lines, args.out, rows)
     return 0
 
 

@@ -28,10 +28,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from . import EVOLVE_K, EVOLVE_W, P_STAR, Range, Sentinel
+from . import EDGE_P, EVOLVE_K, EVOLVE_W, GRID_SIDE, P_STAR, TOPOLOGY_D, TOPOLOGY_N, Range, Sentinel
 
 NodeId = Union[int, str]
-_EDGE_P = Range("(0, 1]")
 
 
 def _budget(p_star: float) -> float:
@@ -101,7 +100,7 @@ class Network:
                 raise ValueError(f"self-loop on node {a!r}")
             if a not in self.index or b not in self.index:
                 raise ValueError(f"edge references unknown node: {a!r}-{b!r}")
-            _EDGE_P.check("edge probability", p)
+            EDGE_P.check("edge probability", p)
             self.edges[_edge_key(a, b)] = p
         self.coords = dict(coords) if coords else None
 
@@ -149,7 +148,7 @@ class StrategyKind(str, Enum):
 
 def effective_weight(p: float, p_star: float) -> float:
     """-log2 p in bits when it is within the -log2 p_star budget, else +inf."""
-    _EDGE_P.check("p", p)
+    EDGE_P.check("p", p)
     w = -math.log2(p)
     return w if w <= _budget(p_star) else math.inf
 
@@ -730,7 +729,8 @@ class Square1024:
     p: float
 
 
-TopologySpec = Union[Star, FullMesh, Circulant, Grid, ProcessorCell, Square1024]
+_TOPOLOGY_SPECS = (Star, FullMesh, Circulant, Grid, ProcessorCell, Square1024)
+TopologySpec = Union[_TOPOLOGY_SPECS]
 
 
 def build_topology(spec: TopologySpec) -> Network:
@@ -738,23 +738,30 @@ def build_topology(spec: TopologySpec) -> Network:
 
     Star(n, p) has hub node 0. Circulant(n, d, p) gives every node degree
     d: ring offsets m carry probability p**m; an odd d adds the antipodal
-    edge at probability p**((d+1)/2) and needs even n.
+    edge at probability p**((d+1)/2) and needs even n. A star's or mesh's
+    n must lie in TOPOLOGY_N, a circulant's d in TOPOLOGY_D and below n, a
+    grid's sides in GRID_SIDE and every p in EDGE_P.
     """
+    if not isinstance(spec, _TOPOLOGY_SPECS):
+        raise TypeError(f"unknown topology spec {spec!r}")
+    if isinstance(spec, (Star, FullMesh)) and spec.n not in TOPOLOGY_N:
+        raise ValueError(f"{'star' if isinstance(spec, Star) else 'mesh'} needs n {TOPOLOGY_N.text}")
+    if isinstance(spec, Circulant):
+        if spec.d not in TOPOLOGY_D or spec.d >= spec.n:
+            raise ValueError("circulant needs 1 <= d < n")
+        if spec.d % 2 == 1 and spec.n % 2 != 0:
+            raise ValueError("odd-degree circulant needs an even node count")
+    if isinstance(spec, Grid) and (spec.width not in GRID_SIDE or spec.height not in GRID_SIDE):
+        raise ValueError("grid needs positive dimensions")
+    # also where no edge carries p, as in a 1 x 1 grid
+    EDGE_P.check("edge probability", spec.p)
     if isinstance(spec, Star):
-        if spec.n < 2:
-            raise ValueError("star needs n >= 2")
         return Network(range(spec.n), [(0, i, spec.p) for i in range(1, spec.n)])
     if isinstance(spec, FullMesh):
-        if spec.n < 2:
-            raise ValueError("mesh needs n >= 2")
         edges = [(i, j, spec.p) for i in range(spec.n) for j in range(i + 1, spec.n)]
         return Network(range(spec.n), edges)
     if isinstance(spec, Circulant):
         n, d, p = spec.n, spec.d, spec.p
-        if d < 1 or d >= n:
-            raise ValueError("circulant needs 1 <= d < n")
-        if d % 2 == 1 and n % 2 != 0:
-            raise ValueError("odd-degree circulant needs an even node count")
         edges = {}
         half = d // 2
         for i in range(n):
@@ -765,8 +772,6 @@ def build_topology(spec: TopologySpec) -> Network:
         return Network(range(n), edges)
     if isinstance(spec, Grid):
         w, h, p = spec.width, spec.height, spec.p
-        if w < 1 or h < 1:
-            raise ValueError("grid needs positive dimensions")
         idx = lambda x, y: y * w + x
         edges = []
         for y in range(h):
@@ -779,9 +784,7 @@ def build_topology(spec: TopologySpec) -> Network:
     if isinstance(spec, ProcessorCell):
         n = _CELL_SIZES[CellKind(spec.kind)]
         return Network(range(n), [(i, (i + 1) % n, spec.p) for i in range(n)])
-    if isinstance(spec, Square1024):
-        return build_topology(Grid(32, 32, spec.p))
-    raise TypeError(f"unknown topology spec {spec!r}")
+    return build_topology(Grid(32, 32, spec.p))  # Square1024
 
 
 @dataclass(frozen=True)

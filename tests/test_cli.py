@@ -196,6 +196,15 @@ class TestRangeProbes:
         ("tradeoff --alpha inf", "alpha must be >= 0"),
         ("tradeoff --f nan", "f must be >= 1"),
         ("nqi --length nan --n 3", "length_km must be > 0"),
+        ("topology --kind star --n 1", "star needs n >= 2"),
+        ("topology --kind mesh --n 1", "mesh needs n >= 2"),
+        ("topology --kind circulant --n 4 --d 0", "circulant needs 1 <= d < n"),
+        ("topology --kind circulant --n 4 --d 4", "circulant needs 1 <= d < n"),
+        ("topology --kind grid --height 0", "grid needs positive dimensions"),
+        ("topology --kind star --p nan", "edge probability must be in (0, 1]"),
+        ("topology --kind cell-square --p 0", "edge probability must be in (0, 1]"),
+        # no edge carries p in a 1 x 1 grid, and p is still checked
+        ("topology --kind grid --width 1 --height 1 --p 1.5", "edge probability must be in (0, 1]"),
     ]
 
     @pytest.mark.parametrize("argv,err", PROBES, ids=[p[0] for p in PROBES])
@@ -259,6 +268,11 @@ class TestRangeProbes:
         ("nqi", "--length LENGTH", repeater.NQI_LENGTH),
         ("nqi", "--n N", repeater.NQI_N),
         ("nqi", "--q Q", repeater.NQI_Q),
+        ("topology", "--n N", qnetlim.TOPOLOGY_N),
+        ("topology", "--d D", qnetlim.TOPOLOGY_D),
+        ("topology", "--width WIDTH", qnetlim.GRID_SIDE),
+        ("topology", "--height HEIGHT", qnetlim.GRID_SIDE),
+        ("topology", "--p P", qnetlim.EDGE_P),
     ]
 
     @pytest.mark.parametrize("command,option,rng", OPTION_RANGES,
@@ -268,6 +282,12 @@ class TestRangeProbes:
             main([command, "--help"])
         text = " ".join(capsys.readouterr().out.split())
         assert re.search(f"{option} [^-]*, {re.escape(rng.text)} ", text)
+
+    def test_topology_help_states_d_below_n(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["topology", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert f"--d D circulant degree, default 2, {qnetlim.TOPOLOGY_D.text} and < n " in text
 
 
 class TestChain:
@@ -761,6 +781,65 @@ class TestOutput:
         assert len(a.read_text().splitlines()) > 3
 
 
+class TestUnwritableOutput:
+    """An output path that cannot be opened is a data error, and no file is left behind."""
+
+    def expect_unwritable(self, capsys, tmp_path, target, *argv):
+        before = sorted(tmp_path.iterdir())
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot write output: [Errno 2] No such file or directory: {str(target)!r}\n"
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_chain_out(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "res.csv"
+        self.expect_unwritable(capsys, tmp_path, target, "chain", "--lambda", "0.9", "--out", str(target))
+
+    def test_buffer_out_closes_its_rows(self, capsys, tmp_path, monkeypatch):
+        import tempfile
+
+        spooled = []
+        make = tempfile.TemporaryFile
+
+        def spool(*args, **kwargs):
+            spooled.append(make(*args, **kwargs))
+            return spooled[-1]
+
+        monkeypatch.setattr(tempfile, "TemporaryFile", spool)
+        (tmp_path / "sim.json").write_text(json.dumps(buffer_config(1, 3, 10)))
+        target = tmp_path / "missing" / "trace.csv"
+        self.expect_unwritable(capsys, tmp_path, target,
+                               "buffer", "--config", str(tmp_path / "sim.json"), "--out", str(target))
+        assert len(spooled) == 1 and spooled[0].closed
+
+    def test_topology_edges_out(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "g.edges"
+        self.expect_unwritable(capsys, tmp_path, target,
+                               "topology", "--kind", "grid", "--edges-out", str(target))
+
+
+class TestParserPerCommand:
+    """main builds one subcommand's options; what it prints matches the full parser."""
+
+    def parse(self, capsys, parse, argv):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        return (exc.value.code, *capsys.readouterr())
+
+    (SUB,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    ARGVS = [
+        *([command, "--help"] for command in SUB.choices),
+        ["--help"], [], ["nosuch"], ["nosuch", "--help"], ["--bogus", "chain", "--lambda", "0.9"],
+        ["chain"], ["chain", "--bogus"], ["figure", "nosuch"], ["topology", "--kind", "ring"],
+        ["-h", "chain"], ["--", "tradeoff", "--help"],
+    ]
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=lambda argv: " ".join(argv) or "no-arguments")
+    def test_same_output_as_full_parser(self, capsys, argv):
+        full = self.parse(capsys, cli.build_parser().parse_args, argv)
+        assert self.parse(capsys, main, argv) == full
+
+
 class TestFigureGoldens:
     """Every figure's stdout, pinned byte for byte."""
 
@@ -969,3 +1048,61 @@ class TestImportHygiene:
             "assert getattr(qnetlim, 'no_such_module', None) is None\n"
         )
         subprocess.run([sys.executable, "-c", code], env=src_env(), check=True)
+
+
+_MODULES_AFTER = """
+import contextlib, io, sys
+from qnetlim.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, "json" in sys.modules, "numpy" in sys.modules,
+      *sorted(m for m in sys.modules if m.startswith("qnetlim.")))
+"""
+
+_REPEATER = ("qnetlim.repeater", "qnetlim.yields")
+_SCENARIO = ("qnetlim.scenario", "qnetlim.yields")
+_GRAPH = ("qnetlim.netgraph",)
+
+
+class TestModuleSets:
+    """Each command, in its own fresh interpreter, loads only the qnetlim modules it runs.
+
+    Of the commands that load no numpy (and so no scipy, which loads json),
+    only buffer loads json.
+    """
+
+    COMMANDS = [
+        ("chain --lambda 0.99", _REPEATER),
+        ("chain --lambda 0.99 --n 3", _REPEATER),
+        ("tradeoff --f 2", _REPEATER),
+        ("nqi --length 100 --n 4", _REPEATER),
+        *((f"figure {fig}", _REPEATER) for fig in ("fig4", "fig7", "fig8", "fig12", "fig13",
+                                                    "fig34", "fig35", "fig36")),
+        ("satellite --n 3", _SCENARIO),
+        ("atmosphere", _SCENARIO),
+        *((f"figure {fig}", _SCENARIO) for fig in ("fig17", "fig18", "fig19", "fig20", "fig21")),
+        ("buffer --config {sim}", ("qnetlim.buffersim", "qnetlim.yields")),
+        ("graph --in {edges}", _GRAPH),
+        ("critical-nodes --in {edges}", _GRAPH),
+        ("path --in {edges} --source 1 --target 3", _GRAPH),
+        ("evolve --in {edges} --steps 2", _GRAPH),
+        ("topology --kind grid", _GRAPH),
+        ("airport --airports {airports} --routes {routes}", _GRAPH + _SCENARIO),
+    ]
+
+    def test_every_figure_is_listed(self):
+        assert sorted(c.split()[1] for c, _ in self.COMMANDS if c.startswith("figure")) == sorted(FIGURE_IDS)
+
+    @pytest.mark.parametrize("command,modules", COMMANDS, ids=[c for c, _ in COMMANDS])
+    def test_loads_only_its_modules(self, tmp_path, edge_file, command, modules):
+        (tmp_path / "sim.json").write_text(json.dumps(buffer_config(1, 3, 10)))
+        files = dict(zip(("airports", "routes"), TestAirportCommand().write(tmp_path)[1::2]))
+        argv = command.format(sim=tmp_path / "sim.json", edges=edge_file, **files).split()
+        proc = subprocess.run([sys.executable, "-c", _MODULES_AFTER, *argv], env=src_env(),
+                              capture_output=True, text=True, check=True)
+        code, json_loaded, numpy_loaded, *loaded = proc.stdout.split()
+        assert (code, loaded) == ("0", sorted({"qnetlim.cli", *modules}))
+        assert numpy_loaded == str("qnetlim.netgraph" in modules)
+        if numpy_loaded == "False":
+            assert json_loaded == str(argv[0] == "buffer")
+
