@@ -12,9 +12,10 @@ p_star can weigh exactly -log2 p_star, and 2**(-d) is a path's
 probability only up to rounding (for p = 0.07 it gives
 0.06999999999999999).
 
-scipy is imported on first use, inside the three wrappers below, because
-its ~0.4 s import would otherwise slow every command that loads this
-module, including the closed-form ones that never build a graph.
+Every multi-source shortest-path pass comes from _distances. A network of
+up to _NUMPY_ELEMENTS nodes x stored entries settles it in numpy; only a
+larger one, and construct_network's maximum flow, import scipy, whose
+~0.4 s import is most of a small network's run.
 """
 
 from __future__ import annotations
@@ -44,19 +45,13 @@ def _strong(net: Network, p_star: float) -> np.ndarray:
     return net.w <= _budget(p_star)
 
 
-def _csr_matrix(*args, **kwargs):
-    from scipy.sparse import csr_matrix
-    return csr_matrix(*args, **kwargs)
-
-
-def _sp_dijkstra(*args, **kwargs):
-    from scipy.sparse.csgraph import dijkstra
-    return dijkstra(*args, **kwargs)
-
-
-def _sp_shortest_path(*args, **kwargs):
-    from scipy.sparse.csgraph import shortest_path
-    return shortest_path(*args, **kwargs)
+# a network of at most this many nodes x stored entries (at least nodes)
+# settles its shortest paths in numpy, a larger one in scipy. Square1024
+# (1024 x 3968) is below it and the airport snapshot (3463 x 50964) far
+# above; the slowest graph below it is the 1448-node ring, with one hop
+# level per round. It is below _FORK_ELEMENTS, so a numpy-side centrality
+# sweep never forks.
+_NUMPY_ELEMENTS = 1 << 22
 
 
 def _edge_key(a: NodeId, b: NodeId) -> Tuple[NodeId, NodeId]:
@@ -74,7 +69,9 @@ class Network:
     head, p and w = -log2 p (math.log2 per edge, the step every path sum
     adds). order[k] is where CSR entry k sits among the edge ends listed
     edge by edge in insertion order, so x[order] = csr_array puts a CSR
-    array back in that order.
+    array back in that order. small picks the engine of every shortest-path
+    pass over the network: numpy when nodes x max(stored entries, nodes) is
+    at most _NUMPY_ELEMENTS, else scipy (see _distances).
 
     A Network is immutable after construction: the arrays, and the cached
     all-pairs pass keyed on the network itself, assume that it never
@@ -113,6 +110,7 @@ class Network:
         self.head = head[order]
         self.p = np.repeat(np.fromiter(self.edges.values(), float, m), 2)[order]
         self.w = np.repeat([-math.log2(x) for x in self.edges.values()], 2)[order]
+        self.small = n * max(2 * m, n) <= _NUMPY_ELEMENTS
 
     @property
     def n_nodes(self) -> int:
@@ -171,10 +169,85 @@ def _csgraph_weights(net: Network) -> np.ndarray:
     return np.where(net.w > 0.0, net.w, 5e-324)
 
 
-def _csgraph(net: Network, keep=slice(None)) -> scipy.sparse.csr_matrix:
-    """net as a scipy graph of _csgraph_weights, restricted to the entries keep."""
-    ends = (net.tail[keep], net.head[keep])
-    return _csr_matrix((_csgraph_weights(net)[keep], ends), shape=(net.n_nodes,) * 2)
+# the scipy side's last graph, (ptr, head, weight, csr_matrix), matched by
+# the arrays' identity, which no caller changes in place: a centrality
+# sweep passes the same arrays for every block of sources, and building the
+# matrix and its weights once instead of once per block takes ~10 % off the
+# airport report
+_SCIPY_GRAPH: list = []
+
+
+def _distances(
+    small: bool,
+    ptr: np.ndarray,
+    head: np.ndarray,
+    weight: np.ndarray,
+    *,
+    sources: Optional[np.ndarray] = None,
+    limit: float = math.inf,
+) -> np.ndarray:
+    """Least path weight from each source (default: every node) to every node of a CSR graph.
+
+    The graph's edges leaving node i are head[ptr[i]:ptr[i + 1]], weighing
+    weight (positive). Rows follow sources; a node farther than limit
+    reads +inf and one at exactly limit is kept, as scipy keeps it. small
+    (a Network's, which its subgraphs share) picks scipy's Dijkstra or a
+    batched label-setting pass in numpy that gives the same floats: both
+    take the least over paths of the weights summed hop by hop, each
+    candidate fl(d[u] + w), and rounding is monotone, so that least is one
+    number. The numpy pass settles a distance band per row and round
+    (Delta-stepping, Meyer and Sanders, J. Algorithms 49(1), 2003, with
+    Delta the least weight): with m the row's least open distance, every
+    later candidate is at least fl(m + Delta), so an open distance at most
+    that is final; m itself always is, also where fl(m + Delta) == m.
+    """
+    n = len(ptr) - 1
+    if not small:
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import dijkstra
+
+        if not (_SCIPY_GRAPH and all(a is b for a, b in zip(_SCIPY_GRAPH, (ptr, head, weight)))):
+            _SCIPY_GRAPH[:] = ptr, head, weight, csr_matrix((weight, head, ptr), shape=(n, n))
+        return dijkstra(_SCIPY_GRAPH[3], indices=sources, limit=limit)
+    sources = np.arange(n) if sources is None else np.asarray(sources, np.int64)
+    rows = len(sources)
+    # unreached entries hold the least float over limit, so that one test,
+    # candidate < current, also drops every candidate over limit
+    beyond = math.nextafter(limit, math.inf)
+    dist = np.full(rows * n, beyond)
+    open_ = np.arange(rows) * n + sources
+    dist[open_] = 0.0
+    stamp = np.empty(rows * n, np.int64)
+    step = weight.min() if len(weight) else math.inf
+    degree = np.diff(ptr)
+    # entry k of a row's block leads from dist[x] to dist[x + shift[k]]
+    shift = head - np.repeat(np.arange(n), degree)
+    while open_.size:
+        d = dist[open_]
+        row = open_ // n
+        low = np.full(rows, math.inf)
+        np.minimum.at(low, row, d)
+        # never empty: each open row's least entry is final
+        final = d <= (low + step)[row]
+        done, open_ = open_[final], open_[~final]
+        u = done - row[final] * n
+        count = degree[u]
+        ends = np.cumsum(count)
+        k = np.arange(ends[-1]) + np.repeat(ptr[u] - ends + count, count)
+        tails = np.repeat(done, count)
+        cand = dist[tails] + weight[k]
+        at = tails + shift[k]
+        old = dist[at]
+        better = cand < old
+        at, cand = at[better], cand[better]
+        np.minimum.at(dist, at, cand)
+        # newly reached entries open once each: the last stamp of each wins
+        fresh = at[old[better] == beyond]
+        slot = np.arange(len(fresh))
+        stamp[fresh] = slot
+        open_ = np.concatenate([open_, fresh[stamp[fresh] == slot]])
+    dist[dist == beyond] = math.inf
+    return dist.reshape(rows, n)
 
 
 # the one cached all-pairs pass: (network, p_star) -> (limit, distances)
@@ -201,7 +274,9 @@ def _best_weights(net: Network, p_star: float, full: bool = False) -> np.ndarray
     if entry is None or entry[0] < limit:
         entry = None  # not held through the next pass
         _BEST_WEIGHTS.clear()
-        dist = _sp_dijkstra(_csgraph(net, _strong(net, p_star)), directed=False, limit=limit)
+        keep = _strong(net, p_star)
+        ptr = np.searchsorted(net.tail[keep], np.arange(net.n_nodes + 1))
+        dist = _distances(net.small, ptr, net.head[keep], _csgraph_weights(net)[keep], limit=limit)
         dist.flags.writeable = False
         entry = _BEST_WEIGHTS[net, p_star] = (limit, dist)
     return entry[1]
@@ -414,8 +489,10 @@ def _neighbor_metrics(
             w = weight[hit[slot, pair]]
             a, b = slot * k + i[pair], slot * k + j[pair]
             size = len(group) * k
-            graph = _csr_matrix((np.r_[w, w], (np.r_[a, b], np.r_[b, a])), shape=(size, size))
-            dist = _sp_shortest_path(graph, method="D", directed=False)
+            tails = np.r_[a, b]
+            by_tail = np.argsort(tails, kind="stable")
+            sub_ptr = np.searchsorted(tails[by_tail], np.arange(size + 1))
+            dist = _distances(net.small, sub_ptr, np.r_[b, a][by_tail], np.r_[w, w][by_tail])
             r = np.arange(len(group))
             blocks = dist.reshape(len(r), k, len(r), k)[r, :, r, :]
             for g, off in zip(group, blocks[:, off_diagonal]):
@@ -488,7 +565,7 @@ def centrality_all(net: Network, p_star: float) -> Dict[NodeId, int]:
 
     Sources are swept a block at a time over net with its nodes in id
     order (net itself when they already are), so that paths compare as
-    index sequences. scipy gives the distances within the budget; the
+    index sequences. _distances gives those within the budget; the
     tight edges (d[u] + w == d[v], exactly) form a DAG. When all tight
     predecessors of every reached node share one hop depth, a node's
     canonical parent is the predecessor whose path sorts first, so the
@@ -522,7 +599,7 @@ def centrality_all(net: Network, p_star: float) -> Dict[NodeId, int]:
     block = max(1, _SWEEP_ELEMENTS // workers // width)
     blocks = [np.arange(start, min(start + block, n - 1)) for start in range(0, n - 1, block)]
     tau = np.zeros(n, np.int64)
-    sweep = (g, _csgraph(g), budget)
+    sweep = (g, _csgraph_weights(g), budget)
     for sources, (counts, exact) in zip(blocks, _sweeps(sweep, blocks, workers)):
         tau += counts
         for s in sources[~exact]:
@@ -541,15 +618,16 @@ def _sweeps(sweep: tuple, blocks: List[np.ndarray], workers: int):
         return
     import multiprocessing
 
-    # loaded here once rather than once per worker
-    from scipy.sparse import csgraph  # noqa: F401
+    if not sweep[0].small:
+        # loaded here once rather than once per worker
+        from scipy.sparse import csgraph  # noqa: F401
 
     # the initializer hands the sweep over by fork, never by pickle
     with multiprocessing.get_context("fork").Pool(workers, _adopt, sweep) as pool:
         yield from pool.imap(_pooled_sweep, blocks)
 
 
-# set only inside pool workers, by _adopt: _canonical_sweep's (g, graph, budget)
+# set only inside pool workers, by _adopt: _canonical_sweep's (g, weight, budget)
 _POOLED_SWEEP: tuple = ()
 
 
@@ -564,19 +642,19 @@ def _pooled_sweep(sources: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _canonical_sweep(
-    g: Network, graph: scipy.sparse.csr_matrix, budget: float, sources: np.ndarray
+    g: Network, weight: np.ndarray, budget: float, sources: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Interior counts of the canonical paths from a block of sources.
 
-    g is a network whose nodes are in id order, graph is _csgraph(g), and
-    sources and the nodes of the counts are g.index positions. Returns the
-    counts summed over the sources the sweep resolves exactly, and the
-    mask of those sources.
+    g is a network whose nodes are in id order, weight is
+    _csgraph_weights(g), and sources and the nodes of the counts are
+    g.index positions. Returns the counts summed over the sources the
+    sweep resolves exactly, and the mask of those sources.
     """
     tail, head, w = g.tail, g.head, g.w
     n = g.n_nodes
     rows = len(sources)
-    dist = _sp_dijkstra(graph, indices=sources, limit=budget)
+    dist = _distances(g.small, g.ptr, g.head, weight, sources=sources, limit=budget)
     reached = np.isfinite(dist)
     # nan never compares equal, so edges with an unreached end drop out
     dist[~reached] = np.nan
@@ -842,6 +920,7 @@ def _disjoint_paths(
     and a sink 2n + 1 fed by the B out-copies, so no two paths share a
     node, party nodes included.
     """
+    from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import maximum_flow
 
     n = net.n_nodes
@@ -851,9 +930,9 @@ def _disjoint_paths(
     split = np.arange(n)
     tails = np.concatenate([split, n + net.tail, np.full(len(a), source), n + b])
     heads = np.concatenate([n + split, net.head, a, np.full(len(b), sink)])
-    cap = _csr_matrix((np.ones(len(tails), np.int32), (tails, heads)), shape=(sink + 1,) * 2)
+    cap = csr_matrix((np.ones(len(tails), np.int32), (tails, heads)), shape=(sink + 1,) * 2)
     flow = int(maximum_flow(cap, source, sink).flow_value)
-    hops = _sp_dijkstra(_csgraph(net), indices=a, unweighted=True)
+    hops = _distances(net.small, net.ptr, net.head, np.ones(len(net.head)), sources=a)
     return flow, bool(np.isfinite(hops[:, b]).all())
 
 
@@ -870,6 +949,36 @@ class CriticalSizeResult:
     witness_pair: Optional[Tuple[NodeId, NodeId]]
 
 
+def _hops_over(step: float, budget: float) -> int:
+    """The fewest hops of weight step whose weight, summed hop by hop, exceeds budget.
+
+    It is found a binade at a time. Inside one, every hop adds step rounded
+    to the binade's ulp, ties to even; a hop that lands there makes the sum
+    even on a tie, so from a sum a hop in the same binade gave, every hop
+    that stays adds the same increment, and the run up to the binade's top
+    or the budget is one jump in ulps. Raises ValueError when a hop leaves
+    the sum unchanged below the budget, where it would never exceed it.
+    """
+    n0, weight, came_from = 1, step, None
+    while weight <= budget:
+        nxt = weight + step
+        if nxt == weight:
+            raise ValueError("a hop of p = c leaves the path weight unchanged below the budget")
+        exp = math.frexp(weight)[1]
+        if came_from == exp == math.frexp(nxt)[1]:
+            # in ulps: hops up to the budget, and while a hop's exact sum
+            # stays more than half an ulp below the binade's top
+            ulp = math.ldexp(1.0, exp - 53)
+            units, inc = int(nxt / ulp), int((nxt - weight) / ulp)
+            last = min(int(budget / ulp), (1 << 53) - 2)
+            jump = max(0, (last - units) // inc)
+            n0, weight = n0 + 1 + jump, (units + jump * inc) * ulp
+        else:
+            n0, weight = n0 + 1, nxt
+        came_from = exp
+    return n0
+
+
 def critically_large_check(net: Network, p_star: float, c: float) -> CriticalSizeResult:
     """Whether some node pair is too far apart to ever reach p_star.
 
@@ -878,17 +987,15 @@ def critically_large_check(net: Network, p_star: float, c: float) -> CriticalSiz
     path sums them, weighs more than the -log2 p_star budget. A pair more
     than n0 hops apart, required_distance = n0 + 1, certifies the network
     critically large; the witness is the first such pair in net order, a
-    disconnected pair included.
+    disconnected pair included. Raises ValueError when c is so close to 1
+    that a hop leaves the summed weight unchanged within the budget.
     """
     Range("(0, 1)").check("c", c)
     if (net.p > c).any():
         raise ValueError("some edge probability exceeds c")
     budget = _budget(p_star)
-    step = -math.log2(c)
-    n0, weight = 1, step
-    while weight <= budget:
-        n0, weight = n0 + 1, weight + step
-    hops = _sp_shortest_path(_csgraph(net), method="D", directed=False, unweighted=True)
+    n0 = _hops_over(-math.log2(c), budget)
+    hops = _distances(net.small, net.ptr, net.head, np.ones(len(net.head)))
     far = np.argwhere(np.triu(hops > n0, 1))
     witness = (net.nodes[far[0, 0]], net.nodes[far[0, 1]]) if len(far) else None
     return CriticalSizeResult(witness is not None, n0, n0 + 1, witness)

@@ -479,11 +479,12 @@ class TestGraphGoldens:
 
 
 class TestAllPairsPasses:
-    """Cooperative metrics share one scipy all-pairs pass per (network, p_star).
+    """Cooperative metrics share one all-pairs pass per (network, p_star).
 
     The pass is bounded by the -log2 p_star budget unless
     average_effective_weight needs every distance. Each pass is recorded
-    by its limit; the centrality sweep's per-source calls are not passes.
+    by its limit; the centrality sweep's per-source calls and the
+    neighbour subgraphs' calls, over fewer nodes, are not passes.
     """
 
     @pytest.mark.parametrize("argv,limits", [
@@ -493,14 +494,14 @@ class TestAllPairsPasses:
     ], ids=["graph", "evolve", "critical-nodes"])
     def test_square1024(self, capsys, monkeypatch, lattice_dir, argv, limits):
         calls = []
-        real = netgraph._sp_dijkstra
+        real = netgraph._distances
 
-        def counted(*args, **kwargs):
-            if kwargs.get("indices") is None:
+        def counted(small, ptr, *args, **kwargs):
+            if len(ptr) == 1024 + 1 and kwargs.get("sources") is None:
                 calls.append(kwargs["limit"])
-            return real(*args, **kwargs)
+            return real(small, ptr, *args, **kwargs)
 
-        monkeypatch.setattr(netgraph, "_sp_dijkstra", counted)
+        monkeypatch.setattr(netgraph, "_distances", counted)
         code, _, _ = run_cli(capsys, argv[0], "--in", "sq.edges", *argv[1:])
         assert (code, calls) == (0, limits)
 
@@ -1036,8 +1037,28 @@ class TestImportHygiene:
         (loaded,) = loaded_after(["topology", "--kind", "grid"]).values()
         assert loaded == [0, "numpy", "qnetlim.netgraph"]
 
-    def test_graph_loads_scipy(self, edge_file):
-        (loaded,) = loaded_after(["graph", "--in", edge_file]).values()
+    def test_lattice_commands_load_numpy_not_scipy(self, tmp_path):
+        edges = str(tmp_path / "sq.edges")
+        netgraph.save_edge_list(netgraph.build_topology(netgraph.Square1024(0.9)), edges)
+        argvs = [
+            ["graph", "--in", edges],
+            ["critical-nodes", "--in", edges],
+            ["evolve", "--in", edges, "--steps", "3"],
+            ["path", "--in", edges, "--source", "0", "--target", "1023", "--p-star", "0.001"],
+        ]
+        loaded = loaded_after(*argvs)
+        assert loaded == {" ".join(argv): [0, "numpy", "qnetlim.netgraph"] for argv in argvs}
+
+    @pytest.mark.parametrize("n,scipy_loaded", [(1448, False), (1449, True)])
+    def test_rings_either_side_of_the_bound(self, tmp_path, n, scipy_loaded):
+        # a ring holds 2n entries: 1448 * 2896 <= 1 << 22 < 1449 * 2898
+        edges = str(tmp_path / "ring.edges")
+        netgraph.save_edge_list(netgraph.build_topology(netgraph.Circulant(n, 2, 0.9)), edges)
+        (loaded,) = loaded_after(["graph", "--in", edges]).values()
+        assert loaded[0] == 0 and ("scipy" in loaded) == scipy_loaded
+
+    def test_airport_loads_scipy(self):
+        (loaded,) = loaded_after(["airport"]).values()
         assert loaded[0] == 0 and "scipy" in loaded
 
     def test_package_attribute_imports_netgraph(self):

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import weakref
 
 import numpy as np
@@ -147,7 +148,7 @@ def id_ordered(net):
 
 def canonical_sweep(g, p_star, sources):
     """_canonical_sweep on the id-ordered network g from the given source positions."""
-    return ng._canonical_sweep(g, ng._csgraph(g), -math.log2(p_star), np.asarray(sources))
+    return ng._canonical_sweep(g, ng._csgraph_weights(g), -math.log2(p_star), np.asarray(sources))
 
 
 def neighbor_subgraph_oracle(net, v):
@@ -305,17 +306,17 @@ class TestWeights:
 
     def test_shared_pass_freed_before_next(self, monkeypatch):
         # evolve computes one pass per step, and a full request replaces a
-        # bounded entry: the previous n x n array must be gone before scipy
-        # allocates the next one
+        # bounded entry: the previous n x n array must be gone before the
+        # next pass allocates its own
         refs = [weakref.ref(ng._best_weights(square_plus_diagonal(), 0.3))]
         seen = []
-        real = ng._sp_dijkstra
+        real = ng._distances
 
         def probe(*args, **kwargs):
             seen.append(refs[-1]() is None)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(ng, "_sp_dijkstra", probe)
+        monkeypatch.setattr(ng, "_distances", probe)
         net = square_plus_diagonal()
         refs.append(weakref.ref(ng._best_weights(net, 0.3)))
         ng._best_weights(net, 0.3, full=True)
@@ -549,11 +550,23 @@ class TestThresholdRule:
             assert link_sparsity(net, p_star, CO) <= link_sparsity(net, p_star, NC)
 
 
+def hops_over_oracle(step, budget):
+    """n0 one hop at a time, the loop _hops_over replaces: its oracle."""
+    n0, weight = 1, step
+    while weight <= budget:
+        n0, weight = n0 + 1, weight + step
+    return n0
+
+
 def unbounded_pass(net, p_star):
     """The all-pairs pass with no budget, by scipy's shortest_path: the oracle of the bounded one."""
+    from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import shortest_path
 
-    return shortest_path(ng._csgraph(net, net.w <= -math.log2(p_star)), method="D", directed=False)
+    keep = net.w <= -math.log2(p_star)
+    graph = csr_matrix((ng._csgraph_weights(net)[keep], (net.tail[keep], net.head[keep])),
+                       shape=(net.n_nodes,) * 2)
+    return shortest_path(graph, method="D", directed=False)
 
 
 def bits(x):
@@ -624,6 +637,132 @@ class TestBudgetLimitedPass:
             assert bits(strengths) == bits(rows), (net.edges, p_star)
             checked += 1
         assert checked > 100, checked
+
+
+def scipy_distances(ptr, head, weight, sources=None, limit=math.inf):
+    """scipy's Dijkstra on the same CSR graph: the oracle of _distances' numpy pass."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+
+    n = len(ptr) - 1
+    return dijkstra(csr_matrix((weight, head, ptr), shape=(n, n)), indices=sources, limit=limit)
+
+
+def flipped(net):
+    """net on the other distance engine: the same arrays, small inverted."""
+    other = Network(net.nodes, net.edges, net.coords)
+    other.small = not net.small
+    return other
+
+
+class TestNumpyDistances:
+    """_distances' numpy pass equals scipy's dijkstra bit for bit, inf included."""
+
+    def networks(self):
+        rng = random.Random(18)
+        near_one = math.nextafter(1.0, 0.0)
+        specs = [Grid(9, 7, 0.9), Grid(6, 6, 1.0), Grid(1, 12, 0.5), Star(12, 0.8), Star(7, 1.0),
+                 FullMesh(8, 0.5), FullMesh(6, 1.0), Circulant(40, 2, 0.9), Circulant(31, 2, 0.5),
+                 Circulant(24, 5, 0.7), ProcessorCell(CellKind.HEAVY_HEXAGONAL, 0.9)]
+        yield from (build_topology(spec) for spec in specs)
+        # p = 1 edges weigh the 5e-324 placeholder, beside weights near it and far from it
+        yield Network(range(7), [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 0.5), (3, 4, 1.0), (4, 5, near_one),
+                                 (5, 6, 1e-300), (0, 6, 1.0)])
+        # two parts and an isolated node
+        yield Network(range(9), [(0, 1, 0.9), (1, 2, 0.9), (2, 0, 0.9), (4, 5, 0.8), (5, 6, 0.8),
+                                 (6, 7, 0.8)])
+        yield Network(range(3), [])
+        yield from (random_graph(rng, n_max=14) for _ in range(40))
+        yield from (seeded_graph(seed) for seed in (8, 9))
+        # random weights, p* drawn from each edge's p and its products
+        for _ in range(10):
+            n = rng.randint(2, 30)
+            yield Network(range(n), [(i, j, rng.choice([rng.random(), 1.0, 0.5, 0.9]))
+                                     for i in range(n) for j in range(i + 1, n) if rng.random() < 0.2])
+
+    def assert_same(self, ptr, head, weight, sources=None, limit=math.inf):
+        got = ng._distances(True, ptr, head, weight, sources=sources, limit=limit)
+        want = scipy_distances(ptr, head, weight, sources, limit)
+        assert got.shape == want.shape and np.array_equal(got, want), (weight, sources, limit)
+
+    def test_all_pairs_at_every_limit(self):
+        for net in self.networks():
+            weight = ng._csgraph_weights(net)
+            every = scipy_distances(net.ptr, net.head, weight)
+            finite = np.unique(every[np.isfinite(every)])
+            # every distance the pass holds, as the limit: kept, and the next float above and below
+            limits = [math.inf, 1.0, 0.3, *finite[:: max(1, len(finite) // 12)]]
+            for limit in limits:
+                for lim in {limit, math.nextafter(limit, 0.0), math.nextafter(limit, math.inf)}:
+                    self.assert_same(net.ptr, net.head, weight, limit=lim)
+
+    def test_distance_equal_to_limit_is_kept(self):
+        chain = Network(range(6), [(i, i + 1, 0.5) for i in range(5)])
+        weight = ng._csgraph_weights(chain)
+        dist = ng._distances(True, chain.ptr, chain.head, weight, limit=2.0)
+        assert dist[0, 2] == 2.0 and dist[0, 3] == math.inf
+        self.assert_same(chain.ptr, chain.head, weight, limit=2.0)
+
+    def test_unweighted_hops(self):
+        for net in self.networks():
+            self.assert_same(net.ptr, net.head, np.ones(len(net.head)))
+            self.assert_same(net.ptr, net.head, np.ones(len(net.head)), limit=3.0)
+
+    def test_source_subsets(self):
+        rng = random.Random(19)
+        for net in self.networks():
+            weight = ng._csgraph_weights(net)
+            for _ in range(3):
+                sources = np.array(rng.sample(range(net.n_nodes), rng.randint(1, net.n_nodes)))
+                for limit in (math.inf, 0.5):
+                    self.assert_same(net.ptr, net.head, weight, sources, limit)
+
+    def test_restricted_to_usable_edges(self):
+        for net in self.networks():
+            for p_star in (0.85, 0.5, 0.1):
+                keep = net.w <= -math.log2(p_star)
+                ptr = np.searchsorted(net.tail[keep], np.arange(net.n_nodes + 1))
+                weight = ng._csgraph_weights(net)[keep]
+                self.assert_same(ptr, net.head[keep], weight, limit=-math.log2(p_star))
+                self.assert_same(ptr, net.head[keep], weight)
+
+    @pytest.mark.parametrize("spec", [Square1024(0.9), Circulant(1448, 2, 0.9)], ids=["square1024", "ring1448"])
+    def test_largest_numpy_side_graphs(self, spec):
+        net = build_topology(spec)
+        assert net.small
+        weight = ng._csgraph_weights(net)
+        self.assert_same(net.ptr, net.head, weight)
+        self.assert_same(net.ptr, net.head, weight, np.arange(0, net.n_nodes, 7), 1.0)
+
+    def test_engine_bound(self, airport_network):
+        for spec in (Square1024(0.9), Circulant(1448, 2, 0.9)):
+            net = build_topology(spec)
+            assert net.small and net.n_nodes * len(net.head) <= ng._NUMPY_ELEMENTS
+        assert not build_topology(Circulant(1449, 2, 0.9)).small
+        assert not airport_network.small
+        # nodes count as well: a numpy-side sweep never forks
+        assert not Network(range(2049), [(0, 1, 0.9)]).small
+        assert ng._NUMPY_ELEMENTS < ng._FORK_ELEMENTS
+
+    def test_every_caller_on_either_engine(self):
+        nets = [build_topology(Grid(6, 5, 0.9)), build_topology(Circulant(16, 5, 0.7)),
+                Network(range(4), [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0), (0, 3, 0.5), (2, 3, 0.5)]),
+                seeded_graph(), strings(seeded_graph(9))]
+        for net in nets:
+            other = flipped(net)
+            for p_star in (0.5, 0.1):
+                for full in (False, True):
+                    ng._BEST_WEIGHTS.clear()
+                    want = ng._best_weights(net, p_star, full)
+                    ng._BEST_WEIGHTS.clear()
+                    assert np.array_equal(ng._best_weights(other, p_star, full), want)
+                assert bits(ng._neighbor_metrics(other, p_star)) == bits(ng._neighbor_metrics(net, p_star))
+                assert centrality_all(other, p_star) == centrality_all(net, p_star)
+                c = max(0.5, float(net.p.max()))
+                if c < 1.0:
+                    assert critically_large_check(other, p_star, c) == critically_large_check(net, p_star, c)
+            a, b = net.nodes[:2], net.nodes[-3:]
+            assert ng._disjoint_paths(other, a, b) == ng._disjoint_paths(net, a, b)
 
 
 class TestSparsityAndStrength:
@@ -1220,6 +1359,42 @@ class TestPercolation:
         net = build_topology(FullMesh(3, 0.95))
         with pytest.raises(ValueError):
             critically_large_check(net, 0.5, 0.9)
+
+    def n0_cases(self):
+        """(step, budget) pairs whose n0 is at most 1e6."""
+        rng = random.Random(28)
+        for _ in range(300):
+            c = rng.uniform(0.01, 0.999)
+            yield -math.log2(c), -math.log2(rng.choice([rng.uniform(1e-6, 0.99), c ** rng.randint(1, 9)]))
+        # steps exactly on a half-ulp tie of the budget's binade or one below it
+        for _ in range(300):
+            budget = rng.uniform(0.01, 40)
+            ulp = math.ldexp(1.0, math.frexp(budget)[1] - rng.randint(0, 3) - 53)
+            yield (int(budget / rng.uniform(10, 1e5) / ulp) + 0.5) * ulp, budget
+        # exact steps and budgets, and the budget at a multiple of the step
+        for step in (1.0, 0.5, 0.25, 3.0):
+            yield from ((step, budget) for budget in (0.25, 1.0, 2.0, 7.0, 64.0))
+        yield -math.log2(0.999999), 1.0
+        yield -math.log2(0.5 ** 2e-6), 1.0
+
+    def test_n0_against_hop_by_hop(self):
+        checked = 0
+        for step, budget in self.n0_cases():
+            want = hops_over_oracle(step, budget)
+            assert want <= 10**6
+            assert ng._hops_over(step, budget) == want, (step.hex(), budget)
+            checked += 1
+        assert checked > 600
+
+    def test_n0_of_many_hops_returns_at_once(self):
+        # about 7e8 hops; the value is a sequential numpy cumsum's, hop by hop
+        start = time.perf_counter()
+        net = Network([0, 1], [(0, 1, 0.5)])
+        assert critically_large_check(net, 0.5, 1 - 1e-9).n0 == 693147208
+        # the weight sticks at 2.0: every further hop adds less than half an ulp
+        with pytest.raises(ValueError, match="unchanged"):
+            critically_large_check(net, 0.25, 1 - 2**-53)
+        assert time.perf_counter() - start < 1.0
 
     def test_chain_reachability(self):
         chain = Network(list(range(100)), [(i, i + 1, 0.8) for i in range(99)])
