@@ -12,10 +12,11 @@ p_star can weigh exactly -log2 p_star, and 2**(-d) is a path's
 probability only up to rounding (for p = 0.07 it gives
 0.06999999999999999).
 
-Every multi-source shortest-path pass comes from _distances. A network of
-up to _NUMPY_ELEMENTS nodes x stored entries settles it in numpy; only a
-larger one, and construct_network's maximum flow, import scipy, whose
-~0.4 s import is most of a small network's run.
+Every multi-source shortest-path pass comes from _distances. A network
+whose edges all weigh the same, of up to _NUMPY_ELEMENTS nodes x stored
+entries, settles it in numpy; only other networks, and construct_network's
+maximum flow, import scipy, whose ~0.4 s import is most of a small
+network's run.
 """
 
 from __future__ import annotations
@@ -45,12 +46,17 @@ def _strong(net: Network, p_star: float) -> np.ndarray:
     return net.w <= _budget(p_star)
 
 
-# a network of at most this many nodes x stored entries (at least nodes)
-# settles its shortest paths in numpy, a larger one in scipy. Square1024
-# (1024 x 3968) is below it and the airport snapshot (3463 x 50964) far
-# above; the slowest graph below it is the 1448-node ring, with one hop
-# level per round. It is below _FORK_ELEMENTS, so a numpy-side centrality
-# sweep never forks.
+# a network whose edges all weigh the same and that has at most this many
+# nodes x stored entries (at least nodes) settles its shortest paths in
+# numpy, any other in scipy. With equal weights the numpy pass settles one
+# hop level per round and opens each entry once, so its rounds are the
+# longest shortest path in hops: below the bound that is at most 1447, on
+# the 1448-node path. Unequal weights can take a round per distinct
+# distance and keep entries open for many rounds, slower than scipy with
+# its import (a 32 x 32 grid or a 512-node graph with random p), so they
+# stay on scipy. Square1024 (1024 x 3968) is below the bound and the
+# airport snapshot (3463 x 50964) far above. It is below _FORK_ELEMENTS, so
+# a numpy-side centrality sweep never forks.
 _NUMPY_ELEMENTS = 1 << 22
 
 
@@ -69,9 +75,10 @@ class Network:
     head, p and w = -log2 p (math.log2 per edge, the step every path sum
     adds). order[k] is where CSR entry k sits among the edge ends listed
     edge by edge in insertion order, so x[order] = csr_array puts a CSR
-    array back in that order. small picks the engine of every shortest-path
-    pass over the network: numpy when nodes x max(stored entries, nodes) is
-    at most _NUMPY_ELEMENTS, else scipy (see _distances).
+    array back in that order. numpy_paths picks the engine of every
+    shortest-path pass over the network: numpy when all of w are equal and
+    nodes x max(stored entries, nodes) is at most _NUMPY_ELEMENTS, else
+    scipy (see _graph).
 
     A Network is immutable after construction: the arrays, and the cached
     all-pairs pass keyed on the network itself, assume that it never
@@ -110,7 +117,8 @@ class Network:
         self.head = head[order]
         self.p = np.repeat(np.fromiter(self.edges.values(), float, m), 2)[order]
         self.w = np.repeat([-math.log2(x) for x in self.edges.values()], 2)[order]
-        self.small = n * max(2 * m, n) <= _NUMPY_ELEMENTS
+        uniform = m == 0 or self.w.min() == self.w.max()
+        self.numpy_paths = uniform and n * max(2 * m, n) <= _NUMPY_ELEMENTS
 
     @property
     def n_nodes(self) -> int:
@@ -169,46 +177,43 @@ def _csgraph_weights(net: Network) -> np.ndarray:
     return np.where(net.w > 0.0, net.w, 5e-324)
 
 
-# the scipy side's last graph, (ptr, head, weight, csr_matrix), matched by
-# the arrays' identity, which no caller changes in place: a centrality
-# sweep passes the same arrays for every block of sources, and building the
-# matrix and its weights once instead of once per block takes ~10 % off the
-# airport report
-_SCIPY_GRAPH: list = []
-
-
-def _distances(
-    small: bool,
-    ptr: np.ndarray,
-    head: np.ndarray,
-    weight: np.ndarray,
-    *,
-    sources: Optional[np.ndarray] = None,
-    limit: float = math.inf,
-) -> np.ndarray:
-    """Least path weight from each source (default: every node) to every node of a CSR graph.
+def _graph(net: Network, ptr: np.ndarray, head: np.ndarray, weight: np.ndarray):
+    """The CSR graph ptr, head, weight over net's nodes, on net's engine.
 
     The graph's edges leaving node i are head[ptr[i]:ptr[i + 1]], weighing
-    weight (positive). Rows follow sources; a node farther than limit
-    reads +inf and one at exactly limit is kept, as scipy keeps it. small
-    (a Network's, which its subgraphs share) picks scipy's Dijkstra or a
-    batched label-setting pass in numpy that gives the same floats: both
-    take the least over paths of the weights summed hop by hop, each
-    candidate fl(d[u] + w), and rounding is monotone, so that least is one
-    number. The numpy pass settles a distance band per row and round
-    (Delta-stepping, Meyer and Sanders, J. Algorithms 49(1), 2003, with
-    Delta the least weight): with m the row's least open distance, every
-    later candidate is at least fl(m + Delta), so an open distance at most
-    that is final; m itself always is, also where fl(m + Delta) == m.
+    weight (positive). On the numpy side (net.numpy_paths) it is the arrays
+    themselves, else a scipy csr_matrix, built once for every pass
+    _distances makes over it.
     """
+    if net.numpy_paths:
+        return ptr, head, weight
+    from scipy.sparse import csr_matrix
+
     n = len(ptr) - 1
-    if not small:
-        from scipy.sparse import csr_matrix
+    return csr_matrix((weight, head, ptr), shape=(n, n))
+
+
+def _distances(graph, *, sources: Optional[np.ndarray] = None, limit: float = math.inf) -> np.ndarray:
+    """Least path weight from each source (default: every node) to every node of a _graph.
+
+    Rows follow sources; a node farther than limit reads +inf and one at
+    exactly limit is kept, as scipy keeps it. A scipy matrix goes to
+    scipy's Dijkstra, CSR arrays to a batched label-setting pass in numpy
+    that gives the same floats: both take the least over paths of the
+    weights summed hop by hop, each candidate fl(d[u] + w), and rounding
+    is monotone, so that least is one number. The numpy pass settles a
+    distance band per row and round (Delta-stepping, Meyer and Sanders,
+    J. Algorithms 49(1), 2003, with Delta the least weight): with m the
+    row's least open distance, every later candidate is at least
+    fl(m + Delta), so an open distance at most that is final; m itself
+    always is, also where fl(m + Delta) == m.
+    """
+    if not isinstance(graph, tuple):
         from scipy.sparse.csgraph import dijkstra
 
-        if not (_SCIPY_GRAPH and all(a is b for a, b in zip(_SCIPY_GRAPH, (ptr, head, weight)))):
-            _SCIPY_GRAPH[:] = ptr, head, weight, csr_matrix((weight, head, ptr), shape=(n, n))
-        return dijkstra(_SCIPY_GRAPH[3], indices=sources, limit=limit)
+        return dijkstra(graph, indices=sources, limit=limit)
+    ptr, head, weight = graph
+    n = len(ptr) - 1
     sources = np.arange(n) if sources is None else np.asarray(sources, np.int64)
     rows = len(sources)
     # unreached entries hold the least float over limit, so that one test,
@@ -276,7 +281,7 @@ def _best_weights(net: Network, p_star: float, full: bool = False) -> np.ndarray
         _BEST_WEIGHTS.clear()
         keep = _strong(net, p_star)
         ptr = np.searchsorted(net.tail[keep], np.arange(net.n_nodes + 1))
-        dist = _distances(net.small, ptr, net.head[keep], _csgraph_weights(net)[keep], limit=limit)
+        dist = _distances(_graph(net, ptr, net.head[keep], _csgraph_weights(net)[keep]), limit=limit)
         dist.flags.writeable = False
         entry = _BEST_WEIGHTS[net, p_star] = (limit, dist)
     return entry[1]
@@ -492,7 +497,7 @@ def _neighbor_metrics(
             tails = np.r_[a, b]
             by_tail = np.argsort(tails, kind="stable")
             sub_ptr = np.searchsorted(tails[by_tail], np.arange(size + 1))
-            dist = _distances(net.small, sub_ptr, np.r_[b, a][by_tail], np.r_[w, w][by_tail])
+            dist = _distances(_graph(net, sub_ptr, np.r_[b, a][by_tail], np.r_[w, w][by_tail]))
             r = np.arange(len(group))
             blocks = dist.reshape(len(r), k, len(r), k)[r, :, r, :]
             for g, off in zip(group, blocks[:, off_diagonal]):
@@ -599,7 +604,7 @@ def centrality_all(net: Network, p_star: float) -> Dict[NodeId, int]:
     block = max(1, _SWEEP_ELEMENTS // workers // width)
     blocks = [np.arange(start, min(start + block, n - 1)) for start in range(0, n - 1, block)]
     tau = np.zeros(n, np.int64)
-    sweep = (g, _csgraph_weights(g), budget)
+    sweep = (g, _graph(g, g.ptr, g.head, _csgraph_weights(g)), budget)
     for sources, (counts, exact) in zip(blocks, _sweeps(sweep, blocks, workers)):
         tau += counts
         for s in sources[~exact]:
@@ -618,16 +623,15 @@ def _sweeps(sweep: tuple, blocks: List[np.ndarray], workers: int):
         return
     import multiprocessing
 
-    if not sweep[0].small:
-        # loaded here once rather than once per worker
-        from scipy.sparse import csgraph  # noqa: F401
+    # loaded here once rather than once per worker
+    from scipy.sparse import csgraph  # noqa: F401
 
     # the initializer hands the sweep over by fork, never by pickle
     with multiprocessing.get_context("fork").Pool(workers, _adopt, sweep) as pool:
         yield from pool.imap(_pooled_sweep, blocks)
 
 
-# set only inside pool workers, by _adopt: _canonical_sweep's (g, weight, budget)
+# set only inside pool workers, by _adopt: _canonical_sweep's (g, graph, budget)
 _POOLED_SWEEP: tuple = ()
 
 
@@ -642,11 +646,11 @@ def _pooled_sweep(sources: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _canonical_sweep(
-    g: Network, weight: np.ndarray, budget: float, sources: np.ndarray
+    g: Network, graph, budget: float, sources: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Interior counts of the canonical paths from a block of sources.
 
-    g is a network whose nodes are in id order, weight is
+    g is a network whose nodes are in id order, graph is its _graph of
     _csgraph_weights(g), and sources and the nodes of the counts are
     g.index positions. Returns the counts summed over the sources the
     sweep resolves exactly, and the mask of those sources.
@@ -654,7 +658,7 @@ def _canonical_sweep(
     tail, head, w = g.tail, g.head, g.w
     n = g.n_nodes
     rows = len(sources)
-    dist = _distances(g.small, g.ptr, g.head, weight, sources=sources, limit=budget)
+    dist = _distances(graph, sources=sources, limit=budget)
     reached = np.isfinite(dist)
     # nan never compares equal, so edges with an unreached end drop out
     dist[~reached] = np.nan
@@ -932,7 +936,7 @@ def _disjoint_paths(
     heads = np.concatenate([n + split, net.head, a, np.full(len(b), sink)])
     cap = csr_matrix((np.ones(len(tails), np.int32), (tails, heads)), shape=(sink + 1,) * 2)
     flow = int(maximum_flow(cap, source, sink).flow_value)
-    hops = _distances(net.small, net.ptr, net.head, np.ones(len(net.head)), sources=a)
+    hops = _distances(_graph(net, net.ptr, net.head, np.ones(len(net.head))), sources=a)
     return flow, bool(np.isfinite(hops[:, b]).all())
 
 
@@ -995,7 +999,7 @@ def critically_large_check(net: Network, p_star: float, c: float) -> CriticalSiz
         raise ValueError("some edge probability exceeds c")
     budget = _budget(p_star)
     n0 = _hops_over(-math.log2(c), budget)
-    hops = _distances(net.small, net.ptr, net.head, np.ones(len(net.head)))
+    hops = _distances(_graph(net, net.ptr, net.head, np.ones(len(net.head))))
     far = np.argwhere(np.triu(hops > n0, 1))
     witness = (net.nodes[far[0, 0]], net.nodes[far[0, 1]]) if len(far) else None
     return CriticalSizeResult(witness is not None, n0, n0 + 1, witness)

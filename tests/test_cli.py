@@ -496,10 +496,11 @@ class TestAllPairsPasses:
         calls = []
         real = netgraph._distances
 
-        def counted(small, ptr, *args, **kwargs):
-            if len(ptr) == 1024 + 1 and kwargs.get("sources") is None:
+        def counted(graph, **kwargs):
+            nodes = len(graph[0]) - 1 if isinstance(graph, tuple) else graph.shape[0]
+            if nodes == 1024 and kwargs.get("sources") is None:
                 calls.append(kwargs["limit"])
-            return real(small, ptr, *args, **kwargs)
+            return real(graph, **kwargs)
 
         monkeypatch.setattr(netgraph, "_distances", counted)
         code, _, _ = run_cli(capsys, argv[0], "--in", "sq.edges", *argv[1:])
@@ -1056,6 +1057,17 @@ class TestImportHygiene:
         netgraph.save_edge_list(netgraph.build_topology(netgraph.Circulant(n, 2, 0.9)), edges)
         (loaded,) = loaded_after(["graph", "--in", edges]).values()
         assert loaded[0] == 0 and ("scipy" in loaded) == scipy_loaded
+
+    def test_unequal_weights_load_scipy(self, tmp_path):
+        # one edge near p = 1 among Square1024's p = 0.9
+        net = netgraph.build_topology(netgraph.Square1024(0.9))
+        edges = dict(net.edges)
+        edges[next(iter(edges))] = 0.999999
+        path = str(tmp_path / "sq.edges")
+        netgraph.save_edge_list(netgraph.Network(net.nodes, edges), path)
+        argvs = [["graph", "--in", path], ["critical-nodes", "--in", path]]
+        for loaded in loaded_after(*argvs).values():
+            assert loaded[0] == 0 and "scipy" in loaded
 
     def test_airport_loads_scipy(self):
         (loaded,) = loaded_after(["airport"]).values()

@@ -148,7 +148,8 @@ def id_ordered(net):
 
 def canonical_sweep(g, p_star, sources):
     """_canonical_sweep on the id-ordered network g from the given source positions."""
-    return ng._canonical_sweep(g, ng._csgraph_weights(g), -math.log2(p_star), np.asarray(sources))
+    graph = ng._graph(g, g.ptr, g.head, ng._csgraph_weights(g))
+    return ng._canonical_sweep(g, graph, -math.log2(p_star), np.asarray(sources))
 
 
 def neighbor_subgraph_oracle(net, v):
@@ -649,9 +650,9 @@ def scipy_distances(ptr, head, weight, sources=None, limit=math.inf):
 
 
 def flipped(net):
-    """net on the other distance engine: the same arrays, small inverted."""
+    """net on the other distance engine: the same arrays, numpy_paths inverted."""
     other = Network(net.nodes, net.edges, net.coords)
-    other.small = not net.small
+    other.numpy_paths = not net.numpy_paths
     return other
 
 
@@ -681,7 +682,7 @@ class TestNumpyDistances:
                                      for i in range(n) for j in range(i + 1, n) if rng.random() < 0.2])
 
     def assert_same(self, ptr, head, weight, sources=None, limit=math.inf):
-        got = ng._distances(True, ptr, head, weight, sources=sources, limit=limit)
+        got = ng._distances((ptr, head, weight), sources=sources, limit=limit)
         want = scipy_distances(ptr, head, weight, sources, limit)
         assert got.shape == want.shape and np.array_equal(got, want), (weight, sources, limit)
 
@@ -699,7 +700,7 @@ class TestNumpyDistances:
     def test_distance_equal_to_limit_is_kept(self):
         chain = Network(range(6), [(i, i + 1, 0.5) for i in range(5)])
         weight = ng._csgraph_weights(chain)
-        dist = ng._distances(True, chain.ptr, chain.head, weight, limit=2.0)
+        dist = ng._distances((chain.ptr, chain.head, weight), limit=2.0)
         assert dist[0, 2] == 2.0 and dist[0, 3] == math.inf
         self.assert_same(chain.ptr, chain.head, weight, limit=2.0)
 
@@ -726,23 +727,32 @@ class TestNumpyDistances:
                 self.assert_same(ptr, net.head[keep], weight, limit=-math.log2(p_star))
                 self.assert_same(ptr, net.head[keep], weight)
 
-    @pytest.mark.parametrize("spec", [Square1024(0.9), Circulant(1448, 2, 0.9)], ids=["square1024", "ring1448"])
+    @pytest.mark.parametrize("spec", [Square1024(0.9), Circulant(1448, 2, 0.9), Grid(1, 1448, 0.9)],
+                             ids=["square1024", "ring1448", "path1448"])
     def test_largest_numpy_side_graphs(self, spec):
         net = build_topology(spec)
-        assert net.small
+        assert net.numpy_paths
         weight = ng._csgraph_weights(net)
         self.assert_same(net.ptr, net.head, weight)
         self.assert_same(net.ptr, net.head, weight, np.arange(0, net.n_nodes, 7), 1.0)
 
     def test_engine_bound(self, airport_network):
-        for spec in (Square1024(0.9), Circulant(1448, 2, 0.9)):
+        for spec in (Square1024(0.9), Circulant(1448, 2, 0.9), Grid(1, 1448, 0.9), FullMesh(6, 1.0)):
             net = build_topology(spec)
-            assert net.small and net.n_nodes * len(net.head) <= ng._NUMPY_ELEMENTS
-        assert not build_topology(Circulant(1449, 2, 0.9)).small
-        assert not airport_network.small
+            assert net.numpy_paths and net.n_nodes * len(net.head) <= ng._NUMPY_ELEMENTS
+        assert not build_topology(Circulant(1449, 2, 0.9)).numpy_paths
+        assert not build_topology(Grid(1, 1449, 0.9)).numpy_paths
+        assert not airport_network.numpy_paths
+        assert Network(range(3), []).numpy_paths
         # nodes count as well: a numpy-side sweep never forks
-        assert not Network(range(2049), [(0, 1, 0.9)]).small
+        assert not Network(range(2049), [(0, 1, 0.9)]).numpy_paths
         assert ng._NUMPY_ELEMENTS < ng._FORK_ELEMENTS
+        # so do the weights: one edge off Square1024's p puts it on scipy
+        net = build_topology(Square1024(0.9))
+        for p in (0.999999, 1.0, 0.8):
+            edges = dict(net.edges)
+            edges[next(iter(edges))] = p
+            assert not Network(net.nodes, edges).numpy_paths
 
     def test_every_caller_on_either_engine(self):
         nets = [build_topology(Grid(6, 5, 0.9)), build_topology(Circulant(16, 5, 0.7)),
