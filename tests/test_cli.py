@@ -1017,6 +1017,90 @@ def loaded_after(*argvs):
     return json.loads(proc.stdout)
 
 
+class TestTopologyGoldens:
+    """topology: exit code, stdout, --edges-out file and stderr of every kind, pinned.
+
+    A failed spec writes no edge file (digest None); a circulant power that
+    underflows to 0 is an edge probability out of range.
+    """
+
+    # (options, exit code, stdout sha256, edge file sha256, stderr)
+    RUNS = [
+        ("--kind star", 0,
+         "f20ed1e8fa796fe1329fe86b4ba34856d2c88fd3ff9990aaee2592a20640a375",
+         "43b5a5f0ce506a096722a68b0b747d6c7bc823e18c989b37cc741d47cc59c9ec", ""),
+        ("--kind star --n 2 --p 1", 0,
+         "9ed6fec0fa1e533d5379ba542d0464c9154510e552cba104b473492cad844efc",
+         "f511459d4629ff9559c5f7c954e403ca21f97c5b28448c7b8c6efee652559f77", ""),
+        ("--kind mesh", 0,
+         "cafeb6a8ac057fcf43fe2c6f1f58ade3001ac37485cbf033d3fe8e6037041e65",
+         "131a8604466c53e2d3e4976e3f8583372b451b63497e737af63346696832c8c6", ""),
+        ("--kind mesh --n 12 --p 0.3", 0,
+         "75e0f4ed6ade221e7cc4deb8f344079887b0c09ddbb02f673730c3da83db4cc9",
+         "873331589c74b84e5355d5c67a9b462100c61a025d54beb622545435bc549366", ""),
+        ("--kind circulant", 0,
+         "c8ac3603ac468d8e574f1b09c0a8573154ac14944ca6e7a45ebb89857d2358bc",
+         "2b096afef36bdd5e5ca30929304391a860b559de03e64c17de68fbc282d64b42", ""),
+        ("--kind circulant --n 6 --d 3 --p 0.8", 0,
+         "c8abfedf51634fa6f68e4acfe36594460053d7b10c78c3cc95dc14831739087b",
+         "f719b5b6c0ca337bf1e780d31fef3daf76dad7e003c96af86f1cc6e1d0496b00", ""),
+        ("--kind circulant --n 2 --d 1", 0,
+         "7169c03469d0d7f10a847a468aa2578b1d6f6a5f4f60e0c5f7de571946bcc12d",
+         "184a805ac137ced808dbf1ebace81f7bf3db2b4ed995df347c0c5a24857c2c46", ""),
+        ("--kind circulant --n 9 --d 4 --p 1e-160", 0,
+         "7999af4b19b54066dc19a91f09ef21d2744abea1004e526ae4a60ab160356085",
+         "8a1c9409f5576485c36a85fd5948c397f7d81928c4f831b8a9d0f19654889eab", ""),
+        ("--kind circulant --n 8 --d 6 --p 1e-200", 2, sha256(""), None,
+         "usage error: edge probability must be in (0, 1]\n"),
+        ("--kind circulant --n 9 --d 3", 2, sha256(""), None,
+         "usage error: odd-degree circulant needs an even node count\n"),
+        ("--kind circulant --n 4 --d 4", 2, sha256(""), None,
+         "usage error: circulant needs 1 <= d < n\n"),
+        ("--kind grid", 0,
+         "478be7dceaa705873d5edbd87b29b38ee5ee7cb246bf6e6db205e63f3b1f9359",
+         "514a20ab33e61873af85a0cf25d78fe0f7af381a8553811ceceb36743f77daf8", ""),
+        ("--kind grid --width 1 --height 1", 0,
+         "3eabceac257f77675f83aba32407f3f1cca545d65b8c795516bb7bf4810ae2ef",
+         "9363400197ebb6d869f1dcc4833685aa95343473043d1f49cf8a0fa3fd960dcf", ""),
+        ("--kind grid --width 7 --height 3 --p 0.07", 0,
+         "fb43433f6a82509c5f0afa6b364852335f7e43a296b5e8339c53466de47c8f2d",
+         "e58fd3f40397fa86f234c5db30bedb5c266580d2e9230716d8c2e3d28d917c85", ""),
+        ("--kind grid --height 0", 2, sha256(""), None,
+         "usage error: grid needs positive dimensions\n"),
+        ("--kind cell-square", 0,
+         "8300d31230879ee2a32c832c4452e1c8259ae0836e95a1a8f20ac405c32451e3",
+         "b7471d2e75428a68f33977cc4ffc7bec3de0e9753d252a72ec4871b7d8fc559f", ""),
+        ("--kind cell-octagonal --p 0.5", 0,
+         "cab00d1a66e1ce2e5d4b1d98dede0593d7b997d3ceab5975d968d7161eb19638",
+         "0e6abe92b74fc920fe860cedfe76085acc4dd4cca83e82dc7d7d934c1a452762", ""),
+        ("--kind cell-heavy-hex", 0,
+         "c182c927aee3096efb3aa57eb8df1fe92e76babe668be189095ac23b50f4c60e",
+         "93b440ec3dbd4f8180c3e17c285943b895bd2534419bddb4883c68c2a3e7ea8f", ""),
+        ("--kind square1024", 0,
+         "4bab23af1ef57b6907e15cf2a1f1610bb7626cb9285ee1d5db61ea7fd432a192",
+         "303e06f70a9491275a3cdadebb43e660a6336a7036aa202a430dee20664520cd", ""),
+        ("--kind square1024 --p 0.5", 0,
+         "b912310027df8ccea5f108bd74dfeedff232d86e0d8299e40e3287e950208261",
+         "1e53ba6a0666ae1a56a67a06d7f7418ee53d9852ea8e2093454c0648a8d28aa0", ""),
+        ("--kind star --p nan", 2, sha256(""), None,
+         "usage error: edge probability must be in (0, 1]\n"),
+        ("--kind mesh --n 1", 2, sha256(""), None,
+         "usage error: mesh needs n >= 2\n"),
+    ]
+
+    @pytest.mark.parametrize("argv,code,out_digest,edges_digest,err", RUNS, ids=[r[0] for r in RUNS])
+    def test_run(self, capsys, tmp_path, monkeypatch, argv, code, out_digest, edges_digest, err):
+        monkeypatch.chdir(tmp_path)
+        got_code, out, got_err = run_cli(capsys, "topology", *argv.split(), "--edges-out", "t.edges")
+        edges = tmp_path / "t.edges"
+        got_edges = hashlib.sha256(edges.read_bytes()).hexdigest() if edges.exists() else None
+        assert (got_code, sha256(out), got_edges, got_err) == (code, out_digest, edges_digest, err)
+
+    def test_every_kind_is_pinned(self):
+        pinned = {r[0].split()[1] for r in self.RUNS if r[1] == 0}
+        assert pinned == set(cli._TOPOLOGIES)
+
+
 class TestImportHygiene:
     """Commands that never build a graph leave numpy, scipy, netgraph and qstate unimported."""
 
