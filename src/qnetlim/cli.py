@@ -201,32 +201,32 @@ def cmd_path(args) -> List[str]:
     return lines
 
 
-# topology kind -> spec(netgraph, args)
+# topology kind -> spec(topology module, args)
 _TOPOLOGIES = {
-    "star": lambda ng, a: ng.Star(a.n, a.p),
-    "mesh": lambda ng, a: ng.FullMesh(a.n, a.p),
-    "circulant": lambda ng, a: ng.Circulant(a.n, a.d, a.p),
-    "grid": lambda ng, a: ng.Grid(a.width, a.height, a.p),
-    "cell-square": lambda ng, a: ng.ProcessorCell(ng.CellKind.SQUARE, a.p),
-    "cell-octagonal": lambda ng, a: ng.ProcessorCell(ng.CellKind.OCTAGONAL, a.p),
-    "cell-heavy-hex": lambda ng, a: ng.ProcessorCell(ng.CellKind.HEAVY_HEXAGONAL, a.p),
-    "square1024": lambda ng, a: ng.Square1024(a.p),
+    "star": lambda tp, a: tp.Star(a.n, a.p),
+    "mesh": lambda tp, a: tp.FullMesh(a.n, a.p),
+    "circulant": lambda tp, a: tp.Circulant(a.n, a.d, a.p),
+    "grid": lambda tp, a: tp.Grid(a.width, a.height, a.p),
+    "cell-square": lambda tp, a: tp.ProcessorCell(tp.CellKind.SQUARE, a.p),
+    "cell-octagonal": lambda tp, a: tp.ProcessorCell(tp.CellKind.OCTAGONAL, a.p),
+    "cell-heavy-hex": lambda tp, a: tp.ProcessorCell(tp.CellKind.HEAVY_HEXAGONAL, a.p),
+    "square1024": lambda tp, a: tp.Square1024(a.p),
 }
 
 
 def cmd_topology(args) -> List[str]:
-    from . import netgraph
+    from . import topology
 
-    net = netgraph.build_topology(_TOPOLOGIES[args.kind](netgraph, args))
+    n, edges = topology.topology_edges(_TOPOLOGIES[args.kind](topology, args))
     if args.edges_out:
         try:
-            netgraph.save_edge_list(net, args.edges_out)
+            topology.write_edge_list(edges, args.edges_out)
         except OSError as exc:
             raise DataError(f"cannot write output: {exc}")
-    params = {"kind": args.kind, "p": args.p, "nodes": net.n_nodes, "edges": net.n_edges}
+    params = {"kind": args.kind, "p": args.p, "nodes": n, "edges": len(edges)}
     lines = _header("topology", params)
     lines.append("nodes,edges,edge_file")
-    lines.append(f"{net.n_nodes},{net.n_edges},{args.edges_out or ''}")
+    lines.append(f"{n},{len(edges)},{args.edges_out or ''}")
     return lines
 
 

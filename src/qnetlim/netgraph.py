@@ -12,11 +12,13 @@ p_star can weigh exactly -log2 p_star, and 2**(-d) is a path's
 probability only up to rounding (for p = 0.07 it gives
 0.06999999999999999).
 
-Every multi-source shortest-path pass comes from _distances. A network
+Every multi-source shortest-path pass comes from _distances. On a network
 whose edges all weigh the same, of up to _NUMPY_ELEMENTS nodes x stored
-entries, settles it in numpy; only other networks, and construct_network's
-maximum flow, import scipy, whose ~0.4 s import is most of a small
-network's run.
+entries, it is a breadth-first pass in numpy, exact because every path of
+k hops then weighs the same float; only other networks, and
+construct_network's maximum flow, import scipy, whose ~0.4 s import is
+most of a small network's run. The reference topologies come from the
+numpy-free topology module, and are re-exported here.
 """
 
 from __future__ import annotations
@@ -30,9 +32,22 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from . import EDGE_P, EVOLVE_K, EVOLVE_W, GRID_SIDE, P_STAR, TOPOLOGY_D, TOPOLOGY_N, Range, Sentinel
-
-NodeId = Union[int, str]
+from . import EDGE_P, EVOLVE_K, EVOLVE_W, P_STAR, Range, Sentinel
+from .topology import (  # noqa: F401  (re-exported)
+    CellKind,
+    Circulant,
+    FullMesh,
+    Grid,
+    NodeId,
+    ProcessorCell,
+    Square1024,
+    Star,
+    TopologySpec,
+    edge_key as _edge_key,
+    edge_table,
+    topology_edges,
+    write_edge_list,
+)
 
 
 def _budget(p_star: float) -> float:
@@ -48,20 +63,14 @@ def _strong(net: Network, p_star: float) -> np.ndarray:
 
 # a network whose edges all weigh the same and that has at most this many
 # nodes x stored entries (at least nodes) settles its shortest paths in
-# numpy, any other in scipy. With equal weights the numpy pass settles one
-# hop level per round and opens each entry once, so its rounds are the
-# longest shortest path in hops: below the bound that is at most 1447, on
-# the 1448-node path. Unequal weights can take a round per distinct
-# distance and keep entries open for many rounds, slower than scipy with
-# its import (a 32 x 32 grid or a 512-node graph with random p), so they
-# stay on scipy. Square1024 (1024 x 3968) is below the bound and the
-# airport snapshot (3463 x 50964) far above. It is below _FORK_ELEMENTS, so
-# a numpy-side centrality sweep never forks.
+# numpy, any other in scipy. The numpy pass reaches one hop level per round,
+# in every row at once, and visits each entry once, so its rounds are the
+# longest shortest path in hops: below the bound at most 1447, on the
+# 1448-node path. It takes equal weights only, where the fewest hops give
+# the least weight. Square1024 (1024 x 3968) is below the bound and the
+# airport snapshot (3463 x 50964, unequal weights) far above. It is below
+# _FORK_ELEMENTS, so a numpy-side centrality sweep never forks.
 _NUMPY_ELEMENTS = 1 << 22
-
-
-def _edge_key(a: NodeId, b: NodeId) -> Tuple[NodeId, NodeId]:
-    return (a, b) if a <= b else (b, a)
 
 
 class Network:
@@ -76,9 +85,10 @@ class Network:
     adds). order[k] is where CSR entry k sits among the edge ends listed
     edge by edge in insertion order, so x[order] = csr_array puts a CSR
     array back in that order. numpy_paths picks the engine of every
-    shortest-path pass over the network: numpy when all of w are equal and
-    nodes x max(stored entries, nodes) is at most _NUMPY_ELEMENTS, else
-    scipy (see _graph).
+    shortest-path pass over the network: the breadth-first numpy pass,
+    which takes equal weights only, when all of w are equal and nodes x
+    max(stored entries, nodes) is at most _NUMPY_ELEMENTS, else scipy (see
+    _graph and _distances).
 
     A Network is immutable after construction: the arrays, and the cached
     all-pairs pass keyed on the network itself, assume that it never
@@ -97,15 +107,8 @@ class Network:
         if len(set(self.nodes)) != len(self.nodes):
             raise ValueError("duplicate node ids")
         self.index = {v: i for i, v in enumerate(self.nodes)}
-        self.edges: Dict[Tuple[NodeId, NodeId], float] = {}
         items = ((a, b, p) for (a, b), p in edges.items()) if isinstance(edges, dict) else edges
-        for a, b, p in items:
-            if a == b:
-                raise ValueError(f"self-loop on node {a!r}")
-            if a not in self.index or b not in self.index:
-                raise ValueError(f"edge references unknown node: {a!r}-{b!r}")
-            EDGE_P.check("edge probability", p)
-            self.edges[_edge_key(a, b)] = p
+        self.edges: Dict[Tuple[NodeId, NodeId], float] = edge_table(items, self.index)
         self.coords = dict(coords) if coords else None
 
         m, n = len(self.edges), len(self.nodes)
@@ -198,61 +201,46 @@ def _distances(graph, *, sources: Optional[np.ndarray] = None, limit: float = ma
 
     Rows follow sources; a node farther than limit reads +inf and one at
     exactly limit is kept, as scipy keeps it. A scipy matrix goes to
-    scipy's Dijkstra, CSR arrays to a batched label-setting pass in numpy
-    that gives the same floats: both take the least over paths of the
-    weights summed hop by hop, each candidate fl(d[u] + w), and rounding
-    is monotone, so that least is one number. The numpy pass settles a
-    distance band per row and round (Delta-stepping, Meyer and Sanders,
-    J. Algorithms 49(1), 2003, with Delta the least weight): with m the
-    row's least open distance, every later candidate is at least
-    fl(m + Delta), so an open distance at most that is final; m itself
-    always is, also where fl(m + Delta) == m.
+    scipy's Dijkstra. CSR arrays, whose weights must all be equal (else
+    ValueError), go to a breadth-first pass in numpy over every row at
+    once, one hop level per round, that gives the same floats: every k-hop
+    path, summed hop by hop as Dijkstra sums it, adds the same weight w in
+    the same order, so all of them weigh d_k = fl(d_(k-1) + w). Rounding
+    is monotone, so d_k never falls as k grows, and the fewest hops give
+    the least weight. The pass stops at the first level with d_k > limit.
     """
     if not isinstance(graph, tuple):
         from scipy.sparse.csgraph import dijkstra
 
         return dijkstra(graph, indices=sources, limit=limit)
     ptr, head, weight = graph
+    if len(weight) and weight.min() != weight.max():
+        raise ValueError("the numpy distance pass needs equal edge weights")
     n = len(ptr) - 1
     sources = np.arange(n) if sources is None else np.asarray(sources, np.int64)
-    rows = len(sources)
-    # unreached entries hold the least float over limit, so that one test,
-    # candidate < current, also drops every candidate over limit
-    beyond = math.nextafter(limit, math.inf)
-    dist = np.full(rows * n, beyond)
-    open_ = np.arange(rows) * n + sources
-    dist[open_] = 0.0
-    stamp = np.empty(rows * n, np.int64)
-    step = weight.min() if len(weight) else math.inf
+    dist = np.full(len(sources) * n, math.inf)
+    # entries of the flat rows x n array reached at the current level
+    level = np.arange(len(sources)) * n + sources
     degree = np.diff(ptr)
-    # entry k of a row's block leads from dist[x] to dist[x + shift[k]]
-    shift = head - np.repeat(np.arange(n), degree)
-    while open_.size:
-        d = dist[open_]
-        row = open_ // n
-        low = np.full(rows, math.inf)
-        np.minimum.at(low, row, d)
-        # never empty: each open row's least entry is final
-        final = d <= (low + step)[row]
-        done, open_ = open_[final], open_[~final]
-        u = done - row[final] * n
+    step = float(weight[0]) if len(weight) else math.inf
+    d = 0.0
+    while level.size:
+        dist[level] = d
+        d += step
+        if d > limit:
+            break
+        u = level % n
         count = degree[u]
         ends = np.cumsum(count)
         k = np.arange(ends[-1]) + np.repeat(ptr[u] - ends + count, count)
-        tails = np.repeat(done, count)
-        cand = dist[tails] + weight[k]
-        at = tails + shift[k]
-        old = dist[at]
-        better = cand < old
-        at, cand = at[better], cand[better]
-        np.minimum.at(dist, at, cand)
-        # newly reached entries open once each: the last stamp of each wins
-        fresh = at[old[better] == beyond]
-        slot = np.arange(len(fresh))
-        stamp[fresh] = slot
-        open_ = np.concatenate([open_, fresh[stamp[fresh] == slot]])
-    dist[dist == beyond] = math.inf
-    return dist.reshape(rows, n)
+        at = np.repeat(level - u, count) + head[k]
+        at = at[dist[at] == math.inf]
+        # each newly reached entry once: it holds the last stamp written to
+        # it, -slot, until the next round writes its distance
+        stamp = -np.arange(len(at), dtype=float)
+        dist[at] = stamp
+        level = at[dist[at] == stamp]
+    return dist.reshape(len(sources), n)
 
 
 # the one cached all-pairs pass: (network, p_star) -> (limit, distances)
@@ -756,117 +744,10 @@ def critical_parameters(
     return defined + undefined
 
 
-# ---------------------------------------------------------------------------
-# Topologies
-# ---------------------------------------------------------------------------
-
-
-class CellKind(str, Enum):
-    SQUARE = "square"
-    OCTAGONAL = "octagonal"
-    HEAVY_HEXAGONAL = "heavy-hexagonal"
-
-
-_CELL_SIZES = {
-    CellKind.SQUARE: 4,
-    CellKind.OCTAGONAL: 8,
-    CellKind.HEAVY_HEXAGONAL: 12,
-}
-
-
-@dataclass(frozen=True)
-class Star:
-    n: int
-    p: float
-
-
-@dataclass(frozen=True)
-class FullMesh:
-    n: int
-    p: float
-
-
-@dataclass(frozen=True)
-class Circulant:
-    n: int
-    d: int
-    p: float
-
-
-@dataclass(frozen=True)
-class Grid:
-    width: int
-    height: int
-    p: float
-
-
-@dataclass(frozen=True)
-class ProcessorCell:
-    kind: CellKind
-    p: float
-
-
-@dataclass(frozen=True)
-class Square1024:
-    p: float
-
-
-_TOPOLOGY_SPECS = (Star, FullMesh, Circulant, Grid, ProcessorCell, Square1024)
-TopologySpec = Union[_TOPOLOGY_SPECS]
-
-
 def build_topology(spec: TopologySpec) -> Network:
-    """Construct one of the named reference topologies.
-
-    Star(n, p) has hub node 0. Circulant(n, d, p) gives every node degree
-    d: ring offsets m carry probability p**m; an odd d adds the antipodal
-    edge at probability p**((d+1)/2) and needs even n. A star's or mesh's
-    n must lie in TOPOLOGY_N, a circulant's d in TOPOLOGY_D and below n, a
-    grid's sides in GRID_SIDE and every p in EDGE_P.
-    """
-    if not isinstance(spec, _TOPOLOGY_SPECS):
-        raise TypeError(f"unknown topology spec {spec!r}")
-    if isinstance(spec, (Star, FullMesh)) and spec.n not in TOPOLOGY_N:
-        raise ValueError(f"{'star' if isinstance(spec, Star) else 'mesh'} needs n {TOPOLOGY_N.text}")
-    if isinstance(spec, Circulant):
-        if spec.d not in TOPOLOGY_D or spec.d >= spec.n:
-            raise ValueError("circulant needs 1 <= d < n")
-        if spec.d % 2 == 1 and spec.n % 2 != 0:
-            raise ValueError("odd-degree circulant needs an even node count")
-    if isinstance(spec, Grid) and (spec.width not in GRID_SIDE or spec.height not in GRID_SIDE):
-        raise ValueError("grid needs positive dimensions")
-    # also where no edge carries p, as in a 1 x 1 grid
-    EDGE_P.check("edge probability", spec.p)
-    if isinstance(spec, Star):
-        return Network(range(spec.n), [(0, i, spec.p) for i in range(1, spec.n)])
-    if isinstance(spec, FullMesh):
-        edges = [(i, j, spec.p) for i in range(spec.n) for j in range(i + 1, spec.n)]
-        return Network(range(spec.n), edges)
-    if isinstance(spec, Circulant):
-        n, d, p = spec.n, spec.d, spec.p
-        edges = {}
-        half = d // 2
-        for i in range(n):
-            for m in range(1, half + 1):
-                edges[_edge_key(i, (i + m) % n)] = p**m
-            if d % 2 == 1:
-                edges[_edge_key(i, (i + n // 2) % n)] = p ** ((d + 1) // 2)
-        return Network(range(n), edges)
-    if isinstance(spec, Grid):
-        w, h, p = spec.width, spec.height, spec.p
-        idx = lambda x, y: y * w + x
-        edges = []
-        for y in range(h):
-            for x in range(w):
-                if x + 1 < w:
-                    edges.append((idx(x, y), idx(x + 1, y), p))
-                if y + 1 < h:
-                    edges.append((idx(x, y), idx(x, y + 1), p))
-        return Network(range(w * h), edges)
-    if isinstance(spec, ProcessorCell):
-        n = _CELL_SIZES[CellKind(spec.kind)]
-        return Network(range(n), [(i, (i + 1) % n, spec.p) for i in range(n)])
-    return build_topology(Grid(32, 32, spec.p))  # Square1024
+    """The Network of a named reference topology; see topology.topology_edges."""
+    n, edges = topology_edges(spec)
+    return Network(range(n), edges)
 
 
 @dataclass(frozen=True)
@@ -1075,7 +956,4 @@ def load_edge_list(path) -> Network:
 
 
 def save_edge_list(net: Network, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("# node_a,node_b,p\n")
-        for (a, b), p in sorted(net.edges.items()):
-            fh.write(f"{a},{b},{p}\n")
+    write_edge_list(net.edges, path)

@@ -1118,9 +1118,10 @@ class TestImportHygiene:
         loaded = loaded_after(*argvs)
         assert loaded == {" ".join(argv): [0] for argv in argvs}
 
-    def test_topology_loads_numpy_not_scipy(self):
-        (loaded,) = loaded_after(["topology", "--kind", "grid"]).values()
-        assert loaded == [0, "numpy", "qnetlim.netgraph"]
+    def test_topology_loads_neither_numpy_nor_scipy(self, tmp_path):
+        argvs = [["topology", "--kind", kind, "--edges-out", str(tmp_path / f"{kind}.edges")]
+                 for kind in cli._TOPOLOGIES]
+        assert loaded_after(*argvs) == {" ".join(argv): [0] for argv in argvs}
 
     def test_lattice_commands_load_numpy_not_scipy(self, tmp_path):
         edges = str(tmp_path / "sq.edges")
@@ -1178,7 +1179,7 @@ print(code, "json" in sys.modules, "numpy" in sys.modules,
 
 _REPEATER = ("qnetlim.repeater", "qnetlim.yields")
 _SCENARIO = ("qnetlim.scenario", "qnetlim.yields")
-_GRAPH = ("qnetlim.netgraph",)
+_GRAPH = ("qnetlim.netgraph", "qnetlim.topology")
 
 
 class TestModuleSets:
@@ -1203,7 +1204,7 @@ class TestModuleSets:
         ("critical-nodes --in {edges}", _GRAPH),
         ("path --in {edges} --source 1 --target 3", _GRAPH),
         ("evolve --in {edges} --steps 2", _GRAPH),
-        ("topology --kind grid", _GRAPH),
+        ("topology --kind grid", ("qnetlim.topology",)),
         ("airport --airports {airports} --routes {routes}", _GRAPH + _SCENARIO),
     ]
 

@@ -656,17 +656,26 @@ def flipped(net):
     return other
 
 
+# the equal edge weights every numpy-pass test runs each structure at: the
+# p = 1 placeholder, a tiny normal one, the weight of the largest p below 1,
+# and Square1024's, a unit hop's and p = 0.1's
+WEIGHTS = [5e-324, 1e-300, -math.log2(math.nextafter(1.0, 0.0)), -math.log2(0.9), 1.0, -math.log2(0.1)]
+
+
 class TestNumpyDistances:
-    """_distances' numpy pass equals scipy's dijkstra bit for bit, inf included."""
+    """_distances' numpy pass equals scipy's dijkstra bit for bit, inf included, at equal weights."""
 
     def networks(self):
+        """Structures; each test puts one of WEIGHTS on every edge, and reads p only to restrict."""
         rng = random.Random(18)
         near_one = math.nextafter(1.0, 0.0)
         specs = [Grid(9, 7, 0.9), Grid(6, 6, 1.0), Grid(1, 12, 0.5), Star(12, 0.8), Star(7, 1.0),
                  FullMesh(8, 0.5), FullMesh(6, 1.0), Circulant(40, 2, 0.9), Circulant(31, 2, 0.5),
-                 Circulant(24, 5, 0.7), ProcessorCell(CellKind.HEAVY_HEXAGONAL, 0.9)]
+                 Circulant(24, 5, 0.7), ProcessorCell(CellKind.HEAVY_HEXAGONAL, 0.9),
+                 # every node reaches every other at level 1, so each level's hits collide
+                 FullMesh(40, 0.5)]
         yield from (build_topology(spec) for spec in specs)
-        # p = 1 edges weigh the 5e-324 placeholder, beside weights near it and far from it
+        # a ring of seven
         yield Network(range(7), [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 0.5), (3, 4, 1.0), (4, 5, near_one),
                                  (5, 6, 1e-300), (0, 6, 1.0)])
         # two parts and an isolated node
@@ -675,11 +684,15 @@ class TestNumpyDistances:
         yield Network(range(3), [])
         yield from (random_graph(rng, n_max=14) for _ in range(40))
         yield from (seeded_graph(seed) for seed in (8, 9))
-        # random weights, p* drawn from each edge's p and its products
         for _ in range(10):
             n = rng.randint(2, 30)
             yield Network(range(n), [(i, j, rng.choice([rng.random(), 1.0, 0.5, 0.9]))
                                      for i in range(n) for j in range(i + 1, n) if rng.random() < 0.2])
+
+    def weighted(self):
+        """(network, weight array) for every network at each of WEIGHTS."""
+        for net in self.networks():
+            yield from ((net, np.full(len(net.head), w)) for w in WEIGHTS)
 
     def assert_same(self, ptr, head, weight, sources=None, limit=math.inf):
         got = ng._distances((ptr, head, weight), sources=sources, limit=limit)
@@ -687,8 +700,7 @@ class TestNumpyDistances:
         assert got.shape == want.shape and np.array_equal(got, want), (weight, sources, limit)
 
     def test_all_pairs_at_every_limit(self):
-        for net in self.networks():
-            weight = ng._csgraph_weights(net)
+        for net, weight in self.weighted():
             every = scipy_distances(net.ptr, net.head, weight)
             finite = np.unique(every[np.isfinite(every)])
             # every distance the pass holds, as the limit: kept, and the next float above and below
@@ -699,10 +711,16 @@ class TestNumpyDistances:
 
     def test_distance_equal_to_limit_is_kept(self):
         chain = Network(range(6), [(i, i + 1, 0.5) for i in range(5)])
-        weight = ng._csgraph_weights(chain)
-        dist = ng._distances((chain.ptr, chain.head, weight), limit=2.0)
-        assert dist[0, 2] == 2.0 and dist[0, 3] == math.inf
-        self.assert_same(chain.ptr, chain.head, weight, limit=2.0)
+        for w in WEIGHTS:
+            weight = np.full(len(chain.head), w)
+            # d_k, summed hop by hop
+            level = [0.0]
+            for _ in range(5):
+                level.append(level[-1] + w)
+            for k in range(1, 5):
+                dist = ng._distances((chain.ptr, chain.head, weight), limit=level[k])
+                assert dist[0, :k + 1].tolist() == level[:k + 1] and dist[0, k + 1] == math.inf
+                self.assert_same(chain.ptr, chain.head, weight, limit=level[k])
 
     def test_unweighted_hops(self):
         for net in self.networks():
@@ -711,21 +729,29 @@ class TestNumpyDistances:
 
     def test_source_subsets(self):
         rng = random.Random(19)
-        for net in self.networks():
-            weight = ng._csgraph_weights(net)
-            for _ in range(3):
-                sources = np.array(rng.sample(range(net.n_nodes), rng.randint(1, net.n_nodes)))
+        for net, weight in self.weighted():
+            n = net.n_nodes
+            subsets = [np.arange(n)[::-1], *(np.array(rng.sample(range(n), rng.randint(1, n)))
+                                             for _ in range(3))]
+            for sources in subsets:
                 for limit in (math.inf, 0.5):
                     self.assert_same(net.ptr, net.head, weight, sources, limit)
 
     def test_restricted_to_usable_edges(self):
-        for net in self.networks():
+        for net, weight in self.weighted():
             for p_star in (0.85, 0.5, 0.1):
                 keep = net.w <= -math.log2(p_star)
                 ptr = np.searchsorted(net.tail[keep], np.arange(net.n_nodes + 1))
-                weight = ng._csgraph_weights(net)[keep]
-                self.assert_same(ptr, net.head[keep], weight, limit=-math.log2(p_star))
-                self.assert_same(ptr, net.head[keep], weight)
+                self.assert_same(ptr, net.head[keep], weight[keep], limit=-math.log2(p_star))
+                self.assert_same(ptr, net.head[keep], weight[keep])
+
+    def test_unequal_weights_raise(self):
+        chain = Network(range(4), [(0, 1, 0.5), (1, 2, 0.5), (2, 3, 0.5)])
+        for w in WEIGHTS:
+            weight = np.full(len(chain.head), w)
+            weight[-1] = math.nextafter(w, math.inf)
+            with pytest.raises(ValueError, match="equal edge weights"):
+                ng._distances((chain.ptr, chain.head, weight))
 
     @pytest.mark.parametrize("spec", [Square1024(0.9), Circulant(1448, 2, 0.9), Grid(1, 1448, 0.9)],
                              ids=["square1024", "ring1448", "path1448"])
@@ -755,12 +781,27 @@ class TestNumpyDistances:
             assert not Network(net.nodes, edges).numpy_paths
 
     def test_every_caller_on_either_engine(self):
-        nets = [build_topology(Grid(6, 5, 0.9)), build_topology(Circulant(16, 5, 0.7)),
-                Network(range(4), [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0), (0, 3, 0.5), (2, 3, 0.5)]),
-                seeded_graph(), strings(seeded_graph(9))]
-        for net in nets:
+        # equal weights read the same on either engine; unequal ones raise on numpy, but
+        # for the hop counts, which weigh every edge 1
+        seeded = seeded_graph()
+        equal = [build_topology(Grid(6, 5, 0.9)), build_topology(Circulant(16, 2, 0.7)),
+                 build_topology(FullMesh(6, 1.0)), id_ordered(strings(build_topology(Grid(7, 5, 0.9)))),
+                 Network(seeded.nodes, dict.fromkeys(seeded.edges, 0.8))]
+        unequal = [build_topology(Circulant(16, 5, 0.7)),
+                   Network(range(4), [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0), (0, 3, 0.5), (2, 3, 0.5)]),
+                   seeded, strings(seeded_graph(9))]
+        for net in equal + unequal:
+            uniform = net.w.min() == net.w.max()
             other = flipped(net)
+            assert other.numpy_paths == (not uniform)
             for p_star in (0.5, 0.1):
+                c = max(0.5, float(net.p.max()))
+                if c < 1.0:
+                    assert critically_large_check(other, p_star, c) == critically_large_check(net, p_star, c)
+                if not uniform:
+                    continue
+                # in id order, so that centrality_all sweeps other itself
+                assert other.nodes == sorted(other.nodes)
                 for full in (False, True):
                     ng._BEST_WEIGHTS.clear()
                     want = ng._best_weights(net, p_star, full)
@@ -768,9 +809,9 @@ class TestNumpyDistances:
                     assert np.array_equal(ng._best_weights(other, p_star, full), want)
                 assert bits(ng._neighbor_metrics(other, p_star)) == bits(ng._neighbor_metrics(net, p_star))
                 assert centrality_all(other, p_star) == centrality_all(net, p_star)
-                c = max(0.5, float(net.p.max()))
-                if c < 1.0:
-                    assert critically_large_check(other, p_star, c) == critically_large_check(net, p_star, c)
+            if not uniform:
+                with pytest.raises(ValueError, match="equal edge weights"):
+                    ng._best_weights(other, 0.1, full=True)
             a, b = net.nodes[:2], net.nodes[-3:]
             assert ng._disjoint_paths(other, a, b) == ng._disjoint_paths(net, a, b)
 
