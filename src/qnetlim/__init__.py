@@ -97,7 +97,7 @@ EVOLVE_W = Range("(0, 1]")
 EVOLVE_K = Range(">= 0")
 # every edge probability, and topology's --p
 EDGE_P = Range("(0, 1]")
-# netgraph.build_topology's star and mesh node count n, circulant degree d
+# topology.topology_edges's star and mesh node count n, circulant degree d
 # (also d < n) and grid width and height, and topology's options of each
 TOPOLOGY_N = Range(">= 2")
 TOPOLOGY_D = Range(">= 1")
