@@ -12,10 +12,11 @@ p_star can weigh exactly -log2 p_star, and 2**(-d) is a path's
 probability only up to rounding (for p = 0.07 it gives
 0.06999999999999999).
 
-Every multi-source shortest-path pass comes from _distances. On a network
-whose edges all weigh the same, of up to _NUMPY_ELEMENTS nodes x stored
-entries, it is a breadth-first pass in numpy, exact because every path of
-k hops then weighs the same float; only other networks, and
+Every multi-source shortest-path pass comes from _distances, over a graph
+that _graph builds from edge arrays and whose engine it picks from them. A
+graph whose edges all weigh the same, of up to _NUMPY_ELEMENTS nodes x
+stored entries, gets a breadth-first pass in numpy, exact because every
+path of k hops then weighs the same float; only other graphs, and
 construct_network's maximum flow, import scipy, whose ~0.4 s import is
 most of a small network's run. The reference topologies come from the
 numpy-free topology module, and are re-exported here.
@@ -61,9 +62,9 @@ def _strong(net: Network, p_star: float) -> np.ndarray:
     return net.w <= _budget(p_star)
 
 
-# a network whose edges all weigh the same and that has at most this many
-# nodes x stored entries (at least nodes) settles its shortest paths in
-# numpy, any other in scipy. The numpy pass reaches one hop level per round,
+# a shortest-path graph whose edges all weigh the same and that has at most
+# this many nodes x stored entries (at least nodes) is settled in numpy, any
+# other in scipy (see _graph). The numpy pass reaches one hop level per round,
 # in every row at once, and visits each entry once, so its rounds are the
 # longest shortest path in hops: below the bound at most 1447, on the
 # 1448-node path. It takes equal weights only, where the fewest hops give
@@ -84,11 +85,9 @@ class Network:
     head, p and w = -log2 p (math.log2 per edge, the step every path sum
     adds). order[k] is where CSR entry k sits among the edge ends listed
     edge by edge in insertion order, so x[order] = csr_array puts a CSR
-    array back in that order. numpy_paths picks the engine of every
-    shortest-path pass over the network: the breadth-first numpy pass,
-    which takes equal weights only, when all of w are equal and nodes x
-    max(stored entries, nodes) is at most _NUMPY_ELEMENTS, else scipy (see
-    _graph and _distances).
+    array back in that order. A Network holds no engine: each
+    shortest-path pass over it, or over a graph derived from it, runs on
+    the engine _graph picks from that graph's own edges.
 
     A Network is immutable after construction: the arrays, and the cached
     all-pairs pass keyed on the network itself, assume that it never
@@ -120,8 +119,6 @@ class Network:
         self.head = head[order]
         self.p = np.repeat(np.fromiter(self.edges.values(), float, m), 2)[order]
         self.w = np.repeat([-math.log2(x) for x in self.edges.values()], 2)[order]
-        uniform = m == 0 or self.w.min() == self.w.max()
-        self.numpy_paths = uniform and n * max(2 * m, n) <= _NUMPY_ELEMENTS
 
     @property
     def n_nodes(self) -> int:
@@ -171,28 +168,24 @@ class EffectiveMatrices:
     f_star: np.ndarray
 
 
-def _csgraph_weights(net: Network) -> np.ndarray:
-    """net.w with p = 1 at the smallest positive float instead of zero.
+def _graph(tail: np.ndarray, head: np.ndarray, weight: np.ndarray, n: int):
+    """The shortest-path graph of the edges tail -> head over nodes 0 .. n - 1.
 
-    Zero-weight edges need an explicit entry, and csr drops stored zeros
-    on some ops.
+    The edges come sorted by tail, and the graph's edges leaving node i
+    are head[ptr[i]:ptr[i + 1]]. Weight 0 (p = 1) is stored as the smallest
+    positive float: zero-weight edges need an explicit entry, and csr drops
+    stored zeros on some ops. Equal weights on at most _NUMPY_ELEMENTS
+    nodes x max(entries, nodes) give the CSR arrays (ptr, head, weight),
+    for _distances' numpy pass; any other graph gives a scipy csr_matrix,
+    built once for every pass _distances makes over it.
     """
-    return np.where(net.w > 0.0, net.w, 5e-324)
-
-
-def _graph(net: Network, ptr: np.ndarray, head: np.ndarray, weight: np.ndarray):
-    """The CSR graph ptr, head, weight over net's nodes, on net's engine.
-
-    The graph's edges leaving node i are head[ptr[i]:ptr[i + 1]], weighing
-    weight (positive). On the numpy side (net.numpy_paths) it is the arrays
-    themselves, else a scipy csr_matrix, built once for every pass
-    _distances makes over it.
-    """
-    if net.numpy_paths:
+    ptr = np.searchsorted(tail, np.arange(n + 1))
+    weight = np.where(weight > 0.0, weight, 5e-324)
+    equal = not len(weight) or weight.min() == weight.max()
+    if equal and n * max(len(head), n) <= _NUMPY_ELEMENTS:
         return ptr, head, weight
     from scipy.sparse import csr_matrix
 
-    n = len(ptr) - 1
     return csr_matrix((weight, head, ptr), shape=(n, n))
 
 
@@ -268,29 +261,27 @@ def _best_weights(net: Network, p_star: float, full: bool = False) -> np.ndarray
         entry = None  # not held through the next pass
         _BEST_WEIGHTS.clear()
         keep = _strong(net, p_star)
-        ptr = np.searchsorted(net.tail[keep], np.arange(net.n_nodes + 1))
-        dist = _distances(_graph(net, ptr, net.head[keep], _csgraph_weights(net)[keep]), limit=limit)
+        dist = _distances(_graph(net.tail[keep], net.head[keep], net.w[keep], net.n_nodes), limit=limit)
         dist.flags.writeable = False
         entry = _BEST_WEIGHTS[net, p_star] = (limit, dist)
     return entry[1]
 
 
-def _within_budget(net: Network, p_star: float) -> Tuple[np.ndarray, np.ndarray]:
-    """The all-pairs pass, and which pairs are within budget."""
-    dist = _best_weights(net, p_star)
-    return dist, dist <= _budget(p_star)
+def _success(dist: np.ndarray, p_star: float) -> np.ndarray:
+    """2**-d for each best-path weight d within the -log2 p_star budget, else 0.
+
+    The power is taken only within the budget, by the same ufunc on the
+    same weights, so the values depend neither on which pass is cached
+    nor on whether dist is all of it or one row.
+    """
+    f = np.zeros(dist.shape)
+    np.power(2.0, -dist, out=f, where=dist <= _budget(p_star))
+    return f
 
 
 def _f_star(net: Network, p_star: float) -> np.ndarray:
-    """Best-path success probabilities 2**-d, 0 over the budget and on the diagonal.
-
-    The power is taken only within the budget, by the same ufunc on the
-    same weights as over the whole array, so the values do not depend on
-    which pass is cached.
-    """
-    dist, within = _within_budget(net, p_star)
-    f = np.zeros(dist.shape)
-    np.power(2.0, -dist, out=f, where=within)
+    """Best-path success probabilities 2**-d, 0 over the budget and on the diagonal."""
+    f = _success(_best_weights(net, p_star), p_star)
     np.fill_diagonal(f, 0.0)
     return f
 
@@ -326,6 +317,13 @@ class PathResult:
     status: PathStatus
 
 
+def _position(net: Network, v: NodeId) -> int:
+    """v's position in net.index; KeyError for a node net does not hold."""
+    if v not in net.index:
+        raise KeyError(f"unknown node {v!r}")
+    return net.index[v]
+
+
 def _lex_dijkstra(net: Network, source: NodeId) -> Dict[NodeId, Tuple[float, Tuple[NodeId, ...]]]:
     """Single-source shortest paths with deterministic tie-breaking.
 
@@ -354,8 +352,7 @@ def shortest_path(net: Network, source: NodeId, target: NodeId, p_star: float) -
     """Minimum-weight path, Found only when its weight is within the -log2 p_star budget."""
     budget = _budget(p_star)
     for v in (source, target):
-        if v not in net.index:
-            raise KeyError(f"unknown node {v!r}")
+        _position(net, v)
     if source == target:
         return PathResult((source,), 0.0, 1.0, PathStatus.FOUND)
     reached = _lex_dijkstra(net, source)
@@ -375,7 +372,7 @@ def link_sparsity(net: Network, p_star: float, strategy: StrategyKind) -> float:
     else:
         # the off-diagonal pairs within the budget, those with f* > 0:
         # 2**-d > 0 for every d <= budget <= 1074
-        n_star = int(np.count_nonzero(_within_budget(net, p_star)[1])) - n
+        n_star = int(np.count_nonzero(_best_weights(net, p_star) <= _budget(p_star))) - n
     return 1.0 - n_star / n**2
 
 
@@ -392,12 +389,14 @@ def connection_strength(
     include_self adds a unit self term, matching the closed forms that
     count p_ii = 1.
     """
-    if v not in net.index:
-        raise KeyError(f"unknown node {v!r}")
+    i = _position(net, v)
     if strategy is StrategyKind.NON_COOPERATIVE:
-        total = float(_direct_sums(net, p_star)[net.index[v]])
+        total = float(_direct_sums(net, p_star)[i])
     else:
-        total = float(_f_star(net, p_star)[net.index[v]].sum())
+        # v's row of _f_star, without the other n - 1
+        row = _success(_best_weights(net, p_star)[i], p_star)
+        row[i] = 0.0
+        total = float(row.sum())
     if include_self:
         total += 1.0
     return total / net.n_nodes
@@ -458,7 +457,6 @@ def _neighbor_metrics(
     sel = np.arange(n) if nodes is None else np.asarray(nodes, dtype=np.int64)
     tail, head, ptr = net.tail, net.head, net.ptr
     keys = tail * n + head
-    weight = _csgraph_weights(net)
     strong = _strong(net, p_star)
     n_i = np.bincount(tail[strong], minlength=n)[sel]
     deg = np.diff(ptr)[sel]
@@ -479,13 +477,12 @@ def _neighbor_metrics(
             pairs = n_i[group] * (n_i[group] - 1)
             clustering[group] = np.where(pairs > 0, 2.0 * e_i / np.maximum(pairs, 1), 0.0)
             slot, pair = np.nonzero(linked)
-            w = weight[hit[slot, pair]]
+            w = net.w[hit[slot, pair]]
             a, b = slot * k + i[pair], slot * k + j[pair]
-            size = len(group) * k
             tails = np.r_[a, b]
             by_tail = np.argsort(tails, kind="stable")
-            sub_ptr = np.searchsorted(tails[by_tail], np.arange(size + 1))
-            dist = _distances(_graph(net, sub_ptr, np.r_[b, a][by_tail], np.r_[w, w][by_tail]))
+            dist = _distances(_graph(tails[by_tail], np.r_[b, a][by_tail], np.r_[w, w][by_tail],
+                                     len(group) * k))
             r = np.arange(len(group))
             blocks = dist.reshape(len(r), k, len(r), k)[r, :, r, :]
             for g, off in zip(group, blocks[:, off_diagonal]):
@@ -495,9 +492,7 @@ def _neighbor_metrics(
 
 def clustering_coefficient(net: Network, v: NodeId, p_star: float) -> float:
     """2 e_i / (n_i (n_i - 1)) over the neighbor subgraph at threshold p_star."""
-    if v not in net.index:
-        raise KeyError(f"unknown node {v!r}")
-    return float(_neighbor_metrics(net, p_star, [net.index[v]])[0][0])
+    return float(_neighbor_metrics(net, p_star, [_position(net, v)])[0][0])
 
 
 def _mean_weight(off: np.ndarray) -> float:
@@ -525,8 +520,7 @@ def average_effective_weight(net: Network, p_star: float) -> float:
 
 def centrality(net: Network, v: NodeId, p_star: float) -> int:
     """Number of canonical pair paths with v strictly interior."""
-    if v not in net.index:
-        raise KeyError(f"unknown node {v!r}")
+    _position(net, v)
     return centrality_all(net, p_star)[v]
 
 
@@ -592,7 +586,7 @@ def centrality_all(net: Network, p_star: float) -> Dict[NodeId, int]:
     block = max(1, _SWEEP_ELEMENTS // workers // width)
     blocks = [np.arange(start, min(start + block, n - 1)) for start in range(0, n - 1, block)]
     tau = np.zeros(n, np.int64)
-    sweep = (g, _graph(g, g.ptr, g.head, _csgraph_weights(g)), budget)
+    sweep = (g, _graph(g.tail, g.head, g.w, n), budget)
     for sources, (counts, exact) in zip(blocks, _sweeps(sweep, blocks, workers)):
         tau += counts
         for s in sources[~exact]:
@@ -638,8 +632,8 @@ def _canonical_sweep(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Interior counts of the canonical paths from a block of sources.
 
-    g is a network whose nodes are in id order, graph is its _graph of
-    _csgraph_weights(g), and sources and the nodes of the counts are
+    g is a network whose nodes are in id order, graph is the _graph of
+    its edges and weights, and sources and the nodes of the counts are
     g.index positions. Returns the counts summed over the sources the
     sweep resolves exactly, and the mask of those sources.
     """
@@ -817,7 +811,7 @@ def _disjoint_paths(
     heads = np.concatenate([n + split, net.head, a, np.full(len(b), sink)])
     cap = csr_matrix((np.ones(len(tails), np.int32), (tails, heads)), shape=(sink + 1,) * 2)
     flow = int(maximum_flow(cap, source, sink).flow_value)
-    hops = _distances(_graph(net, net.ptr, net.head, np.ones(len(net.head))), sources=a)
+    hops = _distances(_graph(net.tail, net.head, np.ones(len(net.head)), n), sources=a)
     return flow, bool(np.isfinite(hops[:, b]).all())
 
 
@@ -880,7 +874,7 @@ def critically_large_check(net: Network, p_star: float, c: float) -> CriticalSiz
         raise ValueError("some edge probability exceeds c")
     budget = _budget(p_star)
     n0 = _hops_over(-math.log2(c), budget)
-    hops = _distances(_graph(net, net.ptr, net.head, np.ones(len(net.head))))
+    hops = _distances(_graph(net.tail, net.head, np.ones(len(net.head)), net.n_nodes))
     far = np.argwhere(np.triu(hops > n0, 1))
     witness = (net.nodes[far[0, 0]], net.nodes[far[0, 1]]) if len(far) else None
     return CriticalSizeResult(witness is not None, n0, n0 + 1, witness)
@@ -898,8 +892,8 @@ def task_reachability(net: Network, p_star: float) -> ReachabilityReport:
     Counts include the node itself; connectivity at threshold is not
     transitive, so these balls are the honest analogue of components.
     """
-    within = _within_budget(net, p_star)[1]
-    counts = dict(zip(net.nodes, np.count_nonzero(within, axis=1).tolist()))
+    balls = np.count_nonzero(_best_weights(net, p_star) <= _budget(p_star), axis=1)
+    counts = dict(zip(net.nodes, balls.tolist()))
     return ReachabilityReport(counts, max(counts.values()) / net.n_nodes)
 
 

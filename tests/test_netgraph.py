@@ -148,7 +148,7 @@ def id_ordered(net):
 
 def canonical_sweep(g, p_star, sources):
     """_canonical_sweep on the id-ordered network g from the given source positions."""
-    graph = ng._graph(g, g.ptr, g.head, ng._csgraph_weights(g))
+    graph = ng._graph(g.tail, g.head, g.w, g.n_nodes)
     return ng._canonical_sweep(g, graph, -math.log2(p_star), np.asarray(sources))
 
 
@@ -275,6 +275,15 @@ class TestNetwork:
     def test_rejects_bad_input(self, nodes, edges, err):
         with pytest.raises(ValueError, match=err):
             Network(nodes, edges)
+
+    def test_unknown_node(self):
+        net = square_plus_diagonal()
+        for call in (lambda: connection_strength(net, 9, CO, 0.5),
+                     lambda: connection_strength(net, 9, NC, 0.5),
+                     lambda: clustering_coefficient(net, 9, 0.5), lambda: centrality(net, 9, 0.5),
+                     lambda: shortest_path(net, 1, 9, 0.5), lambda: shortest_path(net, 9, 1, 0.5)):
+            with pytest.raises(KeyError, match="^'unknown node 9'$"):
+                call()
 
 
 class TestWeights:
@@ -565,8 +574,9 @@ def unbounded_pass(net, p_star):
     from scipy.sparse.csgraph import shortest_path
 
     keep = net.w <= -math.log2(p_star)
-    graph = csr_matrix((ng._csgraph_weights(net)[keep], (net.tail[keep], net.head[keep])),
-                       shape=(net.n_nodes,) * 2)
+    # p = 1 at the smallest positive float, as csr drops stored zeros
+    weight = np.where(net.w > 0.0, net.w, 5e-324)
+    graph = csr_matrix((weight[keep], (net.tail[keep], net.head[keep])), shape=(net.n_nodes,) * 2)
     return shortest_path(graph, method="D", directed=False)
 
 
@@ -649,11 +659,9 @@ def scipy_distances(ptr, head, weight, sources=None, limit=math.inf):
     return dijkstra(csr_matrix((weight, head, ptr), shape=(n, n)), indices=sources, limit=limit)
 
 
-def flipped(net):
-    """net on the other distance engine: the same arrays, numpy_paths inverted."""
-    other = Network(net.nodes, net.edges, net.coords)
-    other.numpy_paths = not net.numpy_paths
-    return other
+def on_numpy(net):
+    """Whether _graph puts net's whole weighted graph on the numpy pass."""
+    return isinstance(ng._graph(net.tail, net.head, net.w, net.n_nodes), tuple)
 
 
 # the equal edge weights every numpy-pass test runs each structure at: the
@@ -757,63 +765,78 @@ class TestNumpyDistances:
                              ids=["square1024", "ring1448", "path1448"])
     def test_largest_numpy_side_graphs(self, spec):
         net = build_topology(spec)
-        assert net.numpy_paths
-        weight = ng._csgraph_weights(net)
-        self.assert_same(net.ptr, net.head, weight)
-        self.assert_same(net.ptr, net.head, weight, np.arange(0, net.n_nodes, 7), 1.0)
+        graph = ng._graph(net.tail, net.head, net.w, net.n_nodes)
+        assert isinstance(graph, tuple)
+        self.assert_same(*graph)
+        self.assert_same(*graph, np.arange(0, net.n_nodes, 7), 1.0)
 
     def test_engine_bound(self, airport_network):
         for spec in (Square1024(0.9), Circulant(1448, 2, 0.9), Grid(1, 1448, 0.9), FullMesh(6, 1.0)):
             net = build_topology(spec)
-            assert net.numpy_paths and net.n_nodes * len(net.head) <= ng._NUMPY_ELEMENTS
-        assert not build_topology(Circulant(1449, 2, 0.9)).numpy_paths
-        assert not build_topology(Grid(1, 1449, 0.9)).numpy_paths
-        assert not airport_network.numpy_paths
-        assert Network(range(3), []).numpy_paths
+            assert on_numpy(net) and net.n_nodes * len(net.head) <= ng._NUMPY_ELEMENTS
+        assert not on_numpy(build_topology(Circulant(1449, 2, 0.9)))
+        assert not on_numpy(build_topology(Grid(1, 1449, 0.9)))
+        assert not on_numpy(airport_network)
+        assert on_numpy(Network(range(3), []))
         # nodes count as well: a numpy-side sweep never forks
-        assert not Network(range(2049), [(0, 1, 0.9)]).numpy_paths
+        assert not on_numpy(Network(range(2049), [(0, 1, 0.9)]))
         assert ng._NUMPY_ELEMENTS < ng._FORK_ELEMENTS
         # so do the weights: one edge off Square1024's p puts it on scipy
         net = build_topology(Square1024(0.9))
         for p in (0.999999, 1.0, 0.8):
             edges = dict(net.edges)
             edges[next(iter(edges))] = p
-            assert not Network(net.nodes, edges).numpy_paths
+            assert not on_numpy(Network(net.nodes, edges))
 
-    def test_every_caller_on_either_engine(self):
-        # equal weights read the same on either engine; unequal ones raise on numpy, but
-        # for the hop counts, which weigh every edge 1
+    def test_every_caller_on_either_engine(self, monkeypatch):
+        # every caller gives the same answers with each graph on the engine _graph picks,
+        # and with every graph forced onto scipy
         seeded = seeded_graph()
-        equal = [build_topology(Grid(6, 5, 0.9)), build_topology(Circulant(16, 2, 0.7)),
-                 build_topology(FullMesh(6, 1.0)), id_ordered(strings(build_topology(Grid(7, 5, 0.9)))),
-                 Network(seeded.nodes, dict.fromkeys(seeded.edges, 0.8))]
-        unequal = [build_topology(Circulant(16, 5, 0.7)),
-                   Network(range(4), [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0), (0, 3, 0.5), (2, 3, 0.5)]),
-                   seeded, strings(seeded_graph(9))]
-        for net in equal + unequal:
-            uniform = net.w.min() == net.w.max()
-            other = flipped(net)
-            assert other.numpy_paths == (not uniform)
+        grid = build_topology(Grid(7, 5, 0.9))
+        # unequal weights, but at p* = 0.5 the usable edges all weigh the same
+        mostly = Network(grid.nodes, {key: 0.3 if sum(key) % 5 == 0 else 0.9 for key in grid.edges})
+        nets = [build_topology(Grid(6, 5, 0.9)), build_topology(Circulant(16, 2, 0.7)),
+                build_topology(FullMesh(6, 1.0)), id_ordered(strings(grid)), strings(grid),
+                Network(seeded.nodes, dict.fromkeys(seeded.edges, 0.8)), mostly,
+                build_topology(Circulant(16, 5, 0.7)),
+                Network(range(4), [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0), (0, 3, 0.5), (2, 3, 0.5)]),
+                seeded, strings(seeded_graph(9))]
+        assert strings(grid).nodes != sorted(strings(grid).nodes)
+        engines = []
+        distances = ng._distances
+
+        def spy(graph, **kw):
+            engines.append(isinstance(graph, tuple))
+            return distances(graph, **kw)
+
+        def answers(net):
+            out = []
             for p_star in (0.5, 0.1):
                 c = max(0.5, float(net.p.max()))
                 if c < 1.0:
-                    assert critically_large_check(other, p_star, c) == critically_large_check(net, p_star, c)
-                if not uniform:
-                    continue
-                # in id order, so that centrality_all sweeps other itself
-                assert other.nodes == sorted(other.nodes)
+                    out.append(critically_large_check(net, p_star, c))
                 for full in (False, True):
                     ng._BEST_WEIGHTS.clear()
-                    want = ng._best_weights(net, p_star, full)
-                    ng._BEST_WEIGHTS.clear()
-                    assert np.array_equal(ng._best_weights(other, p_star, full), want)
-                assert bits(ng._neighbor_metrics(other, p_star)) == bits(ng._neighbor_metrics(net, p_star))
-                assert centrality_all(other, p_star) == centrality_all(net, p_star)
-            if not uniform:
-                with pytest.raises(ValueError, match="equal edge weights"):
-                    ng._best_weights(other, 0.1, full=True)
+                    out.append(bits(ng._best_weights(net, p_star, full)))
+                out += [bits(ng._neighbor_metrics(net, p_star)), centrality_all(net, p_star)]
             a, b = net.nodes[:2], net.nodes[-3:]
-            assert ng._disjoint_paths(other, a, b) == ng._disjoint_paths(net, a, b)
+            return out + [ng._disjoint_paths(net, a, b)]
+
+        monkeypatch.setattr(ng, "_distances", spy)
+        for net in nets:
+            engines.clear()
+            picked = answers(net)
+            # the hop counts at least weigh every edge the same
+            assert any(engines)
+            with monkeypatch.context() as m:
+                m.setattr(ng, "_NUMPY_ELEMENTS", 0)
+                engines.clear()
+                assert answers(net) == picked
+                assert not any(engines)
+        # mostly's graph is on scipy, its graph of usable edges at p* = 0.5 on numpy
+        keep = ng._strong(mostly, 0.5)
+        usable = ng._graph(mostly.tail[keep], mostly.head[keep], mostly.w[keep], mostly.n_nodes)
+        assert not on_numpy(mostly) and isinstance(usable, tuple)
 
 
 class TestSparsityAndStrength:
