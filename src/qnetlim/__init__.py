@@ -5,7 +5,8 @@ Subpackages:
 - ``qstate``   : two-qubit states, noise channels, swap and nonlocality measures
 - ``yields``   : numpy-free closed-form depolarizing and thermal yields
 - ``repeater`` : closed-form feasibility of linear repeater chains
-- ``netgraph`` : weighted-graph robustness metrics and topology generators
+- ``topology`` : numpy-free reference topology generators and edge lists
+- ``netgraph`` : weighted-graph robustness metrics, topologies re-exported
 - ``scenario`` : satellite / atmospheric / airport-network calculators
 - ``buffersim``: deterministic entanglement-buffer simulation
 - ``cli``      : command-line front end (``python -m qnetlim``)
@@ -26,7 +27,7 @@ from typing import Optional
 
 __version__ = "0.1.0"
 
-_SUBMODULES = ("qstate", "yields", "repeater", "netgraph", "scenario", "buffersim", "cli")
+_SUBMODULES = ("qstate", "yields", "repeater", "topology", "netgraph", "scenario", "buffersim", "cli")
 
 
 def __getattr__(name):

@@ -367,18 +367,12 @@ def _fig_max_relays(kind: str, qs: Sequence[float], **params) -> List[str]:
     from . import repeater
 
     task = repeater.TaskSpec(repeater.TaskKind(kind), **params)
+    # a sentinel count's cell; a repeater count prints as itself
+    cells = {repeater.Unbounded: "unbounded", repeater.NoneFeasible: "0"}
     lines = ["lambda," + ",".join(f"n_max_q={q}" for q in qs)]
     for lam in _frange(0.7, 1.0, 0.005):
-        row = [f"{lam}"]
-        for q in qs:
-            n = repeater.max_repeaters_floor_form(lam, q, task)
-            if isinstance(n, repeater.Unbounded):
-                row.append("unbounded")
-            elif isinstance(n, repeater.NoneFeasible):
-                row.append("0")
-            else:
-                row.append(str(n))
-        lines.append(",".join(row))
+        counts = (repeater.max_repeaters_floor_form(lam, q, task) for q in qs)
+        lines.append(",".join([f"{lam}", *(cells.get(type(n), str(n)) for n in counts)]))
     return lines
 
 

@@ -14,9 +14,9 @@ probability only up to rounding (for p = 0.07 it gives
 
 Every multi-source shortest-path pass comes from _distances, over a graph
 that _graph builds from edge arrays and whose engine it picks from them. A
-graph whose edges all weigh the same, of up to _NUMPY_ELEMENTS nodes x
-stored entries, gets a breadth-first pass in numpy, exact because every
-path of k hops then weighs the same float; only other graphs, and
+graph whose edges all weigh the same gets a breadth-first pass in numpy,
+exact because every path of k hops then weighs the same float, when that
+pass's memory and work are within _NUMPY_ELEMENTS; only other graphs, and
 construct_network's maximum flow, import scipy, whose ~0.4 s import is
 most of a small network's run. The reference topologies come from the
 numpy-free topology module, and are re-exported here.
@@ -62,15 +62,15 @@ def _strong(net: Network, p_star: float) -> np.ndarray:
     return net.w <= _budget(p_star)
 
 
-# a shortest-path graph whose edges all weigh the same and that has at most
-# this many nodes x stored entries (at least nodes) is settled in numpy, any
-# other in scipy (see _graph). The numpy pass reaches one hop level per round,
-# in every row at once, and visits each entry once, so its rounds are the
-# longest shortest path in hops: below the bound at most 1447, on the
-# 1448-node path. It takes equal weights only, where the fewest hops give
-# the least weight. Square1024 (1024 x 3968) is below the bound and the
-# airport snapshot (3463 x 50964, unequal weights) far above. It is below
-# _FORK_ELEMENTS, so a numpy-side centrality sweep never forks.
+# the most distances (nodes^2) a numpy pass holds and the most work (reach x
+# stored entries) it does: a shortest-path graph whose edges all weigh the
+# same and whose pass is within both is settled in numpy, any other in scipy
+# (see _graph). The pass reaches one hop level per round, in every row at
+# once, and visits each entry it reaches once, so its rounds are fewer than
+# reach: below the bound at most 1447, on the 1448-node path. Square1024
+# (1024 x 3968) is below the bound and the airport snapshot (3463 x 50964,
+# unequal weights) far above. It is below _FORK_ELEMENTS, so a numpy-side
+# centrality sweep never forks.
 _NUMPY_ELEMENTS = 1 << 22
 
 
@@ -168,21 +168,23 @@ class EffectiveMatrices:
     f_star: np.ndarray
 
 
-def _graph(tail: np.ndarray, head: np.ndarray, weight: np.ndarray, n: int):
+def _graph(tail: np.ndarray, head: np.ndarray, weight: np.ndarray, n: int, reach: Optional[int] = None):
     """The shortest-path graph of the edges tail -> head over nodes 0 .. n - 1.
 
     The edges come sorted by tail, and the graph's edges leaving node i
     are head[ptr[i]:ptr[i + 1]]. Weight 0 (p = 1) is stored as the smallest
     positive float: zero-weight edges need an explicit entry, and csr drops
-    stored zeros on some ops. Equal weights on at most _NUMPY_ELEMENTS
-    nodes x max(entries, nodes) give the CSR arrays (ptr, head, weight),
-    for _distances' numpy pass; any other graph gives a scipy csr_matrix,
-    built once for every pass _distances makes over it.
+    stored zeros on some ops. Equal weights whose numpy pass holds at most
+    _NUMPY_ELEMENTS distances (n x n) and does at most that much work (reach
+    x entries, reach being the most nodes one source reaches: n, or k for a
+    block of k-node subgraphs) give the CSR arrays (ptr, head, weight), for
+    _distances' numpy pass; any other graph gives a scipy csr_matrix, built
+    once for every pass _distances makes over it.
     """
     ptr = np.searchsorted(tail, np.arange(n + 1))
     weight = np.where(weight > 0.0, weight, 5e-324)
     equal = not len(weight) or weight.min() == weight.max()
-    if equal and n * max(len(head), n) <= _NUMPY_ELEMENTS:
+    if equal and max(n * n, (reach or n) * len(head)) <= _NUMPY_ELEMENTS:
         return ptr, head, weight
     from scipy.sparse import csr_matrix
 
@@ -482,7 +484,7 @@ def _neighbor_metrics(
             tails = np.r_[a, b]
             by_tail = np.argsort(tails, kind="stable")
             dist = _distances(_graph(tails[by_tail], np.r_[b, a][by_tail], np.r_[w, w][by_tail],
-                                     len(group) * k))
+                                     len(group) * k, k))
             r = np.arange(len(group))
             blocks = dist.reshape(len(r), k, len(r), k)[r, :, r, :]
             for g, off in zip(group, blocks[:, off_diagonal]):

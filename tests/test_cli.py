@@ -1143,6 +1143,17 @@ class TestImportHygiene:
         (loaded,) = loaded_after(["graph", "--in", edges]).values()
         assert loaded[0] == 0 and ("scipy" in loaded) == scipy_loaded
 
+    @pytest.mark.parametrize("n,scipy_loaded", [(40, False), (95, False), (96, True)])
+    def test_meshes_either_side_of_the_bound(self, tmp_path, n, scipy_loaded):
+        # critical-nodes' neighbour blocks of g subgraphs of k = n - 1 nodes hold
+        # g k (k - 1) entries, and one source reaches k of their nodes. FullMesh(40):
+        # g = 13, 39 * 19266 <= 1 << 22 < 507 * 19266; FullMesh(95) and (96): g = 5,
+        # 94 * 5 * 94 * 93 <= 1 << 22 < 95 * 5 * 95 * 94
+        edges = str(tmp_path / "mesh.edges")
+        netgraph.save_edge_list(netgraph.build_topology(netgraph.FullMesh(n, 0.9)), edges)
+        (loaded,) = loaded_after(["critical-nodes", "--in", edges]).values()
+        assert loaded[:3] == [0, "numpy", "qnetlim.netgraph"] and ("scipy" in loaded) == scipy_loaded
+
     def test_unequal_weights_load_scipy(self, tmp_path):
         # one edge near p = 1 among Square1024's p = 0.9
         net = netgraph.build_topology(netgraph.Square1024(0.9))
@@ -1161,7 +1172,9 @@ class TestImportHygiene:
     def test_package_attribute_imports_netgraph(self):
         code = (
             "import sys, qnetlim.cli, qnetlim\n"
-            "assert 'qnetlim.netgraph' not in sys.modules\n"
+            "assert 'qnetlim.topology' not in sys.modules\n"
+            "assert getattr(qnetlim, 'topology') is sys.modules['qnetlim.topology']\n"
+            "assert 'qnetlim.netgraph' not in sys.modules and 'numpy' not in sys.modules\n"
             "assert getattr(qnetlim, 'netgraph') is sys.modules['qnetlim.netgraph']\n"
             "assert getattr(qnetlim, 'no_such_module', None) is None\n"
         )

@@ -838,6 +838,27 @@ class TestNumpyDistances:
         usable = ng._graph(mostly.tail[keep], mostly.head[keep], mostly.w[keep], mostly.n_nodes)
         assert not on_numpy(mostly) and isinstance(usable, tuple)
 
+    # a block of g subgraphs of k = n - 1 nodes holds g k (k - 1) entries, and one source
+    # reaches k of its nodes. FullMesh(40): g = 13, 39 * 19266 <= 1 << 22 < 507 * 19266;
+    # FullMesh(95) and (100): g = 5, 94 * 5 * 94 * 93 <= 1 << 22 < 99 * 5 * 99 * 98
+    @pytest.mark.parametrize("n,numpy_blocks", [(40, True), (95, True), (100, False)])
+    def test_dense_neighbour_blocks(self, monkeypatch, n, numpy_blocks):
+        # the neighbour blocks go to numpy by the work of their pass, not by nodes x entries,
+        # and give what scipy gives, bit for bit
+        net = build_topology(FullMesh(n, 0.9))
+        engines = []
+        distances = ng._distances
+
+        def spy(graph, **kw):
+            engines.append(isinstance(graph, tuple))
+            return distances(graph, **kw)
+
+        monkeypatch.setattr(ng, "_distances", spy)
+        picked = bits(ng._neighbor_metrics(net, 0.5))
+        assert engines and set(engines) == {numpy_blocks}
+        monkeypatch.setattr(ng, "_NUMPY_ELEMENTS", 0)
+        assert bits(ng._neighbor_metrics(net, 0.5)) == picked
+
 
 class TestSparsityAndStrength:
     def test_full_mesh(self):
