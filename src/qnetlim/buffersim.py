@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import UNIT, Range, check_fields, ranged, yields
 
@@ -41,23 +41,6 @@ class StoredPair:
     def __post_init__(self):
         if self.current_fidelity is None:
             self.current_fidelity = self.f0
-
-
-class EventKind(str, Enum):
-    INSERT = "insert"
-    DECAY = "decay"
-    EVICT = "evict"
-    DISPATCH = "dispatch"
-    REJECT = "reject"
-
-
-@dataclass(frozen=True, slots=True)
-class TraceEvent:
-    tick: int
-    event: EventKind
-    pair_id: str
-    flow_id: str
-    fidelity: float
 
 
 class MemoryHeap:
@@ -293,7 +276,6 @@ class FlowState:
 
 @dataclass(frozen=True)
 class SimResult:
-    trace: Tuple[TraceEvent, ...]
     flow_finishes: Dict[str, Tuple[int, ...]]
     residual: int
     inserts: int
@@ -302,7 +284,10 @@ class SimResult:
     rejects: int
 
 
-def run(config: SimConfig, write: Optional[Callable[[str], object]] = None) -> SimResult:
+TRACE_HEADER = "tick,event,pair_id,flow_id,fidelity\n"
+
+
+def run(config: SimConfig, write: Callable[[str], object]) -> SimResult:
     """Deterministic replay of the buffer over the configured horizon.
 
     Per tick: (1) scheduled arrivals insert in producer-id order, (2) all
@@ -316,17 +301,16 @@ def run(config: SimConfig, write: Optional[Callable[[str], object]] = None) -> S
     and applies `decayed_fidelity`'s own expression to it, so values are
     bit-identical; PAPER_FORMULA keeps the fidelity, f0-free once s >= 1,
     and its repr.
-    With `write` (say a file's `write`), each tick's rows, as `trace_csv`
-    formats them, go to `write` as one string when the tick ends, and
-    `SimResult.trace` is empty: memory does not grow with the trace. The
-    decay rows, most of the trace, are formatted in one pass per tick;
-    in PAPER_FORMULA mode they print the per-age repr.
+    The trace goes to `write` (say a file's `write`) as CSV: `TRACE_HEADER`,
+    then each tick's rows as one string when the tick ends, so memory does
+    not grow with the trace. A row is `tick,event,pair_id,flow_id,fidelity`
+    with the fidelity's repr, which keeps every bit. The decay rows, most
+    of the trace, are formatted in one pass per tick; in PAPER_FORMULA mode
+    they print the per-age repr.
     """
     heap = MemoryHeap(config.capacity, config.p_mem, config.eta_crit, config.decay_mode)
-    events: list = []  # (tick, kind, pair_id, flow_id, fidelity), if collecting
-    rows: List[str] = []  # this tick's formatted rows, if writing
-    emit = events.append if write is None else (lambda ev: rows.append(_trace_row(*ev)))
     reprs = heap._reprs if config.decay_mode is DecayMode.PAPER_FORMULA else None
+    latest_first = config.service_order is ServiceOrder.LATEST_FIRST
     flows = {
         f.flow_id: FlowState(f, f.n_pairs)
         for f in sorted(config.flows, key=lambda f: f.flow_id)
@@ -337,31 +321,30 @@ def run(config: SimConfig, write: Optional[Callable[[str], object]] = None) -> S
     by_tick: Dict[int, List[Arrival]] = {}
     for a in config.arrivals:
         by_tick.setdefault(a.tick, []).append(a)
+    write(TRACE_HEADER)
     for t in range(1, config.horizon + 1):
+        rows: List[str] = []
         for a in sorted(by_tick.get(t, []), key=lambda a: (a.producer_id, a.pair_id)):
             pair = StoredPair(a.pair_id, t, a.f0)
             status, evicted_pair = heap.insert(pair)
             if status == "rejected":
                 rejects += 1
-                emit((t, EventKind.REJECT, a.pair_id, "", a.f0))
+                rows.append(f"{t},reject,{a.pair_id},,{a.f0!r}\n")
                 continue
             if evicted_pair is not None:
                 evictions += 1
-                emit((t, EventKind.EVICT, evicted_pair.id, "", evicted_pair.current_fidelity))
+                rows.append(f"{t},evict,{evicted_pair.id},,{evicted_pair.current_fidelity!r}\n")
             inserts += 1
-            emit((t, EventKind.INSERT, a.pair_id, "", a.f0))
+            rows.append(f"{t},insert,{a.pair_id},,{a.f0!r}\n")
         survivors, evicted = heap.tick_decay()
-        if write is None:
-            events += [(t, EventKind.DECAY, it.id, "", it.current_fidelity) for it in survivors]
-        else:
-            prefix = f"{t},decay,"
-            if reprs is None:
-                rows += [f"{prefix}{it.id},,{it.current_fidelity!r}\n" for it in survivors]
-            else:  # every survivor is at least one step old
-                rows += [f"{prefix}{it.id},,{reprs[it.age]}\n" for it in survivors]
+        prefix = f"{t},decay,"
+        if reprs is None:
+            rows += [f"{prefix}{it.id},,{it.current_fidelity!r}\n" for it in survivors]
+        else:  # every survivor is at least one step old
+            rows += [f"{prefix}{it.id},,{reprs[it.age]}\n" for it in survivors]
         for it in sorted(evicted, key=lambda e: e.id):
             evictions += 1
-            emit((t, EventKind.EVICT, it.id, "", it.current_fidelity))
+            rows.append(f"{t},evict,{it.id},,{it.current_fidelity!r}\n")
         n_flows = len(rr_order)
         rr_start = rr_ptr
         for step in range(n_flows):
@@ -371,25 +354,17 @@ def run(config: SimConfig, write: Optional[Callable[[str], object]] = None) -> S
             state = flows[fid]
             if state.remaining <= 0 or state.request.arrival_tick > t:
                 continue
-            if config.service_order is ServiceOrder.HIGHEST_FIDELITY:
-                ready_delay = 0  # root is already at the top
-                pair = heap.extract_max()
-            else:
-                idx = heap.latest_index()
-                ready_delay = sift_ticks(idx)
-                pair = heap._remove_at(idx)
+            idx = heap.latest_index() if latest_first else 0  # the root needs no sift
+            pair = heap._remove_at(idx)
             dispatches += 1
-            finish = finish_time(state.last_finish, t + ready_delay, state.request.t_p)
+            finish = finish_time(state.last_finish, t + sift_ticks(idx), state.request.t_p)
             state.last_finish = finish
             state.dispatch_finishes.append(finish)
             state.remaining -= 1
-            emit((t, EventKind.DISPATCH, pair.id, fid, pair.current_fidelity))
+            rows.append(f"{t},dispatch,{pair.id},{fid},{pair.current_fidelity!r}\n")
             rr_ptr = (rr_start + step + 1) % n_flows
-        if write is not None:
-            write("".join(rows))
-            rows.clear()
+        write("".join(rows))
     return SimResult(
-        tuple(TraceEvent(*ev) for ev in events),
         {fid: tuple(st.dispatch_finishes) for fid, st in flows.items()},
         len(heap),
         inserts,
@@ -397,17 +372,3 @@ def run(config: SimConfig, write: Optional[Callable[[str], object]] = None) -> S
         evictions,
         rejects,
     )
-
-
-TRACE_HEADER = "tick,event,pair_id,flow_id,fidelity\n"
-
-
-def _trace_row(tick: int, kind: EventKind, pair_id: str, flow_id: str, fidelity: float) -> str:
-    # repr keeps every bit; `_value_` skips Enum's `value` descriptor (a call
-    # per row). Private: perfbench's tracer spans every public buffersim call.
-    return f"{tick},{kind._value_},{pair_id},{flow_id},{fidelity!r}\n"
-
-
-def trace_csv(trace: Sequence[TraceEvent]) -> str:
-    rows = (_trace_row(ev.tick, ev.event, ev.pair_id, ev.flow_id, ev.fidelity) for ev in trace)
-    return TRACE_HEADER + "".join(rows)

@@ -272,6 +272,8 @@ def cmd_airport(args) -> List[str]:
         raise DataError(f"cannot read dataset: {exc}")
     except ValueError as exc:
         raise DataError(str(exc))
+    if not ds.airports:
+        raise DataError(f"bad dataset: no airports in {airports}")
     net = scenario.load_airport_network(ds)
     rep = scenario.airport_report(net, p_star=args.p_star, top_n=args.top)
     params = {
@@ -324,7 +326,6 @@ def cmd_buffer(args) -> Tuple[List[str], IO[str]]:
     # the header's counters are known only at the end, so the rows are spooled
     rows = tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
     try:
-        rows.write(buffersim.TRACE_HEADER)
         res = buffersim.run(cfg, rows.write)
     except BaseException:
         rows.close()

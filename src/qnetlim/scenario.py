@@ -201,19 +201,22 @@ def load_airport_dataset(airports_csv, routes_csv) -> AirportDataset:
     """Read the airports/routes CSV pair.
 
     airports.csv columns: id,name,lat,lon. routes.csv columns: src_id,
-    dst_id. Duplicate undirected routes are deduplicated; routes naming
-    unknown airports are skipped and counted.
+    dst_id. A record whose coordinates are not numbers in range raises
+    ValueError naming its file and line. Duplicate undirected routes are
+    deduplicated; routes naming unknown airports are skipped and counted.
     """
     airports: List[Airport] = []
     ids = set()
     with open(airports_csv, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
+        next(reader, None)
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             try:
                 aid, name, lat, lon = row[0], row[1], float(row[2]), float(row[3])
+                _LATITUDE.check("lat", lat)
+                _LONGITUDE.check("lon", lon)
             except (IndexError, ValueError) as exc:
                 raise ValueError(f"{airports_csv}:{lineno}: malformed airport record ({exc})")
             if aid in ids:

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qnetlim.buffersim import (
+    TRACE_HEADER,
     Arrival,
     DecayMode,
-    EventKind,
     FlowRequest,
     MemoryHeap,
     ServiceOrder,
@@ -19,7 +19,6 @@ from qnetlim.buffersim import (
     finish_time,
     run,
     sift_ticks,
-    trace_csv,
 )
 from qnetlim.cli import main
 
@@ -286,26 +285,43 @@ def three_flow_config(**kw):
     return SimConfig(**base)
 
 
-def replay_finishes(result, t_p):
-    """Recompute each flow's finish times from its dispatch trace."""
+def trace_rows(cfg):
+    """Runs cfg, streaming its trace; returns (result, text, rows).
+
+    rows are the CSV lines after the header, split into (tick, event,
+    pair_id, flow_id, fidelity), the tick as an int and the fidelity as
+    printed.
+    """
+    chunks = []
+    res = run(cfg, chunks.append)
+    text = "".join(chunks)
+    rows = []
+    for line in text.splitlines()[1:]:
+        tick, kind, pair, flow, fid = line.split(",")
+        rows.append((int(tick), kind, pair, flow, fid))
+    return res, text, rows
+
+
+def replay_finishes(rows, t_p):
+    """Recompute each flow's finish times from its dispatch rows."""
     finishes = {}
-    for ev in result.trace:
-        if ev.event is EventKind.DISPATCH:
-            prev = finishes.setdefault(ev.flow_id, [0])
-            prev.append(finish_time(prev[-1], ev.tick, t_p))
+    for tick, kind, _pair, flow, _fid in rows:
+        if kind == "dispatch":
+            prev = finishes.setdefault(flow, [0])
+            prev.append(finish_time(prev[-1], tick, t_p))
     return {fid: tuple(v[1:]) for fid, v in finishes.items()}
 
 
 class TestRun:
     def test_round_robin_shares_scarce_pairs(self):
-        res = run(three_flow_config())
+        res, _, _ = trace_rows(three_flow_config())
         assert res.flow_finishes["f0"] == (3, 6, 9, 12, 15)
         assert res.flow_finishes["f1"] == (4, 7, 10, 13, 16)
         assert res.flow_finishes["f2"] == (5, 8, 11, 14, 17)
 
     def test_finish_times_match_replay_oracle(self):
-        res = run(three_flow_config())
-        assert replay_finishes(res, 2) == res.flow_finishes
+        res, _, rows = trace_rows(three_flow_config())
+        assert replay_finishes(rows, 2) == res.flow_finishes
 
     def test_conservation(self):
         for cfg in (
@@ -314,21 +330,19 @@ class TestRun:
             three_flow_config(p_mem=0.4, eta_crit=0.6),
             three_flow_config(flows=(FlowRequest("f0", 1, 1, n_pairs=3),)),
         ):
-            res = run(cfg)
+            res, _, _ = trace_rows(cfg)
             assert res.inserts == res.dispatches + res.evictions + res.residual
 
     def test_no_flow_starves(self):
         # one pair per tick and three hungry flows: everyone advances
-        res = run(three_flow_config())
+        res, _, _ = trace_rows(three_flow_config())
         served = {fid: len(v) for fid, v in res.flow_finishes.items()}
         assert served == {"f0": 5, "f1": 5, "f2": 5}
 
     def test_flow_not_served_before_arrival(self):
         cfg = three_flow_config(flows=(FlowRequest("f0", 5, 2, n_pairs=2),))
-        res = run(cfg)
-        first_dispatch = min(
-            ev.tick for ev in res.trace if ev.event is EventKind.DISPATCH
-        )
+        _, _, rows = trace_rows(cfg)
+        first_dispatch = min(tick for tick, kind, *_ in rows if kind == "dispatch")
         assert first_dispatch >= 5
 
     def test_latest_first_order(self):
@@ -338,27 +352,27 @@ class TestRun:
             p_mem=0.0,
             eta_crit=0.0,
         )
-        res = run(cfg)
-        dispatched = [
-            ev.pair_id for ev in res.trace if ev.event is EventKind.DISPATCH
-        ]
+        _, _, rows = trace_rows(cfg)
+        dispatched = [pair for _, kind, pair, _, _ in rows if kind == "dispatch"]
         # each tick the freshest arrival is taken straight back out
         assert dispatched == ["p01", "p02", "p03", "p04"]
 
     def test_rejects_recorded(self):
         # with no decay the stored pair ties the newcomer, which is rejected
         cfg = three_flow_config(capacity=1, flows=(), p_mem=0.0)
-        res = run(cfg)
+        res, _, rows = trace_rows(cfg)
         assert res.rejects > 0
-        assert any(ev.event is EventKind.REJECT for ev in res.trace)
+        assert sum(kind == "reject" for _, kind, *_ in rows) == res.rejects
 
     def test_eviction_events(self):
         cfg = three_flow_config(p_mem=0.4, eta_crit=0.6, flows=())
-        res = run(cfg)
+        res, _, rows = trace_rows(cfg)
         assert res.evictions > 0
-        for ev in res.trace:
-            if ev.event is EventKind.EVICT and ev.flow_id == "":
-                assert ev.fidelity < 0.6 or ev.tick >= 1
+        # each pair decays below eta_crit at its first step, so the heap
+        # never fills and every eviction is a decay eviction
+        evicts = [(flow, float(fid)) for _, kind, _, flow, fid in rows if kind == "evict"]
+        assert len(evicts) == res.evictions
+        assert all(flow == "" and fid < 0.6 for flow, fid in evicts)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -388,7 +402,7 @@ class TestRun:
             flows=flows,
             horizon=15,
         )
-        res = run(cfg)
+        res, _, _ = trace_rows(cfg)
         assert res.inserts == res.dispatches + res.evictions + res.residual
         assert res.inserts + res.rejects == len(arrivals)
 
@@ -396,21 +410,26 @@ class TestRun:
 class TestTrace:
     def test_byte_identical_across_runs(self):
         cfg = three_flow_config()
-        a = trace_csv(run(cfg).trace)
-        b = trace_csv(run(cfg).trace)
-        assert a == b
+        assert trace_rows(cfg)[1] == trace_rows(cfg)[1]
 
     def test_header_and_shape(self):
-        res = run(three_flow_config())
-        lines = trace_csv(res.trace).splitlines()
-        assert lines[0] == "tick,event,pair_id,flow_id,fidelity"
-        assert len(lines) == len(res.trace) + 1
+        _, text, rows = trace_rows(three_flow_config())
+        assert text.startswith(TRACE_HEADER)
+        assert text.endswith("\n")
+        assert len(text.splitlines()) == len(rows) + 1
 
     def test_fidelities_round_trip(self):
-        res = run(three_flow_config())
-        lines = trace_csv(res.trace).splitlines()[1:]
-        for ev, line in zip(res.trace, lines):
-            assert float(line.rsplit(",", 1)[1]) == ev.fidelity
+        # every printed fidelity reads back as the float it was printed
+        # from, and each decay row's equals the per-pair formula
+        _, _, rows = trace_rows(three_flow_config())
+        inserted = {}
+        for tick, kind, pair, _flow, fid in rows:
+            assert repr(float(fid)) == fid
+            if kind == "insert":
+                inserted[pair] = (tick, float(fid))
+            elif kind == "decay":
+                t0, f0 = inserted[pair]
+                assert float(fid) == decayed_fidelity(f0, 0.05, tick - t0 + 1)
 
 
 def near_tie_config(rng, mode, order, p_mem, eta_crit):
@@ -435,13 +454,15 @@ def near_tie_config(rng, mode, order, p_mem, eta_crit):
 
 
 class TestStreaming:
-    """run(cfg, write) streams exactly the rows that trace_csv makes of run(cfg).trace."""
+    """run(cfg, write) streams rows that agree with its heap, its decay table and its counters."""
+
+    COUNTERS = {"insert": "inserts", "evict": "evictions", "reject": "rejects", "dispatch": "dispatches"}
 
     @pytest.mark.parametrize("eta_crit", [0.0, 0.25, 0.5])
     @pytest.mark.parametrize("p_mem", [0.0, 0.1, 1.0])
     @pytest.mark.parametrize("order", list(ServiceOrder))
     @pytest.mark.parametrize("mode", list(DecayMode))
-    def test_streaming_equals_collecting(self, monkeypatch, mode, order, p_mem, eta_crit):
+    def test_rows_heap_and_counters(self, monkeypatch, mode, order, p_mem, eta_crit):
         rng = random.Random(f"{mode.value}/{order.value}/{p_mem}/{eta_crit}")
         tick_decay = MemoryHeap.tick_decay
         heaps = []
@@ -461,15 +482,21 @@ class TestStreaming:
             chunks = []
 
             def write(text):
-                assert check_heap(heaps[-1])  # the heap as the tick ends
+                if chunks:
+                    assert check_heap(heaps[-1])  # the heap as the tick ends
+                else:
+                    assert text == TRACE_HEADER
                 chunks.append(text)
 
-            streamed = run(cfg, write)
-            collected = run(cfg)
-            assert streamed.trace == ()
-            assert "".join(chunks) == trace_csv(collected.trace)[len("tick,event,pair_id,flow_id,fidelity\n"):]
-            for key in ("flow_finishes", "residual", "inserts", "dispatches", "evictions", "rejects"):
-                assert getattr(streamed, key) == getattr(collected, key), key
+            res = run(cfg, write)
+            assert len(chunks) == cfg.horizon + 1  # the header, then one write per tick
+            lines = "".join(chunks).splitlines()[1:]
+            kinds = [line.split(",")[1] for line in lines]
+            for kind, counter in self.COUNTERS.items():
+                assert kinds.count(kind) == getattr(res, counter), kind
+            assert res.inserts == res.dispatches + res.evictions + res.residual
+            if order is ServiceOrder.HIGHEST_FIDELITY:
+                served_pairs("".join(chunks))  # each dispatch takes the best stored pair
 
 
 def served_pairs(text):

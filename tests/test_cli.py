@@ -560,15 +560,7 @@ class TestBufferGoldens:
 
 
 class TestBufferStreaming:
-    """buffer streams its rows: no TraceEvent, no trace_csv string, the same bytes."""
-
-    @pytest.fixture(autouse=True)
-    def no_per_row_objects(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("buffer built the trace in memory")
-
-        monkeypatch.setattr(buffersim, "TraceEvent", refuse)
-        monkeypatch.setattr(buffersim, "trace_csv", refuse)
+    """buffer spools its rows and copies them to stdout or --out, the same bytes either way."""
 
     @pytest.mark.parametrize("name", list(TestBufferGoldens.CONFIGS))
     def test_out_file_equals_stdout(self, capsys, tmp_path, monkeypatch, name):
@@ -624,7 +616,7 @@ class TestBufferMidGolden:
     """A mid-size buffer run per decay mode and service order, pinned byte for byte.
 
     The CLI trace does not show flow_finishes, which latest-first service
-    derives from heap positions, so run(cfg).flow_finishes is pinned too.
+    derives from heap positions, so run's flow_finishes is pinned too.
     """
 
     CASES = [(mode.value, order.value) for mode in buffersim.DecayMode for order in buffersim.ServiceOrder]
@@ -661,7 +653,9 @@ class TestBufferMidGolden:
             tuple(buffersim.FlowRequest(**f) for f in raw["flows"]),
             raw["horizon"], buffersim.DecayMode(mode), buffersim.ServiceOrder(order),
         )
-        finishes = buffersim.run(cfg).flow_finishes
+        rows = []
+        finishes = buffersim.run(cfg, rows.append).flow_finishes
+        assert out.endswith("".join(rows))  # the same rows after the # header
         assert (sha256(out), sha256(json.dumps(finishes, sort_keys=True))) == self.DIGESTS[(mode, order)]
 
 
@@ -761,6 +755,20 @@ class TestAirportCommand:
         code, out, err = run_cli(capsys, "airport", *self.write(tmp_path, ["A,Alpha,north,0.0"]))
         assert (code, out) == (1, "")
         assert "airports.csv:2: malformed airport record" in err
+
+    @pytest.mark.parametrize("record, want", [
+        ("A,Alpha,95,0.0", "airports.csv:2: malformed airport record (lat must be in [-90, 90])"),
+        ("A,Alpha,nan,0.0", "airports.csv:2: malformed airport record (lat must be in [-90, 90])"),
+        ("A,Alpha,0.0,200", "airports.csv:2: malformed airport record (lon must be in [-180, 180])"),
+        (None, "bad dataset: no airports in"),  # a header-only airports.csv
+    ], ids=["lat-95", "lat-nan", "lon-200", "header-only"])
+    def test_bad_dataset_is_a_data_error(self, capsys, tmp_path, record, want):
+        argv = self.write(tmp_path, [record] if record else None)
+        if record is None:
+            (tmp_path / "airports.csv").write_text("id,name,lat,lon\n")
+        code, out, err = run_cli(capsys, "airport", *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and want in err
 
 
 class TestOutput:
