@@ -9,6 +9,7 @@ the active flows.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -264,6 +265,22 @@ class SimConfig:
             raise ValueError("duplicate flow ids")
         if len({a.pair_id for a in self.arrivals}) != len(self.arrivals):
             raise ValueError("duplicate pair ids")
+
+
+def load_config(path) -> SimConfig:
+    """A SimConfig from a JSON object of its fields; decay_mode and service_order are optional."""
+    with open(path) as fh:
+        raw = json.load(fh)
+    return SimConfig(
+        capacity=raw["capacity"],
+        p_mem=raw["p_mem"],
+        eta_crit=raw["eta_crit"],
+        arrivals=tuple(Arrival(**a) for a in raw["arrivals"]),
+        flows=tuple(FlowRequest(**f) for f in raw["flows"]),
+        horizon=raw["horizon"],
+        decay_mode=DecayMode(raw.get("decay_mode", "iterated")),
+        service_order=ServiceOrder(raw.get("service_order", "highest-fidelity")),
+    )
 
 
 @dataclass

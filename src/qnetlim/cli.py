@@ -274,8 +274,9 @@ def cmd_airport(args) -> List[str]:
         raise DataError(str(exc))
     if not ds.airports:
         raise DataError(f"bad dataset: no airports in {airports}")
-    net = scenario.load_airport_network(ds)
-    rep = scenario.airport_report(net, p_star=args.p_star, top_n=args.top)
+    if not ds.routes:
+        raise DataError(f"bad dataset: no usable routes in {routes}")
+    rep = scenario.airport_report(ds, p_star=args.p_star, top_n=args.top)
     params = {
         "airports": airports, "routes": routes, "p_star": args.p_star,
         "skipped_routes": ds.skipped_routes,
@@ -304,23 +305,11 @@ def cmd_buffer(args) -> Tuple[List[str], IO[str]]:
     from . import buffersim
 
     try:
-        with open(args.config) as fh:
-            raw = json.load(fh)
+        cfg = buffersim.load_config(args.config)
     except OSError as exc:
         raise DataError(f"cannot read config: {exc}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataError(f"bad config file: {exc}")
-    try:
-        cfg = buffersim.SimConfig(
-            capacity=raw["capacity"],
-            p_mem=raw["p_mem"],
-            eta_crit=raw["eta_crit"],
-            arrivals=tuple(buffersim.Arrival(**a) for a in raw["arrivals"]),
-            flows=tuple(buffersim.FlowRequest(**f) for f in raw["flows"]),
-            horizon=raw["horizon"],
-            decay_mode=buffersim.DecayMode(raw.get("decay_mode", "iterated")),
-            service_order=buffersim.ServiceOrder(raw.get("service_order", "highest-fidelity")),
-        )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"bad config contents: {exc}")
     # the header's counters are known only at the end, so the rows are spooled

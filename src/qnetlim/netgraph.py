@@ -85,9 +85,10 @@ class Network:
     head, p and w = -log2 p (math.log2 per edge, the step every path sum
     adds). order[k] is where CSR entry k sits among the edge ends listed
     edge by edge in insertion order, so x[order] = csr_array puts a CSR
-    array back in that order. A Network holds no engine: each
-    shortest-path pass over it, or over a graph derived from it, runs on
-    the engine _graph picks from that graph's own edges.
+    array back in that order. A Network is the graph alone, with no
+    scenario data (an airport route's length stays in the dataset) and no
+    engine: each shortest-path pass over it, or over a graph derived from
+    it, runs on the engine _graph picks from that graph's own edges.
 
     A Network is immutable after construction: the arrays, and the cached
     all-pairs pass keyed on the network itself, assume that it never
@@ -100,7 +101,6 @@ class Network:
         self,
         nodes: Iterable[NodeId],
         edges: Dict[Tuple[NodeId, NodeId], float] | Iterable[Tuple[NodeId, NodeId, float]],
-        coords: Optional[Dict[NodeId, Tuple[float, float]]] = None,
     ):
         self.nodes: List[NodeId] = list(nodes)
         if len(set(self.nodes)) != len(self.nodes):
@@ -108,7 +108,6 @@ class Network:
         self.index = {v: i for i, v in enumerate(self.nodes)}
         items = ((a, b, p) for (a, b), p in edges.items()) if isinstance(edges, dict) else edges
         self.edges: Dict[Tuple[NodeId, NodeId], float] = edge_table(items, self.index)
-        self.coords = dict(coords) if coords else None
 
         m, n = len(self.edges), len(self.nodes)
         ends = np.fromiter((self.index[v] for key in self.edges for v in key), np.int64, 2 * m)
@@ -143,8 +142,7 @@ class Network:
     def relabeled(self, mapping: Dict[NodeId, NodeId]) -> "Network":
         nodes = [mapping[v] for v in self.nodes]
         edges = {_edge_key(mapping[a], mapping[b]): p for (a, b), p in self.edges.items()}
-        coords = {mapping[v]: c for v, c in self.coords.items()} if self.coords else None
-        return Network(nodes, edges, coords)
+        return Network(nodes, edges)
 
 
 class StrategyKind(str, Enum):
@@ -921,7 +919,7 @@ def evolve(
                 p_next = factor * p
                 if p_next > p_star:
                     new_edges[key] = p_next
-            current = Network(current.nodes, new_edges, current.coords)
+            current = Network(current.nodes, new_edges)
         out.append((current, link_sparsity(current, p_star, StrategyKind.COOPERATIVE)))
     return out
 

@@ -11,7 +11,7 @@ import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from . import Range, check_fields, ranged, yields
 
@@ -179,8 +179,11 @@ class Airport:
 
 @dataclass(frozen=True)
 class AirportDataset:
+    """The airports in file order, and each usable route once, in the order
+    first given, as (smaller id, larger id, great-circle km)."""
+
     airports: Tuple[Airport, ...]
-    routes: Tuple[Tuple[str, str], ...]
+    routes: Tuple[Tuple[str, str, float], ...]
     skipped_routes: int = 0
 
 
@@ -205,8 +208,7 @@ def load_airport_dataset(airports_csv, routes_csv) -> AirportDataset:
     ValueError naming its file and line. Duplicate undirected routes are
     deduplicated; routes naming unknown airports are skipped and counted.
     """
-    airports: List[Airport] = []
-    ids = set()
+    airports: Dict[str, Airport] = {}
     with open(airports_csv, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         next(reader, None)
@@ -219,12 +221,10 @@ def load_airport_dataset(airports_csv, routes_csv) -> AirportDataset:
                 _LONGITUDE.check("lon", lon)
             except (IndexError, ValueError) as exc:
                 raise ValueError(f"{airports_csv}:{lineno}: malformed airport record ({exc})")
-            if aid in ids:
+            if aid in airports:
                 raise ValueError(f"{airports_csv}:{lineno}: duplicate airport id {aid}")
-            ids.add(aid)
-            airports.append(Airport(aid, name, lat, lon))
-    routes: List[Tuple[str, str]] = []
-    seen = set()
+            airports[aid] = Airport(aid, name, lat, lon)
+    routes: Dict[Tuple[str, str], float] = {}
     skipped = 0
     with open(routes_csv, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -236,14 +236,15 @@ def load_airport_dataset(airports_csv, routes_csv) -> AirportDataset:
                 src, dst = row[0], row[1]
             except IndexError as exc:
                 raise ValueError(f"{routes_csv}:{lineno}: malformed route record ({exc})")
-            if src not in ids or dst not in ids or src == dst:
+            if src not in airports or dst not in airports or src == dst:
                 skipped += 1
                 continue
             key = (src, dst) if src <= dst else (dst, src)
-            if key not in seen:
-                seen.add(key)
-                routes.append(key)
-    return AirportDataset(tuple(airports), tuple(routes), skipped)
+            if key not in routes:
+                a, b = airports[key[0]], airports[key[1]]
+                routes[key] = great_circle_km(a.lat, a.lon, b.lat, b.lon)
+    pairs = tuple((a, b, km) for (a, b), km in routes.items())
+    return AirportDataset(tuple(airports.values()), pairs, skipped)
 
 
 ROUTE_DECAY_KM = 22.0
@@ -261,13 +262,10 @@ def route_probability(length_km: float) -> float:
 def load_airport_network(dataset: AirportDataset) -> Network:
     from . import netgraph
 
-    coords = {a.id: (a.lat, a.lon) for a in dataset.airports}
-    edges = []
-    for src, dst in dataset.routes:
-        la, lo = coords[src]
-        lb, lo2 = coords[dst]
-        edges.append((src, dst, route_probability(great_circle_km(la, lo, lb, lo2))))
-    return netgraph.Network([a.id for a in dataset.airports], edges, coords)
+    return netgraph.Network(
+        [a.id for a in dataset.airports],
+        [(a, b, route_probability(km)) for a, b, km in dataset.routes],
+    )
 
 
 @dataclass(frozen=True)
@@ -283,38 +281,34 @@ class AirportReport:
 
 
 def airport_report(
-    net: Network, p_star: float = 0.1, top_n: int = 10
+    dataset: AirportDataset, p_star: float = 0.1, top_n: int = 10
 ) -> AirportReport:
-    """Aggregate geography and robustness statistics of a route network.
+    """Aggregate geography and robustness statistics of a route dataset.
 
-    Sparsity and connection strength use the non-cooperative strategy
-    (direct routes only). The critical-node ranking uses the canonical
-    centrality of netgraph.centrality_all, whose ties go to the
-    lexicographically smallest path, so it does not depend on scipy's
-    tie order.
+    A dataset with no routes raises ValueError; the longest route is the
+    first longest in route order. Sparsity and connection strength use the
+    non-cooperative strategy (direct routes only). The critical-node
+    ranking uses netgraph.centrality_all's canonical centrality, whose ties
+    go to the lexicographically smallest path, not to scipy's tie order.
     """
     from . import netgraph
 
-    if not net.coords:
-        raise ValueError("network has no coordinates")
-    longest = -1.0
-    pair = ("", "")
-    total_len = 0.0
-    for a, b in net.edges:
-        la, lo = net.coords[a]
-        lb, lo2 = net.coords[b]
-        d = great_circle_km(la, lo, lb, lo2)
-        total_len += d
-        if d > longest:
-            longest, pair = d, (a, b)
+    if not dataset.routes:
+        raise ValueError("dataset has no routes")
+    a, b, longest = max(dataset.routes, key=lambda route: route[2])
+    # added in route order: from Python 3.12 builtin sum() compensates floats
+    total_km = 0.0
+    for *_, km in dataset.routes:
+        total_km += km
+    net = load_airport_network(dataset)
     strat = netgraph.StrategyKind.NON_COOPERATIVE
     reports = netgraph.critical_parameters(net, p_star, strat)
     return AirportReport(
         net.n_nodes,
         net.n_edges,
         longest,
-        pair,
-        total_len / max(1, net.n_edges),
+        (a, b),
+        total_km / len(dataset.routes),
         netgraph.link_sparsity(net, p_star, strat),
         netgraph.total_connection_strength(net, strat, p_star),
         reports[:top_n],

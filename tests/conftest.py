@@ -21,10 +21,10 @@ def airport_network(airport_dataset):
 
 
 @pytest.fixture(scope="session")
-def airport_summary(airport_network):
+def airport_summary(airport_dataset):
     """The full report is expensive; compute it once per session."""
     import time
 
     t0 = time.monotonic()
-    report = scenario.airport_report(airport_network)
+    report = scenario.airport_report(airport_dataset)
     return report, time.monotonic() - t0

@@ -167,10 +167,13 @@ class TestExitCodes:
     @pytest.mark.parametrize("text,err", [
         (None, "cannot read config"),
         ('{"capacity": 4', "bad config file"),
+        (b"\xff\xfe{}", "bad config file"),  # not text in any UTF encoding
     ])
     def test_unreadable_buffer_config(self, capsys, tmp_path, text, err):
         path = tmp_path / "sim.json"
-        if text is not None:
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        elif text is not None:
             path.write_text(text)
         code, out, stderr = run_cli(capsys, "buffer", "--config", str(path))
         assert (code, out) == (1, "")
@@ -724,10 +727,12 @@ class TestAirportCommand:
     # B-A repeats A-B, and A-Z names an unknown airport
     ROUTES = ["A,B", "B,C", "C,D", "D,E", "E,F", "F,A", "A,C", "B,A", "A,Z"]
 
-    def write(self, tmp_path, airports=None):
-        lines = airports or [f"{a},{name},{lat},{lon}" for a, name, lat, lon in self.AIRPORTS]
-        (tmp_path / "airports.csv").write_text("id,name,lat,lon\n" + "\n".join(lines) + "\n")
-        (tmp_path / "routes.csv").write_text("src_id,dst_id\n" + "\n".join(self.ROUTES) + "\n")
+    def write(self, tmp_path, airports=None, routes=None):
+        if airports is None:
+            airports = [f"{a},{name},{lat},{lon}" for a, name, lat, lon in self.AIRPORTS]
+        routes = self.ROUTES if routes is None else routes
+        (tmp_path / "airports.csv").write_text("\n".join(["id,name,lat,lon", *airports]) + "\n")
+        (tmp_path / "routes.csv").write_text("\n".join(["src_id,dst_id", *routes]) + "\n")
         return ["--airports", str(tmp_path / "airports.csv"),
                 "--routes", str(tmp_path / "routes.csv")]
 
@@ -740,7 +745,7 @@ class TestAirportCommand:
         nodes = rows[rows.index("node,clustering,centrality,strength,critical_parameter") + 1:]
         assert len(nodes) == 4
         ds = scenario.load_airport_dataset(tmp_path / "airports.csv", tmp_path / "routes.csv")
-        rep = scenario.airport_report(scenario.load_airport_network(ds), p_star=0.1, top_n=4)
+        rep = scenario.airport_report(ds, p_star=0.1, top_n=4)
         assert f"link_sparsity,{rep.link_sparsity!r}" in rows
         assert [r.split(",")[0] for r in nodes] == [r.node for r in rep.top_critical_airports]
 
@@ -756,17 +761,20 @@ class TestAirportCommand:
         assert (code, out) == (1, "")
         assert "airports.csv:2: malformed airport record" in err
 
-    @pytest.mark.parametrize("record, want", [
-        ("A,Alpha,95,0.0", "airports.csv:2: malformed airport record (lat must be in [-90, 90])"),
-        ("A,Alpha,nan,0.0", "airports.csv:2: malformed airport record (lat must be in [-90, 90])"),
-        ("A,Alpha,0.0,200", "airports.csv:2: malformed airport record (lon must be in [-180, 180])"),
-        (None, "bad dataset: no airports in"),  # a header-only airports.csv
-    ], ids=["lat-95", "lat-nan", "lon-200", "header-only"])
-    def test_bad_dataset_is_a_data_error(self, capsys, tmp_path, record, want):
-        argv = self.write(tmp_path, [record] if record else None)
-        if record is None:
-            (tmp_path / "airports.csv").write_text("id,name,lat,lon\n")
-        code, out, err = run_cli(capsys, "airport", *argv)
+    @pytest.mark.parametrize("airports, routes, want", [
+        (["A,Alpha,95,0.0"], None,
+         "airports.csv:2: malformed airport record (lat must be in [-90, 90])"),
+        (["A,Alpha,nan,0.0"], None,
+         "airports.csv:2: malformed airport record (lat must be in [-90, 90])"),
+        (["A,Alpha,0.0,200"], None,
+         "airports.csv:2: malformed airport record (lon must be in [-180, 180])"),
+        ([], None, "bad dataset: no airports in"),
+        (None, [], "bad dataset: no usable routes in"),
+        (None, ["A,Z", "B,B"], "bad dataset: no usable routes in"),
+    ], ids=["lat-95", "lat-nan", "lon-200", "header-only", "header-only-routes",
+            "unknown-or-self-routes"])
+    def test_bad_dataset_is_a_data_error(self, capsys, tmp_path, airports, routes, want):
+        code, out, err = run_cli(capsys, "airport", *self.write(tmp_path, airports, routes))
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and want in err
 

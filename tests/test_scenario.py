@@ -320,6 +320,12 @@ class TestDataset:
         assert len(airport_dataset.routes) == 25482
         assert airport_dataset.skipped_routes == 0
 
+    def test_routes_carry_their_length(self, airport_dataset):
+        where = {a.id: (a.lat, a.lon) for a in airport_dataset.airports}
+        for a, b, km in airport_dataset.routes:
+            assert a < b
+            assert km == great_circle_km(*where[a], *where[b])
+
     def test_network_shape(self, airport_network):
         assert airport_network.n_nodes == 3463
         assert airport_network.n_edges == 25482
@@ -330,7 +336,7 @@ class TestDataset:
         a.write_text("id,name,lat,lon\nX,Xport,0,0\nY,Yport,1,1\n")
         r.write_text("src_id,dst_id\nX,Y\nY,X\nX,Z\nX,X\n")
         ds = load_airport_dataset(a, r)
-        assert ds.routes == (("X", "Y"),)
+        assert ds.routes == (("X", "Y", great_circle_km(0.0, 0.0, 1.0, 1.0)),)
         assert ds.skipped_routes == 2
 
     def test_malformed_reports_line(self, tmp_path):
@@ -384,8 +390,21 @@ class TestAirportReport:
         ]
         assert vals == sorted(vals, reverse=True)
 
-    def test_requires_coordinates(self):
-        from qnetlim.netgraph import Network
+    @pytest.mark.parametrize("routes, pair", [
+        ("A,B\nC,D\n", ("A", "B")),
+        ("D,C\nB,A\n", ("C", "D")),
+    ])
+    def test_longest_tie_goes_to_first_route(self, tmp_path, routes, pair):
+        # four airports a degree apart on the equator: both routes are one degree long
+        a = tmp_path / "airports.csv"
+        r = tmp_path / "routes.csv"
+        a.write_text("id,name,lat,lon\nA,Ap,0,0\nB,Bp,0,1\nC,Cp,0,2\nD,Dp,0,3\n")
+        r.write_text("src_id,dst_id\n" + routes)
+        report = scenario.airport_report(load_airport_dataset(a, r))
+        assert report.longest_route_pair == pair
+        assert report.longest_route_km == great_circle_km(0.0, 0.0, 0.0, 1.0)
 
-        with pytest.raises(ValueError):
-            scenario.airport_report(Network([1, 2], [(1, 2, 0.5)]))
+    def test_requires_routes(self):
+        airports = (scenario.Airport("X", "Xport", 0.0, 0.0), scenario.Airport("Y", "Yport", 1.0, 1.0))
+        with pytest.raises(ValueError, match="no routes"):
+            scenario.airport_report(scenario.AirportDataset(airports, ()))
