@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import groupby
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import UNIT, Range, check_fields, ranged, yields
@@ -278,17 +279,9 @@ def load_config(path) -> SimConfig:
         arrivals=tuple(Arrival(**a) for a in raw["arrivals"]),
         flows=tuple(FlowRequest(**f) for f in raw["flows"]),
         horizon=raw["horizon"],
-        decay_mode=DecayMode(raw.get("decay_mode", "iterated")),
-        service_order=ServiceOrder(raw.get("service_order", "highest-fidelity")),
+        decay_mode=DecayMode(raw.get("decay_mode", SimConfig.decay_mode)),
+        service_order=ServiceOrder(raw.get("service_order", SimConfig.service_order)),
     )
-
-
-@dataclass
-class FlowState:
-    request: FlowRequest
-    remaining: int
-    last_finish: int = 0
-    dispatch_finishes: List[int] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -312,7 +305,9 @@ def run(config: SimConfig, write: Callable[[str], object]) -> SimResult:
     are served one pair each in a round-robin that persists across ticks,
     so scarce pairs are shared instead of going to the lowest flow id.
     Service timing per flow follows the finish-time recursion with the
-    heap sift distance as the ready delay.
+    heap sift distance as the ready delay. A flow's finish times are its
+    only record of progress: their count is the pairs it has been served,
+    the last one is its previous finish, and all counts sum to `dispatches`.
 
     Decay is looked up per age: ITERATED keeps the factor (1 - p_mem) ** (2 s)
     and applies `decayed_fidelity`'s own expression to it, so values are
@@ -328,20 +323,16 @@ def run(config: SimConfig, write: Callable[[str], object]) -> SimResult:
     heap = MemoryHeap(config.capacity, config.p_mem, config.eta_crit, config.decay_mode)
     reprs = heap._reprs if config.decay_mode is DecayMode.PAPER_FORMULA else None
     latest_first = config.service_order is ServiceOrder.LATEST_FIRST
-    flows = {
-        f.flow_id: FlowState(f, f.n_pairs)
-        for f in sorted(config.flows, key=lambda f: f.flow_id)
-    }
-    inserts = dispatches = evictions = rejects = 0
-    rr_order = sorted(flows)
+    flows = sorted(config.flows, key=lambda f: f.flow_id)  # the round-robin order
+    finishes: Dict[str, List[int]] = {f.flow_id: [] for f in flows}
+    inserts = evictions = rejects = 0
     rr_ptr = 0
-    by_tick: Dict[int, List[Arrival]] = {}
-    for a in config.arrivals:
-        by_tick.setdefault(a.tick, []).append(a)
+    arrivals = sorted(config.arrivals, key=lambda a: (a.tick, a.producer_id, a.pair_id))
+    by_tick = {t: list(group) for t, group in groupby(arrivals, key=lambda a: a.tick)}
     write(TRACE_HEADER)
     for t in range(1, config.horizon + 1):
         rows: List[str] = []
-        for a in sorted(by_tick.get(t, []), key=lambda a: (a.producer_id, a.pair_id)):
+        for a in by_tick.get(t, ()):
             pair = StoredPair(a.pair_id, t, a.f0)
             status, evicted_pair = heap.insert(pair)
             if status == "rejected":
@@ -362,30 +353,26 @@ def run(config: SimConfig, write: Callable[[str], object]) -> SimResult:
         for it in sorted(evicted, key=lambda e: e.id):
             evictions += 1
             rows.append(f"{t},evict,{it.id},,{it.current_fidelity!r}\n")
-        n_flows = len(rr_order)
+        n_flows = len(flows)
         rr_start = rr_ptr
         for step in range(n_flows):
             if not heap.items:
                 break
-            fid = rr_order[(rr_start + step) % n_flows]
-            state = flows[fid]
-            if state.remaining <= 0 or state.request.arrival_tick > t:
+            flow = flows[(rr_start + step) % n_flows]
+            done = finishes[flow.flow_id]
+            if len(done) >= flow.n_pairs or flow.arrival_tick > t:
                 continue
             idx = heap.latest_index() if latest_first else 0  # the root needs no sift
             pair = heap._remove_at(idx)
-            dispatches += 1
-            finish = finish_time(state.last_finish, t + sift_ticks(idx), state.request.t_p)
-            state.last_finish = finish
-            state.dispatch_finishes.append(finish)
-            state.remaining -= 1
-            rows.append(f"{t},dispatch,{pair.id},{fid},{pair.current_fidelity!r}\n")
+            done.append(finish_time(done[-1] if done else 0, t + sift_ticks(idx), flow.t_p))
+            rows.append(f"{t},dispatch,{pair.id},{flow.flow_id},{pair.current_fidelity!r}\n")
             rr_ptr = (rr_start + step + 1) % n_flows
         write("".join(rows))
     return SimResult(
-        {fid: tuple(st.dispatch_finishes) for fid, st in flows.items()},
+        {fid: tuple(done) for fid, done in finishes.items()},
         len(heap),
         inserts,
-        dispatches,
+        sum(len(done) for done in finishes.values()),
         evictions,
         rejects,
     )

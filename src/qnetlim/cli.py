@@ -190,7 +190,7 @@ def cmd_path(args) -> List[str]:
     try:
         res = netgraph.shortest_path(net, args.source, args.target, args.p_star)
     except KeyError as exc:
-        raise DataError(f"unknown node: {exc}")
+        raise DataError(exc.args[0])
     lines.append("status,probability,total_weight_bits,path")
     lines.append(
         f"{res.status.value},{res.probability!r},{res.total_weight!r},"
@@ -253,17 +253,16 @@ def cmd_atmosphere(args) -> List[str]:
     return lines
 
 
-def _default_data_dir() -> str:
-    return os.environ.get(
-        DATA_DIR_ENV,
-        os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(__file__))), "data"),
-    )
-
-
 def cmd_airport(args) -> List[str]:
     from . import scenario
 
-    data_dir = args.data_dir or os.path.join(_default_data_dir(), "airport_snapshot")
+    data_dir = (
+        args.data_dir
+        or os.environ.get(DATA_DIR_ENV)
+        or os.path.join(
+            os.path.dirname(os.path.dirname(os.path.dirname(__file__))), "data", "airport_snapshot"
+        )
+    )
     airports = args.airports or os.path.join(data_dir, "airports.csv")
     routes = args.routes or os.path.join(data_dir, "routes.csv")
     try:

@@ -64,9 +64,6 @@ class TwoQubitState:
             raise ValueError("density matrix has a negative eigenvalue")
         object.__setattr__(self, "matrix", m)
 
-    def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
-
 
 def make_bell(kind: BellKind) -> TwoQubitState:
     """Rank-1 projector onto the named Bell vector."""

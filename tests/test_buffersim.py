@@ -319,9 +319,28 @@ class TestRun:
         assert res.flow_finishes["f1"] == (4, 7, 10, 13, 16)
         assert res.flow_finishes["f2"] == (5, 8, 11, 14, 17)
 
-    def test_finish_times_match_replay_oracle(self):
-        res, _, rows = trace_rows(three_flow_config())
-        assert replay_finishes(rows, 2) == res.flow_finishes
+    @pytest.mark.parametrize("kw,unserved", [
+        ({}, set()),
+        ({"flows": (FlowRequest("f0", 1, 2, n_pairs=0), FlowRequest("f1", 1, 2, n_pairs=5))},
+         {"f0"}),
+        ({"flows": (FlowRequest("f0", 1, 2, n_pairs=5), FlowRequest("f1", 21, 2, n_pairs=5))},
+         {"f1"}),
+        ({"arrivals": tuple(
+            Arrival(t, src, f"{src}-{t:02d}") for t in range(15, 0, -1) for src in ("s1", "s0")
+        )}, set()),
+    ], ids=["three-flows", "zero-pairs", "arrives-after-horizon", "arrivals-out-of-order"])
+    def test_finish_times_match_replay_oracle(self, kw, unserved):
+        cfg = three_flow_config(**kw)
+        res, _, rows = trace_rows(cfg)
+        assert list(res.flow_finishes) == sorted(f.flow_id for f in cfg.flows)
+        assert {fid for fid, v in res.flow_finishes.items() if not v} == unserved
+        assert res.dispatches == sum(len(v) for v in res.flow_finishes.values())
+        served = {fid: v for fid, v in res.flow_finishes.items() if v}
+        assert replay_finishes(rows, 2) == served
+        # arrivals take their turn by tick, then producer, whatever their listed order
+        arrived = [pair for _, kind, pair, _, _ in rows if kind in ("insert", "reject")]
+        order = sorted(cfg.arrivals, key=lambda a: (a.tick, a.producer_id, a.pair_id))
+        assert arrived == [a.pair_id for a in order]
 
     def test_conservation(self):
         for cfg in (

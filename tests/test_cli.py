@@ -161,8 +161,7 @@ class TestExitCodes:
         code, out, err = run_cli(
             capsys, "path", "--in", edge_file, "--source", "1", "--target", "9"
         )
-        assert (code, out) == (1, "")
-        assert "unknown node: \"unknown node '9'\"" in err
+        assert (code, out, err) == (1, "", "error: unknown node '9'\n")
 
     @pytest.mark.parametrize("text,err", [
         (None, "cannot read config"),
@@ -748,6 +747,19 @@ class TestAirportCommand:
         rep = scenario.airport_report(ds, p_star=0.1, top_n=4)
         assert f"link_sparsity,{rep.link_sparsity!r}" in rows
         assert [r.split(",")[0] for r in nodes] == [r.node for r in rep.top_critical_airports]
+
+    @pytest.mark.parametrize("via", ["--data-dir", "QNETLIM_DATA_DIR"])
+    def test_snapshot_directory(self, capsys, tmp_path, monkeypatch, via):
+        # the option and the variable both name the directory holding the CSVs
+        self.write(tmp_path, ["A,Alpha,0.0,0.0", "B,Bravo,0.0,1.0"], ["A,B"])
+        if via == "--data-dir":
+            argv = [via, str(tmp_path)]
+        else:
+            monkeypatch.setenv(via, str(tmp_path))
+            argv = []
+        code, out, _ = run_cli(capsys, "airport", *argv)
+        assert code == 0
+        assert f"# airports = {tmp_path / 'airports.csv'}" in out.splitlines()
 
     def test_missing_file(self, capsys, tmp_path):
         argv = self.write(tmp_path)
