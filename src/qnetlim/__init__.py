@@ -2,7 +2,7 @@
 
 Subpackages:
 
-- ``qstate``   : two-qubit states, noise channels, swap and nonlocality measures
+- ``qstate``   : two-qubit states and measures, the tests' oracle; no command loads it
 - ``yields``   : numpy-free closed-form depolarizing and thermal yields
 - ``repeater`` : closed-form feasibility of linear repeater chains
 - ``topology`` : numpy-free reference topology generators and edge lists

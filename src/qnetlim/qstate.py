@@ -1,5 +1,9 @@
 """Two-qubit states, noise channels and entanglement/nonlocality measures.
 
+No command loads this module. The tests use it as the independent oracle
+of the closed forms: the yields, chain visibility, and every task
+threshold in repeater that a state can check.
+
 Basis ordering throughout is the computational basis |00>, |01>, |10>, |11>.
 The maximally entangled states use the convention
 
@@ -12,7 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Tuple, Union
+from fractions import Fraction
+from typing import List, Union
 
 import numpy as np
 
@@ -104,31 +109,6 @@ class Depolarizing:
 
 
 @dataclass(frozen=True)
-class Erasure:
-    """Qubit erasure channel with arrival probability eta_e.
-
-    The Kraus operators map the qubit into a 3-level space whose third
-    level is the erasure flag; completeness holds on the qubit input space.
-    """
-
-    eta_e: float = ranged("[0, 1]")
-
-    __post_init__ = check_fields
-
-    def kraus_ops(self) -> List[np.ndarray]:
-        keep = math.sqrt(self.eta_e) * np.array(
-            [[1, 0], [0, 1], [0, 0]], dtype=complex
-        )
-        lose0 = math.sqrt(1.0 - self.eta_e) * np.array(
-            [[0, 0], [0, 0], [1, 0]], dtype=complex
-        )
-        lose1 = math.sqrt(1.0 - self.eta_e) * np.array(
-            [[0, 0], [0, 0], [0, 1]], dtype=complex
-        )
-        return [keep, lose0, lose1]
-
-
-@dataclass(frozen=True)
 class Thermal:
     """Qubit thermal-loss channel (GADC reparameterization)."""
 
@@ -146,7 +126,7 @@ class Thermal:
         return [a1, a2, a3, a4]
 
 
-ChannelModel = Union[Depolarizing, Erasure, Thermal]
+ChannelModel = Union[Depolarizing, Thermal]
 
 
 def kraus_completeness_defect(channel: ChannelModel) -> float:
@@ -157,25 +137,8 @@ def kraus_completeness_defect(channel: ChannelModel) -> float:
     return float(np.abs(acc - np.eye(dim)).max())
 
 
-@dataclass(frozen=True)
-class ErasureOutcome:
-    """Both-arrive probability and the conditional (unchanged) pair state."""
-
-    p_both_arrive: float
-    conditional_state: TwoQubitState
-
-
-def apply_pair_channel(
-    state: TwoQubitState, channel: ChannelModel
-) -> Union[TwoQubitState, ErasureOutcome]:
-    """Apply a single-qubit channel independently to both qubits of a pair.
-
-    Erasure is handled analytically: the pair survives with probability
-    eta_e^2 and is otherwise flagged lost, so the output is a record rather
-    than a state on an enlarged space.
-    """
-    if isinstance(channel, Erasure):
-        return ErasureOutcome(channel.eta_e**2, state)
+def apply_pair_channel(state: TwoQubitState, channel: ChannelModel) -> TwoQubitState:
+    """Apply a single-qubit channel independently to both qubits of a pair."""
     ks = channel.kraus_ops()
     out = np.zeros((4, 4), dtype=complex)
     for ki in ks:
@@ -308,31 +271,14 @@ def teleport_fidelity(singlet_fraction: float, d: int = 2) -> TeleportFidelity:
     )
 
 
-@dataclass(frozen=True)
-class TiltedChshParams:
-    alpha: float = ranged(">= 1")
-    beta: float = ranged(">= 0")
-
-    __post_init__ = check_fields
-
-
-@dataclass(frozen=True)
-class TiltedChshBounds:
-    local: float
-    quantum: float
-
-
-def tilted_chsh_bounds(params: TiltedChshParams) -> TiltedChshBounds:
-    a, b = params.alpha, params.beta
-    return TiltedChshBounds(b + 2.0 * a, 2.0 * math.sqrt((1.0 + a**2) * (1.0 + b**2 / 4.0)))
-
-
 def isotropic_separable(visibility: float, d: int = 2) -> bool:
-    """Separability of the isotropic state: p(lam) <= 1/d, i.e. lam <= 1/(d+1) scaled.
+    """Separability of the d x d isotropic state of visibility lam.
 
-    For d = 2 this reduces to lam <= 1/3.
+    Its singlet fraction is p = (lam (d^2 - 1) + 1) / d^2, and the state is
+    separable iff p <= 1/d (Horodecki & Horodecki, PRA 59, 4206, 1999), that
+    is iff lam (d + 1) <= 1; lam <= 1/3 for d = 2. The comparison is exact,
+    on the float's rational value, so no rounding moves the boundary.
     """
     UNIT.check("visibility", visibility)
     Range(">= 2").check("d", d)
-    p = (visibility * (d**2 - 1) + 1.0) / d**2
-    return p <= 1.0 / d + 1e-15
+    return Fraction(visibility) * (d + 1) <= 1

@@ -181,9 +181,7 @@ class Empty(Sentinel):
     """Sentinel for an empty visibility interval."""
 
 
-def zero_key_window(
-    lam_unused: float, q: float, n: int, theta: float
-) -> Union[Tuple[float, float], Empty]:
+def zero_key_window(q: float, n: int, theta: float) -> Union[Tuple[float, float], Empty]:
     """Visibility interval with nonzero single-link DI key but zero chain key.
 
     Returns (gamma_crit, min(1, (gamma_crit / q^n)^(1/(n+1)))), or Empty
@@ -301,21 +299,14 @@ def nqi_alpha_bound(length_km: float, n: int, q: float) -> Optional[float]:
     return math.log(arg) / (length_km * (1.0 + 1.0 / n))
 
 
-@dataclass(frozen=True)
-class CriticalProbability:
-    value: float
-    strict: bool
-
-
-def critical_probability(task: TaskKind, d: int = 2) -> CriticalProbability:
+def critical_probability(task: TaskKind, d: int = 2) -> float:
     """Critical end-to-end success probability 1/d for a d-level system.
 
-    Teleportation needs strictly more than 1/d; entanglement survives at
-    exactly 1/d, so the bound is inclusive there.
+    Both entanglement and teleportation need strictly more than 1/d: at
+    singlet fraction 1/d the isotropic state is separable, and its
+    teleportation fidelity equals the classical 2/(d + 1).
     """
     Range(">= 2").check("d", d)
-    if task is TaskKind.TELEPORTATION:
-        return CriticalProbability(1.0 / d, True)
-    if task is TaskKind.ENTANGLEMENT:
-        return CriticalProbability(1.0 / d, False)
+    if task in (TaskKind.TELEPORTATION, TaskKind.ENTANGLEMENT):
+        return 1.0 / d
     raise ValueError("critical_probability is defined for entanglement and teleportation")

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,8 +11,6 @@ from qnetlim.qstate import (
     BellKind,
     Depolarizing,
     DepolYieldMode,
-    Erasure,
-    ErasureOutcome,
     Thermal,
     TwoQubitState,
     apply_pair_channel,
@@ -27,8 +26,13 @@ from qnetlim.qstate import (
     make_isotropic,
     teleport_fidelity,
     thermal_yield,
-    tilted_chsh_bounds,
-    TiltedChshParams,
+)
+from qnetlim.repeater import (
+    EntanglementMode,
+    TaskKind,
+    TaskSpec,
+    critical_probability,
+    max_repeaters,
 )
 
 
@@ -70,7 +74,7 @@ class TestStates:
 class TestChannels:
     @pytest.mark.parametrize(
         "channel",
-        [Depolarizing(0.3), Depolarizing(4 / 3), Erasure(0.7), Thermal(0.9, 0.3)],
+        [Depolarizing(0.3), Depolarizing(4 / 3), Thermal(0.9, 0.3)],
     )
     def test_kraus_completeness(self, channel):
         assert kraus_completeness_defect(channel) < 1e-12
@@ -79,15 +83,7 @@ class TestChannels:
         with pytest.raises(ValueError):
             Depolarizing(1.4)
         with pytest.raises(ValueError):
-            Erasure(-0.1)
-        with pytest.raises(ValueError):
             Thermal(1.2, 0.0)
-
-    def test_erasure_pair(self):
-        out = apply_pair_channel(make_isotropic(0.8), Erasure(0.9))
-        assert isinstance(out, ErasureOutcome)
-        assert out.p_both_arrive == pytest.approx(0.81)
-        assert np.allclose(out.conditional_state.matrix, make_isotropic(0.8).matrix)
 
     def test_depol_pair_preserves_trace(self):
         rng = np.random.default_rng(7)
@@ -195,11 +191,6 @@ class TestMeasures:
         assert tf.classical == pytest.approx(2 / 3)
         assert teleport_fidelity(0.5, d=2).quantum == pytest.approx(2 / 3)
 
-    def test_tilted_chsh(self):
-        b = tilted_chsh_bounds(TiltedChshParams(1.0, 0.0))
-        assert b.local == pytest.approx(2.0)
-        assert b.quantum == pytest.approx(2 * math.sqrt(2))
-
     def test_separability_threshold(self):
         assert isotropic_separable(1 / 3)
         assert not isotropic_separable(0.34)
@@ -213,3 +204,85 @@ class TestMeasures:
         assert m.N >= -1e-10
         assert m.M >= -1e-10
         assert concurrence(state) >= 0.0
+
+
+def _bracket(gamma):
+    """Visibilities just below and just above gamma."""
+    return gamma * (1 - 1e-9), gamma * (1 + 1e-9)
+
+
+def _singlet_fraction(lam, d):
+    """Singlet fraction (lam (d^2 - 1) + 1) / d^2 of the d x d isotropic state."""
+    return (lam * (d * d - 1) + 1) / (d * d)
+
+
+class TestThresholdOracle:
+    """Each repeater threshold, read from TaskSpec, checked on isotropic states."""
+
+    def test_chsh_threshold_is_horodecki_m(self):
+        # Horodecki, Horodecki & Horodecki, Phys. Lett. A 200, 340 (1995): M > 1
+        below, above = _bracket(TaskSpec(TaskKind.CHSH).threshold())
+        assert horodecki_measures(make_isotropic(below)).M < 1
+        assert horodecki_measures(make_isotropic(above)).M > 1
+
+    @pytest.mark.parametrize("task", [TaskSpec(TaskKind.TELEPORTATION),
+                                      TaskSpec(TaskKind.ENTANGLEMENT)],
+                             ids=["teleportation", "entanglement"])
+    def test_one_third_thresholds(self, task):
+        below, above = _bracket(task.threshold())
+        for lam, useful in ((below, False), (above, True)):
+            state = make_isotropic(lam)
+            tf = teleport_fidelity(fidelity_psi_plus(state))
+            assert isotropic_separable(lam) is not useful
+            assert (concurrence(state) > 0) is useful
+            assert (horodecki_measures(state).N > 1) is useful
+            assert (tf.quantum > tf.classical) is useful
+
+    def test_entanglement_threshold_exact(self):
+        # feasible means lam > gamma; the oracle agrees at float resolution
+        gamma = TaskSpec(TaskKind.ENTANGLEMENT).threshold()
+        for lam in (math.nextafter(gamma, 0), gamma, math.nextafter(gamma, 1)):
+            assert (lam > gamma) is not isotropic_separable(lam)
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_critical_probability(self, d):
+        # Horodecki & Horodecki, PRA 59, 4206 (1999): separable iff p <= 1/d
+        p_c = critical_probability(TaskKind.ENTANGLEMENT, d)
+        lam_c = (d * d * p_c - 1) / (d * d - 1)
+        below, above = _bracket(lam_c)
+        assert isotropic_separable(below, d)
+        assert not isotropic_separable(above, d)
+        p_c = critical_probability(TaskKind.TELEPORTATION, d)
+        below, above = _bracket(p_c)
+        assert teleport_fidelity(below, d).quantum < teleport_fidelity(below, d).classical
+        assert teleport_fidelity(above, d).quantum > teleport_fidelity(above, d).classical
+        # both bounds are strict: at exactly 1/d neither task succeeds
+        assert teleport_fidelity(p_c, d).quantum <= teleport_fidelity(p_c, d).classical
+
+    @pytest.mark.parametrize("d", [3, 7])
+    def test_critical_probability_strict(self, d):
+        # lam = 1/(d + 1) is a float here, and its singlet fraction is 1/d
+        lam = 1 / (d + 1)
+        p_c = critical_probability(TaskKind.ENTANGLEMENT, d)
+        assert _singlet_fraction(lam, d) == p_c
+        assert isotropic_separable(lam, d)
+        assert not isotropic_separable(math.nextafter(lam, 1), d)
+
+    def test_separable_exact(self):
+        # the seven floats nearest 1/(d + 1), judged by p <= 1/d in exact arithmetic
+        for d in range(2, 200):
+            lams = [1 / (d + 1)]
+            for _ in range(3):
+                lams = [math.nextafter(lams[0], 0), *lams, math.nextafter(lams[-1], 1)]
+            for lam in lams:
+                exact = _singlet_fraction(Fraction(lam), d) <= Fraction(1, d)
+                assert isotropic_separable(lam, d) is exact, (d, lam)
+
+    @pytest.mark.parametrize("lam", [0.16, 0.2, 0.3, 1 / 3])
+    def test_appendix_h_mode_below_one_third(self, lam):
+        # paper-appendix-h accepts a direct link the oracle finds separable
+        task = TaskSpec(TaskKind.ENTANGLEMENT, entanglement_mode=EntanglementMode.PAPER_APPENDIX_H)
+        assert task.threshold() < lam
+        assert max_repeaters(lam, 1.0, task) == 0
+        assert isotropic_separable(lam)
+        assert concurrence(make_isotropic(lam)) == 0

@@ -104,8 +104,8 @@ class TestCallSites:
     @pytest.mark.parametrize("call,message", [
         (lambda: repeater.max_length_lattice(2, 0, 0.5), "alpha must be > 0"),
         (lambda: repeater.max_length_lattice(math.nan, 0.051, 0.5), "f must be > 0"),
-        (lambda: repeater.zero_key_window(0.9, math.nan, 2, 0.7), "q must be in (0, 1]"),
-        (lambda: repeater.zero_key_window(0.9, 0.9, -1, 0.7), "n must be >= 0"),
+        (lambda: repeater.zero_key_window(math.nan, 2, 0.7), "q must be in (0, 1]"),
+        (lambda: repeater.zero_key_window(0.9, -1, 0.7), "n must be >= 0"),
         (lambda: repeater.required_f_diqkd(0.04, 25.0, 10, 0.01, 1, math.nan), "gamma must be in (0, 1]"),
         (lambda: repeater.required_f_diqkd(0.04, 25.0, 10, math.nan, 1, 0.7), "p_mem must be in [0, 1]"),
     ], ids=["lattice-alpha-0", "lattice-f-nan", "window-q-nan", "window-n-negative",

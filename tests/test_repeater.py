@@ -17,7 +17,6 @@ from qnetlim.repeater import (
     Unbounded,
     chain_visibility,
     critical_length_time_bound,
-    critical_probability,
     critical_visibility_diqkd,
     f_fold_bound,
     max_length_lattice,
@@ -173,20 +172,20 @@ class TestMaxRepeaters:
 
 class TestZeroKeyWindow:
     def test_single_repeater(self):
-        win = zero_key_window(0.0, 1.0, 1, math.pi / 4)
+        win = zero_key_window(1.0, 1, math.pi / 4)
         gamma = critical_visibility_diqkd(math.pi / 4)
         assert win[0] == pytest.approx(gamma)
         assert win[1] == pytest.approx(math.sqrt(gamma), abs=1e-12)
 
     def test_no_repeater_empty(self):
-        assert zero_key_window(0.0, 1.0, 0, math.pi / 4) == Empty()
+        assert zero_key_window(1.0, 0, math.pi / 4) == Empty()
 
     def test_clamped_upper(self):
-        win = zero_key_window(0.0, 0.5, 3, math.pi / 4)
+        win = zero_key_window(0.5, 3, math.pi / 4)
         assert win[1] == 1.0
 
     def test_midpoint_semantics(self):
-        win = zero_key_window(0.0, 1.0, 1, math.pi / 4)
+        win = zero_key_window(1.0, 1, math.pi / 4)
         mid = 0.5 * (win[0] + win[1])
         gamma = critical_visibility_diqkd(math.pi / 4)
         # single link feasible, chain infeasible
@@ -258,14 +257,3 @@ class TestAlphaBound:
     def test_large_n_limit(self):
         got = nqi_alpha_bound(952, 10**6, 1.0)
         assert got == pytest.approx(math.log(3) / 952, rel=1e-6)
-
-
-class TestCriticalProbability:
-    def test_values(self):
-        tel = critical_probability(TaskKind.TELEPORTATION, 2)
-        ent = critical_probability(TaskKind.ENTANGLEMENT, 4)
-        assert (tel.value, tel.strict) == (0.5, True)
-        assert (ent.value, ent.strict) == (0.25, False)
-        both2 = [critical_probability(k, 2) for k in (TaskKind.TELEPORTATION, TaskKind.ENTANGLEMENT)]
-        assert both2[0].value == both2[1].value
-        assert both2[0].strict != both2[1].strict
