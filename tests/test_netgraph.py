@@ -1123,6 +1123,13 @@ class TestCentralityOracle:
         assert exact.all()
         assert np.array_equal(counts, total)
 
+    def test_airport_every_node(self, airport_network):
+        # sha256 of the "id,tau" lines of all 3463 airports, in node order
+        tau = centrality_all(airport_network, 0.1)
+        text = "".join(f"{v},{tau[v]}\n" for v in airport_network.nodes)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "42abba5f4af1145f7dc6071629b822e555f79d1ab02c2682bfafcdeb10fb7762")
+
 
 def force_pool(monkeypatch, workers, elements=1 << 8):
     """Make centrality_all fork workers over blocks of a few sources, whatever its size."""
