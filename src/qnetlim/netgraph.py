@@ -5,7 +5,7 @@ w = -log2 p, and a path weighs the sum of its edge weights. One rule,
 with no epsilon, decides what p_star admits: an edge is usable when its
 w <= -log2 p_star, and a pair of nodes is task-connected when its best
 path weighs d <= -log2 p_star. Every metric reads it through _budget, and
-every edge test but evolve's decay law is the mask _strong. A usable
+every edge test is the mask _strong or, in evolve, its rule. A usable
 edge is a path within budget, so it always counts cooperatively too.
 Neither p nor 2**(-d) is compared with p_star: an edge of p just below
 p_star can weigh exactly -log2 p_star, and 2**(-d) is a path's
@@ -550,21 +550,21 @@ def centrality_all(net: Network, p_star: float) -> Dict[NodeId, int]:
     in path order, with ties going to the lexicographically smallest
     node-id sequence.
 
-    Sources are swept a block at a time over net with its nodes in id
-    order (net itself when they already are), so that paths compare as
-    index sequences. _distances gives those within the budget; the
-    tight edges (d[u] + w == d[v], exactly) form a DAG. When all tight
-    predecessors of every reached node share one hop depth, a node's
-    canonical parent is the predecessor whose path sorts first, so the
-    canonical tree grows one hop level at a time, each level ranked in path
-    order by (rank of parent, id). Subtree sizes over the targets after the
-    source then give the interior counts: the single-predecessor form of
-    Brandes' dependency accumulation (J. Math. Sociol. 25(2), 2001). A
-    source falls back to _lex_dijkstra when some reached node cannot be
-    placed on a level: its tight predecessors differ in hop depth, or a
-    step that leaves the distance unchanged (p = 1, or a weight lost to
-    rounding) makes the tight edges cyclic. The choice depends only on the
-    weights.
+    Sources are swept a block at a time over net with its nodes in id order
+    (net itself when they already are), so that paths compare as index
+    sequences. _distances gives those within the budget; the tight edges
+    (d[u] + w == d[v], exactly) form a DAG. When all tight predecessors of
+    every reached node share one hop depth, a node's canonical parent is
+    the predecessor whose path sorts first, so the canonical tree grows one
+    hop level at a time: read in (parent path order, id) order, a child's
+    first tight edge has its parent as tail. Subtree sizes over the targets
+    after the source then give the interior counts: the single-predecessor
+    form of Brandes' dependency accumulation (J. Math. Sociol. 25(2),
+    2001). A source falls back to _lex_dijkstra when some reached node
+    cannot be placed on a level: its tight predecessors differ in hop
+    depth, or a step that leaves the distance unchanged (p = 1, or a weight
+    lost to rounding) makes the tight edges cyclic. The choice depends only
+    on the weights.
 
     A sweep of at least _FORK_ELEMENTS (sources x directed edges) runs its
     blocks in forked worker processes, one per usable core and at most
@@ -635,7 +635,8 @@ def _canonical_sweep(
     g is a network whose nodes are in id order, graph is the _graph of
     its edges and weights, and sources and the nodes of the counts are
     g.index positions. Returns the counts summed over the sources the
-    sweep resolves exactly, and the mask of those sources.
+    sweep resolves exactly, and the mask of those sources. A placed
+    child's parent is the tail of its first tight edge.
     """
     tail, head, w = g.tail, g.head, g.w
     n = g.n_nodes
@@ -647,11 +648,9 @@ def _canonical_sweep(
     du = np.take(dist, tail, axis=1)
     du += w
     tight = np.take(dist, head, axis=1) == du
-    hit = np.flatnonzero(tight)
-    per_row = tight.sum(axis=1)
-    edge = hit - np.repeat(np.arange(rows) * len(w), per_row)
-    offset = np.repeat(np.arange(rows) * n, per_row)
-    tails, heads = offset + tail[edge], offset + head[edge]
+    # the tight edges as flat rows x n entries, sorted by tail like g's CSR
+    row, edge = np.divmod(np.flatnonzero(tight), len(w))
+    tails, heads = row * n + tail[edge], row * n + head[edge]
     size = rows * n
     indeg = np.bincount(heads, minlength=size)
     out_ptr = np.zeros(size + 1, np.int64)
@@ -664,19 +663,19 @@ def _canonical_sweep(
     for level in range(1, n):
         first = out_ptr[frontier]
         fan = out_ptr[frontier + 1] - first
-        rank = np.repeat(np.arange(len(frontier)), fan)
-        at = np.arange(len(rank))
-        out = heads[np.repeat(first - np.cumsum(fan) + fan, fan) + at]
+        at = np.arange(fan.sum())
+        idx = np.repeat(first - np.cumsum(fan) + fan, fan) + at
+        out = heads[idx]
         # out runs in (parent path order, child id) order, so a child's
-        # first hit names its parent, and first hits are in path order
+        # first hit is the tight edge from its parent, in path order
         tag = level * len(heads) - at
         np.maximum.at(latest, out, tag)
-        firsts = np.flatnonzero(latest[out] == tag)
-        hits = np.bincount(out, minlength=size)
-        child = out[firsts]
+        firsts = idx[latest[out] == tag]
+        hits = np.bincount(out)
+        child = heads[firsts]
         # only a child whose tight predecessors all sit on this level
         whole = hits[child] == indeg[child]
-        child, parent = child[whole], frontier[rank[firsts[whole]]]
+        child, parent = child[whole], tails[firsts[whole]]
         if not child.size:
             break
         levels.append((child, parent))
@@ -902,14 +901,14 @@ def evolve(
 ) -> List[Tuple[Network, float]]:
     """Discrete-time decay p(t+1) = w exp(-k t) p(t), edges closing at p_star.
 
-    An edge whose updated probability would not stay above p_star closes
-    permanently (probability 0, removed). Returns the network and its
-    cooperative link sparsity for t = 1 .. steps, starting from the given
-    network at t = 1; none for steps = 0.
+    An edge closes permanently (probability 0, removed) once its updated
+    weight -log2 p leaves the -log2 p_star budget, the rule of _strong.
+    Returns the network and its cooperative link sparsity for t = 1 ..
+    steps, starting from the given network at t = 1; none for steps = 0.
     """
     EVOLVE_W.check("w", w)
     EVOLVE_K.check("k", k)
-    P_STAR.check("p_star", p_star)
+    budget = _budget(p_star)
     current, out = net, []
     for t in range(steps):
         if t:
@@ -917,7 +916,7 @@ def evolve(
             new_edges = {}
             for key, p in current.edges.items():
                 p_next = factor * p
-                if p_next > p_star:
+                if p_next > 0.0 and -math.log2(p_next) <= budget:
                     new_edges[key] = p_next
             current = Network(current.nodes, new_edges)
         out.append((current, link_sparsity(current, p_star, StrategyKind.COOPERATIVE)))
@@ -930,23 +929,21 @@ def evolve(
 
 
 def load_edge_list(path) -> Network:
-    """Read `node_a,node_b,p` records; `#` starts a comment line."""
-    nodes: List[NodeId] = []
-    seen = set()
+    """Read UTF-8 `node_a,node_b,p` records; `#` starts a comment line.
+
+    A malformed record raises ValueError naming its file and line."""
     edges = []
-    with open(path) as fh:
-        for raw in fh:
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            a, b, p = line.split(",")
-            a, b = a.strip(), b.strip()
-            for v in (a, b):
-                if v not in seen:
-                    seen.add(v)
-                    nodes.append(v)
-            edges.append((a, b, float(p)))
-    return Network(nodes, edges)
+            try:
+                a, b, p = (field.strip() for field in line.split(","))
+                edges.append((a, b, float(p)))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: malformed edge record ({exc})")
+    return Network(dict.fromkeys(v for a, b, _ in edges for v in (a, b)), edges)
 
 
 def save_edge_list(net: Network, path) -> None:

@@ -41,8 +41,8 @@ def edge_table(items: Iterable[Tuple[NodeId, NodeId, float]], nodes: Collection[
 
 
 def write_edge_list(edges: Edges, path) -> None:
-    """Writes `node_a,node_b,p` records, sorted by edge, under a `#` header."""
-    with open(path, "w") as fh:
+    """Writes `node_a,node_b,p` records in UTF-8, sorted by edge, under a `#` header."""
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("# node_a,node_b,p\n")
         fh.writelines(f"{a},{b},{p}\n" for (a, b), p in sorted(edges.items()))
 

@@ -146,7 +146,7 @@ class TestExitCodes:
         assert (code, data_rows(out)) == (0, ["t,edges,cooperative_link_sparsity"])
 
     @pytest.mark.parametrize("text,err", [
-        ("a,b\n", "bad graph file: not enough values"),
+        ("a,b\n", "bad.edges:1: malformed edge record (not enough values"),
         ("a,b,1.5\n", "bad graph file: edge probability"),
         ("a,b,0.5\nb,b,0.5\n", "bad graph file: self-loop on node 'b'"),
     ])
@@ -156,6 +156,19 @@ class TestExitCodes:
         code, out, stderr = run_cli(capsys, "graph", "--in", str(f))
         assert (code, out) == (1, "")
         assert err in stderr
+
+    @pytest.mark.parametrize("text,line,why", [
+        ("a,b,0.5\n1,2\n", 2, "not enough values to unpack (expected 3, got 2)"),
+        ("# node_a,node_b,p\na,b,0.5\n\nb,c,high\n", 4, "could not convert string to float: 'high'"),
+        ("a,b,0.5,0.7\n", 1, "too many values to unpack"),
+    ])
+    def test_malformed_record_names_its_line(self, capsys, tmp_path, text, line, why):
+        f = tmp_path / "bad.edges"
+        f.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "graph", "--in", str(f))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: bad graph file: {f}:{line}: malformed edge record ({why}")
+        assert err.endswith(")\n") and err.count("\n") == 1
 
     def test_path_unknown_node(self, capsys, edge_file):
         code, out, err = run_cli(

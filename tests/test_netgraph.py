@@ -1541,6 +1541,16 @@ class TestEvolve:
             # closed edges never reopen
             assert set(g2.edges) <= set(g1.edges)
 
+    def test_edge_landing_on_the_budget_stays(self):
+        # at t = 2, p = 0.5 * 0.5 is exactly p* = 0.25: it weighs 2 bits, the
+        # budget, so the edge stays as _strong would keep it; at t = 3 it weighs 3
+        seq = evolve(Network([0, 1], [(0, 1, 0.5)]), 0.5, 0.0, 0.25, 3)
+        assert seq[1][0].edges == {(0, 1): 0.25}
+        assert ng._strong(seq[1][0], 0.25).all()
+        assert seq[2][0].n_edges == 0
+        # a decay that underflows p to 0 closes the edge
+        assert evolve(Network([0, 1], [(0, 1, 0.5)]), 0.5, 1000.0, 0.25, 2)[1][0].n_edges == 0
+
     def test_sparsity_nondecreasing(self):
         rng = random.Random(31)
         for _ in range(10):
@@ -1557,6 +1567,13 @@ class TestIO:
         save_edge_list(net, path)
         back = load_edge_list(path)
         assert back.edges == net.edges
+
+    def test_utf8_ids(self, tmp_path):
+        net = Network(["Zürich", "Genève"], [("Zürich", "Genève", 0.5)])
+        path = tmp_path / "g.edges"
+        save_edge_list(net, path)
+        assert path.read_bytes().decode("utf-8").endswith("Genève,Zürich,0.5\n")
+        assert load_edge_list(path).edges == net.edges
 
     def test_comments_ignored(self, tmp_path):
         path = tmp_path / "g.edges"
