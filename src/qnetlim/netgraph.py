@@ -13,13 +13,18 @@ probability only up to rounding (for p = 0.07 it gives
 0.06999999999999999).
 
 Every multi-source shortest-path pass comes from _distances, over a graph
-that _graph builds from edge arrays and whose engine it picks from them. A
-graph whose edges all weigh the same gets a breadth-first pass in numpy,
-exact because every path of k hops then weighs the same float, when that
-pass's memory and work are within _NUMPY_ELEMENTS; only other graphs, and
-construct_network's maximum flow, import scipy, whose ~0.4 s import is
-most of a small network's run. The reference topologies come from the
-numpy-free topology module, and are re-exported here.
+that _graph builds from edge arrays and whose engine it picks from them.
+The numpy pass runs a bit-parallel breadth-first pass over the edges of
+the most common weight, each path of k such hops weighing the same float,
+then repairs from the other edges, by relaxation, to exactly the floats
+Dijkstra gives. A graph gets it when its work, which grows with the other
+edges, is within _NUMPY_ELEMENTS: equal weights, the airport snapshot and
+lattices with a few odd edges. Only other graphs, such as those of random
+p, and construct_network's maximum flow import scipy, whose ~0.4 s import
+is most of a small network's run. The pass reads each CSR row as the
+node's in-edges, which holds because every caller passes both directions
+of each edge. The reference topologies come from the numpy-free topology
+module, and are re-exported here.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import math
 import os
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -62,15 +67,19 @@ def _strong(net: Network, p_star: float) -> np.ndarray:
     return net.w <= _budget(p_star)
 
 
-# the most distances (nodes^2) a numpy pass holds and the most work (reach x
-# stored entries) it does: a shortest-path graph whose edges all weigh the
-# same and whose pass is within both is settled in numpy, any other in scipy
-# (see _graph). The pass reaches one hop level per round, in every row at
-# once, and visits each entry it reaches once, so its rounds are fewer than
-# reach: below the bound at most 1447, on the 1448-node path. Square1024
-# (1024 x 3968) is below the bound and the airport snapshot (3463 x 50964,
-# unequal weights) far above. It is below _FORK_ELEMENTS, so a numpy-side
-# centrality sweep never forks.
+# the most work, per lane word of 64 sources, that _distances' numpy pass
+# may do on a graph: any graph within it is settled in numpy, any other in
+# scipy (see _graph). Each round of its breadth-first pass ORs a word per
+# entry of the modal weight, and its repair may relax every other entry once
+# for each of the 64 sources, so the work is (modal entries + 64 x other
+# entries) x rounds, the rounds at most reach and at most what a limit
+# allows. Its state holds a word per node, so nodes count as well. An
+# equal-weight graph needs no repair, and its unbounded passes keep the
+# bound reach x entries: at most 1447 rounds, on the 1448-node path.
+# Square1024 (1024 x 3968) is below it, and so is the airport snapshot
+# (624 of its 50964 entries off the modal weight) at p* = 0.1, whose budget
+# allows 10 rounds. A graph of random p, whose every entry is repaired, is
+# far above.
 _NUMPY_ELEMENTS = 1 << 22
 
 
@@ -166,24 +175,60 @@ class EffectiveMatrices:
     f_star: np.ndarray
 
 
-def _graph(tail: np.ndarray, head: np.ndarray, weight: np.ndarray, n: int, reach: Optional[int] = None):
+class _Hops(NamedTuple):
+    """A _graph on the numpy side: its CSR arrays, split by the modal weight step."""
+
+    ptr: np.ndarray
+    head: np.ndarray
+    weight: np.ndarray
+    step: float
+    # the CSR of the entries that weigh step
+    hop_ptr: np.ndarray
+    hop_head: np.ndarray
+    # the other entries' CSR positions, and their tails
+    odd: np.ndarray
+    odd_tail: np.ndarray
+
+
+def _hops(ptr: np.ndarray, head: np.ndarray, weight: np.ndarray) -> _Hops:
+    """The numpy-side graph of CSR arrays whose weights are positive: their split by the modal weight."""
+    values, counts = np.unique(weight, return_counts=True)
+    # the first of any tie; +inf, which no pass adds, without entries
+    step = float(values[counts.argmax()]) if len(values) else math.inf
+    modal = weight == step
+    n = len(ptr) - 1
+    tail = np.repeat(np.arange(n), np.diff(ptr))
+    odd = np.flatnonzero(~modal)
+    return _Hops(ptr, head, weight, step, np.searchsorted(tail[modal], np.arange(n + 1)),
+                 head[modal], odd, tail[odd])
+
+
+def _graph(
+    tail: np.ndarray, head: np.ndarray, weight: np.ndarray, n: int, reach: Optional[int] = None,
+    limit: float = math.inf,
+):
     """The shortest-path graph of the edges tail -> head over nodes 0 .. n - 1.
 
     The edges come sorted by tail, and the graph's edges leaving node i
     are head[ptr[i]:ptr[i + 1]]. Weight 0 (p = 1) is stored as the smallest
     positive float: zero-weight edges need an explicit entry, and csr drops
-    stored zeros on some ops. Equal weights whose numpy pass holds at most
-    _NUMPY_ELEMENTS distances (n x n) and does at most that much work (reach
-    x entries, reach being the most nodes one source reaches: n, or k for a
-    block of k-node subgraphs) give the CSR arrays (ptr, head, weight), for
-    _distances' numpy pass; any other graph gives a scipy csr_matrix, built
-    once for every pass _distances makes over it.
+    stored zeros on some ops. The graph is a _Hops, for _distances' numpy
+    pass, when that pass's work per lane word of 64 sources is within
+    _NUMPY_ELEMENTS: (modal entries + 64 x other entries) x rounds, the
+    rounds being at most reach (the most nodes one source reaches: n, or k
+    for a block of k-node subgraphs) and, for passes bounded by limit, at
+    most limit / step. Its state holds a word per node, so n counts as
+    well. Any other graph gives a scipy csr_matrix. Either is built once
+    for every pass _distances makes over it within limit.
     """
     ptr = np.searchsorted(tail, np.arange(n + 1))
     weight = np.where(weight > 0.0, weight, 5e-324)
-    equal = not len(weight) or weight.min() == weight.max()
-    if equal and max(n * n, (reach or n) * len(head)) <= _NUMPY_ELEMENTS:
-        return ptr, head, weight
+    graph = _hops(ptr, head, weight)
+    rounds = reach or n
+    if limit < math.inf:
+        rounds = min(rounds, limit / graph.step)
+    if max(n, rounds * (len(graph.hop_head) + 64 * len(graph.odd))) <= _NUMPY_ELEMENTS:
+        return graph
     from scipy.sparse import csr_matrix
 
     return csr_matrix((weight, head, ptr), shape=(n, n))
@@ -193,47 +238,124 @@ def _distances(graph, *, sources: Optional[np.ndarray] = None, limit: float = ma
     """Least path weight from each source (default: every node) to every node of a _graph.
 
     Rows follow sources; a node farther than limit reads +inf and one at
-    exactly limit is kept, as scipy keeps it. A scipy matrix goes to
-    scipy's Dijkstra. CSR arrays, whose weights must all be equal (else
-    ValueError), go to a breadth-first pass in numpy over every row at
-    once, one hop level per round, that gives the same floats: every k-hop
-    path, summed hop by hop as Dijkstra sums it, adds the same weight w in
-    the same order, so all of them weigh d_k = fl(d_(k-1) + w). Rounding
-    is monotone, so d_k never falls as k grows, and the fewest hops give
-    the least weight. The pass stops at the first level with d_k > limit.
+    exactly limit is kept, as scipy keeps it. A 2-D sources gives a row
+    per row of sources, whose sources must lie in separate components:
+    each node reads its distance from the row's source in its own. A scipy
+    matrix goes to scipy's Dijkstra. A _Hops goes to a numpy pass that
+    gives the same floats in three steps. _hop_levels finds each node's
+    hop level h over the entries of the modal weight w0, reading each CSR
+    row as the node's in-edges: every caller passes both directions of
+    each edge. The node then reads D[h], with D[0] = 0 and D[h] =
+    fl(D[h - 1] + w0), summed hop by hop as Dijkstra sums. _repair then
+    relaxes from the entries of other weights. This is exact:
+
+    - each D[h] is the weight of a real path, so it bounds the distance
+      from above;
+    - no w0 entry u -> v can lower D[h(v)], as h(v) <= h(u) + 1 and D
+      never decreases;
+    - relaxation from upper bounds that real paths reach ends at the
+      least hop-by-hop float sum, which is the float Dijkstra returns:
+      rounding is monotone, fl(a + w) >= a and never falls as a grows;
+    - a sum over limit is never admitted, as sums only grow along a path.
+
+    An equal-weight graph has no other entries, so it needs no repair.
     """
     if not isinstance(graph, tuple):
         from scipy.sparse.csgraph import dijkstra
 
-        return dijkstra(graph, indices=sources, limit=limit)
-    ptr, head, weight = graph
-    if len(weight) and weight.min() != weight.max():
-        raise ValueError("the numpy distance pass needs equal edge weights")
-    n = len(ptr) - 1
-    sources = np.arange(n) if sources is None else np.asarray(sources, np.int64)
-    dist = np.full(len(sources) * n, math.inf)
-    # entries of the flat rows x n array reached at the current level
-    level = np.arange(len(sources)) * n + sources
-    degree = np.diff(ptr)
-    step = float(weight[0]) if len(weight) else math.inf
-    d = 0.0
-    while level.size:
-        dist[level] = d
-        d += step
-        if d > limit:
+        if sources is None or np.ndim(sources) == 1:
+            return dijkstra(graph, indices=sources, limit=limit)
+        lanes = np.asarray(sources)
+        rows = dijkstra(graph, indices=lanes.ravel(), limit=limit)
+        return rows.reshape(*lanes.shape, -1).min(axis=1)
+    n = len(graph.ptr) - 1
+    lanes = np.arange(n) if sources is None else np.asarray(sources, np.int64)
+    if lanes.ndim == 1:
+        lanes = lanes[:, None]
+    level, table = _hop_levels(graph, lanes, limit)
+    dist = table[level]
+    if len(graph.odd):
+        _repair(graph, dist, limit)
+    return dist
+
+
+def _hop_levels(graph: _Hops, lanes: np.ndarray, limit: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Per lane and node, the index into table of the node's hop level over graph's step entries.
+
+    A bit-parallel breadth-first pass from every lane's sources at once
+    (Then et al., PVLDB 8(4), 2014): bit j % 64 of word j // 64 of a
+    node's row stands for lane j, and each round ORs the frontier rows
+    along the node's CSR row, read as its in-edges. table[h] is the
+    weight of h steps summed hop by hop; the pass stops before the first
+    level that weighs more than limit, and a node it leaves unreached
+    reads the last entry, +inf.
+    """
+    ptr, head, step = graph.hop_ptr, graph.hop_head, graph.step
+    n, k = len(ptr) - 1, len(lanes)
+    frontier = np.zeros((n, -(-k // 64)), np.uint64)
+    lane = np.repeat(np.arange(k), lanes.shape[1])
+    np.bitwise_or.at(frontier, (lanes.ravel(), lane // 64), np.uint64(1) << (lane % 64).astype(np.uint64))
+    unseen = ~frontier
+    rows = np.flatnonzero(np.diff(ptr))
+    starts = ptr[rows]
+    # planes[b] holds bit b of every entry's level, written once per entry
+    planes: List[np.ndarray] = []
+    table = [0.0]
+    while rows.size and table[-1] + step <= limit:
+        reached = np.zeros_like(frontier)
+        reached[rows] = np.bitwise_or.reduceat(np.take(frontier, head, axis=0), starts, axis=0)
+        reached &= unseen
+        if not reached.any():
             break
-        u = level % n
+        unseen ^= reached
+        table.append(table[-1] + step)
+        _write_level(planes, reached, len(table) - 1)
+        frontier = reached
+    table.append(math.inf)
+    _write_level(planes, unseen, len(table) - 1)
+    level = np.zeros((n, k), np.min_scalar_type(len(table)))
+    for bit, plane in enumerate(planes):
+        flags = np.unpackbits(plane.astype("<u8", copy=False).view(np.uint8), axis=1, count=k, bitorder="little")
+        flags = flags.astype(level.dtype, copy=False)
+        level |= np.left_shift(flags, bit, out=flags)
+    return np.ascontiguousarray(level.T), np.array(table)
+
+
+def _write_level(planes: List[np.ndarray], entries: np.ndarray, level: int) -> None:
+    """Give the entries set in entries the level: OR them into the planes of its set bits."""
+    for bit in range(level.bit_length()):
+        if bit == len(planes):
+            planes.append(np.zeros_like(entries))
+        if level >> bit & 1:
+            planes[bit] |= entries
+
+
+def _repair(graph: _Hops, dist: np.ndarray, limit: float) -> None:
+    """Lower dist in place, in rounds, to the least path sums within limit.
+
+    The first round relaxes the entries that do not weigh graph.step, in
+    every row; each later round relaxes the entries leaving the row
+    entries the round before changed. It ends when a round changes none.
+    """
+    ptr, head, weight = graph.ptr, graph.head, graph.weight
+    rows, n = dist.shape
+    flat = dist.ravel()
+    at = (np.arange(rows)[:, None] * n + head[graph.odd]).ravel()
+    cand = (dist[:, graph.odd_tail] + weight[graph.odd]).ravel()
+    degree = np.diff(ptr)
+    while True:
+        keep = (cand < flat[at]) & (cand <= limit)
+        at, cand = at[keep], cand[keep]
+        if not at.size:
+            return
+        np.minimum.at(flat, at, cand)
+        changed = np.unique(at)
+        u = changed % n
         count = degree[u]
         ends = np.cumsum(count)
-        k = np.arange(ends[-1]) + np.repeat(ptr[u] - ends + count, count)
-        at = np.repeat(level - u, count) + head[k]
-        at = at[dist[at] == math.inf]
-        # each newly reached entry once: it holds the last stamp written to
-        # it, -slot, until the next round writes its distance
-        stamp = -np.arange(len(at), dtype=float)
-        dist[at] = stamp
-        level = at[dist[at] == stamp]
-    return dist.reshape(len(sources), n)
+        idx = np.arange(ends[-1]) + np.repeat(ptr[u] - ends + count, count)
+        at = np.repeat(changed - u, count) + head[idx]
+        cand = np.repeat(flat[changed], count) + weight[idx]
 
 
 # the one cached all-pairs pass: (network, p_star) -> (limit, distances)
@@ -261,7 +383,8 @@ def _best_weights(net: Network, p_star: float, full: bool = False) -> np.ndarray
         entry = None  # not held through the next pass
         _BEST_WEIGHTS.clear()
         keep = _strong(net, p_star)
-        dist = _distances(_graph(net.tail[keep], net.head[keep], net.w[keep], net.n_nodes), limit=limit)
+        graph = _graph(net.tail[keep], net.head[keep], net.w[keep], net.n_nodes, limit=limit)
+        dist = _distances(graph, limit=limit)
         dist.flags.writeable = False
         entry = _BEST_WEIGHTS[net, p_star] = (limit, dist)
     return entry[1]
@@ -481,10 +604,10 @@ def _neighbor_metrics(
             a, b = slot * k + i[pair], slot * k + j[pair]
             tails = np.r_[a, b]
             by_tail = np.argsort(tails, kind="stable")
-            dist = _distances(_graph(tails[by_tail], np.r_[b, a][by_tail], np.r_[w, w][by_tail],
-                                     len(group) * k, k))
-            r = np.arange(len(group))
-            blocks = dist.reshape(len(r), k, len(r), k)[r, :, r, :]
+            graph = _graph(tails[by_tail], np.r_[b, a][by_tail], np.r_[w, w][by_tail], len(group) * k, k)
+            # lane a holds node a of every subgraph: dist[a, s * k + b] is subgraph s's a -> b
+            dist = _distances(graph, sources=np.arange(len(group) * k).reshape(len(group), k).T)
+            blocks = dist.reshape(k, len(group), k).transpose(1, 0, 2)
             for g, off in zip(group, blocks[:, off_diagonal]):
                 w_avg[g] = _mean_weight(off)
     return clustering, w_avg
@@ -524,11 +647,11 @@ def centrality(net: Network, v: NodeId, p_star: float) -> int:
     return centrality_all(net, p_star)[v]
 
 
-# upper bound on sources x directed edges that centrality_all holds at once,
-# summed over its worker processes
+# upper bound on sources x directed edges that centrality_all's tight-edge
+# passes hold at once, summed over its worker processes
 _SWEEP_ELEMENTS = 1 << 20
 # a sweep over at least this many sources x directed edges runs in forked
-# worker processes; a smaller one is not worth the fork
+# worker processes, on either engine; a smaller one is not worth the fork
 _FORK_ELEMENTS = 1 << 24
 _MAX_WORKERS = 4
 
@@ -570,12 +693,14 @@ def centrality_all(net: Network, p_star: float) -> Dict[NodeId, int]:
     blocks in forked worker processes, one per usable core and at most
     _MAX_WORKERS, where the platform reports its cores (Linux); smaller
     sweeps, and every sweep elsewhere, run in this process. The workers
-    share _SWEEP_ELEMENTS, so a block holds 1/workers of it and the summed
-    working set stays the same. Fallback sources run in this process, in
-    ascending order, as their blocks come back. Blocks are independent and
-    their counts are integers, so the totals do not depend on the split or
-    on the order of summation: source-parallel Brandes, as in Bader and
-    Madduri (ICPP 2006).
+    share _SWEEP_ELEMENTS: a block's tight-edge passes take as many
+    sources at once as 1/workers of it holds, so the summed working set
+    stays the same, and its one distance pass takes the whole block, up to
+    a lane word of 64 sources whose distances fit in that share. Fallback
+    sources run in this process, in ascending order, as their blocks come
+    back. Blocks are independent and their counts are integers, so the
+    totals do not depend on the split or on the order of summation:
+    source-parallel Brandes, as in Bader and Madduri (ICPP 2006).
     """
     n = net.n_nodes
     budget = _budget(p_star)
@@ -583,10 +708,12 @@ def centrality_all(net: Network, p_star: float) -> Dict[NodeId, int]:
     g = net if ids == net.nodes else Network(ids, net.edges)
     width = max(len(g.w), n, 1)
     workers = _workers() if (n - 1) * width >= _FORK_ELEMENTS else 1
-    block = max(1, _SWEEP_ELEMENTS // workers // width)
+    rows = max(1, _SWEEP_ELEMENTS // workers // width)
+    # a block's one distance pass fills up to a lane word of 64 sources, within the share
+    block = max(rows, min(64, _SWEEP_ELEMENTS // workers // max(n, 1)))
     blocks = [np.arange(start, min(start + block, n - 1)) for start in range(0, n - 1, block)]
     tau = np.zeros(n, np.int64)
-    sweep = (g, _graph(g.tail, g.head, g.w, n), budget)
+    sweep = (g, _graph(g.tail, g.head, g.w, n, limit=budget), budget, rows)
     for sources, (counts, exact) in zip(blocks, _sweeps(sweep, blocks, workers)):
         tau += counts
         for s in sources[~exact]:
@@ -599,21 +726,23 @@ def centrality_all(net: Network, p_star: float) -> Dict[NodeId, int]:
 
 
 def _sweeps(sweep: tuple, blocks: List[np.ndarray], workers: int):
-    """_canonical_sweep(*sweep, block) over each block, in order: here, or in forked workers."""
+    """_canonical_sweep over each block, rows at a time, in order: here, or in forked workers."""
+    g, graph, budget, rows = sweep
     if workers == 1:
-        yield from (_canonical_sweep(*sweep, sources) for sources in blocks)
+        yield from (_canonical_sweep(g, graph, budget, sources, rows) for sources in blocks)
         return
     import multiprocessing
 
-    # loaded here once rather than once per worker
-    from scipy.sparse import csgraph  # noqa: F401
+    if not isinstance(graph, tuple):
+        # loaded here once rather than once per worker
+        from scipy.sparse import csgraph  # noqa: F401
 
     # the initializer hands the sweep over by fork, never by pickle
     with multiprocessing.get_context("fork").Pool(workers, _adopt, sweep) as pool:
         yield from pool.imap(_pooled_sweep, blocks)
 
 
-# set only inside pool workers, by _adopt: _canonical_sweep's (g, graph, budget)
+# set only inside pool workers, by _adopt: _canonical_sweep's (g, graph, budget, rows)
 _POOLED_SWEEP: tuple = ()
 
 
@@ -624,24 +753,36 @@ def _adopt(*sweep) -> None:
 
 
 def _pooled_sweep(sources: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    return _canonical_sweep(*_POOLED_SWEEP, sources)
+    g, graph, budget, rows = _POOLED_SWEEP
+    return _canonical_sweep(g, graph, budget, sources, rows)
 
 
 def _canonical_sweep(
-    g: Network, graph, budget: float, sources: np.ndarray
+    g: Network, graph, budget: float, sources: np.ndarray, rows: Optional[int] = None
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Interior counts of the canonical paths from a block of sources.
 
     g is a network whose nodes are in id order, graph is the _graph of
     its edges and weights, and sources and the nodes of the counts are
-    g.index positions. Returns the counts summed over the sources the
-    sweep resolves exactly, and the mask of those sources. A placed
-    child's parent is the tail of its first tight edge.
+    g.index positions. One distance pass serves the block, and the tight
+    edges are found rows sources at a time (default: all). Returns the
+    counts summed over the sources the sweep resolves exactly, and the
+    mask of those sources.
+    """
+    dist = _distances(graph, sources=sources, limit=budget)
+    rows = rows or len(sources)
+    parts = [_tree_counts(g, dist[i:i + rows], sources[i:i + rows]) for i in range(0, len(sources), rows)]
+    return sum(counts for counts, _ in parts), np.concatenate([exact for _, exact in parts])
+
+
+def _tree_counts(g: Network, dist: np.ndarray, sources: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """_canonical_sweep's counts and mask from the distances dist of the sources.
+
+    A placed child's parent is the tail of its first tight edge.
     """
     tail, head, w = g.tail, g.head, g.w
     n = g.n_nodes
     rows = len(sources)
-    dist = _distances(graph, sources=sources, limit=budget)
     reached = np.isfinite(dist)
     # nan never compares equal, so edges with an unreached end drop out
     dist[~reached] = np.nan
@@ -933,12 +1074,13 @@ def load_edge_list(path) -> Network:
 
     A malformed record raises ValueError naming its file and line."""
     edges = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
             try:
+                # a byte that is not UTF-8 is a malformed record of its line
+                line = raw.decode("utf-8").strip()
+                if not line or line.startswith("#"):
+                    continue
                 a, b, p = (field.strip() for field in line.split(","))
                 edges.append((a, b, float(p)))
             except ValueError as exc:

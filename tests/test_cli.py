@@ -161,10 +161,15 @@ class TestExitCodes:
         ("a,b,0.5\n1,2\n", 2, "not enough values to unpack (expected 3, got 2)"),
         ("# node_a,node_b,p\na,b,0.5\n\nb,c,high\n", 4, "could not convert string to float: 'high'"),
         ("a,b,0.5,0.7\n", 1, "too many values to unpack"),
+        # Latin-1, not UTF-8
+        (b"a,b,0.5\nZ\xfcrich,b,0.5\n", 2, "'utf-8' codec can't decode byte 0xfc in position 1"),
     ])
     def test_malformed_record_names_its_line(self, capsys, tmp_path, text, line, why):
         f = tmp_path / "bad.edges"
-        f.write_text(text, encoding="utf-8")
+        if isinstance(text, bytes):
+            f.write_bytes(text)
+        else:
+            f.write_text(text, encoding="utf-8")
         code, out, err = run_cli(capsys, "graph", "--in", str(f))
         assert (code, out) == (1, "")
         assert err.startswith(f"error: bad graph file: {f}:{line}: malformed edge record ({why}")
@@ -1178,7 +1183,8 @@ class TestImportHygiene:
 
     @pytest.mark.parametrize("n,scipy_loaded", [(1448, False), (1449, True)])
     def test_rings_either_side_of_the_bound(self, tmp_path, n, scipy_loaded):
-        # a ring holds 2n entries: 1448 * 2896 <= 1 << 22 < 1449 * 2898
+        # graph's unbounded pass over a ring of equal weights does at most n rounds
+        # over its 2n entries: 1448 * 2896 <= 1 << 22 < 1449 * 2898
         edges = str(tmp_path / "ring.edges")
         netgraph.save_edge_list(netgraph.build_topology(netgraph.Circulant(n, 2, 0.9)), edges)
         (loaded,) = loaded_after(["graph", "--in", edges]).values()
@@ -1187,28 +1193,40 @@ class TestImportHygiene:
     @pytest.mark.parametrize("n,scipy_loaded", [(40, False), (95, False), (96, True)])
     def test_meshes_either_side_of_the_bound(self, tmp_path, n, scipy_loaded):
         # critical-nodes' neighbour blocks of g subgraphs of k = n - 1 nodes hold
-        # g k (k - 1) entries, and one source reaches k of their nodes. FullMesh(40):
-        # g = 13, 39 * 19266 <= 1 << 22 < 507 * 19266; FullMesh(95) and (96): g = 5,
-        # 94 * 5 * 94 * 93 <= 1 << 22 < 95 * 5 * 95 * 94
+        # g k (k - 1) entries of equal weight, and their unbounded passes do at most
+        # k rounds. FullMesh(40): g = 13, 39 * 19266 <= 1 << 22 < 507 * 19266;
+        # FullMesh(95) and (96): g = 5, 94 * 5 * 94 * 93 <= 1 << 22 < 95 * 5 * 95 * 94
         edges = str(tmp_path / "mesh.edges")
         netgraph.save_edge_list(netgraph.build_topology(netgraph.FullMesh(n, 0.9)), edges)
         (loaded,) = loaded_after(["critical-nodes", "--in", edges]).values()
         assert loaded[:3] == [0, "numpy", "qnetlim.netgraph"] and ("scipy" in loaded) == scipy_loaded
 
-    def test_unequal_weights_load_scipy(self, tmp_path):
-        # one edge near p = 1 among Square1024's p = 0.9
+    def test_unequal_weights(self, tmp_path):
+        # numpy repairs edges off Square1024's p = 0.9: one on every pass, and ten
+        # on the passes a budget bounds; a random-p grid loads scipy
         net = netgraph.build_topology(netgraph.Square1024(0.9))
-        edges = dict(net.edges)
-        edges[next(iter(edges))] = 0.999999
-        path = str(tmp_path / "sq.edges")
-        netgraph.save_edge_list(netgraph.Network(net.nodes, edges), path)
-        argvs = [["graph", "--in", path], ["critical-nodes", "--in", path]]
-        for loaded in loaded_after(*argvs).values():
+        keys = list(net.edges)
+        rng = random.Random(26)
+        grid = netgraph.build_topology(netgraph.Grid(32, 32, 0.9))
+        files = {
+            "one": netgraph.Network(net.nodes, {**net.edges, keys[0]: 0.999999}),
+            "ten": netgraph.Network(net.nodes, {**net.edges, **dict.fromkeys(keys[::199], 0.8)}),
+            "noisy": netgraph.Network(grid.nodes, {key: rng.uniform(0.5, 1.0) for key in grid.edges}),
+        }
+        for name, graph in files.items():
+            netgraph.save_edge_list(graph, str(tmp_path / f"{name}.edges"))
+        numpy_side = [("graph", "one"), ("critical-nodes", "one"), ("critical-nodes", "ten"),
+                      ("evolve", "ten")]
+        for cmd, name in numpy_side:
+            (loaded,) = loaded_after([cmd, "--in", str(tmp_path / f"{name}.edges")]).values()
+            assert loaded == [0, "numpy", "qnetlim.netgraph"], (cmd, name)
+        for cmd in ("graph", "critical-nodes"):
+            (loaded,) = loaded_after([cmd, "--in", str(tmp_path / "noisy.edges")]).values()
             assert loaded[0] == 0 and "scipy" in loaded
 
-    def test_airport_loads_scipy(self):
+    def test_airport_loads_numpy_not_scipy(self):
         (loaded,) = loaded_after(["airport"]).values()
-        assert loaded[0] == 0 and "scipy" in loaded
+        assert loaded == [0, "numpy", "qnetlim.netgraph"]
 
     def test_package_attribute_imports_netgraph(self):
         code = (

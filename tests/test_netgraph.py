@@ -659,9 +659,19 @@ def scipy_distances(ptr, head, weight, sources=None, limit=math.inf):
     return dijkstra(csr_matrix((weight, head, ptr), shape=(n, n)), indices=sources, limit=limit)
 
 
-def on_numpy(net):
-    """Whether _graph puts net's whole weighted graph on the numpy pass."""
-    return isinstance(ng._graph(net.tail, net.head, net.w, net.n_nodes), tuple)
+def on_numpy(net, limit=math.inf):
+    """Whether _graph puts net's whole weighted graph on the numpy pass, for passes within limit."""
+    return isinstance(ng._graph(net.tail, net.head, net.w, net.n_nodes, limit=limit), tuple)
+
+
+def edge_weights(net, per_edge):
+    """CSR weights from one weight per edge of net, in net.edges order: both directions alike."""
+    return np.repeat(np.asarray(per_edge, float), 2)[net.order]
+
+
+def stored(weight):
+    """Weights as _graph stores them: p = 1 as the smallest positive float."""
+    return np.where(weight > 0.0, weight, 5e-324)
 
 
 # the equal edge weights every numpy-pass test runs each structure at: the
@@ -671,7 +681,11 @@ WEIGHTS = [5e-324, 1e-300, -math.log2(math.nextafter(1.0, 0.0)), -math.log2(0.9)
 
 
 class TestNumpyDistances:
-    """_distances' numpy pass equals scipy's dijkstra bit for bit, inf included, at equal weights."""
+    """_distances' numpy pass equals scipy's dijkstra bit for bit, inf included.
+
+    Every graph is handed to the pass as ng._hops builds it, whatever
+    engine _graph would pick, so exactness does not rest on the rule.
+    """
 
     def networks(self):
         """Structures; each test puts one of WEIGHTS on every edge, and reads p only to restrict."""
@@ -680,7 +694,7 @@ class TestNumpyDistances:
         specs = [Grid(9, 7, 0.9), Grid(6, 6, 1.0), Grid(1, 12, 0.5), Star(12, 0.8), Star(7, 1.0),
                  FullMesh(8, 0.5), FullMesh(6, 1.0), Circulant(40, 2, 0.9), Circulant(31, 2, 0.5),
                  Circulant(24, 5, 0.7), ProcessorCell(CellKind.HEAVY_HEXAGONAL, 0.9),
-                 # every node reaches every other at level 1, so each level's hits collide
+                 # every node reaches every other at level 1
                  FullMesh(40, 0.5)]
         yield from (build_topology(spec) for spec in specs)
         # a ring of seven
@@ -702,20 +716,39 @@ class TestNumpyDistances:
         for net in self.networks():
             yield from ((net, np.full(len(net.head), w)) for w in WEIGHTS)
 
+    def mixed(self):
+        """(network, weight array) for every network with some edges off one of WEIGHTS.
+
+        The others weigh less or more, one ulp either side, or are p = 1;
+        the structures' own p, some all distinct, come last.
+        """
+        rng = random.Random(21)
+        for net in self.networks():
+            for w in WEIGHTS:
+                off = [math.nextafter(w, 0.0), math.nextafter(w, math.inf), w / 2, 2 * w, 3 * w, 0.0]
+                per_edge = [rng.choice(off) if rng.random() < 0.15 else w for _ in net.edges]
+                yield net, stored(edge_weights(net, per_edge))
+            yield net, stored(net.w)
+
     def assert_same(self, ptr, head, weight, sources=None, limit=math.inf):
-        got = ng._distances((ptr, head, weight), sources=sources, limit=limit)
+        got = ng._distances(ng._hops(ptr, head, weight), sources=sources, limit=limit)
         want = scipy_distances(ptr, head, weight, sources, limit)
         assert got.shape == want.shape and np.array_equal(got, want), (weight, sources, limit)
 
+    def assert_every_limit(self, ptr, head, weight, every):
+        # every distance the pass holds, as the limit: kept, and the next float above and below
+        finite = np.unique(every[np.isfinite(every)])
+        for limit in [math.inf, 1.0, 0.3, *finite[:: max(1, len(finite) // 12)]]:
+            for lim in {limit, math.nextafter(limit, 0.0), math.nextafter(limit, math.inf)}:
+                self.assert_same(ptr, head, weight, limit=lim)
+
     def test_all_pairs_at_every_limit(self):
         for net, weight in self.weighted():
-            every = scipy_distances(net.ptr, net.head, weight)
-            finite = np.unique(every[np.isfinite(every)])
-            # every distance the pass holds, as the limit: kept, and the next float above and below
-            limits = [math.inf, 1.0, 0.3, *finite[:: max(1, len(finite) // 12)]]
-            for limit in limits:
-                for lim in {limit, math.nextafter(limit, 0.0), math.nextafter(limit, math.inf)}:
-                    self.assert_same(net.ptr, net.head, weight, limit=lim)
+            self.assert_every_limit(net.ptr, net.head, weight, scipy_distances(net.ptr, net.head, weight))
+
+    def test_mixed_weights_at_every_limit(self):
+        for net, weight in self.mixed():
+            self.assert_every_limit(net.ptr, net.head, weight, scipy_distances(net.ptr, net.head, weight))
 
     def test_distance_equal_to_limit_is_kept(self):
         chain = Network(range(6), [(i, i + 1, 0.5) for i in range(5)])
@@ -726,7 +759,7 @@ class TestNumpyDistances:
             for _ in range(5):
                 level.append(level[-1] + w)
             for k in range(1, 5):
-                dist = ng._distances((chain.ptr, chain.head, weight), limit=level[k])
+                dist = ng._distances(ng._hops(chain.ptr, chain.head, weight), limit=level[k])
                 assert dist[0, :k + 1].tolist() == level[:k + 1] and dist[0, k + 1] == math.inf
                 self.assert_same(chain.ptr, chain.head, weight, limit=level[k])
 
@@ -737,7 +770,7 @@ class TestNumpyDistances:
 
     def test_source_subsets(self):
         rng = random.Random(19)
-        for net, weight in self.weighted():
+        for net, weight in itertools.chain(self.weighted(), self.mixed()):
             n = net.n_nodes
             subsets = [np.arange(n)[::-1], *(np.array(rng.sample(range(n), rng.randint(1, n)))
                                              for _ in range(3))]
@@ -746,20 +779,97 @@ class TestNumpyDistances:
                     self.assert_same(net.ptr, net.head, weight, sources, limit)
 
     def test_restricted_to_usable_edges(self):
-        for net, weight in self.weighted():
+        for net, weight in itertools.chain(self.weighted(), self.mixed()):
             for p_star in (0.85, 0.5, 0.1):
                 keep = net.w <= -math.log2(p_star)
                 ptr = np.searchsorted(net.tail[keep], np.arange(net.n_nodes + 1))
                 self.assert_same(ptr, net.head[keep], weight[keep], limit=-math.log2(p_star))
                 self.assert_same(ptr, net.head[keep], weight[keep])
 
-    def test_unequal_weights_raise(self):
-        chain = Network(range(4), [(0, 1, 0.5), (1, 2, 0.5), (2, 3, 0.5)])
-        for w in WEIGHTS:
-            weight = np.full(len(chain.head), w)
-            weight[-1] = math.nextafter(w, math.inf)
-            with pytest.raises(ValueError, match="equal edge weights"):
-                ng._distances((chain.ptr, chain.head, weight))
+    def test_modal_weight(self):
+        # the step is the most common weight, the first of a tie; the others are repaired
+        star = build_topology(Star(7, 0.5))
+        for per_edge, step, odd in (([0.0] * 4 + [1.0] * 2, 5e-324, 4), ([1.0] * 4 + [0.0] * 2, 1.0, 4),
+                                    ([1.0] * 3 + [0.0] * 3, 5e-324, 6), ([2.0] * 3 + [1.0] * 3, 1.0, 6)):
+            weight = stored(edge_weights(star, per_edge))
+            graph = ng._hops(star.ptr, star.head, weight)
+            assert (graph.step, len(graph.odd)) == (step, odd)
+            self.assert_same(star.ptr, star.head, weight)
+            self.assert_same(star.ptr, star.head, weight, limit=1.0)
+
+    @pytest.mark.parametrize("chord", [0.5, 0.999, 1.001, 2.0, 0.0])
+    def test_repair_travels_many_hops(self, chord):
+        # a ring of unit hops with one chord and one edge of other weights: a light
+        # chord shortens every pair whose path can use it, a heavy edge drops out of
+        # the hop levels, and each repair runs up to ~100 rounds
+        n = 240
+        per_edge = {(i, i + 1): 1.0 for i in range(n - 1)}
+        per_edge[0, n - 1] = 1.0
+        per_edge[0, 1] = 1.5
+        per_edge[0, n // 2] = chord
+        net = Network(range(n), dict.fromkeys(per_edge, 0.5))
+        weight = stored(edge_weights(net, [per_edge[key] for key in net.edges]))
+        assert len(ng._hops(net.ptr, net.head, weight).odd) == 4
+        self.assert_same(net.ptr, net.head, weight)
+        self.assert_same(net.ptr, net.head, weight, np.array([0, n // 2, 1, 7, n - 1]))
+        every = scipy_distances(net.ptr, net.head, weight, np.arange(0, n, 5))
+        for limit in np.unique(every[np.isfinite(every)])[::9]:
+            for lim in (limit, math.nextafter(limit, 0.0), math.nextafter(limit, math.inf)):
+                self.assert_same(net.ptr, net.head, weight, np.arange(0, n, 5), lim)
+
+    @pytest.mark.parametrize("count", [1, 3, 40])
+    def test_square1024_off_modal_edges(self, count):
+        net = build_topology(Square1024(0.9))
+        rng = random.Random(count)
+        w0 = -math.log2(0.9)
+        off = [-math.log2(0.95), -math.log2(0.5), math.nextafter(w0, 0.0), math.nextafter(w0, math.inf), 0.0]
+        per_edge = dict.fromkeys(net.edges, w0)
+        for key in rng.sample(list(per_edge), count):
+            per_edge[key] = rng.choice(off)
+        weight = stored(edge_weights(net, list(per_edge.values())))
+        self.assert_same(net.ptr, net.head, weight)
+        sources = np.array(rng.sample(range(1024), 100))
+        for limit in (1.0, -math.log2(0.1), 3 * w0, math.nextafter(3 * w0, math.inf)):
+            self.assert_same(net.ptr, net.head, weight, sources, limit)
+
+    def test_random_p(self):
+        rng = random.Random(22)
+        grid = build_topology(Grid(12, 12, 0.9))
+        for net in (Network(grid.nodes, {key: rng.uniform(0.5, 1.0) for key in grid.edges}),
+                    seeded_graph(10, 120)):
+            weight = stored(net.w)
+            self.assert_same(net.ptr, net.head, weight)
+            self.assert_same(net.ptr, net.head, weight, np.arange(net.n_nodes)[::-3], 2.0)
+
+    def test_airport_rows(self, airport_network):
+        g = id_ordered(airport_network)
+        weight = stored(g.w)
+        graph = ng._hops(g.ptr, g.head, weight)
+        assert len(graph.odd) == 624 and len(graph.hop_head) == 50340
+        rng = random.Random(23)
+        for count in (10, 64, 100):
+            sources = np.array(rng.sample(range(g.n_nodes), count))
+            for limit in (-math.log2(0.1), -math.log2(0.5), math.inf):
+                self.assert_same(g.ptr, g.head, weight, sources, limit)
+
+    def test_lanes_of_separate_parts(self):
+        # a 2-D sources puts a row of sources, one per part, on each lane
+        from scipy.sparse import csr_matrix
+
+        rng = random.Random(24)
+        for net, weight in itertools.chain(self.weighted(), self.mixed()):
+            k, parts = net.n_nodes, 3
+            tails = np.concatenate([net.tail + i * k for i in range(parts)])
+            heads = np.concatenate([net.head + i * k for i in range(parts)])
+            ptr = np.searchsorted(tails, np.arange(parts * k + 1))
+            weights = np.tile(weight, parts)
+            lanes = np.arange(parts * k).reshape(parts, k).T
+            lanes = lanes[rng.sample(range(k), k)]
+            want = scipy_distances(ptr, heads, weights, lanes.ravel()).reshape(k, parts, -1).min(axis=1)
+            scipy_side = csr_matrix((weights, heads, ptr), shape=(parts * k,) * 2)
+            for graph in (ng._hops(ptr, heads, weights), scipy_side):
+                got = ng._distances(graph, sources=lanes)
+                assert got.shape == want.shape and np.array_equal(got, want)
 
     @pytest.mark.parametrize("spec", [Square1024(0.9), Circulant(1448, 2, 0.9), Grid(1, 1448, 0.9)],
                              ids=["square1024", "ring1448", "path1448"])
@@ -767,26 +877,38 @@ class TestNumpyDistances:
         net = build_topology(spec)
         graph = ng._graph(net.tail, net.head, net.w, net.n_nodes)
         assert isinstance(graph, tuple)
-        self.assert_same(*graph)
-        self.assert_same(*graph, np.arange(0, net.n_nodes, 7), 1.0)
+        self.assert_same(graph.ptr, graph.head, graph.weight)
+        self.assert_same(graph.ptr, graph.head, graph.weight, np.arange(0, net.n_nodes, 7), 1.0)
 
     def test_engine_bound(self, airport_network):
+        def work(net, limit=math.inf):
+            graph = ng._hops(net.ptr, net.head, stored(net.w))
+            rounds = min(net.n_nodes, limit / graph.step)
+            return rounds * (len(graph.hop_head) + 64 * len(graph.odd))
+
+        # equal weights without a limit: the old bound, reach x entries
         for spec in (Square1024(0.9), Circulant(1448, 2, 0.9), Grid(1, 1448, 0.9), FullMesh(6, 1.0)):
             net = build_topology(spec)
-            assert on_numpy(net) and net.n_nodes * len(net.head) <= ng._NUMPY_ELEMENTS
+            assert on_numpy(net) and net.n_nodes * len(net.head) == work(net) <= ng._NUMPY_ELEMENTS
         assert not on_numpy(build_topology(Circulant(1449, 2, 0.9)))
         assert not on_numpy(build_topology(Grid(1, 1449, 0.9)))
-        assert not on_numpy(airport_network)
         assert on_numpy(Network(range(3), []))
-        # nodes count as well: a numpy-side sweep never forks
-        assert not on_numpy(Network(range(2049), [(0, 1, 0.9)]))
-        assert ng._NUMPY_ELEMENTS < ng._FORK_ELEMENTS
-        # so do the weights: one edge off Square1024's p puts it on scipy
+        # a limit bounds the rounds: the airport's 624 other entries cost 64 each
+        budget = -math.log2(0.1)
+        assert on_numpy(airport_network, budget) and not on_numpy(airport_network)
+        assert work(airport_network, budget) <= ng._NUMPY_ELEMENTS < work(airport_network)
+        # one edge off Square1024's p stays on numpy, two go to scipy unless a limit bounds the rounds
         net = build_topology(Square1024(0.9))
+        keys = list(net.edges)
         for p in (0.999999, 1.0, 0.8):
-            edges = dict(net.edges)
-            edges[next(iter(edges))] = p
-            assert not on_numpy(Network(net.nodes, edges))
+            one = Network(net.nodes, {**net.edges, keys[0]: p})
+            two = Network(net.nodes, {**net.edges, keys[0]: p, keys[500]: p})
+            assert on_numpy(one) and not on_numpy(two) and on_numpy(two, 1.0)
+        # random p: every entry is repaired, so scipy at any limit
+        rng = random.Random(25)
+        grid = build_topology(Grid(32, 32, 0.9))
+        noisy = Network(grid.nodes, {key: rng.uniform(0.5, 1.0) for key in grid.edges})
+        assert not on_numpy(noisy) and not on_numpy(noisy, 1.0)
 
     def test_every_caller_on_either_engine(self, monkeypatch):
         # every caller gives the same answers with each graph on the engine _graph picks,
@@ -800,7 +922,7 @@ class TestNumpyDistances:
                 Network(seeded.nodes, dict.fromkeys(seeded.edges, 0.8)), mostly,
                 build_topology(Circulant(16, 5, 0.7)),
                 Network(range(4), [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0), (0, 3, 0.5), (2, 3, 0.5)]),
-                seeded, strings(seeded_graph(9))]
+                seeded, strings(seeded_graph(9)), build_topology(Grid(1, 1500, 0.9))]
         assert strings(grid).nodes != sorted(strings(grid).nodes)
         engines = []
         distances = ng._distances
@@ -823,20 +945,23 @@ class TestNumpyDistances:
             return out + [ng._disjoint_paths(net, a, b)]
 
         monkeypatch.setattr(ng, "_distances", spy)
+        picked = []
         for net in nets:
             engines.clear()
-            picked = answers(net)
-            # the hop counts at least weigh every edge the same
+            picked.append(answers(net))
             assert any(engines)
             with monkeypatch.context() as m:
                 m.setattr(ng, "_NUMPY_ELEMENTS", 0)
                 engines.clear()
-                assert answers(net) == picked
+                assert answers(net) == picked[-1]
                 assert not any(engines)
-        # mostly's graph is on scipy, its graph of usable edges at p* = 0.5 on numpy
-        keep = ng._strong(mostly, 0.5)
-        usable = ng._graph(mostly.tail[keep], mostly.head[keep], mostly.w[keep], mostly.n_nodes)
-        assert not on_numpy(mostly) and isinstance(usable, tuple)
+        # the 1500-node path's unbounded passes are on scipy, its bounded ones on numpy
+        engines.clear()
+        assert answers(nets[-1]) == picked[-1]
+        assert not all(engines)
+        # seeded's random p leaves most entries to the repair, mostly's only its p = 0.3 edges
+        assert len(ng._hops(seeded.ptr, seeded.head, stored(seeded.w)).odd) > len(seeded.head) // 2
+        assert on_numpy(mostly) and len(ng._hops(mostly.ptr, mostly.head, mostly.w).odd)
 
     # a block of g subgraphs of k = n - 1 nodes holds g k (k - 1) entries, and one source
     # reaches k of its nodes. FullMesh(40): g = 13, 39 * 19266 <= 1 << 22 < 507 * 19266;
