@@ -696,11 +696,11 @@ def centrality_all(net: Network, p_star: float) -> Dict[NodeId, int]:
     share _SWEEP_ELEMENTS: a block's tight-edge passes take as many
     sources at once as 1/workers of it holds, so the summed working set
     stays the same, and its one distance pass takes the whole block, up to
-    a lane word of 64 sources whose distances fit in that share. Fallback
-    sources run in this process, in ascending order, as their blocks come
-    back. Blocks are independent and their counts are integers, so the
-    totals do not depend on the split or on the order of summation:
-    source-parallel Brandes, as in Bader and Madduri (ICPP 2006).
+    a lane word of 64 sources whose distances fit in that share. A block
+    counts its own fallback sources, in the worker that runs it. Blocks
+    are independent and their counts are integers, so the totals do not
+    depend on the split or on the order of summation: source-parallel
+    Brandes, as in Bader and Madduri (ICPP 2006).
     """
     n = net.n_nodes
     budget = _budget(p_star)
@@ -712,21 +712,14 @@ def centrality_all(net: Network, p_star: float) -> Dict[NodeId, int]:
     # a block's one distance pass fills up to a lane word of 64 sources, within the share
     block = max(rows, min(64, _SWEEP_ELEMENTS // workers // max(n, 1)))
     blocks = [np.arange(start, min(start + block, n - 1)) for start in range(0, n - 1, block)]
-    tau = np.zeros(n, np.int64)
     sweep = (g, _graph(g.tail, g.head, g.w, n, limit=budget), budget, rows)
-    for sources, (counts, exact) in zip(blocks, _sweeps(sweep, blocks, workers)):
-        tau += counts
-        for s in sources[~exact]:
-            source = ids[s]
-            for t, (d, path) in _lex_dijkstra(g, source).items():
-                if t > source and d <= budget:
-                    for u in path[1:-1]:
-                        tau[g.index[u]] += 1
+    tau = sum(_sweeps(sweep, blocks, workers), np.zeros(n, np.int64))
     return {v: int(tau[g.index[v]]) for v in net.nodes}
 
 
 def _sweeps(sweep: tuple, blocks: List[np.ndarray], workers: int):
-    """_canonical_sweep over each block, rows at a time, in order: here, or in forked workers."""
+    """Each block's _canonical_sweep counts, rows at a time, as it finishes: here, or in forked workers."""
+    global _POOLED_SWEEP
     g, graph, budget, rows = sweep
     if workers == 1:
         yield from (_canonical_sweep(g, graph, budget, sources, rows) for sources in blocks)
@@ -737,46 +730,52 @@ def _sweeps(sweep: tuple, blocks: List[np.ndarray], workers: int):
         # loaded here once rather than once per worker
         from scipy.sparse import csgraph  # noqa: F401
 
-    # the initializer hands the sweep over by fork, never by pickle
-    with multiprocessing.get_context("fork").Pool(workers, _adopt, sweep) as pool:
-        yield from pool.imap(_pooled_sweep, blocks)
+    # the workers inherit the sweep by fork, never by pickle
+    _POOLED_SWEEP = sweep
+    with multiprocessing.get_context("fork").Pool(workers) as pool:
+        yield from pool.imap_unordered(_pooled_sweep, blocks)
+    _POOLED_SWEEP = ()
 
 
-# set only inside pool workers, by _adopt: _canonical_sweep's (g, graph, budget, rows)
+# set only while _sweeps runs a pool: _canonical_sweep's (g, graph, budget, rows)
 _POOLED_SWEEP: tuple = ()
 
 
-def _adopt(*sweep) -> None:
-    """Pool initializer: keep the sweep this worker inherited."""
-    global _POOLED_SWEEP
-    _POOLED_SWEEP = sweep
-
-
-def _pooled_sweep(sources: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def _pooled_sweep(sources: np.ndarray) -> np.ndarray:
     g, graph, budget, rows = _POOLED_SWEEP
     return _canonical_sweep(g, graph, budget, sources, rows)
 
 
 def _canonical_sweep(
     g: Network, graph, budget: float, sources: np.ndarray, rows: Optional[int] = None
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Interior counts of the canonical paths from a block of sources.
 
     g is a network whose nodes are in id order, graph is the _graph of
     its edges and weights, and sources and the nodes of the counts are
     g.index positions. One distance pass serves the block, and the tight
-    edges are found rows sources at a time (default: all). Returns the
-    counts summed over the sources the sweep resolves exactly, and the
-    mask of those sources.
+    edges are found rows sources at a time (default: all). A source the
+    tight edges do not resolve falls back to its _lex_dijkstra paths,
+    counted here, in the worker that runs the block.
     """
     dist = _distances(graph, sources=sources, limit=budget)
     rows = rows or len(sources)
+    # every slice's result is kept until the block is done: freeing each as
+    # the next one was built raised the forked workers' page faults and
+    # system time on the airport 2-6 fold
     parts = [_tree_counts(g, dist[i:i + rows], sources[i:i + rows]) for i in range(0, len(sources), rows)]
-    return sum(counts for counts, _ in parts), np.concatenate([exact for _, exact in parts])
+    tau = sum(counts for counts, _ in parts)
+    for s in sources[~np.concatenate([exact for _, exact in parts])]:
+        source = g.nodes[s]
+        for t, (d, path) in _lex_dijkstra(g, source).items():
+            if t > source and d <= budget:
+                for u in path[1:-1]:
+                    tau[g.index[u]] += 1
+    return tau
 
 
 def _tree_counts(g: Network, dist: np.ndarray, sources: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """_canonical_sweep's counts and mask from the distances dist of the sources.
+    """_canonical_sweep's counts and mask of the sources it resolves, from their distances dist.
 
     A placed child's parent is the tail of its first tight edge.
     """
@@ -1072,7 +1071,8 @@ def evolve(
 def load_edge_list(path) -> Network:
     """Read UTF-8 `node_a,node_b,p` records; `#` starts a comment line.
 
-    A malformed record raises ValueError naming its file and line."""
+    A malformed record, a self-loop or a p outside EDGE_P among them,
+    raises ValueError naming its file and line."""
     edges = []
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -1083,6 +1083,8 @@ def load_edge_list(path) -> Network:
                     continue
                 a, b, p = (field.strip() for field in line.split(","))
                 edges.append((a, b, float(p)))
+                # Network's own checks of the record, run here to name its line
+                edge_table(edges[-1:], (a, b))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: malformed edge record ({exc})")
     return Network(dict.fromkeys(v for a, b, _ in edges for v in (a, b)), edges)

@@ -11,7 +11,7 @@ import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Tuple
 
 from . import Range, check_fields, ranged, yields
 
@@ -200,49 +200,61 @@ def great_circle_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float
     return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(h)))
 
 
+def _csv_records(path, kind: str) -> Iterator[Tuple[int, List[str]]]:
+    """The line and fields of each non-blank record after the header of the CSV file path.
+
+    Lines end at \\r, \\n or \\r\\n, as in a file opened with newline="",
+    and each is decoded as UTF-8 as the reader reaches it, so a byte that is
+    not UTF-8 raises ValueError naming its file and line as a malformed kind
+    record.
+    """
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    reader = csv.reader(raw.decode("utf-8") for raw in lines)
+    try:
+        next(reader, None)
+        for row in reader:
+            if row:
+                yield reader.line_num, row
+    except UnicodeDecodeError as exc:
+        # the reader has not counted the line it could not decode
+        raise ValueError(f"{path}:{reader.line_num + 1}: malformed {kind} record ({exc})")
+
+
 def load_airport_dataset(airports_csv, routes_csv) -> AirportDataset:
     """Read the airports/routes CSV pair.
 
     airports.csv columns: id,name,lat,lon. routes.csv columns: src_id,
-    dst_id. A record whose coordinates are not numbers in range raises
-    ValueError naming its file and line. Duplicate undirected routes are
-    deduplicated; routes naming unknown airports are skipped and counted.
+    dst_id. A record that is not UTF-8, or whose coordinates are not
+    numbers in range, raises ValueError naming its file and line. Duplicate
+    undirected routes are deduplicated; routes naming unknown airports are
+    skipped and counted.
     """
     airports: Dict[str, Airport] = {}
-    with open(airports_csv, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader, None)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                aid, name, lat, lon = row[0], row[1], float(row[2]), float(row[3])
-                _LATITUDE.check("lat", lat)
-                _LONGITUDE.check("lon", lon)
-            except (IndexError, ValueError) as exc:
-                raise ValueError(f"{airports_csv}:{lineno}: malformed airport record ({exc})")
-            if aid in airports:
-                raise ValueError(f"{airports_csv}:{lineno}: duplicate airport id {aid}")
-            airports[aid] = Airport(aid, name, lat, lon)
+    for lineno, row in _csv_records(airports_csv, "airport"):
+        try:
+            aid, name, lat, lon = row[0], row[1], float(row[2]), float(row[3])
+            _LATITUDE.check("lat", lat)
+            _LONGITUDE.check("lon", lon)
+        except (IndexError, ValueError) as exc:
+            raise ValueError(f"{airports_csv}:{lineno}: malformed airport record ({exc})")
+        if aid in airports:
+            raise ValueError(f"{airports_csv}:{lineno}: duplicate airport id {aid}")
+        airports[aid] = Airport(aid, name, lat, lon)
     routes: Dict[Tuple[str, str], float] = {}
     skipped = 0
-    with open(routes_csv, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader, None)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                src, dst = row[0], row[1]
-            except IndexError as exc:
-                raise ValueError(f"{routes_csv}:{lineno}: malformed route record ({exc})")
-            if src not in airports or dst not in airports or src == dst:
-                skipped += 1
-                continue
-            key = (src, dst) if src <= dst else (dst, src)
-            if key not in routes:
-                a, b = airports[key[0]], airports[key[1]]
-                routes[key] = great_circle_km(a.lat, a.lon, b.lat, b.lon)
+    for lineno, row in _csv_records(routes_csv, "route"):
+        try:
+            src, dst = row[0], row[1]
+        except IndexError as exc:
+            raise ValueError(f"{routes_csv}:{lineno}: malformed route record ({exc})")
+        if src not in airports or dst not in airports or src == dst:
+            skipped += 1
+            continue
+        key = (src, dst) if src <= dst else (dst, src)
+        if key not in routes:
+            a, b = airports[key[0]], airports[key[1]]
+            routes[key] = great_circle_km(a.lat, a.lon, b.lat, b.lon)
     pairs = tuple((a, b, km) for (a, b), km in routes.items())
     return AirportDataset(tuple(airports.values()), pairs, skipped)
 

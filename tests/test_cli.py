@@ -147,8 +147,6 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("text,err", [
         ("a,b\n", "bad.edges:1: malformed edge record (not enough values"),
-        ("a,b,1.5\n", "bad graph file: edge probability"),
-        ("a,b,0.5\nb,b,0.5\n", "bad graph file: self-loop on node 'b'"),
     ])
     def test_bad_graph_file(self, capsys, tmp_path, text, err):
         f = tmp_path / "bad.edges"
@@ -163,6 +161,10 @@ class TestExitCodes:
         ("a,b,0.5,0.7\n", 1, "too many values to unpack"),
         # Latin-1, not UTF-8
         (b"a,b,0.5\nZ\xfcrich,b,0.5\n", 2, "'utf-8' codec can't decode byte 0xfc in position 1"),
+        # topology.edge_table's checks, per record
+        ("a,b,0.5\nb,c,1.5\n", 2, "edge probability must be in (0, 1])"),
+        ("a,b,0.5\nb,c,nan\n", 2, "edge probability must be in (0, 1])"),
+        ("a,b,0.5\nb,b,0.5\n", 2, "self-loop on node 'b')"),
     ])
     def test_malformed_record_names_its_line(self, capsys, tmp_path, text, line, why):
         f = tmp_path / "bad.edges"
@@ -790,6 +792,21 @@ class TestAirportCommand:
         code, out, err = run_cli(capsys, "airport", *self.write(tmp_path, ["A,Alpha,north,0.0"]))
         assert (code, out) == (1, "")
         assert "airports.csv:2: malformed airport record" in err
+
+    @pytest.mark.parametrize("name, record, line, kind, at", [
+        # Latin-1, not UTF-8, after an id quoted round its comma
+        ("airports.csv", b"G,Z\xfcrich,47.4,8.5", 9, "airport", 3),
+        ("routes.csv", b"A,\xfcB", 11, "route", 2),
+    ])
+    def test_byte_not_utf8_names_its_line(self, capsys, tmp_path, name, record, line, kind, at):
+        argv = self.write(tmp_path, [*(f"{a},{n},{lat},{lon}" for a, n, lat, lon in self.AIRPORTS),
+                                     '"H, Hotel",Hotel,2.0,2.0'])
+        with open(tmp_path / name, "ab") as fh:
+            fh.write(record + b"\n")
+        code, out, err = run_cli(capsys, "airport", *argv)
+        assert (code, out) == (1, "")
+        assert err == (f"error: {tmp_path / name}:{line}: malformed {kind} record "
+                       f"('utf-8' codec can't decode byte 0xfc in position {at}: invalid start byte)\n")
 
     @pytest.mark.parametrize("airports, routes, want", [
         (["A,Alpha,95,0.0"], None,

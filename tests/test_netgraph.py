@@ -147,9 +147,14 @@ def id_ordered(net):
 
 
 def canonical_sweep(g, p_star, sources):
-    """_canonical_sweep on the id-ordered network g from the given source positions."""
+    """_canonical_sweep on the id-ordered network g from the given source positions.
+
+    Returns its counts and _tree_counts' mask of the sources that need no fallback.
+    """
+    budget, sources = -math.log2(p_star), np.asarray(sources)
     graph = ng._graph(g.tail, g.head, g.w, g.n_nodes)
-    return ng._canonical_sweep(g, graph, -math.log2(p_star), np.asarray(sources))
+    _, exact = ng._tree_counts(g, ng._distances(graph, sources=sources, limit=budget), sources)
+    return ng._canonical_sweep(g, graph, budget, sources), exact
 
 
 def neighbor_subgraph_oracle(net, v):
@@ -1308,6 +1313,20 @@ class TestParallelSweep:
         asked = count_contexts(monkeypatch)
         assert [centrality_all(net, p_star) for net, p_star in cases] == want
         assert asked == ["fork"] * len(cases)
+
+    def test_fallback_runs_in_the_workers(self, monkeypatch):
+        net, p_star = build_topology(Circulant(16, 5, 0.7)), 0.01
+        want = centrality_all(net, p_star)
+        parent, lex_dijkstra = os.getpid(), ng._lex_dijkstra
+
+        def spy(*args):
+            if os.getpid() == parent:
+                raise AssertionError("a fallback source ran in the parent")
+            return lex_dijkstra(*args)
+
+        force_pool(monkeypatch, 2)
+        monkeypatch.setattr(ng, "_lex_dijkstra", spy)
+        assert centrality_all(net, p_star) == want
 
     @pytest.mark.parametrize("extra", list(test_cli.TestCriticalNodesGolden.DIGESTS),
                              ids=lambda e: " ".join(e) or "default")

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -345,6 +346,21 @@ class TestDataset:
         a.write_text("id,name,lat,lon\nX,Xport,0,not-a-number\n")
         r.write_text("src_id,dst_id\n")
         with pytest.raises(ValueError, match=":2:"):
+            load_airport_dataset(a, r)
+
+    @pytest.mark.parametrize("end", ["\n", "\r", "\r\n"], ids=["lf", "cr", "crlf"])
+    def test_line_ends_and_quoted_fields(self, tmp_path, end):
+        # a quoted name may hold a comma or a line end; a bad record names the line it ends on
+        a = tmp_path / "airports.csv"
+        r = tmp_path / "routes.csv"
+        records = ["id,name,lat,lon", 'X,"Xport, Zürich",0,0', f'Y,"Y{end}port",1,1']
+        a.write_bytes(end.join([*records, ""]).encode())
+        r.write_bytes(end.join(["src_id,dst_id", "X,Y", ""]).encode())
+        ds = load_airport_dataset(a, r)
+        assert [airport.name for airport in ds.airports] == ["Xport, Zürich", f"Y{end}port"]
+        assert [route[:2] for route in ds.routes] == [("X", "Y")]
+        a.write_bytes(end.join([*records, "Z,Zport,0,north", ""]).encode())
+        with pytest.raises(ValueError, match=f"^{re.escape(str(a))}:5: malformed airport record"):
             load_airport_dataset(a, r)
 
     def test_duplicate_id_rejected(self, tmp_path):
