@@ -52,7 +52,6 @@ from .topology import (  # noqa: F401  (re-exported)
     edge_key as _edge_key,
     edge_table,
     topology_edges,
-    write_edge_list,
 )
 
 
@@ -447,12 +446,17 @@ def _position(net: Network, v: NodeId) -> int:
     return net.index[v]
 
 
-def _lex_dijkstra(net: Network, source: NodeId) -> Dict[NodeId, Tuple[float, Tuple[NodeId, ...]]]:
-    """Single-source shortest paths with deterministic tie-breaking.
+def _lex_dijkstra(
+    net: Network, source: NodeId, limit: float = math.inf
+) -> Dict[NodeId, Tuple[float, Tuple[NodeId, ...]]]:
+    """Single-source shortest paths with deterministic tie-breaking, up to weight limit.
 
     Among weight-minimal paths the lexicographically smallest node-id
     sequence wins; heap entries carry the path so equal-weight pops come
-    out in lexicographic order.
+    out in lexicographic order. No path over limit is pushed: weights are
+    non-negative, so the result is the unbounded one restricted to
+    d <= limit. The centrality fallback and shortest_path stop at the
+    -log2 p_star budget this way.
     """
     ptr, head, w = net.ptr.tolist(), net.head.tolist(), net.w.tolist()
     best: Dict[NodeId, Tuple[float, Tuple[NodeId, ...]]] = {}
@@ -466,20 +470,19 @@ def _lex_dijkstra(net: Network, source: NodeId) -> Dict[NodeId, Tuple[float, Tup
         i = net.index[v]
         for k in range(ptr[i], ptr[i + 1]):
             u = net.nodes[head[k]]
-            if u not in best:
-                heapq.heappush(heap, (d + w[k], path + (u,)))
+            du = d + w[k]
+            if u not in best and du <= limit:
+                heapq.heappush(heap, (du, path + (u,)))
     return best
 
 
 def shortest_path(net: Network, source: NodeId, target: NodeId, p_star: float) -> PathResult:
-    """Minimum-weight path, Found only when its weight is within the -log2 p_star budget."""
+    """Minimum-weight path, Found only within the -log2 p_star budget, where its search stops."""
     budget = _budget(p_star)
     for v in (source, target):
         _position(net, v)
-    if source == target:
-        return PathResult((source,), 0.0, 1.0, PathStatus.FOUND)
-    reached = _lex_dijkstra(net, source)
-    if target not in reached or reached[target][0] > budget:
+    reached = _lex_dijkstra(net, source, budget)
+    if target not in reached:
         return PathResult((), math.inf, 0.0, PathStatus.DISCONNECTED)
     d, path = reached[target]
     return PathResult(path, d, 2.0**-d, PathStatus.FOUND)
@@ -641,12 +644,6 @@ def average_effective_weight(net: Network, p_star: float) -> float:
     return _mean_weight(_best_weights(net, p_star, full=True)[~np.eye(n, dtype=bool)])
 
 
-def centrality(net: Network, v: NodeId, p_star: float) -> int:
-    """Number of canonical pair paths with v strictly interior."""
-    _position(net, v)
-    return centrality_all(net, p_star)[v]
-
-
 # upper bound on sources x directed edges that centrality_all's tight-edge
 # passes hold at once, summed over its worker processes
 _SWEEP_ELEMENTS = 1 << 20
@@ -683,11 +680,11 @@ def centrality_all(net: Network, p_star: float) -> Dict[NodeId, int]:
     first tight edge has its parent as tail. Subtree sizes over the targets
     after the source then give the interior counts: the single-predecessor
     form of Brandes' dependency accumulation (J. Math. Sociol. 25(2),
-    2001). A source falls back to _lex_dijkstra when some reached node
-    cannot be placed on a level: its tight predecessors differ in hop
-    depth, or a step that leaves the distance unchanged (p = 1, or a weight
-    lost to rounding) makes the tight edges cyclic. The choice depends only
-    on the weights.
+    2001). A source falls back to _lex_dijkstra, stopped at the budget,
+    when some reached node cannot be placed on a level: its tight
+    predecessors differ in hop depth, or a step that leaves the distance
+    unchanged (p = 1, or a weight lost to rounding) makes the tight edges
+    cyclic. The choice depends only on the weights.
 
     A sweep of at least _FORK_ELEMENTS (sources x directed edges) runs its
     blocks in forked worker processes, one per usable core and at most
@@ -755,8 +752,8 @@ def _canonical_sweep(
     its edges and weights, and sources and the nodes of the counts are
     g.index positions. One distance pass serves the block, and the tight
     edges are found rows sources at a time (default: all). A source the
-    tight edges do not resolve falls back to its _lex_dijkstra paths,
-    counted here, in the worker that runs the block.
+    tight edges do not resolve falls back to its _lex_dijkstra paths within
+    the budget, counted here, in the worker that runs the block.
     """
     dist = _distances(graph, sources=sources, limit=budget)
     rows = rows or len(sources)
@@ -767,8 +764,8 @@ def _canonical_sweep(
     tau = sum(counts for counts, _ in parts)
     for s in sources[~np.concatenate([exact for _, exact in parts])]:
         source = g.nodes[s]
-        for t, (d, path) in _lex_dijkstra(g, source).items():
-            if t > source and d <= budget:
+        for t, (_, path) in _lex_dijkstra(g, source, budget).items():
+            if t > source:
                 for u in path[1:-1]:
                     tau[g.index[u]] += 1
     return tau
@@ -1088,7 +1085,3 @@ def load_edge_list(path) -> Network:
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: malformed edge record ({exc})")
     return Network(dict.fromkeys(v for a, b, _ in edges for v in (a, b)), edges)
-
-
-def save_edge_list(net: Network, path) -> None:
-    write_edge_list(net.edges, path)

@@ -204,9 +204,10 @@ def _csv_records(path, kind: str) -> Iterator[Tuple[int, List[str]]]:
     """The line and fields of each non-blank record after the header of the CSV file path.
 
     Lines end at \\r, \\n or \\r\\n, as in a file opened with newline="",
-    and each is decoded as UTF-8 as the reader reaches it, so a byte that is
-    not UTF-8 raises ValueError naming its file and line as a malformed kind
-    record.
+    and each is decoded as UTF-8 as the reader reaches it. A byte that is
+    not UTF-8, or a record csv rejects (a field over its limit, a NUL byte
+    before Python 3.11), raises ValueError naming its file and line as a
+    malformed kind record.
     """
     with open(path, "rb") as fh:
         lines = fh.read().splitlines(keepends=True)
@@ -216,19 +217,20 @@ def _csv_records(path, kind: str) -> Iterator[Tuple[int, List[str]]]:
         for row in reader:
             if row:
                 yield reader.line_num, row
-    except UnicodeDecodeError as exc:
-        # the reader has not counted the line it could not decode
-        raise ValueError(f"{path}:{reader.line_num + 1}: malformed {kind} record ({exc})")
+    except (UnicodeDecodeError, csv.Error) as exc:
+        # the reader has counted the line of a record csv rejects, not one it could not decode
+        line = reader.line_num + isinstance(exc, UnicodeDecodeError)
+        raise ValueError(f"{path}:{line}: malformed {kind} record ({exc})")
 
 
 def load_airport_dataset(airports_csv, routes_csv) -> AirportDataset:
     """Read the airports/routes CSV pair.
 
     airports.csv columns: id,name,lat,lon. routes.csv columns: src_id,
-    dst_id. A record that is not UTF-8, or whose coordinates are not
-    numbers in range, raises ValueError naming its file and line. Duplicate
-    undirected routes are deduplicated; routes naming unknown airports are
-    skipped and counted.
+    dst_id. A record that is not UTF-8, that csv rejects, or whose
+    coordinates are not numbers in range, raises ValueError naming its file
+    and line. Duplicate undirected routes are deduplicated; routes naming
+    unknown airports are skipped and counted.
     """
     airports: Dict[str, Airport] = {}
     for lineno, row in _csv_records(airports_csv, "airport"):

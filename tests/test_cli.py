@@ -12,7 +12,7 @@ import sys
 import pytest
 
 import qnetlim
-from qnetlim import buffersim, cli, netgraph, repeater, scenario
+from qnetlim import buffersim, cli, netgraph, repeater, scenario, topology
 from qnetlim.cli import FIGURE_IDS, main
 
 
@@ -61,7 +61,7 @@ def edge_file(tmp_path):
     net = netgraph.Network(
         [1, 2, 3], [(1, 2, 0.9), (2, 3, 0.9), (1, 3, 0.7)]
     )
-    netgraph.save_edge_list(net, path)
+    topology.write_edge_list(net.edges, path)
     return str(path)
 
 
@@ -365,6 +365,14 @@ class TestGraphCommands:
         assert (code, status, path) == (0, "found", "1-2-3")
         assert float(prob) == pytest.approx(0.81)
 
+    @pytest.mark.parametrize("p_star", ["0.5", "0.99"])
+    def test_path_to_itself(self, capsys, edge_file, p_star):
+        # the path of no edges: found, probability 1.0, weight 0.0 bits
+        code, out, _ = run_cli(
+            capsys, "path", "--in", edge_file, "--source", "2", "--target", "2", "--p-star", p_star
+        )
+        assert (code, data_rows(out)) == (0, ["status,probability,total_weight_bits,path", "found,1.0,0.0,2"])
+
     def test_path_disconnected(self, capsys, tmp_path):
         f = tmp_path / "weak.edges"
         f.write_text("a,b,0.2\n")
@@ -375,11 +383,11 @@ class TestGraphCommands:
 
     def test_critical_nodes(self, capsys, tmp_path):
         f = tmp_path / "sq.edges"
-        netgraph.save_edge_list(
+        topology.write_edge_list(
             netgraph.Network(
                 [1, 2, 3, 4],
                 [(1, 2, 0.5), (2, 3, 0.5), (3, 4, 0.5), (4, 1, 0.5), (1, 3, 0.5)],
-            ),
+            ).edges,
             f,
         )
         code, out, _ = run_cli(
@@ -808,6 +816,20 @@ class TestAirportCommand:
         assert err == (f"error: {tmp_path / name}:{line}: malformed {kind} record "
                        f"('utf-8' codec can't decode byte 0xfc in position {at}: invalid start byte)\n")
 
+    @pytest.mark.parametrize("name, record, line, kind", [
+        ("airports.csv", "G,{},2.0,2.0", 8, "airport"),
+        ("routes.csv", "A,{}", 11, "route"),
+    ], ids=["airports.csv", "routes.csv"])
+    def test_field_over_the_limit_names_its_line(self, capsys, tmp_path, name, record, line, kind):
+        # csv rejects a field over its limit of 131072 characters
+        argv = self.write(tmp_path)
+        with open(tmp_path / name, "a") as fh:
+            fh.write(record.format("x" * 200000) + "\n")
+        code, out, err = run_cli(capsys, "airport", *argv)
+        assert (code, out) == (1, "")
+        assert err == (f"error: {tmp_path / name}:{line}: malformed {kind} record "
+                       "(field larger than field limit (131072))\n")
+
     @pytest.mark.parametrize("airports, routes, want", [
         (["A,Alpha,95,0.0"], None,
          "airports.csv:2: malformed airport record (lat must be in [-90, 90])"),
@@ -1188,7 +1210,7 @@ class TestImportHygiene:
 
     def test_lattice_commands_load_numpy_not_scipy(self, tmp_path):
         edges = str(tmp_path / "sq.edges")
-        netgraph.save_edge_list(netgraph.build_topology(netgraph.Square1024(0.9)), edges)
+        topology.write_edge_list(netgraph.build_topology(netgraph.Square1024(0.9)).edges, edges)
         argvs = [
             ["graph", "--in", edges],
             ["critical-nodes", "--in", edges],
@@ -1203,7 +1225,7 @@ class TestImportHygiene:
         # graph's unbounded pass over a ring of equal weights does at most n rounds
         # over its 2n entries: 1448 * 2896 <= 1 << 22 < 1449 * 2898
         edges = str(tmp_path / "ring.edges")
-        netgraph.save_edge_list(netgraph.build_topology(netgraph.Circulant(n, 2, 0.9)), edges)
+        topology.write_edge_list(netgraph.build_topology(netgraph.Circulant(n, 2, 0.9)).edges, edges)
         (loaded,) = loaded_after(["graph", "--in", edges]).values()
         assert loaded[0] == 0 and ("scipy" in loaded) == scipy_loaded
 
@@ -1214,7 +1236,7 @@ class TestImportHygiene:
         # k rounds. FullMesh(40): g = 13, 39 * 19266 <= 1 << 22 < 507 * 19266;
         # FullMesh(95) and (96): g = 5, 94 * 5 * 94 * 93 <= 1 << 22 < 95 * 5 * 95 * 94
         edges = str(tmp_path / "mesh.edges")
-        netgraph.save_edge_list(netgraph.build_topology(netgraph.FullMesh(n, 0.9)), edges)
+        topology.write_edge_list(netgraph.build_topology(netgraph.FullMesh(n, 0.9)).edges, edges)
         (loaded,) = loaded_after(["critical-nodes", "--in", edges]).values()
         assert loaded[:3] == [0, "numpy", "qnetlim.netgraph"] and ("scipy" in loaded) == scipy_loaded
 
@@ -1231,7 +1253,7 @@ class TestImportHygiene:
             "noisy": netgraph.Network(grid.nodes, {key: rng.uniform(0.5, 1.0) for key in grid.edges}),
         }
         for name, graph in files.items():
-            netgraph.save_edge_list(graph, str(tmp_path / f"{name}.edges"))
+            topology.write_edge_list(graph.edges, str(tmp_path / f"{name}.edges"))
         numpy_side = [("graph", "one"), ("critical-nodes", "one"), ("critical-nodes", "ten"),
                       ("evolve", "ten")]
         for cmd, name in numpy_side:

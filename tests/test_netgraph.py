@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import test_cli
 from qnetlim import netgraph as ng
+from qnetlim import topology
 from qnetlim.cli import main as cli_main
 from qnetlim.netgraph import (
     CellKind,
@@ -31,7 +32,6 @@ from qnetlim.netgraph import (
     Undefined,
     average_effective_weight,
     build_topology,
-    centrality,
     centrality_all,
     clustering_coefficient,
     connection_strength,
@@ -43,7 +43,6 @@ from qnetlim.netgraph import (
     link_sparsity,
     load_edge_list,
     matrices,
-    save_edge_list,
     shortest_path,
     sparsity_index,
     task_reachability,
@@ -285,7 +284,7 @@ class TestNetwork:
         net = square_plus_diagonal()
         for call in (lambda: connection_strength(net, 9, CO, 0.5),
                      lambda: connection_strength(net, 9, NC, 0.5),
-                     lambda: clustering_coefficient(net, 9, 0.5), lambda: centrality(net, 9, 0.5),
+                     lambda: clustering_coefficient(net, 9, 0.5),
                      lambda: shortest_path(net, 1, 9, 0.5), lambda: shortest_path(net, 9, 1, 0.5)):
             with pytest.raises(KeyError, match="^'unknown node 9'$"):
                 call()
@@ -1134,17 +1133,17 @@ class TestClusteringAndWeights:
 class TestCentrality:
     def test_path_graph(self):
         net = Network(["a", "b", "c"], [("a", "b", 0.9), ("b", "c", 0.9)])
-        assert centrality(net, "b", 0.5) == 1
+        assert centrality_all(net, 0.5)["b"] == 1
 
     def test_star_hub(self):
         net = build_topology(Star(8, 0.9))
-        assert centrality(net, 0, 0.5) == 21
+        assert centrality_all(net, 0.5)[0] == 21
 
     def test_square_diag_tie_break(self):
         net = square_plus_diagonal()
         # pair {2, 4} has two weight-2 paths; [2,1,4] < [2,3,4]
-        assert centrality(net, 1, 0.1) == 1
-        assert centrality(net, 3, 0.1) == 0
+        assert centrality_all(net, 0.1)[1] == 1
+        assert centrality_all(net, 0.1)[3] == 0
 
 
 class TestCentralityOracle:
@@ -1259,6 +1258,50 @@ class TestCentralityOracle:
         text = "".join(f"{v},{tau[v]}\n" for v in airport_network.nodes)
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "42abba5f4af1145f7dc6071629b822e555f79d1ab02c2682bfafcdeb10fb7762")
+
+
+class TestLexDijkstraLimit:
+    """_lex_dijkstra stopped at a limit equals the unbounded search restricted to d <= limit."""
+
+    def assert_restricts(self, net, sources):
+        for source in sources:
+            full = ng._lex_dijkstra(net, source)
+            for d in sorted({d for d, _ in full.values()}):
+                # a limit equal to a path's weight keeps it; one float below drops it
+                for limit in (d, math.nextafter(d, -math.inf)) if d > 0 else (d,):
+                    want = {t: hit for t, hit in full.items() if hit[0] <= limit}
+                    assert ng._lex_dijkstra(net, source, limit) == want
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("p", [0.7, 0.9])
+    def test_circulants(self, d, p):
+        self.assert_restricts(build_topology(Circulant(24, d, p)), (0, 11))
+
+    def test_random_p_with_p_one_edges(self):
+        rng = random.Random(31)
+        for _ in range(20):
+            n = rng.randint(3, 12)
+            edges = [
+                (i, j, rng.choice([1.0, rng.uniform(0.3, 1.0)]))
+                for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4
+            ]
+            self.assert_restricts(Network(range(n), edges), range(n))
+        self.assert_restricts(seeded_graph(), (0, 17, 59))
+
+    def test_fallback_stops_at_the_budget(self, monkeypatch):
+        # at p* = 0.01 every source of this circulant falls back, and reaches ~44 of its 256 nodes
+        net, p_star = build_topology(Circulant(256, 5, 0.7)), 0.01
+        budget, lex_dijkstra, reached = -math.log2(p_star), ng._lex_dijkstra, []
+
+        def spy(*args):
+            reached.append(lex_dijkstra(*args))
+            return reached[-1]
+
+        monkeypatch.setattr(ng, "_lex_dijkstra", spy)
+        centrality_all(net, p_star)
+        assert len(reached) == net.n_nodes - 1
+        assert max(d for hits in reached for d, _ in hits.values()) <= budget
+        assert max(map(len, reached)) < net.n_nodes
 
 
 def force_pool(monkeypatch, workers, elements=1 << 8):
@@ -1708,14 +1751,14 @@ class TestIO:
     def test_roundtrip(self, tmp_path):
         net = Network(["x", "y", "z"], [("x", "y", 0.5), ("y", "z", 0.7125)])
         path = tmp_path / "g.edges"
-        save_edge_list(net, path)
+        topology.write_edge_list(net.edges, path)
         back = load_edge_list(path)
         assert back.edges == net.edges
 
     def test_utf8_ids(self, tmp_path):
         net = Network(["Zürich", "Genève"], [("Zürich", "Genève", 0.5)])
         path = tmp_path / "g.edges"
-        save_edge_list(net, path)
+        topology.write_edge_list(net.edges, path)
         assert path.read_bytes().decode("utf-8").endswith("Genève,Zürich,0.5\n")
         assert load_edge_list(path).edges == net.edges
 
