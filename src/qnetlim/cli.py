@@ -60,12 +60,6 @@ def _header(cmd: str, params: dict) -> List[str]:
     return lines
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def _field_values(args, cls) -> dict:
     """The parsed value of each field of the dataclass cls, by field name."""
     return {f.name: getattr(args, f.name) for f in fields(cls)}
@@ -106,8 +100,8 @@ def cmd_tradeoff(args) -> List[str]:
     bound = repeater.critical_length_time_bound(repeater.LinkBudget(**params))
     lines = _header("tradeoff", dict(params, f=args.f))
     lines.append("bound,feasible_at_zero,f_fold_bound")
-    fb = repeater.f_fold_bound(args.f, args.p_star) if args.f is not None else ""
-    lines.append(f"{bound.bound!r},{bound.feasible_at_zero},{_fmt(fb)}")
+    fb = repr(repeater.f_fold_bound(args.f, args.p_star)) if args.f is not None else ""
+    lines.append(f"{bound.bound!r},{bound.feasible_at_zero},{fb}")
     if not bound.feasible_at_zero:
         raise DataError("infeasible even at zero distance: bound is not positive")
     return lines
@@ -515,7 +509,6 @@ def _chain_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ent-mode", choices=[m.value for m in repeater.EntanglementMode],
                    default="ppt-threshold")
     p.add_argument("--n", type=int, help="evaluate a fixed repeater count instead of the maximum")
-    p.set_defaults(func=cmd_chain)
 
 
 def _tradeoff_options(p: argparse.ArgumentParser) -> None:
@@ -523,7 +516,6 @@ def _tradeoff_options(p: argparse.ArgumentParser) -> None:
 
     _add_fields(p, repeater.LinkBudget)
     p.add_argument("--f", type=float, help="also report the f-fold advantage bound")
-    p.set_defaults(func=cmd_tradeoff)
 
 
 def _nqi_options(p: argparse.ArgumentParser) -> None:
@@ -535,20 +527,17 @@ def _nqi_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--q", type=float, default=1.0,
                    help="Bell measurement success probability, default %(default)s, "
                    + repeater.NQI_Q.text)
-    p.set_defaults(func=cmd_nqi)
 
 
 def _graph_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--in", dest="infile", required=True, help="edge list file (a,b,p per line)")
     p.add_argument("--p-star", type=float, default=0.5, help=_P_STAR_HELP)
-    p.set_defaults(func=cmd_graph)
 
 
 def _critical_nodes_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--p-star", type=float, default=0.5, help=_P_STAR_HELP)
     p.add_argument("--top", type=_count, default=10)
-    p.set_defaults(func=cmd_critical_nodes)
 
 
 def _path_options(p: argparse.ArgumentParser) -> None:
@@ -556,7 +545,6 @@ def _path_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--p-star", type=float, default=0.5, help=_P_STAR_HELP)
-    p.set_defaults(func=cmd_path)
 
 
 def _topology_options(p: argparse.ArgumentParser) -> None:
@@ -572,7 +560,6 @@ def _topology_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--p", type=float, default=0.9,
                    help="edge probability, default %(default)s, " + EDGE_P.text)
     p.add_argument("--edges-out", help="write the edge list here")
-    p.set_defaults(func=cmd_topology)
 
 
 def _satellite_options(p: argparse.ArgumentParser) -> None:
@@ -581,14 +568,12 @@ def _satellite_options(p: argparse.ArgumentParser) -> None:
     _add_fields(p, scenario.SatelliteYieldParams)
     p.add_argument("--convention", choices=[c.value for c in scenario.YieldConvention],
                    default="derivation")
-    p.set_defaults(func=cmd_satellite)
 
 
 def _atmosphere_options(p: argparse.ArgumentParser) -> None:
     from . import scenario
 
     _add_fields(p, scenario.AtmosphereParams)
-    p.set_defaults(func=cmd_atmosphere)
 
 
 def _airport_options(p: argparse.ArgumentParser) -> None:
@@ -597,12 +582,10 @@ def _airport_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data-dir", help=f"snapshot directory (default ${DATA_DIR_ENV})")
     p.add_argument("--p-star", type=float, default=0.1, help=_P_STAR_HELP)
     p.add_argument("--top", type=_count, default=10)
-    p.set_defaults(func=cmd_airport)
 
 
 def _buffer_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True, help="JSON simulation config")
-    p.set_defaults(func=cmd_buffer)
 
 
 def _evolve_options(p: argparse.ArgumentParser) -> None:
@@ -613,29 +596,27 @@ def _evolve_options(p: argparse.ArgumentParser) -> None:
                    help="decay rate, default %(default)s, " + EVOLVE_K.text)
     p.add_argument("--p-star", type=float, default=0.1, help=_P_STAR_HELP)
     p.add_argument("--steps", type=_count, default=10)
-    p.set_defaults(func=cmd_evolve)
 
 
 def _figure_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("fig_id", choices=FIGURE_IDS)
-    p.set_defaults(func=cmd_figure)
 
 
-# subcommand -> (help line, builder of its options), in the order the CLI lists them
+# subcommand -> (help line, builder of its options, handler), in the order the CLI lists them
 _COMMANDS = {
-    "chain": ("linear repeater chain feasibility", _chain_options),
-    "tradeoff": ("fiber length / storage time budget", _tradeoff_options),
-    "nqi": ("fiber loss bound for an n-node line", _nqi_options),
-    "graph": ("robustness metrics of an edge-list graph", _graph_options),
-    "critical-nodes": ("critical-parameter node ranking", _critical_nodes_options),
-    "path": ("best path between two nodes", _path_options),
-    "topology": ("generate a reference topology", _topology_options),
-    "satellite": ("satellite chain entanglement yield", _satellite_options),
-    "atmosphere": ("free-space link transmittance", _atmosphere_options),
-    "airport": ("airport route network report", _airport_options),
-    "buffer": ("entanglement buffer simulation", _buffer_options),
-    "evolve": ("time-varying network decay", _evolve_options),
-    "figure": ("regenerate a figure data series as CSV", _figure_options),
+    "chain": ("linear repeater chain feasibility", _chain_options, cmd_chain),
+    "tradeoff": ("fiber length / storage time budget", _tradeoff_options, cmd_tradeoff),
+    "nqi": ("fiber loss bound for an n-node line", _nqi_options, cmd_nqi),
+    "graph": ("robustness metrics of an edge-list graph", _graph_options, cmd_graph),
+    "critical-nodes": ("critical-parameter node ranking", _critical_nodes_options, cmd_critical_nodes),
+    "path": ("best path between two nodes", _path_options, cmd_path),
+    "topology": ("generate a reference topology", _topology_options, cmd_topology),
+    "satellite": ("satellite chain entanglement yield", _satellite_options, cmd_satellite),
+    "atmosphere": ("free-space link transmittance", _atmosphere_options, cmd_atmosphere),
+    "airport": ("airport route network report", _airport_options, cmd_airport),
+    "buffer": ("entanglement buffer simulation", _buffer_options, cmd_buffer),
+    "evolve": ("time-varying network decay", _evolve_options, cmd_evolve),
+    "figure": ("regenerate a figure data series as CSV", _figure_options, cmd_figure),
 }
 
 
@@ -650,11 +631,12 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         description="Feasibility limits and robustness analysis of quantum networks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (summary, add_options) in _COMMANDS.items():
+    for name, (summary, add_options, handler) in _COMMANDS.items():
         p = sub.add_parser(name, help=summary)
         if command in (None, name):
             add_options(p)
             p.add_argument("--out", help="write output here instead of stdout")
+            p.set_defaults(func=handler)
     return parser
 
 

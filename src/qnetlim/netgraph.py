@@ -29,12 +29,13 @@ module, and are re-exported here.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import os
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -228,7 +229,8 @@ def _graph(
         rounds = min(rounds, limit / graph.step)
     if max(n, rounds * (len(graph.hop_head) + 64 * len(graph.odd))) <= _NUMPY_ELEMENTS:
         return graph
-    from scipy.sparse import csr_matrix
+    # csgraph, which _distances runs, is loaded here: once, before any sweep forks its workers
+    from scipy.sparse import csgraph, csr_matrix  # noqa: F401
 
     return csr_matrix((weight, head, ptr), shape=(n, n))
 
@@ -502,30 +504,18 @@ def link_sparsity(net: Network, p_star: float, strategy: StrategyKind) -> float:
     return 1.0 - n_star / n**2
 
 
-def connection_strength(
-    net: Network,
-    v: NodeId,
-    strategy: StrategyKind,
-    p_star: float,
-    include_self: bool = False,
-) -> float:
-    """Average success probability from v to the other nodes.
+def connection_strength(net: Network, v: NodeId, strategy: StrategyKind, p_star: float) -> float:
+    """Average success probability from v to the other nodes, over all n nodes.
 
     Non-cooperative uses direct edges only; cooperative uses best paths.
-    include_self adds a unit self term, matching the closed forms that
-    count p_ii = 1.
     """
     i = _position(net, v)
     if strategy is StrategyKind.NON_COOPERATIVE:
-        total = float(_direct_sums(net, p_star)[i])
-    else:
-        # v's row of _f_star, without the other n - 1
-        row = _success(_best_weights(net, p_star)[i], p_star)
-        row[i] = 0.0
-        total = float(row.sum())
-    if include_self:
-        total += 1.0
-    return total / net.n_nodes
+        return float(_direct_sums(net, p_star)[i]) / net.n_nodes
+    # v's row of _f_star, without the other n - 1
+    row = _success(_best_weights(net, p_star)[i], p_star)
+    row[i] = 0.0
+    return float(row.sum()) / net.n_nodes
 
 
 def _direct_sums(net: Network, p_star: float) -> np.ndarray:
@@ -566,28 +556,25 @@ def sparsity_index(net: Network, strategy: StrategyKind, p_star: float) -> float
 _SUBGRAPH_BLOCK = 512
 
 
-def _neighbor_metrics(
-    net: Network, p_star: float, nodes: Optional[Sequence[int]] = None
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Clustering coefficient and neighbour-subgraph average weight per node.
+def _neighbor_metrics(net: Network, p_star: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Clustering coefficient and neighbour-subgraph average weight of every node, in net order.
 
-    nodes are net.index positions (default: all). Both metrics read the
-    wedges (a, v, b) of each node v, a before b in net order. Clustering
-    counts the wedges closed at threshold p_star. The average weight is
-    average_effective_weight of the subgraph induced by all of v's
-    neighbours, in net order, bit for bit: equal-size subgraphs are laid
-    out block-diagonally, a chunk at a time, for one all-pairs call. It is
-    nan for a node with fewer than two neighbours.
+    Both metrics read the wedges (a, v, b) of each node v, a before b in
+    net order. Clustering counts the wedges closed at threshold p_star.
+    The average weight is average_effective_weight of the subgraph
+    induced by all of v's neighbours, in net order, bit for bit: the
+    subgraphs of nodes of equal degree are laid out block-diagonally, up
+    to _SUBGRAPH_BLOCK nodes at a time, for one all-pairs call. It is nan
+    for a node with fewer than two neighbours.
     """
     n = net.n_nodes
-    sel = np.arange(n) if nodes is None else np.asarray(nodes, dtype=np.int64)
     tail, head, ptr = net.tail, net.head, net.ptr
     keys = tail * n + head
     strong = _strong(net, p_star)
-    n_i = np.bincount(tail[strong], minlength=n)[sel]
-    deg = np.diff(ptr)[sel]
-    clustering = np.zeros(len(sel))
-    w_avg = np.full(len(sel), np.nan)
+    n_i = np.bincount(tail[strong], minlength=n)
+    deg = np.diff(ptr)
+    clustering = np.zeros(n)
+    w_avg = np.full(n, np.nan)
     for k in np.unique(deg[deg >= 2]):
         i, j = np.triu_indices(k, 1)
         off_diagonal = ~np.eye(k, dtype=bool)
@@ -595,7 +582,7 @@ def _neighbor_metrics(
         per = max(1, _SUBGRAPH_BLOCK // k)
         for start in range(0, len(members), per):
             group = members[start:start + per]
-            ea, eb = ptr[sel[group], None] + i, ptr[sel[group], None] + j
+            ea, eb = ptr[group, None] + i, ptr[group, None] + j
             ab = head[ea] * n + head[eb]
             hit = np.minimum(np.searchsorted(keys, ab), len(keys) - 1)
             linked = (keys[hit] == ab) & strong[hit]
@@ -618,7 +605,8 @@ def _neighbor_metrics(
 
 def clustering_coefficient(net: Network, v: NodeId, p_star: float) -> float:
     """2 e_i / (n_i (n_i - 1)) over the neighbor subgraph at threshold p_star."""
-    return float(_neighbor_metrics(net, p_star, [_position(net, v)])[0][0])
+    i = _position(net, v)
+    return float(_neighbor_metrics(net, p_star)[0][i])
 
 
 def _mean_weight(off: np.ndarray) -> float:
@@ -709,54 +697,48 @@ def centrality_all(net: Network, p_star: float) -> Dict[NodeId, int]:
     # a block's one distance pass fills up to a lane word of 64 sources, within the share
     block = max(rows, min(64, _SWEEP_ELEMENTS // workers // max(n, 1)))
     blocks = [np.arange(start, min(start + block, n - 1)) for start in range(0, n - 1, block)]
-    sweep = (g, _graph(g.tail, g.head, g.w, n, limit=budget), budget, rows)
+    sweep = functools.partial(_canonical_sweep, g, _graph(g.tail, g.head, g.w, n, limit=budget), budget, rows)
     tau = sum(_sweeps(sweep, blocks, workers), np.zeros(n, np.int64))
     return {v: int(tau[g.index[v]]) for v in net.nodes}
 
 
-def _sweeps(sweep: tuple, blocks: List[np.ndarray], workers: int):
-    """Each block's _canonical_sweep counts, rows at a time, as it finishes: here, or in forked workers."""
+def _sweeps(sweep: Callable[[np.ndarray], np.ndarray], blocks: List[np.ndarray], workers: int):
+    """Each block's counts by sweep, a _canonical_sweep given all but the sources, as it finishes.
+
+    The blocks run here, or in forked workers that inherit sweep.
+    """
     global _POOLED_SWEEP
-    g, graph, budget, rows = sweep
     if workers == 1:
-        yield from (_canonical_sweep(g, graph, budget, sources, rows) for sources in blocks)
+        yield from map(sweep, blocks)
         return
     import multiprocessing
-
-    if not isinstance(graph, tuple):
-        # loaded here once rather than once per worker
-        from scipy.sparse import csgraph  # noqa: F401
 
     # the workers inherit the sweep by fork, never by pickle
     _POOLED_SWEEP = sweep
     with multiprocessing.get_context("fork").Pool(workers) as pool:
         yield from pool.imap_unordered(_pooled_sweep, blocks)
-    _POOLED_SWEEP = ()
+    _POOLED_SWEEP = None
 
 
-# set only while _sweeps runs a pool: _canonical_sweep's (g, graph, budget, rows)
-_POOLED_SWEEP: tuple = ()
+# set only while _sweeps runs a pool: its sweep
+_POOLED_SWEEP: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
 def _pooled_sweep(sources: np.ndarray) -> np.ndarray:
-    g, graph, budget, rows = _POOLED_SWEEP
-    return _canonical_sweep(g, graph, budget, sources, rows)
+    return _POOLED_SWEEP(sources)
 
 
-def _canonical_sweep(
-    g: Network, graph, budget: float, sources: np.ndarray, rows: Optional[int] = None
-) -> np.ndarray:
+def _canonical_sweep(g: Network, graph, budget: float, rows: int, sources: np.ndarray) -> np.ndarray:
     """Interior counts of the canonical paths from a block of sources.
 
     g is a network whose nodes are in id order, graph is the _graph of
     its edges and weights, and sources and the nodes of the counts are
-    g.index positions. One distance pass serves the block, and the tight
-    edges are found rows sources at a time (default: all). A source the
+    g.index positions. One distance pass within budget serves the block,
+    and the tight edges are found rows sources at a time. A source the
     tight edges do not resolve falls back to its _lex_dijkstra paths within
-    the budget, counted here, in the worker that runs the block.
+    the budget, counted here, in the process that runs the block.
     """
     dist = _distances(graph, sources=sources, limit=budget)
-    rows = rows or len(sources)
     # every slice's result is kept until the block is done: freeing each as
     # the next one was built raised the forked workers' page faults and
     # system time on the airport 2-6 fold

@@ -192,7 +192,9 @@ def zero_key_window(q: float, n: int, theta: float) -> Union[Tuple[float, float]
     Range(">= 0").check("n", n)
     if n == 0:
         return Empty()
-    upper = min(1.0, (gamma / q**n) ** (1.0 / (n + 1)))
+    qn = q**n
+    # q**n <= gamma puts the root at 1 or above; q**n may underflow to 0
+    upper = 1.0 if qn <= gamma else (gamma / qn) ** (1.0 / (n + 1))
     if gamma >= upper:
         return Empty()
     return (gamma, upper)

@@ -137,6 +137,9 @@ def topology_edges(spec: TopologySpec) -> Tuple[int, Edges]:
     EDGE_P.check("edge probability", spec.p)
     if isinstance(spec, Square1024):
         spec = Grid(32, 32, spec.p)
+    elif isinstance(spec, ProcessorCell):
+        # a unit cell is the ring of its size, the circulant of degree 2
+        spec = Circulant(_CELL_SIZES[CellKind(spec.kind)], 2, spec.p)
     p = spec.p
     if isinstance(spec, Star):
         n, items = spec.n, ((0, i, p) for i in range(1, spec.n))
@@ -148,9 +151,6 @@ def topology_edges(spec: TopologySpec) -> Tuple[int, Edges]:
         if d % 2 == 1:
             offsets.append((n // 2, p ** ((d + 1) // 2)))
         items = ((i, (i + m) % n, q) for i in range(n) for m, q in offsets)
-    elif isinstance(spec, Grid):
-        n, items = spec.width * spec.height, _grid_edges(spec.width, spec.height, p)
     else:
-        n = _CELL_SIZES[CellKind(spec.kind)]
-        items = ((i, (i + 1) % n, p) for i in range(n))
+        n, items = spec.width * spec.height, _grid_edges(spec.width, spec.height, p)
     return n, edge_table(items, range(n))

@@ -58,6 +58,18 @@ class TestDecay:
 
 
 class TestHeap:
+    def test_extract_from_empty_heap(self):
+        heap = fresh_heap()
+        assert heap.extract_max() is None
+        heap.insert(StoredPair("x", 1, 0.9))
+        assert heap.extract_max().id == "x"
+        assert heap.extract_max() is None
+
+    def test_duplicate_pair_ids(self):
+        arrivals = (Arrival(1, "s0", "x"), Arrival(2, "s1", "x"))
+        with pytest.raises(ValueError, match="^duplicate pair ids$"):
+            three_flow_config(arrivals=arrivals)
+
     def test_heap_property_after_random_ops(self):
         # paper-formula decay ignores f0 < 1 and p_mem = 1 ties every pair
         # at 1/4, so both reorder pairs without evicting any

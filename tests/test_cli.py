@@ -840,8 +840,9 @@ class TestAirportCommand:
         ([], None, "bad dataset: no airports in"),
         (None, [], "bad dataset: no usable routes in"),
         (None, ["A,Z", "B,B"], "bad dataset: no usable routes in"),
+        (None, ["A"], "routes.csv:2: malformed route record (list index out of range)"),
     ], ids=["lat-95", "lat-nan", "lon-200", "header-only", "header-only-routes",
-            "unknown-or-self-routes"])
+            "unknown-or-self-routes", "one-field-route"])
     def test_bad_dataset_is_a_data_error(self, capsys, tmp_path, airports, routes, want):
         code, out, err = run_cli(capsys, "airport", *self.write(tmp_path, airports, routes))
         assert (code, out) == (1, "")

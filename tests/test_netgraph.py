@@ -153,7 +153,7 @@ def canonical_sweep(g, p_star, sources):
     budget, sources = -math.log2(p_star), np.asarray(sources)
     graph = ng._graph(g.tail, g.head, g.w, g.n_nodes)
     _, exact = ng._tree_counts(g, ng._distances(graph, sources=sources, limit=budget), sources)
-    return ng._canonical_sweep(g, graph, budget, sources), exact
+    return ng._canonical_sweep(g, graph, budget, len(sources), sources), exact
 
 
 def neighbor_subgraph_oracle(net, v):
@@ -167,6 +167,11 @@ def neighbor_subgraph_oracle(net, v):
     return Network(nodes, edges)
 
 
+def usable(p, p_star):
+    """Whether an edge of p (None: no edge) is usable at p_star: its weight is within -log2 p_star."""
+    return p is not None and -math.log2(p) <= -math.log2(p_star)
+
+
 def clustering_oracle(net, v, p_star):
     nbrs = set(net.neighbors(v, p_star))
     n_i = len(nbrs)
@@ -175,7 +180,7 @@ def clustering_oracle(net, v, p_star):
     e_i = sum(
         1
         for a, b in itertools.combinations(nbrs, 2)
-        if (net.edge_p(a, b) or 0.0) >= p_star
+        if usable(net.edge_p(a, b), p_star)
     )
     return 2.0 * e_i / (n_i * (n_i - 1))
 
@@ -193,10 +198,10 @@ def shuffled(net, rng):
 
 
 def direct_sums_oracle(net, p_star):
-    """Per node, its edges' p >= p_star added up one by one in net.edges order."""
+    """Per node, the p of its edges usable at p_star added up one by one in net.edges order."""
     sums = {v: 0.0 for v in net.nodes}
     for (a, b), p in net.edges.items():
-        if p >= p_star:
+        if usable(p, p_star):
             sums[a] += p
             sums[b] += p
     return sums
@@ -263,7 +268,7 @@ class TestNetwork:
             for v in net.nodes:
                 want = [u for u in net.nodes if net.edge_p(v, u) is not None]
                 assert net.neighbors(v) == want
-                assert net.neighbors(v, 0.6) == [u for u in want if net.edge_p(v, u) >= 0.6]
+                assert net.neighbors(v, 0.6) == [u for u in want if usable(net.edge_p(v, u), 0.6)]
 
     def test_repeated_edge_keeps_last_p(self):
         net = Network([1, 2, 3], [(1, 2, 0.5), (2, 3, 0.9), (2, 1, 0.7)])
@@ -538,6 +543,9 @@ class TestThresholdRule:
         # closing the triangle: a-b is the link between a's and c's neighbours
         triangle = Network(["a", "b", "c"], edges + [("a", "c", 1.0)])
         assert [clustering_coefficient(triangle, v, p_star) for v in "abc"] == [1.0] * 3
+        for g in (net, triangle):
+            sums = direct_sums_oracle(g, p_star)
+            assert [connection_strength(g, v, NC, p_star) for v in "abc"] == [sums[v] / 3 for v in "abc"]
 
     @pytest.mark.parametrize("p_star", TIED)
     def test_tied_edge_counts_cli(self, capsys, tmp_path, p_star):
@@ -1023,7 +1031,8 @@ class TestSparsityAndStrength:
 
     def test_star_closed_form(self):
         net = build_topology(Star(8, 0.5))
-        got = connection_strength(net, 0, NC, 0.25, include_self=True)
+        # the closed form counts the unit self term p_ii = 1
+        got = connection_strength(net, 0, NC, 0.25) + 1 / 8
         assert got == pytest.approx((1 + 7 * 0.5) / 8)
 
     def test_total_strength_uniform_mesh(self):
@@ -1031,24 +1040,29 @@ class TestSparsityAndStrength:
         per_node = connection_strength(net, 0, NC, 0.1)
         assert total_connection_strength(net, NC, 0.1) == pytest.approx(5 * per_node)
 
+    def test_empty_network_sparsity(self):
+        for strategy in (NC, CO):
+            with pytest.raises(ValueError, match="^empty network$"):
+                link_sparsity(Network([], []), 0.5, strategy)
+
     def test_total_strength_empty(self):
         net = Network([1, 2, 3], [])
         assert total_connection_strength(net, NC, 0.5) == 0.0
 
     def test_circulant_closed_forms(self):
-        # even degree: 1/N (1 + 2 p (p^{d/2} - 1)/(p - 1)) with the self term
+        # even degree: 1/N (1 + 2 p (p^{d/2} - 1)/(p - 1)), with the unit self term added
         for n, d, p in [(10, 4, 0.7), (12, 6, 0.5), (9, 2, 0.8)]:
             net = build_topology(Circulant(n, d, p))
             assert all(len(net.neighbors(v)) == d for v in net.nodes)
             want = (1 + 2 * p * (p ** (d // 2) - 1) / (p - 1)) / n
-            got = connection_strength(net, 0, NC, 1e-9, include_self=True)
+            got = connection_strength(net, 0, NC, 1e-9) + 1 / n
             assert got == pytest.approx(want, abs=1e-12)
         # odd degree adds the antipodal edge
         for n, d, p in [(10, 3, 0.7), (12, 5, 0.6)]:
             net = build_topology(Circulant(n, d, p))
             assert all(len(net.neighbors(v)) == d for v in net.nodes)
             want = (1 + p) * (p ** ((d + 1) // 2) - 1) / (n * (p - 1))
-            got = connection_strength(net, 0, NC, 1e-9, include_self=True)
+            got = connection_strength(net, 0, NC, 1e-9) + 1 / n
             assert got == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("p_star", [0.5, 0.1])
@@ -1108,6 +1122,10 @@ class TestClusteringAndWeights:
         net = Network([0, 1, 2, 3], [(0, 1, 0.9), (0, 2, 0.9), (0, 3, 0.9), (1, 2, 0.4)])
         assert clustering_coefficient(net, 0, 0.5) == 0.0
         assert clustering_coefficient(net, 0, 0.3) == pytest.approx(1 / 3)
+
+    def test_average_effective_weight_needs_two_nodes(self):
+        with pytest.raises(ValueError, match="^need at least 2 nodes$"):
+            average_effective_weight(Network([1], []), 0.5)
 
     def test_average_effective_weight(self):
         net = Network([1, 2], [(1, 2, 0.5)])
@@ -1452,6 +1470,13 @@ class TestNeighborMetrics:
         for p_star in (0.6, 0.25):
             self.assert_matches(net, p_star)
 
+    @pytest.mark.parametrize("p_star", TestThresholdRule.TIED)
+    def test_tied_edges(self, p_star):
+        # a-b of p just below p* weighs exactly the budget, so it closes the triangle
+        edges = TestThresholdRule.tied_edges(p_star)
+        for net in (Network("abc", edges), Network("abc", edges + [("a", "c", 1.0)])):
+            self.assert_matches(net, p_star)
+
 
 class TestCriticalParameters:
     def test_worked_example(self):
@@ -1525,6 +1550,10 @@ class TestTopologies:
         assert net.n_edges == 7
         assert len(net.neighbors(0)) == 7
 
+    def test_unknown_spec(self):
+        with pytest.raises(TypeError, match="^unknown topology spec 'ring'$"):
+            topology.topology_edges("ring")
+
     def test_cell_square(self):
         net = build_topology(ProcessorCell(CellKind.SQUARE, 0.9))
         assert (net.n_nodes, net.n_edges) == (4, 4)
@@ -1550,6 +1579,11 @@ class TestTopologies:
 
 
 class TestConstructionCertificate:
+    @pytest.mark.parametrize("n_a,n_b", [(0, 1), (1, 0)])
+    def test_party_sizes(self, n_a, n_b):
+        with pytest.raises(ValueError, match="^party sizes must be >= 1$"):
+            construct_network(n_a, n_b)
+
     def test_bowtie(self):
         # two triangles sharing node 2: two edge-disjoint A-B paths, but
         # both pass through node 2

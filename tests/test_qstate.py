@@ -69,6 +69,12 @@ class TestStates:
             TwoQubitState(np.diag([1.5, -0.5, 0.0, 0.0]))
         with pytest.raises(ValueError):
             make_isotropic(1.2)
+        with pytest.raises(ValueError, match=r"^expected a 4x4 matrix, got shape \(2, 2\)$"):
+            TwoQubitState(np.eye(2) / 2)
+        skew = np.eye(4) / 4
+        skew[0, 1] = 0.1
+        with pytest.raises(ValueError, match="^density matrix is not Hermitian$"):
+            TwoQubitState(skew)
 
 
 class TestChannels:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -183,6 +184,19 @@ class TestZeroKeyWindow:
     def test_clamped_upper(self):
         win = zero_key_window(0.5, 3, math.pi / 4)
         assert win[1] == 1.0
+
+    @pytest.mark.parametrize("q,n,theta", [(0.5, 2000, 0.7), (1e-10, 40, 0.7), (1e-200, 2, 0.7)])
+    def test_underflowing_q_power(self, q, n, theta):
+        # q**n is 0.0 in floats; the root is at least 1 wherever q**n <= gamma
+        assert q**n == 0.0
+        assert zero_key_window(q, n, theta) == (critical_visibility_diqkd(theta), 1.0)
+
+    def test_upper_is_clamped_root(self):
+        for q, n, theta in itertools.product([1.0, 0.99, 0.9, 0.5, 0.1], [1, 2, 5, 40], [0.3, 0.7, 1.2]):
+            gamma = critical_visibility_diqkd(theta)
+            upper = min(1.0, (gamma / q**n) ** (1.0 / (n + 1)))
+            want = (gamma, upper) if gamma < upper else Empty()
+            assert zero_key_window(q, n, theta) == want
 
     def test_midpoint_semantics(self):
         win = zero_key_window(1.0, 1, math.pi / 4)
