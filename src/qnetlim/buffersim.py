@@ -116,13 +116,7 @@ class MemoryHeap:
         # fidelities, then rank the pairs that tie on the lowest one
         items = self.items
         fids = [it.current_fidelity for it in items]
-        low = min(fids)
-        lo = i = fids.index(low)
-        for _ in range(fids.count(low) - 1):
-            i = fids.index(low, i + 1)
-            if self._higher(items[lo], items[i]):
-                lo = i
-        return lo
+        return _first_extreme(fids, min, lambda i, lo: self._higher(items[lo], items[i]))
 
     def _remove_at(self, i: int) -> StoredPair:
         last = len(self.items) - 1
@@ -139,17 +133,15 @@ class MemoryHeap:
         At capacity the incoming pair replaces the minimum-fidelity entry
         only when strictly better than it.
         """
-        if len(self.items) < self.capacity:
-            self.items.append(pair)
-            self._sift_up(len(self.items) - 1)
-            return ("inserted", None)
-        lo = self._min_index()
-        if not self._higher(pair, self.items[lo]):
-            return ("rejected", None)
-        evicted = self._remove_at(lo)
+        evicted = None
+        if len(self.items) >= self.capacity:
+            lo = self._min_index()
+            if not self._higher(pair, self.items[lo]):
+                return ("rejected", None)
+            evicted = self._remove_at(lo)
         self.items.append(pair)
         self._sift_up(len(self.items) - 1)
-        return ("replaced", evicted)
+        return ("inserted", None) if evicted is None else ("replaced", evicted)
 
     def extract_max(self) -> Optional[StoredPair]:
         if not self.items:
@@ -157,16 +149,10 @@ class MemoryHeap:
         return self._remove_at(0)
 
     def latest_index(self) -> int:
-        """Heap position of the most recently inserted pair (latest-first service)."""
+        """Heap position of the latest inserted pair, the larger id within a tick (latest-first service)."""
         items = self.items
         ticks = [it.insertion_tick for it in items]
-        last = max(ticks)
-        latest = i = ticks.index(last)
-        for _ in range(ticks.count(last) - 1):  # same tick: the larger id
-            i = ticks.index(last, i + 1)
-            if items[i].id > items[latest].id:
-                latest = i
-        return latest
+        return _first_extreme(ticks, max, lambda i, latest: items[i].id > items[latest].id)
 
     def tick_decay(self) -> Tuple[List[StoredPair], List[StoredPair]]:
         """Ages every entry one step; returns (survivors, evicted).
@@ -208,6 +194,17 @@ class MemoryHeap:
             f, g = it.current_fidelity, up.current_fidelity
             if f > g or (f == g and higher(it, up)):
                 self._sift_up(i)
+
+
+def _first_extreme(keys: List, extreme: Callable, beats: Callable[[int, int], bool]) -> int:
+    """Position keyed extreme(keys); each later tied position i replaces it when beats(i, it)."""
+    top = extreme(keys)
+    best = i = keys.index(top)
+    for _ in range(keys.count(top) - 1):
+        i = keys.index(top, i + 1)
+        if beats(i, best):
+            best = i
+    return best
 
 
 def sift_ticks(position: int) -> int:
@@ -269,8 +266,8 @@ class SimConfig:
 
 
 def load_config(path) -> SimConfig:
-    """A SimConfig from a JSON object of its fields; decay_mode and service_order are optional."""
-    with open(path) as fh:
+    """A SimConfig from a UTF-8 JSON object of its fields; decay_mode and service_order are optional."""
+    with open(path, encoding="utf-8-sig") as fh:  # a leading byte-order mark is dropped
         raw = json.load(fh)
     return SimConfig(
         capacity=raw["capacity"],

@@ -458,9 +458,9 @@ def _lex_dijkstra(
     out in lexicographic order. No path over limit is pushed: weights are
     non-negative, so the result is the unbounded one restricted to
     d <= limit. The centrality fallback and shortest_path stop at the
-    -log2 p_star budget this way.
+    -log2 p_star budget this way. Each node's CSR row is read as the node
+    settles, so a search copies only the rows it reaches.
     """
-    ptr, head, w = net.ptr.tolist(), net.head.tolist(), net.w.tolist()
     best: Dict[NodeId, Tuple[float, Tuple[NodeId, ...]]] = {}
     heap = [(0.0, (source,))]
     while heap:
@@ -470,9 +470,10 @@ def _lex_dijkstra(
             continue
         best[v] = (d, path)
         i = net.index[v]
-        for k in range(ptr[i], ptr[i + 1]):
-            u = net.nodes[head[k]]
-            du = d + w[k]
+        row = slice(net.ptr[i], net.ptr[i + 1])
+        for k, wk in zip(net.head[row].tolist(), net.w[row].tolist()):
+            u = net.nodes[k]
+            du = d + wk
             if u not in best and du <= limit:
                 heapq.heappush(heap, (du, path + (u,)))
     return best
@@ -736,7 +737,8 @@ def _canonical_sweep(g: Network, graph, budget: float, rows: int, sources: np.nd
     g.index positions. One distance pass within budget serves the block,
     and the tight edges are found rows sources at a time. A source the
     tight edges do not resolve falls back to its _lex_dijkstra paths within
-    the budget, counted here, in the process that runs the block.
+    the budget, counted here, in the process that runs the block; that
+    search reads each node's row of g as the node settles.
     """
     dist = _distances(graph, sources=sources, limit=budget)
     # every slice's result is kept until the block is done: freeing each as
@@ -1048,7 +1050,7 @@ def evolve(
 
 
 def load_edge_list(path) -> Network:
-    """Read UTF-8 `node_a,node_b,p` records; `#` starts a comment line.
+    """Read UTF-8 `node_a,node_b,p` records, after any byte-order mark; `#` starts a comment line.
 
     A malformed record, a self-loop or a p outside EDGE_P among them,
     raises ValueError naming its file and line."""
@@ -1057,7 +1059,7 @@ def load_edge_list(path) -> Network:
         for lineno, raw in enumerate(fh, start=1):
             try:
                 # a byte that is not UTF-8 is a malformed record of its line
-                line = raw.decode("utf-8").strip()
+                line = raw.decode("utf-8-sig" if lineno == 1 else "utf-8").strip()
                 if not line or line.startswith("#"):
                     continue
                 a, b, p = (field.strip() for field in line.split(","))

@@ -144,8 +144,8 @@ def _precheck(lam: float, q: float, task: TaskSpec) -> Tuple[float, Optional[Max
 def max_repeaters(lam: float, q: float, task: TaskSpec) -> MaxRepeaters:
     """Largest n with q^n lam^(n+1) strictly above the task threshold.
 
-    Solved by inverting the logarithm, then verified by stepping the
-    integer up or down so floating point rounding cannot shift the answer.
+    Solved by inverting the logarithm; from two below that estimate, n then
+    steps up while the visibility at n + 1 still clears the threshold.
     """
     gamma, known = _precheck(lam, q, task)
     if known is not None:

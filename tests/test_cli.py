@@ -1,4 +1,5 @@
 import argparse
+import codecs
 import dataclasses
 import hashlib
 import json
@@ -427,6 +428,42 @@ class TestGraphCommands:
         assert ups == sorted(ups)
 
 
+def bom_copy(path):
+    """A copy of path beside it, behind a UTF-8 byte-order mark."""
+    copy = path.with_name("bom-" + path.name)
+    copy.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    return copy
+
+
+class TestByteOrderMark:
+    """An input file behind a UTF-8 byte-order mark prints the plain file's data rows."""
+
+    def assert_same_rows(self, capsys, plain, *argv):
+        code, out, err = run_cli(capsys, *argv, str(plain))
+        assert (code, err) == (0, "")
+        code, bom_out, err = run_cli(capsys, *argv, str(bom_copy(plain)))
+        assert (code, err) == (0, "")
+        assert data_rows(bom_out) == data_rows(out)
+
+    def test_edge_list_under_its_header(self, capsys, tmp_path):
+        # line 1 is the `# node_a,node_b,p` header topology --edges-out writes
+        plain = tmp_path / "cell.edges"
+        run_cli(capsys, "topology", "--kind", "cell-octagonal", "--edges-out", str(plain))
+        assert plain.read_text().startswith("# node_a,node_b,p\n")
+        self.assert_same_rows(capsys, plain, "graph", "--in")
+
+    def test_edge_list_without_header(self, capsys, tmp_path):
+        # line 1 is a record, whose first node id must not take in the mark
+        plain = tmp_path / "abc.edges"
+        plain.write_text("a,b,0.9\nb,c,0.8\n")
+        self.assert_same_rows(capsys, plain, "path", "--source", "a", "--target", "c", "--in")
+
+    def test_buffer_config(self, capsys, tmp_path):
+        plain = tmp_path / "sim.json"
+        plain.write_text(json.dumps(TestBufferGoldens.CONFIGS["capacity-pressure"]()))
+        self.assert_same_rows(capsys, plain, "buffer", "--config")
+
+
 class TestCriticalNodesGolden:
     """critical-nodes on the Square1024 edge list, pinned byte for byte.
 
@@ -788,6 +825,17 @@ class TestAirportCommand:
         code, out, _ = run_cli(capsys, "airport", *argv)
         assert code == 0
         assert f"# airports = {tmp_path / 'airports.csv'}" in out.splitlines()
+
+    def test_byte_order_mark(self, capsys, tmp_path):
+        # the mark goes with each file's header line
+        code, out, _ = run_cli(capsys, "airport", *self.write(tmp_path))
+        bom = tmp_path / "bom"
+        bom.mkdir()
+        for name in ("airports.csv", "routes.csv"):
+            bom_copy(tmp_path / name).rename(bom / name)
+        code_bom, out_bom, _ = run_cli(capsys, "airport", "--data-dir", str(bom))
+        assert (code, code_bom) == (0, 0)
+        assert data_rows(out_bom) == data_rows(out)
 
     def test_missing_file(self, capsys, tmp_path):
         argv = self.write(tmp_path)

@@ -1321,6 +1321,22 @@ class TestLexDijkstraLimit:
         assert max(d for hits in reached for d, _ in hits.values()) <= budget
         assert max(map(len, reached)) < net.n_nodes
 
+    def test_reads_rows_in_place(self, monkeypatch):
+        # every source of this circulant falls back at p* = 0.01; no search may copy the whole CSR
+        net, p_star = build_topology(Circulant(256, 5, 0.7)), 0.01
+        budget = -math.log2(p_star)
+        want = centrality_all(net, p_star), [ng._lex_dijkstra(net, s, budget) for s in net.nodes]
+        edges = len(net.head)
+
+        class RowsOnly(np.ndarray):
+            def tolist(self):
+                assert self.size < edges, "an edge-sized copy of the CSR"
+                return super().tolist()
+
+        for name in ("head", "w"):
+            monkeypatch.setattr(net, name, getattr(net, name).view(RowsOnly))
+        assert (centrality_all(net, p_star), [ng._lex_dijkstra(net, s, budget) for s in net.nodes]) == want
+
 
 def force_pool(monkeypatch, workers, elements=1 << 8):
     """Make centrality_all fork workers over blocks of a few sources, whatever its size."""

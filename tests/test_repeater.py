@@ -161,6 +161,15 @@ class TestMaxRepeaters:
         assert chain_visibility(ChainConfig(lam, q, n)) > p_star
         assert chain_visibility(ChainConfig(lam, q, n + 1)) <= p_star
 
+    @pytest.mark.parametrize("task", ALL_TASKS, ids=lambda t: f"{t.kind.value}-{t.entanglement_mode.value}")
+    def test_lambda_one_ulp_below_one(self, task):
+        # n ~ 1e15, far past any stepping oracle: feasible at n, infeasible at n + 1
+        lam = 1.0 - 2.0**-52
+        n = max_repeaters(lam, 1.0, task)
+        assert n > 10**15
+        assert chain_visibility(ChainConfig(lam, 1.0, n)) > task.threshold()
+        assert chain_visibility(ChainConfig(lam, 1.0, n + 1)) <= task.threshold()
+
     def test_monotone_in_lambda_and_q(self):
         task = TaskSpec(TaskKind.CHSH)
         prev = -1
@@ -169,6 +178,12 @@ class TestMaxRepeaters:
             val = -1 if isinstance(n, NoneFeasible) else n
             assert val >= prev
             prev = val
+
+
+@pytest.mark.parametrize("kind", [TaskKind.CHSH, TaskKind.DIQKD, TaskKind.CUSTOM])
+def test_critical_probability_of_other_tasks_raises(kind):
+    with pytest.raises(ValueError, match="defined for entanglement and teleportation"):
+        repeater.critical_probability(kind)
 
 
 class TestZeroKeyWindow:
@@ -197,6 +212,11 @@ class TestZeroKeyWindow:
             upper = min(1.0, (gamma / q**n) ** (1.0 / (n + 1)))
             want = (gamma, upper) if gamma < upper else Empty()
             assert zero_key_window(q, n, theta) == want
+
+    def test_tiny_theta_rounds_gamma_to_one(self):
+        # at theta = 1e-300, cos + sin rounds to 1, so gamma is 1.0 and no visibility lies above it
+        assert critical_visibility_diqkd(1e-300) == 1.0
+        assert zero_key_window(0.9, 1, 1e-300) == Empty()
 
     def test_midpoint_semantics(self):
         win = zero_key_window(1.0, 1, math.pi / 4)
