@@ -2,7 +2,6 @@
 
 Subpackages:
 
-- ``qstate``   : two-qubit states and measures, the tests' oracle; no command loads it
 - ``yields``   : numpy-free closed-form depolarizing and thermal yields
 - ``repeater`` : closed-form feasibility of linear repeater chains
 - ``topology`` : numpy-free reference topology generators and edge lists
@@ -13,10 +12,10 @@ Subpackages:
 
 ``Range`` declares the values a scalar parameter may take, once, and
 checks them; the ranges of the graph commands' options are declared here,
-so that building those options needs no numpy. Only ``qstate`` and
-``netgraph`` import numpy. A submodule is imported on first access as an
-attribute of the package, so ``qnetlim.netgraph`` works after
-``import qnetlim`` alone.
+so that building those options needs no numpy. Only ``netgraph``
+imports numpy. A submodule is imported on first access as an attribute
+of the package, so ``qnetlim.netgraph`` works after ``import qnetlim``
+alone.
 """
 
 import math
@@ -27,7 +26,7 @@ from typing import Optional
 
 __version__ = "0.1.0"
 
-_SUBMODULES = ("qstate", "yields", "repeater", "topology", "netgraph", "scenario", "buffersim", "cli")
+_SUBMODULES = ("yields", "repeater", "topology", "netgraph", "scenario", "buffersim", "cli")
 
 
 def __getattr__(name):

@@ -20,11 +20,11 @@ then repairs from the other edges, by relaxation, to exactly the floats
 Dijkstra gives. A graph gets it when its work, which grows with the other
 edges, is within _NUMPY_ELEMENTS: equal weights, the airport snapshot and
 lattices with a few odd edges. Only other graphs, such as those of random
-p, and construct_network's maximum flow import scipy, whose ~0.4 s import
-is most of a small network's run. The pass reads each CSR row as the
-node's in-edges, which holds because every caller passes both directions
-of each edge. The reference topologies come from the numpy-free topology
-module, and are re-exported here.
+p, import scipy, whose ~0.4 s import is most of a small network's run.
+The pass reads each CSR row as the node's in-edges, which holds because
+every caller passes both directions of each edge. The reference
+topologies come from the numpy-free topology module, and are re-exported
+here.
 """
 
 from __future__ import annotations
@@ -35,11 +35,11 @@ import math
 import os
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
-from . import EDGE_P, EVOLVE_K, EVOLVE_W, P_STAR, Range, Sentinel
+from . import EVOLVE_K, EVOLVE_W, P_STAR, Range, Sentinel
 from .topology import (  # noqa: F401  (re-exported)
     CellKind,
     Circulant,
@@ -157,22 +157,6 @@ class Network:
 class StrategyKind(str, Enum):
     NON_COOPERATIVE = "non-cooperative"
     COOPERATIVE = "cooperative"
-
-
-def effective_weight(p: float, p_star: float) -> float:
-    """-log2 p in bits when it is within the -log2 p_star budget, else +inf."""
-    EDGE_P.check("p", p)
-    w = -math.log2(p)
-    return w if w <= _budget(p_star) else math.inf
-
-
-@dataclass(frozen=True)
-class EffectiveMatrices:
-    """Weight matrix A, thresholded A_star, effective success matrix f_star."""
-
-    A: np.ndarray
-    A_star: np.ndarray
-    f_star: np.ndarray
 
 
 class _Hops(NamedTuple):
@@ -391,41 +375,18 @@ def _best_weights(net: Network, p_star: float, full: bool = False) -> np.ndarray
     return entry[1]
 
 
-def _success(dist: np.ndarray, p_star: float) -> np.ndarray:
-    """2**-d for each best-path weight d within the -log2 p_star budget, else 0.
+def _f_star(net: Network, p_star: float, rows: slice = slice(None)) -> np.ndarray:
+    """Rows of the best-path success probabilities: 2**-d within the budget, else 0, and 0 on the diagonal.
 
     The power is taken only within the budget, by the same ufunc on the
     same weights, so the values depend neither on which pass is cached
-    nor on whether dist is all of it or one row.
+    nor on which rows are asked for.
     """
+    dist = _best_weights(net, p_star)[rows]
     f = np.zeros(dist.shape)
     np.power(2.0, -dist, out=f, where=dist <= _budget(p_star))
+    np.fill_diagonal(f[:, rows.start or 0:], 0.0)
     return f
-
-
-def _f_star(net: Network, p_star: float) -> np.ndarray:
-    """Best-path success probabilities 2**-d, 0 over the budget and on the diagonal."""
-    f = _success(_best_weights(net, p_star), p_star)
-    np.fill_diagonal(f, 0.0)
-    return f
-
-
-def matrices(net: Network, p_star: float) -> EffectiveMatrices:
-    """A, A_star and the all-pairs best-path success matrix f_star.
-
-    A holds -log2 p per edge, A_star only for the edges usable at p_star,
-    w <= -log2 p_star; both are 0 on the diagonal and +inf elsewhere.
-    f_star entries are 2**-d for the best path weight d when d is within
-    the same budget, else 0; the diagonal is 0 by definition.
-    """
-    n, tail = net.n_nodes, net.tail
-    a = np.full((n, n), math.inf)
-    np.fill_diagonal(a, 0.0)
-    a_star = a.copy()
-    a[tail, net.head] = net.w
-    strong = _strong(net, p_star)
-    a_star[tail[strong], net.head[strong]] = net.w[strong]
-    return EffectiveMatrices(a, a_star, _f_star(net, p_star))
 
 
 class PathStatus(str, Enum):
@@ -439,13 +400,6 @@ class PathResult:
     total_weight: float
     probability: float
     status: PathStatus
-
-
-def _position(net: Network, v: NodeId) -> int:
-    """v's position in net.index; KeyError for a node net does not hold."""
-    if v not in net.index:
-        raise KeyError(f"unknown node {v!r}")
-    return net.index[v]
 
 
 def _lex_dijkstra(
@@ -483,7 +437,8 @@ def shortest_path(net: Network, source: NodeId, target: NodeId, p_star: float) -
     """Minimum-weight path, Found only within the -log2 p_star budget, where its search stops."""
     budget = _budget(p_star)
     for v in (source, target):
-        _position(net, v)
+        if v not in net.index:
+            raise KeyError(f"unknown node {v!r}")
     reached = _lex_dijkstra(net, source, budget)
     if target not in reached:
         return PathResult((), math.inf, 0.0, PathStatus.DISCONNECTED)
@@ -505,20 +460,6 @@ def link_sparsity(net: Network, p_star: float, strategy: StrategyKind) -> float:
     return 1.0 - n_star / n**2
 
 
-def connection_strength(net: Network, v: NodeId, strategy: StrategyKind, p_star: float) -> float:
-    """Average success probability from v to the other nodes, over all n nodes.
-
-    Non-cooperative uses direct edges only; cooperative uses best paths.
-    """
-    i = _position(net, v)
-    if strategy is StrategyKind.NON_COOPERATIVE:
-        return float(_direct_sums(net, p_star)[i]) / net.n_nodes
-    # v's row of _f_star, without the other n - 1
-    row = _success(_best_weights(net, p_star)[i], p_star)
-    row[i] = 0.0
-    return float(row.sum()) / net.n_nodes
-
-
 def _direct_sums(net: Network, p_star: float) -> np.ndarray:
     """Per node, the sum of the p of its edges usable at p_star, in edge insertion order."""
     ends, p, strong = np.empty_like(net.tail), np.empty_like(net.p), np.empty(len(net.p), bool)
@@ -526,10 +467,22 @@ def _direct_sums(net: Network, p_star: float) -> np.ndarray:
     return np.bincount(ends[strong], p[strong], minlength=net.n_nodes)
 
 
+# rows of f* that the cooperative strengths hold at a time, beside the cached pass
+_STRENGTH_ROWS = 64
+
+
 def _all_strengths(net: Network, strategy: StrategyKind, p_star: float) -> np.ndarray:
+    """Per node, the p of its usable edges (non-cooperative) or its f* row (cooperative), summed, over n.
+
+    f* is summed _STRENGTH_ROWS rows at a time: a row sums to the same
+    float alone as in the whole matrix.
+    """
+    n = net.n_nodes
     if strategy is StrategyKind.NON_COOPERATIVE:
-        return _direct_sums(net, p_star) / net.n_nodes
-    return _f_star(net, p_star).sum(axis=1) / net.n_nodes
+        return _direct_sums(net, p_star) / n
+    # one empty block when n = 0, so p_star is still checked
+    starts = range(0, max(n, 1), _STRENGTH_ROWS)
+    return np.concatenate([_f_star(net, p_star, slice(i, i + _STRENGTH_ROWS)).sum(axis=1) for i in starts]) / n
 
 
 def total_connection_strength(net: Network, strategy: StrategyKind, p_star: float) -> float:
@@ -552,21 +505,24 @@ def sparsity_index(net: Network, strategy: StrategyKind, p_star: float) -> float
     return area / 0.5
 
 
-# node count of one block-diagonal all-pairs call over neighbour subgraphs;
-# it also bounds the wedges held at once
+# node count of one block-diagonal all-pairs call over neighbour subgraphs
 _SUBGRAPH_BLOCK = 512
+# the most wedges held at once: a full block's, so a hub's come in chunks
+_WEDGES = _SUBGRAPH_BLOCK * (_SUBGRAPH_BLOCK - 1) // 2
 
 
 def _neighbor_metrics(net: Network, p_star: float) -> Tuple[np.ndarray, np.ndarray]:
     """Clustering coefficient and neighbour-subgraph average weight of every node, in net order.
 
     Both metrics read the wedges (a, v, b) of each node v, a before b in
-    net order. Clustering counts the wedges closed at threshold p_star.
-    The average weight is average_effective_weight of the subgraph
-    induced by all of v's neighbours, in net order, bit for bit: the
-    subgraphs of nodes of equal degree are laid out block-diagonally, up
-    to _SUBGRAPH_BLOCK nodes at a time, for one all-pairs call. It is nan
-    for a node with fewer than two neighbours.
+    net order, up to _WEDGES at a time. Clustering counts the wedges
+    closed at threshold p_star. The average weight is
+    average_effective_weight of the subgraph induced by all of v's
+    neighbours, in net order, bit for bit: the subgraphs of nodes of equal
+    degree are laid out block-diagonally, up to _SUBGRAPH_BLOCK nodes at a
+    time, for one all-pairs call. A subgraph of k nodes with fewer than
+    k - 1 usable edges is disconnected, so it reads +inf without the call.
+    It is nan for a node with fewer than two neighbours.
     """
     n = net.n_nodes
     tail, head, ptr = net.tail, net.head, net.ptr
@@ -577,37 +533,46 @@ def _neighbor_metrics(net: Network, p_star: float) -> Tuple[np.ndarray, np.ndarr
     clustering = np.zeros(n)
     w_avg = np.full(n, np.nan)
     for k in np.unique(deg[deg >= 2]):
-        i, j = np.triu_indices(k, 1)
-        off_diagonal = ~np.eye(k, dtype=bool)
+        # pair number first[i] is (i, i + 1) in np.triu_indices(k, 1)'s order; first[-1] counts the pairs
+        first = np.arange(k) * (2 * k - np.arange(k) - 1) // 2
         members = np.flatnonzero(deg == k)
         per = max(1, _SUBGRAPH_BLOCK // k)
         for start in range(0, len(members), per):
             group = members[start:start + per]
-            ea, eb = ptr[group, None] + i, ptr[group, None] + j
-            ab = head[ea] * n + head[eb]
-            hit = np.minimum(np.searchsorted(keys, ab), len(keys) - 1)
-            linked = (keys[hit] == ab) & strong[hit]
-            e_i = (linked & strong[ea] & strong[eb]).sum(axis=1)
+            e_i = np.zeros(len(group), np.int64)
+            links = []
+            step = _WEDGES // len(group)
+            for lo in range(0, first[-1], step):
+                pair = np.arange(lo, min(lo + step, first[-1]))
+                i = np.searchsorted(first, pair, side="right") - 1
+                j = pair - first[i] + i + 1
+                ea, eb = ptr[group, None] + i, ptr[group, None] + j
+                ab = head[ea] * n + head[eb]
+                hit = np.minimum(np.searchsorted(keys, ab), len(keys) - 1)
+                linked = (keys[hit] == ab) & strong[hit]
+                e_i += (linked & strong[ea] & strong[eb]).sum(axis=1)
+                slot, at = np.nonzero(linked)
+                links.append((slot, i[at], j[at], net.w[hit[slot, at]]))
             pairs = n_i[group] * (n_i[group] - 1)
             clustering[group] = np.where(pairs > 0, 2.0 * e_i / np.maximum(pairs, 1), 0.0)
-            slot, pair = np.nonzero(linked)
-            w = net.w[hit[slot, pair]]
-            a, b = slot * k + i[pair], slot * k + j[pair]
+            slot, i, j, w = map(np.concatenate, zip(*links))
+            whole = np.bincount(slot, minlength=len(group)) >= k - 1
+            w_avg[group[~whole]] = math.inf
+            group, keep = group[whole], whole[slot]
+            if not len(group):
+                continue
+            # the subgraphs that may be connected, renumbered
+            slot = (np.cumsum(whole) - 1)[slot[keep]]
+            a, b, w = slot * k + i[keep], slot * k + j[keep], w[keep]
             tails = np.r_[a, b]
             by_tail = np.argsort(tails, kind="stable")
             graph = _graph(tails[by_tail], np.r_[b, a][by_tail], np.r_[w, w][by_tail], len(group) * k, k)
             # lane a holds node a of every subgraph: dist[a, s * k + b] is subgraph s's a -> b
             dist = _distances(graph, sources=np.arange(len(group) * k).reshape(len(group), k).T)
             blocks = dist.reshape(k, len(group), k).transpose(1, 0, 2)
-            for g, off in zip(group, blocks[:, off_diagonal]):
+            for g, off in zip(group, blocks[:, ~np.eye(k, dtype=bool)]):
                 w_avg[g] = _mean_weight(off)
     return clustering, w_avg
-
-
-def clustering_coefficient(net: Network, v: NodeId, p_star: float) -> float:
-    """2 e_i / (n_i (n_i - 1)) over the neighbor subgraph at threshold p_star."""
-    i = _position(net, v)
-    return float(_neighbor_metrics(net, p_star)[0][i])
 
 
 def _mean_weight(off: np.ndarray) -> float:
@@ -862,77 +827,6 @@ def build_topology(spec: TopologySpec) -> Network:
     """The Network of a named reference topology; see topology.topology_edges."""
     n, edges = topology_edges(spec)
     return Network(range(n), edges)
-
-
-@dataclass(frozen=True)
-class ConstructionCertificate:
-    disjoint_paths: int
-    disjoint_ok: bool
-    all_pairs_connected: bool
-
-
-def construct_network(
-    n_a: int,
-    n_b: int,
-    mesh_p: Union[float, Dict[Tuple[int, int], float]] = 0.9,
-    attach_p: Union[float, Dict[str, float]] = 0.9,
-) -> Tuple[Network, ConstructionCertificate]:
-    """Complete core mesh with distinct attachment points for two parties.
-
-    Core nodes are "c0".."c<n_a+n_b-1>"; external nodes are "a0..",
-    "b0..", each attached to its own core node. The certificate counts the
-    vertex-disjoint A-to-B paths of the network, as a unit-capacity maximum
-    flow on its CSR arrays, checks that there are min(n_a, n_b) of them,
-    and checks that every A-B pair is connected.
-    """
-    if n_a < 1 or n_b < 1:
-        raise ValueError("party sizes must be >= 1")
-    n_core = n_a + n_b
-    core = [f"c{i}" for i in range(n_core)]
-    a_nodes = [f"a{i}" for i in range(n_a)]
-    b_nodes = [f"b{i}" for i in range(n_b)]
-    nodes: List[NodeId] = core + a_nodes + b_nodes
-
-    def prob(given, key):
-        return given[key] if isinstance(given, dict) else given
-
-    edges = [
-        (core[i], core[j], prob(mesh_p, (i, j)))
-        for i in range(n_core)
-        for j in range(i + 1, n_core)
-    ]
-    edges += [(a, core[i], prob(attach_p, a)) for i, a in enumerate(a_nodes)]
-    edges += [(b, core[n_a + i], prob(attach_p, b)) for i, b in enumerate(b_nodes)]
-    net = Network(nodes, edges)
-    flow, connected = _disjoint_paths(net, a_nodes, b_nodes)
-    return net, ConstructionCertificate(flow, flow >= min(n_a, n_b), connected)
-
-
-def _disjoint_paths(
-    net: Network, a_nodes: Sequence[NodeId], b_nodes: Sequence[NodeId]
-) -> Tuple[int, bool]:
-    """Vertex-disjoint A-to-B paths, and whether every A-B pair is connected.
-
-    The count is a maximum flow with unit capacities on net with every node
-    split (Menger): in-copy i and out-copy n + i joined by one arc, an arc
-    out(tail) -> in(head) per CSR entry, a source 2n feeding the A in-copies
-    and a sink 2n + 1 fed by the B out-copies, so no two paths share a
-    node, party nodes included.
-    """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import maximum_flow
-
-    n = net.n_nodes
-    a = np.array([net.index[v] for v in a_nodes], np.int64)
-    b = np.array([net.index[v] for v in b_nodes], np.int64)
-    source, sink = 2 * n, 2 * n + 1
-    split = np.arange(n)
-    tails = np.concatenate([split, n + net.tail, np.full(len(a), source), n + b])
-    heads = np.concatenate([n + split, net.head, a, np.full(len(b), sink)])
-    cap = csr_matrix((np.ones(len(tails), np.int32), (tails, heads)), shape=(sink + 1,) * 2)
-    flow = int(maximum_flow(cap, source, sink).flow_value)
-    hops = _distances(_graph(net.tail, net.head, np.ones(len(net.head)), n), sources=a)
-    return flow, bool(np.isfinite(hops[:, b]).all())
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Closed-form fidelities with Psi+ after two-sided noise, in plain floats.
 
 These scalar yields are what the repeater, scenario and buffer layers
-need from the channel models. They live apart from ``qstate`` so that
-those layers, and the commands built on them, run without numpy.
+need from the channel models. They are plain floats, so that those
+layers, and the commands built on them, run without numpy; the tests
+check them against the density-matrix channels of their oracle,
+``tests/qstate.py``.
 """
 
 from __future__ import annotations

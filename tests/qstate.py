@@ -21,9 +21,9 @@ from typing import List, Union
 
 import numpy as np
 
-from . import UNIT, Range, check_fields, ranged
+from qnetlim import UNIT, Range, check_fields, ranged
 # the scalar yields live in the numpy-free yields module; re-exported here
-from .yields import DepolYieldMode, depol_yield, thermal_yield  # noqa: F401
+from qnetlim.yields import DepolYieldMode, depol_yield, thermal_yield  # noqa: F401
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12

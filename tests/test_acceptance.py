@@ -13,9 +13,10 @@ import time
 import numpy as np
 import pytest
 
-from qnetlim import buffersim, netgraph, qstate, repeater, scenario
+import qstate
+from qnetlim import buffersim, netgraph, repeater, scenario
 from qnetlim.netgraph import Network, PathStatus, StrategyKind
-from qnetlim.qstate import BellKind, DepolYieldMode
+from qstate import BellKind, DepolYieldMode
 
 NC = StrategyKind.NON_COOPERATIVE
 
@@ -114,16 +115,17 @@ def test_criterion_05_lattice_metrics():
         assert netgraph.link_sparsity(net, 0.5, NC) == pytest.approx(want, abs=5e-5)
     for p in (0.3, 0.7):
         grid = netgraph.build_topology(netgraph.Square1024(p))
-        assert netgraph.connection_strength(grid, 33, NC, 0.1) == pytest.approx(p / 256, abs=1e-12)
-        assert netgraph.connection_strength(grid, 1, NC, 0.1) == pytest.approx(3 * p / 1024, abs=1e-12)
-        assert netgraph.connection_strength(grid, 0, NC, 0.1) == pytest.approx(p / 512, abs=1e-12)
+        strengths = netgraph._all_strengths(grid, NC, 0.1)
+        assert strengths[33] == pytest.approx(p / 256, abs=1e-12)
+        assert strengths[1] == pytest.approx(3 * p / 1024, abs=1e-12)
+        assert strengths[0] == pytest.approx(p / 512, abs=1e-12)
         for kind, denom in [
             (netgraph.CellKind.SQUARE, 2),
             (netgraph.CellKind.OCTAGONAL, 4),
             (netgraph.CellKind.HEAVY_HEXAGONAL, 6),
         ]:
             cell = netgraph.build_topology(netgraph.ProcessorCell(kind, p))
-            assert netgraph.connection_strength(cell, 0, NC, 0.1) == pytest.approx(
+            assert netgraph._all_strengths(cell, NC, 0.1)[0] == pytest.approx(
                 p / denom, abs=1e-12
             )
 
@@ -232,10 +234,10 @@ def test_criterion_09_shortest_path_oracle():
             assert got.nodes == want[1]
             assert got.total_weight == pytest.approx(want[0], abs=1e-12)
         # success-matrix entries agree with the per-pair enumeration
-        m = netgraph.matrices(net, 0.3)
+        f_star = netgraph._f_star(net, 0.3)
         for t in range(1, n):
             ref = enumerate_best(net, 0, t, 0.3)
-            entry = m.f_star[0, net.index[t]]
+            entry = f_star[0, net.index[t]]
             if ref is None:
                 assert entry == 0.0
             else:
@@ -243,9 +245,9 @@ def test_criterion_09_shortest_path_oracle():
     semantics = Network(
         [1, 2, 3], [(1, 2, 0.198), (1, 3, 0.79), (3, 2, 0.6857)]
     )
-    m = netgraph.matrices(semantics, 0.5)
-    assert m.f_star[0, 1] == pytest.approx(0.5417, abs=5e-5)
-    assert m.f_star[0, 1] > 0.198
+    f_star = netgraph._f_star(semantics, 0.5)
+    assert f_star[0, 1] == pytest.approx(0.5417, abs=5e-5)
+    assert f_star[0, 1] > 0.198
 
 
 def test_criterion_10_critical_parameter_example():

@@ -1371,6 +1371,11 @@ class TestModuleSets:
     def test_every_figure_is_listed(self):
         assert sorted(c.split()[1] for c, _ in self.COMMANDS if c.startswith("figure")) == sorted(FIGURE_IDS)
 
+    def test_every_submodule_is_run_by_a_command(self):
+        # the installed package is what the commands run: a module no row loads belongs in tests
+        run = {module for _, modules in self.COMMANDS for module in modules}
+        assert {f"qnetlim.{name}" for name in qnetlim._SUBMODULES if name != "cli"} <= run
+
     @pytest.mark.parametrize("command,modules", COMMANDS, ids=[c for c, _ in COMMANDS])
     def test_loads_only_its_modules(self, tmp_path, edge_file, command, modules):
         (tmp_path / "sim.json").write_text(json.dumps(buffer_config(1, 3, 10)))

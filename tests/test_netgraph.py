@@ -7,12 +7,11 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import test_cli
 from qnetlim import netgraph as ng
@@ -33,16 +32,11 @@ from qnetlim.netgraph import (
     average_effective_weight,
     build_topology,
     centrality_all,
-    clustering_coefficient,
-    connection_strength,
-    construct_network,
     critical_parameters,
     critically_large_check,
-    effective_weight,
     evolve,
     link_sparsity,
     load_edge_list,
-    matrices,
     shortest_path,
     sparsity_index,
     task_reachability,
@@ -197,6 +191,16 @@ def shuffled(net, rng):
     return Network(net.nodes, dict(items))
 
 
+def weight_matrix(net, p_star=None):
+    """A, -log2 p per edge, or with p_star A*, its edges usable at p_star; 0 on the diagonal, else +inf."""
+    a = np.full((net.n_nodes,) * 2, math.inf)
+    np.fill_diagonal(a, 0.0)
+    for (u, v), p in net.edges.items():
+        if p_star is None or usable(p, p_star):
+            a[net.index[u], net.index[v]] = a[net.index[v], net.index[u]] = -math.log2(p)
+    return a
+
+
 def direct_sums_oracle(net, p_star):
     """Per node, the p of its edges usable at p_star added up one by one in net.edges order."""
     sums = {v: 0.0 for v in net.nodes}
@@ -205,35 +209,6 @@ def direct_sums_oracle(net, p_star):
             sums[a] += p
             sums[b] += p
     return sums
-
-
-def reaches(net, sources, targets, removed=frozenset()):
-    """Whether a path avoiding the removed nodes joins some source to some target."""
-    seen = set(sources) - removed
-    stack = list(seen)
-    while stack:
-        v = stack.pop()
-        if v in targets:
-            return True
-        for u in net.neighbors(v):
-            if u not in seen and u not in removed:
-                seen.add(u)
-                stack.append(u)
-    return False
-
-
-def separator_oracle(net, a_nodes, b_nodes):
-    """Size of the smallest node set, party nodes included, whose removal
-    separates A from B: by Menger's theorem, the most vertex-disjoint A-B paths."""
-    for k in range(net.n_nodes + 1):
-        for cut in itertools.combinations(net.nodes, k):
-            if not reaches(net, a_nodes, set(b_nodes), frozenset(cut)):
-                return k
-
-
-def certificate_oracle(net, a_nodes, b_nodes):
-    connected = all(reaches(net, [a], {b}) for a in a_nodes for b in b_nodes)
-    return separator_oracle(net, a_nodes, b_nodes), connected
 
 
 class TestNetwork:
@@ -256,8 +231,7 @@ class TestNetwork:
             # non-cooperative strengths add up in edge insertion order
             for p_star in (0.05, 0.5, 0.9):
                 sums = direct_sums_oracle(net, p_star)
-                for v in net.nodes:
-                    assert connection_strength(net, v, NC, p_star) == sums[v] / net.n_nodes
+                assert ng._direct_sums(net, p_star).tolist() == [sums[v] for v in net.nodes]
                 want = float((np.array([sums[v] for v in net.nodes]) / net.n_nodes).sum())
                 assert total_connection_strength(net, NC, p_star) == want
 
@@ -287,31 +261,23 @@ class TestNetwork:
 
     def test_unknown_node(self):
         net = square_plus_diagonal()
-        for call in (lambda: connection_strength(net, 9, CO, 0.5),
-                     lambda: connection_strength(net, 9, NC, 0.5),
-                     lambda: clustering_coefficient(net, 9, 0.5),
-                     lambda: shortest_path(net, 1, 9, 0.5), lambda: shortest_path(net, 9, 1, 0.5)):
+        for call in (lambda: shortest_path(net, 1, 9, 0.5), lambda: shortest_path(net, 9, 1, 0.5)):
             with pytest.raises(KeyError, match="^'unknown node 9'$"):
                 call()
 
 
 class TestWeights:
-    def test_effective_weight(self):
-        assert effective_weight(0.5, 0.25) == 1.0
-        assert effective_weight(0.2, 0.25) == math.inf
-        assert effective_weight(0.54173, 0.5) == pytest.approx(-math.log2(0.54173), abs=1e-12)
-
-    def test_matrices_examples(self):
+    def test_f_star_examples(self):
         net = Network([1, 2, 3], [(1, 2, 0.8), (2, 3, 0.8)])
-        assert matrices(net, 0.5).f_star[0, 2] == pytest.approx(0.64, abs=1e-12)
-        assert matrices(net, 0.7).f_star[0, 2] == 0.0
+        assert ng._f_star(net, 0.5)[0, 2] == pytest.approx(0.64, abs=1e-12)
+        assert ng._f_star(net, 0.7)[0, 2] == 0.0
 
     def test_indirect_beats_direct(self):
         net = Network([1, 2, 3], [(1, 2, 0.198), (1, 3, 0.79), (3, 2, 0.6857)])
-        m = matrices(net, 0.5)
-        assert m.f_star[0, 1] == pytest.approx(0.541703, abs=1e-6)
-        assert 2.0 ** -m.A[0, 1] == pytest.approx(0.198, abs=1e-12)
-        assert m.f_star[0, 1] > 2.0 ** -m.A[0, 1]
+        f_star, a = ng._f_star(net, 0.5), weight_matrix(net)
+        assert f_star[0, 1] == pytest.approx(0.541703, abs=1e-6)
+        assert 2.0 ** -a[0, 1] == pytest.approx(0.198, abs=1e-12)
+        assert f_star[0, 1] > 2.0 ** -a[0, 1]
 
     def test_shared_pass_is_read_only(self):
         net = square_plus_diagonal()
@@ -320,8 +286,8 @@ class TestWeights:
         with pytest.raises(ValueError):
             dist[0, 1] = 0.0
         # each caller gets its own f_star
-        matrices(net, 0.3).f_star[0, 1] = 0.0
-        assert matrices(net, 0.3).f_star[0, 1] == 0.5
+        ng._f_star(net, 0.3)[0, 1] = 0.0
+        assert ng._f_star(net, 0.3)[0, 1] == 0.5
 
     def test_shared_pass_freed_before_next(self, monkeypatch):
         # evolve computes one pass per step, and a full request replaces a
@@ -345,13 +311,12 @@ class TestWeights:
         rng = random.Random(5)
         for _ in range(10):
             net = random_graph(rng)
-            m = matrices(net, 0.4)
-            assert np.allclose(m.A, m.A.T)
-            assert np.allclose(m.f_star, m.f_star.T)
-            finite = np.isfinite(m.A_star)
+            f_star, a_star = ng._f_star(net, 0.4), weight_matrix(net, 0.4)
+            assert np.allclose(f_star, f_star.T)
+            finite = np.isfinite(a_star)
             np.fill_diagonal(finite, False)
             # direct reachability never beats the best path
-            assert (m.f_star[finite] >= 2.0 ** -m.A_star[finite] - 1e-12).all()
+            assert (f_star[finite] >= 2.0 ** -a_star[finite] - 1e-12).all()
 
 
 class TestShortestPath:
@@ -476,7 +441,7 @@ class TestThresholdRule:
             within = weight <= -math.log2(p_star)
             s, t = path[0], path[-1]
             assert (shortest_path(net, s, t, p_star).status is PathStatus.FOUND) == within
-            assert (matrices(net, p_star).f_star[0, -1] > 0) == within
+            assert (ng._f_star(net, p_star)[0, -1] > 0) == within
             assert task_reachability(net, p_star).counts[s] == (len(path) if within else len(path) - 1)
             assert centrality_all(net, p_star)[path[1]] == (len(path) > 2 and within)
             assert link_sparsity(net, p_star, CO) <= link_sparsity(net, p_star, NC)
@@ -528,24 +493,25 @@ class TestThresholdRule:
         edges = self.tied_edges(p_star)
         net = Network(["a", "b", "c"], edges)
         budget = -math.log2(p_star)
-        assert effective_weight(edges[0][2], p_star) == budget
+        assert -math.log2(edges[0][2]) == budget
         assert net.neighbors("a", p_star) == ["b"]
         assert net.neighbors("b", p_star) == ["a", "c"]
-        assert matrices(net, p_star).A_star[0, 1] == budget
+        # a -> b, the first CSR entry, weighs the budget and is usable
+        assert net.w[0] == budget and ng._strong(net, p_star).all()
         assert shortest_path(net, "a", "c", p_star).status is PathStatus.FOUND
         assert task_reachability(net, p_star).counts == {"a": 3, "b": 3, "c": 3}
         assert link_sparsity(net, p_star, NC) == 1 - 4 / 9
         assert link_sparsity(net, p_star, CO) == 1 - 6 / 9
         assert centrality_all(net, p_star) == {"a": 0, "b": 1, "c": 0}
         for strategy in (NC, CO):
-            assert connection_strength(net, "a", strategy, p_star) > 0
+            assert ng._all_strengths(net, strategy, p_star)[0] > 0
         assert self.mismatches(net, p_star) == []
         # closing the triangle: a-b is the link between a's and c's neighbours
         triangle = Network(["a", "b", "c"], edges + [("a", "c", 1.0)])
-        assert [clustering_coefficient(triangle, v, p_star) for v in "abc"] == [1.0] * 3
+        assert ng._neighbor_metrics(triangle, p_star)[0].tolist() == [1.0] * 3
         for g in (net, triangle):
             sums = direct_sums_oracle(g, p_star)
-            assert [connection_strength(g, v, NC, p_star) for v in "abc"] == [sums[v] / 3 for v in "abc"]
+            assert ng._all_strengths(g, NC, p_star).tolist() == [sums[v] / 3 for v in "abc"]
 
     @pytest.mark.parametrize("p_star", TIED)
     def test_tied_edge_counts_cli(self, capsys, tmp_path, p_star):
@@ -655,9 +621,8 @@ class TestBudgetLimitedPass:
                 average = average_effective_weight(net, p_star)
             got += (average,)
             assert [bits(x) for x in got] == [bits(x) for x in want], (net.edges, p_star)
-            strengths = [connection_strength(net, v, CO, p_star) for v in net.nodes]
-            rows = [float(row.sum()) / net.n_nodes for row in want[0]]
-            assert bits(strengths) == bits(rows), (net.edges, p_star)
+            strengths = ng._all_strengths(net, CO, p_star)
+            assert bits(strengths) == bits(want[0].sum(axis=1) / net.n_nodes), (net.edges, p_star)
             checked += 1
         assert checked > 100, checked
 
@@ -953,8 +918,7 @@ class TestNumpyDistances:
                     ng._BEST_WEIGHTS.clear()
                     out.append(bits(ng._best_weights(net, p_star, full)))
                 out += [bits(ng._neighbor_metrics(net, p_star)), centrality_all(net, p_star)]
-            a, b = net.nodes[:2], net.nodes[-3:]
-            return out + [ng._disjoint_paths(net, a, b)]
+            return out
 
         monkeypatch.setattr(ng, "_distances", spy)
         picked = []
@@ -1020,24 +984,25 @@ class TestSparsityAndStrength:
     def test_cell_strengths(self, p):
         for kind, denom in [(CellKind.SQUARE, 2), (CellKind.OCTAGONAL, 4), (CellKind.HEAVY_HEXAGONAL, 6)]:
             net = build_topology(ProcessorCell(kind, p))
-            assert connection_strength(net, 0, NC, 0.1) == pytest.approx(p / denom, abs=1e-12)
+            assert ng._all_strengths(net, NC, 0.1)[0] == pytest.approx(p / denom, abs=1e-12)
 
     @pytest.mark.parametrize("p", [0.3, 0.7])
     def test_grid_strengths(self, p):
         net = build_topology(Square1024(p))
-        assert connection_strength(net, 33, NC, 0.1) == pytest.approx(p / 256, abs=1e-12)
-        assert connection_strength(net, 1, NC, 0.1) == pytest.approx(3 * p / 1024, abs=1e-12)
-        assert connection_strength(net, 0, NC, 0.1) == pytest.approx(p / 512, abs=1e-12)
+        strengths = ng._all_strengths(net, NC, 0.1)
+        assert strengths[33] == pytest.approx(p / 256, abs=1e-12)
+        assert strengths[1] == pytest.approx(3 * p / 1024, abs=1e-12)
+        assert strengths[0] == pytest.approx(p / 512, abs=1e-12)
 
     def test_star_closed_form(self):
         net = build_topology(Star(8, 0.5))
         # the closed form counts the unit self term p_ii = 1
-        got = connection_strength(net, 0, NC, 0.25) + 1 / 8
+        got = ng._all_strengths(net, NC, 0.25)[0] + 1 / 8
         assert got == pytest.approx((1 + 7 * 0.5) / 8)
 
     def test_total_strength_uniform_mesh(self):
         net = build_topology(FullMesh(5, 0.6))
-        per_node = connection_strength(net, 0, NC, 0.1)
+        per_node = ng._all_strengths(net, NC, 0.1)[0]
         assert total_connection_strength(net, NC, 0.1) == pytest.approx(5 * per_node)
 
     def test_empty_network_sparsity(self):
@@ -1055,25 +1020,39 @@ class TestSparsityAndStrength:
             net = build_topology(Circulant(n, d, p))
             assert all(len(net.neighbors(v)) == d for v in net.nodes)
             want = (1 + 2 * p * (p ** (d // 2) - 1) / (p - 1)) / n
-            got = connection_strength(net, 0, NC, 1e-9) + 1 / n
+            got = ng._all_strengths(net, NC, 1e-9)[0] + 1 / n
             assert got == pytest.approx(want, abs=1e-12)
         # odd degree adds the antipodal edge
         for n, d, p in [(10, 3, 0.7), (12, 5, 0.6)]:
             net = build_topology(Circulant(n, d, p))
             assert all(len(net.neighbors(v)) == d for v in net.nodes)
             want = (1 + p) * (p ** ((d + 1) // 2) - 1) / (n * (p - 1))
-            got = connection_strength(net, 0, NC, 1e-9) + 1 / n
+            got = ng._all_strengths(net, NC, 1e-9)[0] + 1 / n
             assert got == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("p_star", [0.5, 0.1])
     def test_cooperative_strength_reads_one_row(self, p_star):
-        # on the p = 0.5 chain some path products equal p* exactly
+        # the strengths sum f* a block of rows at a time, and a row sums to the same
+        # float alone as in the whole matrix; on the p = 0.5 chain some path products
+        # equal p* exactly
         chain = Network(range(12), [(i, i + 1, 0.5) for i in range(11)])
-        for net in (build_topology(Square1024(0.9)), seeded_graph(), chain):
+        for net in (build_topology(Square1024(0.9)), seeded_graph(8, 150), chain):
             full = ng._f_star(net, p_star)
-            for v in net.nodes:
-                want = float(full[net.index[v]].sum()) / net.n_nodes
-                assert connection_strength(net, v, CO, p_star) == want
+            for rows in (slice(0, 64), slice(64, 128), slice(7, 8), slice(net.n_nodes - 3, None)):
+                assert bits(ng._f_star(net, p_star, rows)) == bits(full[rows])
+            assert bits(ng._all_strengths(net, CO, p_star)) == bits(full.sum(axis=1) / net.n_nodes)
+
+    def test_cooperative_strengths_hold_a_row_block(self):
+        # beside the cached pass, a block of f* rows (~1 MB here), not the 8 MB matrix
+        net = build_topology(Square1024(0.9))
+        ng._best_weights(net, 0.5)
+        tracemalloc.start()
+        try:
+            ng._all_strengths(net, CO, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20, peak
 
     def test_coop_at_most_noncoop_sparsity(self):
         rng = random.Random(3)
@@ -1108,20 +1087,20 @@ class TestSparsityIndex:
 class TestClusteringAndWeights:
     def test_triangle(self):
         net = build_topology(FullMesh(3, 0.9))
-        assert clustering_coefficient(net, 0, 0.5) == 1.0
+        assert ng._neighbor_metrics(net, 0.5)[0][0] == 1.0
 
     def test_partial_neighborhood(self):
         net = Network([0, 1, 2, 3], [(0, 1, 0.9), (0, 2, 0.9), (0, 3, 0.9), (1, 2, 0.9)])
-        assert clustering_coefficient(net, 0, 0.5) == pytest.approx(1 / 3)
+        assert ng._neighbor_metrics(net, 0.5)[0][0] == pytest.approx(1 / 3)
 
     def test_leaf(self):
         net = build_topology(Star(5, 0.9))
-        assert clustering_coefficient(net, 1, 0.5) == 0.0
+        assert ng._neighbor_metrics(net, 0.5)[0][1] == 0.0
 
     def test_threshold_filters_edges(self):
         net = Network([0, 1, 2, 3], [(0, 1, 0.9), (0, 2, 0.9), (0, 3, 0.9), (1, 2, 0.4)])
-        assert clustering_coefficient(net, 0, 0.5) == 0.0
-        assert clustering_coefficient(net, 0, 0.3) == pytest.approx(1 / 3)
+        assert ng._neighbor_metrics(net, 0.5)[0][0] == 0.0
+        assert ng._neighbor_metrics(net, 0.3)[0][0] == pytest.approx(1 / 3)
 
     def test_average_effective_weight_needs_two_nodes(self):
         with pytest.raises(ValueError, match="^need at least 2 nodes$"):
@@ -1493,6 +1472,31 @@ class TestNeighborMetrics:
         for net in (Network("abc", edges), Network("abc", edges + [("a", "c", 1.0)])):
             self.assert_matches(net, p_star)
 
+    @pytest.mark.parametrize("rim", [0.9, 0.4])
+    def test_wheel_hub(self, rim):
+        # the hub's 600 neighbours are a ring, usable at p* = 0.5 or not: their
+        # 179700 wedges come in chunks, and a ring of unusable edges reads inf
+        k = 600
+        net = Network(range(k + 1), [(0, v, 0.9) for v in range(1, k + 1)]
+                      + [(v, v % k + 1, rim) for v in range(1, k + 1)])
+        assert k > ng._SUBGRAPH_BLOCK and k * (k - 1) // 2 > ng._WEDGES
+        self.assert_matches(net, 0.5)
+        assert math.isinf(ng._neighbor_metrics(net, 0.5)[1][0]) == (rim < 0.5)
+
+    def test_star_hub_memory(self):
+        # Star(1500)'s hub holds 1123251 wedges, none closed; its neighbour
+        # subgraph has no edge, so it reads inf without an all-pairs pass
+        net = build_topology(Star(1500, 0.9))
+        tracemalloc.start()
+        try:
+            clustering, w_avg = ng._neighbor_metrics(net, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20, peak
+        assert clustering.tolist() == [0.0] * 1500
+        assert w_avg[0] == math.inf and np.isnan(w_avg[1:]).all()
+
 
 class TestCriticalParameters:
     def test_worked_example(self):
@@ -1577,67 +1581,6 @@ class TestTopologies:
     def test_circulant_validation(self):
         with pytest.raises(ValueError):
             build_topology(Circulant(9, 3, 0.5))  # odd degree, odd node count
-
-    def test_construct_network(self):
-        net, cert = construct_network(2, 2)
-        assert net.n_nodes == 8
-        assert cert.disjoint_paths >= 2
-        assert cert.disjoint_ok and cert.all_pairs_connected
-        _, cert1 = construct_network(1, 1)
-        assert cert1.disjoint_paths == 1
-        _, cert32 = construct_network(3, 2)
-        assert cert32.disjoint_paths >= 2
-        for n_a, n_b in itertools.product(range(1, 7), repeat=2):
-            net, cert = construct_network(n_a, n_b)
-            assert net.n_nodes == 2 * (n_a + n_b)
-            assert (cert.disjoint_paths, cert.disjoint_ok, cert.all_pairs_connected) == (
-                min(n_a, n_b), True, True)
-
-
-class TestConstructionCertificate:
-    @pytest.mark.parametrize("n_a,n_b", [(0, 1), (1, 0)])
-    def test_party_sizes(self, n_a, n_b):
-        with pytest.raises(ValueError, match="^party sizes must be >= 1$"):
-            construct_network(n_a, n_b)
-
-    def test_bowtie(self):
-        # two triangles sharing node 2: two edge-disjoint A-B paths, but
-        # both pass through node 2
-        net = Network(range(5), [(0, 1, 0.9), (1, 2, 0.9), (0, 2, 0.9),
-                                 (2, 3, 0.9), (3, 4, 0.9), (2, 4, 0.9)])
-        assert ng._disjoint_paths(net, [0, 1], [3, 4]) == (1, True)
-        assert certificate_oracle(net, [0, 1], [3, 4]) == (1, True)
-        # a party node counts against the paths like any other
-        assert ng._disjoint_paths(net, [2], [0, 1, 3, 4]) == (1, True)
-
-    def test_random_graphs(self):
-        rng = random.Random(21)
-        for trial in range(240):
-            net = random_graph(rng, n_max=12, p_edge=rng.choice([0.15, 0.3, 0.5]))
-            if trial % 2:
-                net = shuffled(strings(net), rng)
-            nodes = list(net.nodes)
-            rng.shuffle(nodes)
-            n_a = rng.randint(1, len(nodes) - 1)
-            n_b = rng.randint(1, len(nodes) - n_a)
-            a_nodes, b_nodes = nodes[:n_a], nodes[n_a:n_a + n_b]
-            want = certificate_oracle(net, a_nodes, b_nodes)
-            assert ng._disjoint_paths(net, a_nodes, b_nodes) == want, trial
-
-    def test_runs_without_networkx(self):
-        script = (
-            "import sys\n"
-            "sys.modules['networkx'] = None\n"
-            "from qnetlim.netgraph import construct_network\n"
-            "print(construct_network(3, 2)[1])\n"
-        )
-        src = os.path.dirname(os.path.dirname(ng.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                              text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == (
-            "ConstructionCertificate(disjoint_paths=2, disjoint_ok=True, all_pairs_connected=True)\n")
 
 
 class TestPercolation:

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qnetlim import qstate
-from qnetlim.qstate import (
+import qstate
+from qstate import (
     BellKind,
     Depolarizing,
     DepolYieldMode,

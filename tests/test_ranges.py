@@ -121,22 +121,22 @@ class TestCallSites:
 
 
 NC, CO = ng.StrategyKind.NON_COOPERATIVE, ng.StrategyKind.COOPERATIVE
-# every public netgraph computation that takes p_star, as f(net, p_star)
+# every netgraph computation that takes p_star, as f(net, p_star): the public
+# ones and the batch functions the commands run
 P_STAR_USERS = {
     "link_sparsity/nc": lambda net, p: ng.link_sparsity(net, p, NC),
     "link_sparsity/co": lambda net, p: ng.link_sparsity(net, p, CO),
-    "connection_strength/nc": lambda net, p: ng.connection_strength(net, 1, NC, p),
+    "_all_strengths/nc": lambda net, p: ng._all_strengths(net, NC, p),
     "total_connection_strength/co": lambda net, p: ng.total_connection_strength(net, CO, p),
     "sparsity_index/nc": lambda net, p: ng.sparsity_index(net, NC, p),
-    "matrices": ng.matrices,
+    "_f_star": ng._f_star,
     "average_effective_weight": ng.average_effective_weight,
     "task_reachability": ng.task_reachability,
-    "clustering_coefficient": lambda net, p: ng.clustering_coefficient(net, 1, p),
+    "_neighbor_metrics": ng._neighbor_metrics,
     "centrality_all": ng.centrality_all,
     "critical_parameters": ng.critical_parameters,
     "shortest_path": lambda net, p: ng.shortest_path(net, 1, 1, p),
     "evolve": lambda net, p: ng.evolve(net, 0.9, 0.3, p, 0),
-    "effective_weight": lambda net, p: ng.effective_weight(0.5, p),
     "critically_large_check": lambda net, p: ng.critically_large_check(net, p, 0.95),
 }
 

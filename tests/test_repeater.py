@@ -71,7 +71,7 @@ class TestVisibility:
 
     def test_matches_iterated_swap(self):
         # composing two swaps on identical isotropic links gives q^2 lam^3
-        from qnetlim import qstate
+        import qstate
 
         lam, q = 0.9, 0.9
         one = qstate.bell_swap(

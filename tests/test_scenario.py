@@ -229,7 +229,7 @@ class TestSatelliteYield:
         assert thermal_factor(0.0, 1.0) == pytest.approx(0.5)
 
     def test_memory_factor_matches_decay(self):
-        from qnetlim import qstate
+        import qstate
 
         assert memory_factor(0.1, 3) == pytest.approx(
             qstate.depol_yield(0.1, 3, qstate.DepolYieldMode.PAPER_FORMULA)
