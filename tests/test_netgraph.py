@@ -267,6 +267,14 @@ class TestNetwork:
 
 
 class TestWeights:
+    def test_effective_weight(self):
+        # both CSR entries of an edge weigh -log2 p, usable at p_star when within -log2 p_star
+        for p, p_star, weight, ok in [(0.5, 0.25, 1.0, True), (0.2, 0.25, -math.log2(0.2), False),
+                                      (0.54173, 0.5, -math.log2(0.54173), True)]:
+            net = Network([1, 2], [(1, 2, p)])
+            assert net.w.tolist() == [weight] * 2
+            assert ng._strong(net, p_star).tolist() == [ok] * 2
+
     def test_f_star_examples(self):
         net = Network([1, 2, 3], [(1, 2, 0.8), (2, 3, 0.8)])
         assert ng._f_star(net, 0.5)[0, 2] == pytest.approx(0.64, abs=1e-12)

@@ -127,6 +127,10 @@ P_STAR_USERS = {
     "link_sparsity/nc": lambda net, p: ng.link_sparsity(net, p, NC),
     "link_sparsity/co": lambda net, p: ng.link_sparsity(net, p, CO),
     "_all_strengths/nc": lambda net, p: ng._all_strengths(net, NC, p),
+    "_all_strengths/co": lambda net, p: ng._all_strengths(net, CO, p),
+    "_direct_sums": ng._direct_sums,
+    "_strong": ng._strong,
+    "_best_weights": ng._best_weights,
     "total_connection_strength/co": lambda net, p: ng.total_connection_strength(net, CO, p),
     "sparsity_index/nc": lambda net, p: ng.sparsity_index(net, NC, p),
     "_f_star": ng._f_star,
