@@ -134,10 +134,6 @@ def _load_net(path) -> Network:
     return net
 
 
-# graph's rows: netgraph functions of (net, strategy=, p_star=)
-_GRAPH_METRICS = ("link_sparsity", "total_connection_strength", "sparsity_index")
-
-
 def cmd_graph(args) -> List[str]:
     from . import netgraph
 
@@ -145,14 +141,7 @@ def cmd_graph(args) -> List[str]:
     params = {"in": args.infile, "p_star": args.p_star, "weights": "bits (-log2 p)"}
     lines = _header("graph", params)
     lines.append("metric,non_cooperative,cooperative")
-    # first, so that its full all-pairs pass also serves the rows' f*
-    avg = netgraph.average_effective_weight(net, args.p_star)
-    nc, co = netgraph.StrategyKind.NON_COOPERATIVE, netgraph.StrategyKind.COOPERATIVE
-    for name in _GRAPH_METRICS:
-        metric = getattr(netgraph, name)
-        nc_value, co_value = (metric(net, strategy=s, p_star=args.p_star) for s in (nc, co))
-        lines.append(f"{name},{nc_value!r},{co_value!r}")
-    lines.append(f"average_effective_weight_bits,{avg!r},{avg!r}")
+    lines.extend(f"{name},{nc!r},{co!r}" for name, nc, co in netgraph.graph_metrics(net, args.p_star))
     return lines
 
 
@@ -529,22 +518,21 @@ def _nqi_options(p: argparse.ArgumentParser) -> None:
                    + repeater.NQI_Q.text)
 
 
-def _graph_options(p: argparse.ArgumentParser) -> None:
+def _net_options(p: argparse.ArgumentParser, p_star: float) -> None:
+    """The edge-list commands' --in and their --p-star, whose default is p_star."""
     p.add_argument("--in", dest="infile", required=True, help="edge list file (a,b,p per line)")
-    p.add_argument("--p-star", type=float, default=0.5, help=_P_STAR_HELP)
+    p.add_argument("--p-star", type=float, default=p_star, help=_P_STAR_HELP)
 
 
 def _critical_nodes_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--p-star", type=float, default=0.5, help=_P_STAR_HELP)
+    _net_options(p, 0.5)
     p.add_argument("--top", type=_count, default=10)
 
 
 def _path_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--in", dest="infile", required=True)
+    _net_options(p, 0.5)
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
-    p.add_argument("--p-star", type=float, default=0.5, help=_P_STAR_HELP)
 
 
 def _topology_options(p: argparse.ArgumentParser) -> None:
@@ -589,12 +577,11 @@ def _buffer_options(p: argparse.ArgumentParser) -> None:
 
 
 def _evolve_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--in", dest="infile", required=True)
+    _net_options(p, 0.1)
     p.add_argument("--w", type=float, default=0.9,
                    help="weight per step, default %(default)s, " + EVOLVE_W.text)
     p.add_argument("--k", type=float, default=0.3,
                    help="decay rate, default %(default)s, " + EVOLVE_K.text)
-    p.add_argument("--p-star", type=float, default=0.1, help=_P_STAR_HELP)
     p.add_argument("--steps", type=_count, default=10)
 
 
@@ -607,7 +594,7 @@ _COMMANDS = {
     "chain": ("linear repeater chain feasibility", _chain_options, cmd_chain),
     "tradeoff": ("fiber length / storage time budget", _tradeoff_options, cmd_tradeoff),
     "nqi": ("fiber loss bound for an n-node line", _nqi_options, cmd_nqi),
-    "graph": ("robustness metrics of an edge-list graph", _graph_options, cmd_graph),
+    "graph": ("robustness metrics of an edge-list graph", lambda p: _net_options(p, 0.5), cmd_graph),
     "critical-nodes": ("critical-parameter node ranking", _critical_nodes_options, cmd_critical_nodes),
     "path": ("best path between two nodes", _path_options, cmd_path),
     "topology": ("generate a reference topology", _topology_options, cmd_topology),

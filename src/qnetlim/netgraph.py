@@ -99,11 +99,10 @@ class Network:
     engine: each shortest-path pass over it, or over a graph derived from
     it, runs on the engine _graph picks from that graph's own edges.
 
-    A Network is immutable after construction: the arrays, and the cached
-    all-pairs pass keyed on the network itself, assume that it never
-    changes. Metrics that need a total order on node ids (tie-breaking)
-    compare the ids directly, so a single network should use one orderable
-    id type throughout.
+    A Network is immutable after construction: its arrays assume that it
+    never changes. Metrics that need a total order on node ids
+    (tie-breaking) compare the ids directly, so a single network should
+    use one orderable id type throughout.
     """
 
     def __init__(
@@ -343,48 +342,29 @@ def _repair(graph: _Hops, dist: np.ndarray, limit: float) -> None:
         cand = np.repeat(flat[changed], count) + weight[idx]
 
 
-# the one cached all-pairs pass: (network, p_star) -> (limit, distances)
-_BEST_WEIGHTS: Dict[Tuple[Network, float], Tuple[float, np.ndarray]] = {}
-
-
 def _best_weights(net: Network, p_star: float, full: bool = False) -> np.ndarray:
-    """All-pairs minimum path weight over the edges usable at p_star.
+    """All-pairs minimum path weight over the edges usable at p_star, from a pass the caller owns.
 
-    The one pass every cooperative metric reads. It is bounded by the
-    -log2 p_star budget, as f* reads only the pairs within it: a pair over
-    budget may read +inf (scipy keeps a distance equal to its limit).
-    full=True, which only average_effective_weight asks for, lifts the
-    bound. One cached entry suffices, as a command uses one p_star and one
-    network at a time; a per-network cache would keep an n x n array alive
-    on every network evolve returns. A bounded request reads whichever
-    pass is cached and a full one replaces a bounded one, so no answer
-    depends on the call order. The previous array is freed before the next
-    pass runs. The array is shared, so it is read-only.
+    The pass is bounded by the -log2 p_star budget, as f* reads only the
+    pairs within it: a pair over budget may read +inf (scipy keeps a
+    distance equal to its limit). full=True, for the mean weight, lifts it.
     """
-    budget = _budget(p_star)
-    limit = math.inf if full else budget
-    entry = _BEST_WEIGHTS.get((net, p_star))
-    if entry is None or entry[0] < limit:
-        entry = None  # not held through the next pass
-        _BEST_WEIGHTS.clear()
-        keep = _strong(net, p_star)
-        graph = _graph(net.tail[keep], net.head[keep], net.w[keep], net.n_nodes, limit=limit)
-        dist = _distances(graph, limit=limit)
-        dist.flags.writeable = False
-        entry = _BEST_WEIGHTS[net, p_star] = (limit, dist)
-    return entry[1]
+    limit = math.inf if full else _budget(p_star)
+    keep = _strong(net, p_star)
+    graph = _graph(net.tail[keep], net.head[keep], net.w[keep], net.n_nodes, limit=limit)
+    return _distances(graph, limit=limit)
 
 
-def _f_star(net: Network, p_star: float, rows: slice = slice(None)) -> np.ndarray:
-    """Rows of the best-path success probabilities: 2**-d within the budget, else 0, and 0 on the diagonal.
+def _f_star(dist: np.ndarray, budget: float, rows: slice = slice(None)) -> np.ndarray:
+    """f* on the given rows of all-pairs distances dist: 2**-d within budget, else 0, and 0 on the diagonal.
 
     The power is taken only within the budget, by the same ufunc on the
-    same weights, so the values depend neither on which pass is cached
-    nor on which rows are asked for.
+    same weights, so the values depend neither on whether the pass was
+    bounded nor on which rows are asked for.
     """
-    dist = _best_weights(net, p_star)[rows]
+    dist = dist[rows]
     f = np.zeros(dist.shape)
-    np.power(2.0, -dist, out=f, where=dist <= _budget(p_star))
+    np.power(2.0, -dist, out=f, where=dist <= budget)
     np.fill_diagonal(f[:, rows.start or 0:], 0.0)
     return f
 
@@ -451,13 +431,16 @@ def link_sparsity(net: Network, p_star: float, strategy: StrategyKind) -> float:
     n = net.n_nodes
     if n == 0:
         raise ValueError("empty network")
-    if strategy is StrategyKind.NON_COOPERATIVE:
-        n_star = int(np.count_nonzero(_strong(net, p_star)))
-    else:
-        # the off-diagonal pairs within the budget, those with f* > 0:
-        # 2**-d > 0 for every d <= budget <= 1074
-        n_star = int(np.count_nonzero(_best_weights(net, p_star) <= _budget(p_star))) - n
-    return 1.0 - n_star / n**2
+    if strategy is StrategyKind.COOPERATIVE:
+        return _co_sparsity(_best_weights(net, p_star), _budget(p_star))
+    return 1.0 - int(np.count_nonzero(_strong(net, p_star))) / n**2
+
+
+def _co_sparsity(dist: np.ndarray, budget: float) -> float:
+    """Cooperative link sparsity from all-pairs distances dist, n* its off-diagonal pairs within budget."""
+    # those are the pairs with f* > 0: 2**-d > 0 for every d <= budget <= 1074
+    n = len(dist)
+    return 1.0 - (int(np.count_nonzero(dist <= budget)) - n) / n**2
 
 
 def _direct_sums(net: Network, p_star: float) -> np.ndarray:
@@ -467,22 +450,26 @@ def _direct_sums(net: Network, p_star: float) -> np.ndarray:
     return np.bincount(ends[strong], p[strong], minlength=net.n_nodes)
 
 
-# rows of f* that the cooperative strengths hold at a time, beside the cached pass
+# rows of f* that the cooperative strengths hold at a time, beside the pass
 _STRENGTH_ROWS = 64
 
 
 def _all_strengths(net: Network, strategy: StrategyKind, p_star: float) -> np.ndarray:
-    """Per node, the p of its usable edges (non-cooperative) or its f* row (cooperative), summed, over n.
+    """Per node, the p of its usable edges (non-cooperative) or its f* row (cooperative), summed, over n."""
+    if strategy is StrategyKind.NON_COOPERATIVE:
+        return _direct_sums(net, p_star) / net.n_nodes
+    return _co_strengths(_best_weights(net, p_star), _budget(p_star))
+
+
+def _co_strengths(dist: np.ndarray, budget: float) -> np.ndarray:
+    """Per row of all-pairs distances dist, its f* row summed, over n.
 
     f* is summed _STRENGTH_ROWS rows at a time: a row sums to the same
     float alone as in the whole matrix.
     """
-    n = net.n_nodes
-    if strategy is StrategyKind.NON_COOPERATIVE:
-        return _direct_sums(net, p_star) / n
-    # one empty block when n = 0, so p_star is still checked
-    starts = range(0, max(n, 1), _STRENGTH_ROWS)
-    return np.concatenate([_f_star(net, p_star, slice(i, i + _STRENGTH_ROWS)).sum(axis=1) for i in starts]) / n
+    # one empty block when there are no rows, so there is an array to join
+    starts = range(0, max(len(dist), 1), _STRENGTH_ROWS)
+    return np.concatenate([_f_star(dist, budget, slice(i, i + _STRENGTH_ROWS)).sum(axis=1) for i in starts]) / len(dist)
 
 
 def total_connection_strength(net: Network, strategy: StrategyKind, p_star: float) -> float:
@@ -496,7 +483,12 @@ def sparsity_index(net: Network, strategy: StrategyKind, p_star: float) -> float
     integrated by the trapezoid rule from the origin, and the area is
     divided by 1/2 so that perfectly uniform strengths give 1.
     """
-    z = np.sort(_all_strengths(net, strategy, p_star))
+    return _lorenz(_all_strengths(net, strategy, p_star))
+
+
+def _lorenz(strengths: np.ndarray) -> float:
+    """sparsity_index of the per-node strengths."""
+    z = np.sort(strengths)
     total = z.sum()
     if total == 0.0:
         return 1.0
@@ -598,6 +590,27 @@ def average_effective_weight(net: Network, p_star: float) -> float:
     return _mean_weight(_best_weights(net, p_star, full=True)[~np.eye(n, dtype=bool)])
 
 
+def graph_metrics(net: Network, p_star: float) -> List[Tuple[str, float, float]]:
+    """The graph command's rows, (metric, non-cooperative, cooperative), from one unbounded all-pairs pass.
+
+    Each value is its public function's, as within the budget that pass
+    gives the bounded pass's distances bit for bit; the mean weight fills
+    both columns.
+    """
+    n = net.n_nodes
+    if n < 2:
+        raise ValueError("need at least 2 nodes")
+    dist, budget = _best_weights(net, p_star, full=True), _budget(p_star)
+    mean = _mean_weight(dist[~np.eye(n, dtype=bool)])
+    nc, co = _all_strengths(net, StrategyKind.NON_COOPERATIVE, p_star), _co_strengths(dist, budget)
+    return [
+        ("link_sparsity", link_sparsity(net, p_star, StrategyKind.NON_COOPERATIVE), _co_sparsity(dist, budget)),
+        ("total_connection_strength", float(nc.sum()), float(co.sum())),
+        ("sparsity_index", _lorenz(nc), _lorenz(co)),
+        ("average_effective_weight_bits", mean, mean),
+    ]
+
+
 # upper bound on sources x directed edges that centrality_all's tight-edge
 # passes hold at once, summed over its worker processes
 _SWEEP_ELEMENTS = 1 << 20
@@ -681,9 +694,11 @@ def _sweeps(sweep: Callable[[np.ndarray], np.ndarray], blocks: List[np.ndarray],
 
     # the workers inherit the sweep by fork, never by pickle
     _POOLED_SWEEP = sweep
-    with multiprocessing.get_context("fork").Pool(workers) as pool:
-        yield from pool.imap_unordered(_pooled_sweep, blocks)
-    _POOLED_SWEEP = None
+    try:
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            yield from pool.imap_unordered(_pooled_sweep, blocks)
+    finally:
+        _POOLED_SWEEP = None
 
 
 # set only while _sweeps runs a pool: its sweep
@@ -802,25 +817,21 @@ def critical_parameters(
     tau is centrality_all. w_avg is the average effective weight of the
     subgraph induced by the node's neighbours, with paths confined to that
     subgraph. Nodes where the ratio degenerates (C = 0, or w_avg zero or
-    infinite) are flagged Undefined and sort last, by centrality.
+    infinite) are flagged Undefined. One stable sort ranks them: Undefined
+    last, then by descending nu, then by descending centrality. The
+    strengths make their own all-pairs pass, after the sweep.
     """
     tau = centrality_all(net, p_star)
     clustering, w_avg = _neighbor_metrics(net, p_star)
-    # last, so the cached all-pairs pass is not held through the sweep
     strengths = _all_strengths(net, strategy, p_star)
-    reports = []
+    ranked = []
     for i, v in enumerate(net.nodes):
         c, w = float(clustering[i]), float(w_avg[i])
-        if c == 0.0 or w == 0.0 or math.isinf(w):
-            nu: Union[float, Undefined] = Undefined()
-        else:
-            nu = tau[v] / (c * w)
-        reports.append(NodeReport(v, c, tau[v], float(strengths[i]), nu))
-    defined = [r for r in reports if not isinstance(r.critical_parameter, Undefined)]
-    undefined = [r for r in reports if isinstance(r.critical_parameter, Undefined)]
-    defined.sort(key=lambda r: (-r.critical_parameter, -r.centrality))
-    undefined.sort(key=lambda r: -r.centrality)
-    return defined + undefined
+        undefined = c == 0.0 or w == 0.0 or math.isinf(w)
+        nu = Undefined() if undefined else tau[v] / (c * w)
+        report = NodeReport(v, c, tau[v], float(strengths[i]), nu)
+        ranked.append(((undefined, 0.0 if undefined else -nu, -tau[v]), report))
+    return [report for _, report in sorted(ranked, key=lambda item: item[0])]
 
 
 def build_topology(spec: TopologySpec) -> Network:

@@ -234,7 +234,7 @@ def test_criterion_09_shortest_path_oracle():
             assert got.nodes == want[1]
             assert got.total_weight == pytest.approx(want[0], abs=1e-12)
         # success-matrix entries agree with the per-pair enumeration
-        f_star = netgraph._f_star(net, 0.3)
+        f_star = netgraph._f_star(netgraph._best_weights(net, 0.3), netgraph._budget(0.3))
         for t in range(1, n):
             ref = enumerate_best(net, 0, t, 0.3)
             entry = f_star[0, net.index[t]]
@@ -245,7 +245,7 @@ def test_criterion_09_shortest_path_oracle():
     semantics = Network(
         [1, 2, 3], [(1, 2, 0.198), (1, 3, 0.79), (3, 2, 0.6857)]
     )
-    f_star = netgraph._f_star(semantics, 0.5)
+    f_star = netgraph._f_star(netgraph._best_weights(semantics, 0.5), netgraph._budget(0.5))
     assert f_star[0, 1] == pytest.approx(0.5417, abs=5e-5)
     assert f_star[0, 1] > 0.198
 

@@ -546,7 +546,7 @@ class TestGraphGoldens:
 
 
 class TestAllPairsPasses:
-    """Cooperative metrics share one all-pairs pass per (network, p_star).
+    """Each command makes one all-pairs pass per (network, p_star), and path makes none.
 
     The pass is bounded by the -log2 p_star budget unless
     average_effective_weight needs every distance. Each pass is recorded
@@ -558,7 +558,8 @@ class TestAllPairsPasses:
         (("graph",), [math.inf]),
         (("evolve", "--steps", "10"), [-math.log2(0.1)] * 10),
         (("critical-nodes",), [-math.log2(0.5)]),
-    ], ids=["graph", "evolve", "critical-nodes"])
+        (("path", "--source", "0", "--target", "1"), []),
+    ], ids=["graph", "evolve", "critical-nodes", "path"])
     def test_square1024(self, capsys, monkeypatch, lattice_dir, argv, limits):
         calls = []
         real = netgraph._distances

@@ -76,6 +76,11 @@ def seeded_graph(seed=8, n=60):
     return Network(range(n), edges)
 
 
+def f_star(net, p_star):
+    """net's whole f* matrix at p_star, from its bounded all-pairs pass."""
+    return ng._f_star(ng._best_weights(net, p_star), ng._budget(p_star))
+
+
 def enumerate_best_path(net, source, target, p_star):
     """All-simple-paths oracle with the same lexicographic tie-break."""
     best = None
@@ -277,54 +282,48 @@ class TestWeights:
 
     def test_f_star_examples(self):
         net = Network([1, 2, 3], [(1, 2, 0.8), (2, 3, 0.8)])
-        assert ng._f_star(net, 0.5)[0, 2] == pytest.approx(0.64, abs=1e-12)
-        assert ng._f_star(net, 0.7)[0, 2] == 0.0
+        assert f_star(net, 0.5)[0, 2] == pytest.approx(0.64, abs=1e-12)
+        assert f_star(net, 0.7)[0, 2] == 0.0
 
     def test_indirect_beats_direct(self):
         net = Network([1, 2, 3], [(1, 2, 0.198), (1, 3, 0.79), (3, 2, 0.6857)])
-        f_star, a = ng._f_star(net, 0.5), weight_matrix(net)
-        assert f_star[0, 1] == pytest.approx(0.541703, abs=1e-6)
+        f, a = f_star(net, 0.5), weight_matrix(net)
+        assert f[0, 1] == pytest.approx(0.541703, abs=1e-6)
         assert 2.0 ** -a[0, 1] == pytest.approx(0.198, abs=1e-12)
-        assert f_star[0, 1] > 2.0 ** -a[0, 1]
+        assert f[0, 1] > 2.0 ** -a[0, 1]
 
-    def test_shared_pass_is_read_only(self):
-        net = square_plus_diagonal()
-        dist = ng._best_weights(net, 0.3)
-        assert ng._best_weights(net, 0.3) is dist
-        with pytest.raises(ValueError):
-            dist[0, 1] = 0.0
-        # each caller gets its own f_star
-        ng._f_star(net, 0.3)[0, 1] = 0.0
-        assert ng._f_star(net, 0.3)[0, 1] == 0.5
-
-    def test_shared_pass_freed_before_next(self, monkeypatch):
-        # evolve computes one pass per step, and a full request replaces a
-        # bounded entry: the previous n x n array must be gone before the
-        # next pass allocates its own
-        refs = [weakref.ref(ng._best_weights(square_plus_diagonal(), 0.3))]
-        seen = []
+    @pytest.mark.parametrize("engine", ["numpy", "scipy"])
+    def test_no_pass_outlives_its_reader(self, monkeypatch, engine):
+        # each reader makes its own all-pairs pass and frees it on return, so
+        # no module global holds an n x n array between calls
+        refs = []
         real = ng._distances
 
         def probe(*args, **kwargs):
-            seen.append(refs[-1]() is None)
-            return real(*args, **kwargs)
+            dist = real(*args, **kwargs)
+            refs.append(weakref.ref(dist))
+            return dist
 
         monkeypatch.setattr(ng, "_distances", probe)
+        if engine == "scipy":
+            monkeypatch.setattr(ng, "_NUMPY_ELEMENTS", 0)
         net = square_plus_diagonal()
-        refs.append(weakref.ref(ng._best_weights(net, 0.3)))
-        ng._best_weights(net, 0.3, full=True)
-        assert seen == [True, True]
+        for read in (lambda: link_sparsity(net, 0.3, CO), lambda: ng._all_strengths(net, CO, 0.3),
+                     lambda: average_effective_weight(net, 0.3), lambda: ng.graph_metrics(net, 0.3)):
+            refs.clear()
+            read()
+            assert len(refs) == 1 and refs[0]() is None
 
     def test_matrix_invariants(self):
         rng = random.Random(5)
         for _ in range(10):
             net = random_graph(rng)
-            f_star, a_star = ng._f_star(net, 0.4), weight_matrix(net, 0.4)
-            assert np.allclose(f_star, f_star.T)
+            f, a_star = f_star(net, 0.4), weight_matrix(net, 0.4)
+            assert np.allclose(f, f.T)
             finite = np.isfinite(a_star)
             np.fill_diagonal(finite, False)
             # direct reachability never beats the best path
-            assert (f_star[finite] >= 2.0 ** -a_star[finite] - 1e-12).all()
+            assert (f[finite] >= 2.0 ** -a_star[finite] - 1e-12).all()
 
 
 class TestShortestPath:
@@ -430,7 +429,7 @@ class TestThresholdRule:
     def mismatches(self, net, p_star):
         """Ordered pairs on which f*, shortest_path and task_reachability disagree,
         and usable edges whose ends are not within p*."""
-        f = ng._f_star(net, p_star)
+        f = f_star(net, p_star)
         counts = task_reachability(net, p_star).counts
         bad = []
         for i, s in enumerate(net.nodes):
@@ -449,7 +448,7 @@ class TestThresholdRule:
             within = weight <= -math.log2(p_star)
             s, t = path[0], path[-1]
             assert (shortest_path(net, s, t, p_star).status is PathStatus.FOUND) == within
-            assert (ng._f_star(net, p_star)[0, -1] > 0) == within
+            assert (f_star(net, p_star)[0, -1] > 0) == within
             assert task_reachability(net, p_star).counts[s] == (len(path) if within else len(path) - 1)
             assert centrality_all(net, p_star)[path[1]] == (len(path) > 2 and within)
             assert link_sparsity(net, p_star, CO) <= link_sparsity(net, p_star, NC)
@@ -612,27 +611,69 @@ class TestBudgetLimitedPass:
 
     def bounded_readers(self, net, p_star):
         reach = task_reachability(net, p_star)
-        return (ng._f_star(net, p_star), link_sparsity(net, p_star, CO),
+        return (f_star(net, p_star), link_sparsity(net, p_star, CO),
                 total_connection_strength(net, CO, p_star), sparsity_index(net, CO, p_star),
                 [reach.counts[v] for v in net.nodes], reach.max_fraction)
 
-    @pytest.mark.parametrize("full_first", [False, True], ids=["bounded-first", "full-first"])
-    def test_equals_unbounded_pass(self, full_first):
+    def test_equals_unbounded_pass(self):
         checked = 0
         for net, p_star in self.cases():
             want = self.oracle(net, p_star)
-            ng._BEST_WEIGHTS.clear()
-            if full_first:
-                average = average_effective_weight(net, p_star)
-            got = self.bounded_readers(net, p_star)
-            if not full_first:
-                average = average_effective_weight(net, p_star)
-            got += (average,)
+            got = self.bounded_readers(net, p_star) + (average_effective_weight(net, p_star),)
             assert [bits(x) for x in got] == [bits(x) for x in want], (net.edges, p_star)
             strengths = ng._all_strengths(net, CO, p_star)
             assert bits(strengths) == bits(want[0].sum(axis=1) / net.n_nodes), (net.edges, p_star)
             checked += 1
         assert checked > 100, checked
+
+
+class TestGraphMetrics:
+    """graph_metrics' one unbounded pass gives each public function's value, exactly."""
+
+    CASES = {
+        "square1024": (lambda: build_topology(Square1024(0.9)), (0.5, 0.1)),
+        "random-p": (lambda: seeded_graph(8, 150), (0.5, 0.1)),
+        "disconnected": (lambda: Network(range(6), [(0, 1, 0.9), (1, 2, 0.8), (3, 4, 0.9), (4, 5, 0.7)]),
+                         (0.5,)),
+        "p-one": (lambda: Network(range(5), [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 0.5), (3, 4, 1.0), (0, 4, 0.7)]),
+                  (0.5, 0.3)),
+        # the 0.5 chain's end-to-end paths weigh 2 and 4 bits, exactly the budget
+        "budget-path": (lambda: Network(range(5), [(i, i + 1, 0.5) for i in range(4)]), (0.25, 0.0625)),
+    }
+
+    def public(self, net, p_star):
+        mean = average_effective_weight(net, p_star)
+        return [
+            ("link_sparsity", link_sparsity(net, p_star, NC), link_sparsity(net, p_star, CO)),
+            ("total_connection_strength", *(total_connection_strength(net, s, p_star) for s in (NC, CO))),
+            ("sparsity_index", *(sparsity_index(net, s, p_star) for s in (NC, CO))),
+            ("average_effective_weight_bits", mean, mean),
+        ]
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_equals_public_functions(self, monkeypatch, name):
+        build, p_stars = self.CASES[name]
+        net = build()
+        engines = []
+        real = ng._distances
+
+        def spy(graph, **kwargs):
+            engines.append(isinstance(graph, tuple))
+            return real(graph, **kwargs)
+
+        monkeypatch.setattr(ng, "_distances", spy)
+        for p_star in p_stars:
+            engines.clear()
+            got = ng.graph_metrics(net, p_star)
+            # one unbounded pass, on numpy unless the weights are random
+            assert engines == [name != "random-p"]
+            assert got == self.public(net, p_star), p_star
+            if name == "disconnected":
+                assert got[-1][1:] == (math.inf, math.inf)
+
+    def test_needs_two_nodes(self):
+        with pytest.raises(ValueError, match="^need at least 2 nodes$"):
+            ng.graph_metrics(Network([1], []), 0.5)
 
 
 def scipy_distances(ptr, head, weight, sources=None, limit=math.inf):
@@ -923,7 +964,6 @@ class TestNumpyDistances:
                 if c < 1.0:
                     out.append(critically_large_check(net, p_star, c))
                 for full in (False, True):
-                    ng._BEST_WEIGHTS.clear()
                     out.append(bits(ng._best_weights(net, p_star, full)))
                 out += [bits(ng._neighbor_metrics(net, p_star)), centrality_all(net, p_star)]
             return out
@@ -1045,18 +1085,18 @@ class TestSparsityAndStrength:
         # equal p* exactly
         chain = Network(range(12), [(i, i + 1, 0.5) for i in range(11)])
         for net in (build_topology(Square1024(0.9)), seeded_graph(8, 150), chain):
-            full = ng._f_star(net, p_star)
+            dist, budget = ng._best_weights(net, p_star), ng._budget(p_star)
+            full = ng._f_star(dist, budget)
             for rows in (slice(0, 64), slice(64, 128), slice(7, 8), slice(net.n_nodes - 3, None)):
-                assert bits(ng._f_star(net, p_star, rows)) == bits(full[rows])
+                assert bits(ng._f_star(dist, budget, rows)) == bits(full[rows])
             assert bits(ng._all_strengths(net, CO, p_star)) == bits(full.sum(axis=1) / net.n_nodes)
 
     def test_cooperative_strengths_hold_a_row_block(self):
-        # beside the cached pass, a block of f* rows (~1 MB here), not the 8 MB matrix
-        net = build_topology(Square1024(0.9))
-        ng._best_weights(net, 0.5)
+        # beside the pass, a block of f* rows (~1 MB here), not the 8 MB matrix
+        dist = ng._best_weights(build_topology(Square1024(0.9)), 0.5)
         tracemalloc.start()
         try:
-            ng._all_strengths(net, CO, 0.5)
+            ng._co_strengths(dist, ng._budget(0.5))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1377,6 +1417,18 @@ class TestParallelSweep:
         asked = count_contexts(monkeypatch)
         assert [centrality_all(net, p_star) for net, p_star in cases] == want
         assert asked == ["fork"] * len(cases)
+
+    def test_worker_error_clears_the_pooled_sweep(self, monkeypatch):
+        # a block that raises in a worker raises here, and the sweep, with its
+        # id-ordered network and graph, is not left in the module global
+        def fail(*args):
+            raise ValueError("sweep failed")
+
+        force_pool(monkeypatch, 2)
+        monkeypatch.setattr(ng, "_canonical_sweep", fail)
+        with pytest.raises(ValueError, match="^sweep failed$"):
+            centrality_all(build_topology(Grid(6, 6, 0.9)), 0.1)
+        assert ng._POOLED_SWEEP is None
 
     def test_fallback_runs_in_the_workers(self, monkeypatch):
         net, p_star = build_topology(Circulant(16, 5, 0.7)), 0.01

@@ -133,7 +133,7 @@ P_STAR_USERS = {
     "_best_weights": ng._best_weights,
     "total_connection_strength/co": lambda net, p: ng.total_connection_strength(net, CO, p),
     "sparsity_index/nc": lambda net, p: ng.sparsity_index(net, NC, p),
-    "_f_star": ng._f_star,
+    "graph_metrics": ng.graph_metrics,
     "average_effective_weight": ng.average_effective_weight,
     "task_reachability": ng.task_reachability,
     "_neighbor_metrics": ng._neighbor_metrics,
