@@ -615,11 +615,18 @@ class TestBudgetLimitedPass:
                 total_connection_strength(net, CO, p_star), sparsity_index(net, CO, p_star),
                 [reach.counts[v] for v in net.nodes], reach.max_fraction)
 
-    def test_equals_unbounded_pass(self):
+    @pytest.mark.parametrize("full_first", [False, True], ids=["bounded-first", "full-first"])
+    def test_equals_unbounded_pass(self, full_first):
+        # each pass is its own, so neither call order may change a value
         checked = 0
         for net, p_star in self.cases():
             want = self.oracle(net, p_star)
-            got = self.bounded_readers(net, p_star) + (average_effective_weight(net, p_star),)
+            if full_first:
+                average = average_effective_weight(net, p_star)
+            got = self.bounded_readers(net, p_star)
+            if not full_first:
+                average = average_effective_weight(net, p_star)
+            got += (average,)
             assert [bits(x) for x in got] == [bits(x) for x in want], (net.edges, p_star)
             strengths = ng._all_strengths(net, CO, p_star)
             assert bits(strengths) == bits(want[0].sum(axis=1) / net.n_nodes), (net.edges, p_star)
