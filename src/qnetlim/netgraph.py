@@ -612,7 +612,10 @@ def graph_metrics(net: Network, p_star: float) -> List[Tuple[str, float, float]]
 
 
 # upper bound on sources x directed edges that centrality_all's tight-edge
-# passes hold at once, summed over its worker processes
+# passes hold at once, summed over its worker processes. Such a slice holds
+# ~9 bytes per source x entry while it tests for tight edges (a bool mask,
+# and the float gathers of half its rows), ~9 MB at the bound, and then its
+# tight-edge CSR, int32 while its indices fit
 _SWEEP_ELEMENTS = 1 << 20
 # a sweep over at least this many sources x directed edges runs in forked
 # worker processes, on either engine; a smaller one is not worth the fork
@@ -658,13 +661,15 @@ def centrality_all(net: Network, p_star: float) -> Dict[NodeId, int]:
     _MAX_WORKERS, where the platform reports its cores (Linux); smaller
     sweeps, and every sweep elsewhere, run in this process. The workers
     share _SWEEP_ELEMENTS: a block's tight-edge passes take as many
-    sources at once as 1/workers of it holds, so the summed working set
-    stays the same, and its one distance pass takes the whole block, up to
-    a lane word of 64 sources whose distances fit in that share. A block
-    counts its own fallback sources, in the worker that runs it. Blocks
-    are independent and their counts are integers, so the totals do not
-    depend on the split or on the order of summation: source-parallel
-    Brandes, as in Bader and Madduri (ICPP 2006).
+    sources at once as 1/workers of it holds, so the summed working set,
+    ~9 bytes per source x entry while a slice tests for tight edges and 8
+    per tight edge after, stays the same. Its one distance pass takes the
+    whole block, up to a lane word of 64 sources whose distances fit in
+    that share. A block counts its own fallback sources, in the worker
+    that runs it. Blocks are independent and their counts are integers,
+    so the totals do not depend on the split or on the order of
+    summation: source-parallel Brandes, as in Bader and Madduri (ICPP
+    2006).
     """
     n = net.n_nodes
     budget = _budget(p_star)
@@ -721,9 +726,16 @@ def _canonical_sweep(g: Network, graph, budget: float, rows: int, sources: np.nd
     search reads each node's row of g as the node settles.
     """
     dist = _distances(graph, sources=sources, limit=budget)
-    # every slice's result is kept until the block is done: freeing each as
-    # the next one was built raised the forked workers' page faults and
-    # system time on the airport 2-6 fold
+    # a slice holds 1 byte per source x entry for its tight-edge mask, 8 more
+    # while it tests (the float gathers of half its rows, in one buffer), then
+    # only the int32 CSR its level loop reads, 8 bytes per tight edge. The
+    # buffer is a slice's largest block. Once it is freed from mmap, glibc's
+    # dynamic mmap threshold rises to its size and the heap trim threshold to
+    # twice that, above what a slice adds to the heap, so the heap is not
+    # trimmed and faulted in again between slices. Gathers of an eighth of the
+    # rows, or allocated per chunk, raised the airport sweep's minor faults
+    # from ~20 k to 0.1-0.4 M. Every slice's result is kept until the block is
+    # done: freeing each as the next was built raised them as well
     parts = [_tree_counts(g, dist[i:i + rows], sources[i:i + rows]) for i in range(0, len(sources), rows)]
     tau = sum(counts for counts, _ in parts)
     for s in sources[~np.concatenate([exact for _, exact in parts])]:
@@ -735,26 +747,77 @@ def _canonical_sweep(g: Network, graph, budget: float, rows: int, sources: np.nd
     return tau
 
 
+def _flat_type(rows: int, n: int, entries: int) -> type:
+    """The integer type of the tight-edge CSR of a slice of rows sources.
+
+    It is int32 while the CSR's rows x n + 1 pointers and its at most
+    rows x entries edges stay below 2**31, and int64 otherwise.
+    """
+    return np.int32 if rows * n + 1 < 2**31 and rows * entries < 2**31 else np.int64
+
+
+def _tight_mask(g: Network, dist: np.ndarray) -> np.ndarray:
+    """Per row of dist and CSR entry u -> v of g, whether the edge is tight: d[u] + w == d[v], exactly.
+
+    The test runs half the rows at a time. Both float gathers of a half
+    share one buffer, which takes 8 bytes per source x entry of the
+    slice, against 1 for the mask.
+    """
+    tail, head, w = g.tail, g.head, g.w
+    rows = len(dist)
+    half = -(-rows // 2)
+    tight = np.empty((rows, len(w)), bool)
+    pair = np.empty((2, half, len(w)))
+    for lo in range(0, rows, half):
+        part = dist[lo:lo + half]
+        du, dv = pair[:, :len(part)]
+        # mode="clip" writes into out unbuffered; every index is in range
+        np.take(part, tail, axis=1, out=du, mode="clip")
+        du += w
+        np.take(part, head, axis=1, out=dv, mode="clip")
+        np.equal(dv, du, out=tight[lo:lo + half])
+    return tight
+
+
+def _tight_edges(g: Network, dist: np.ndarray, index: type) -> Tuple[np.ndarray, np.ndarray]:
+    """The tight edges of the rows of dist, as their tails and heads in integer type index.
+
+    An edge of row r is numbered r x n + node at both ends, and the edges
+    come sorted by tail, as in g's CSR. They are read from _tight_mask half
+    the rows at a time, through tables of every entry's ends in each row of
+    a half, so that no flat position is divided.
+    """
+    n, rows = g.n_nodes, len(dist)
+    half = -(-rows // 2)
+    tight = _tight_mask(g, dist)
+    offsets = np.arange(half, dtype=index)[:, None] * n
+    tail_at, head_at = (np.add(offsets, ends, dtype=index).ravel() for ends in (g.tail, g.head))
+    tails = np.empty(np.count_nonzero(tight), index)
+    heads = np.empty_like(tails)
+    end = 0
+    for lo in range(0, rows, half):
+        k = np.flatnonzero(tight[lo:lo + half])
+        start, end = end, end + len(k)
+        for table, out in ((tail_at, tails), (head_at, heads)):
+            np.take(table, k, out=out[start:end], mode="clip")
+            out[start:end] += lo * n
+    return tails, heads
+
+
 def _tree_counts(g: Network, dist: np.ndarray, sources: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """_canonical_sweep's counts and mask of the sources it resolves, from their distances dist.
 
     A placed child's parent is the tail of its first tight edge.
     """
-    tail, head, w = g.tail, g.head, g.w
-    n = g.n_nodes
-    rows = len(sources)
+    n, rows = g.n_nodes, len(sources)
     reached = np.isfinite(dist)
     # nan never compares equal, so edges with an unreached end drop out
     dist[~reached] = np.nan
-    du = np.take(dist, tail, axis=1)
-    du += w
-    tight = np.take(dist, head, axis=1) == du
-    # the tight edges as flat rows x n entries, sorted by tail like g's CSR
-    row, edge = np.divmod(np.flatnonzero(tight), len(w))
-    tails, heads = row * n + tail[edge], row * n + head[edge]
+    index = _flat_type(rows, n, len(g.w))
+    tails, heads = _tight_edges(g, dist, index)
     size = rows * n
     indeg = np.bincount(heads, minlength=size)
-    out_ptr = np.zeros(size + 1, np.int64)
+    out_ptr = np.zeros(size + 1, index)
     np.cumsum(np.bincount(tails, minlength=size), out=out_ptr[1:])
 
     # hop levels of the canonical trees, each in path order
@@ -766,21 +829,24 @@ def _tree_counts(g: Network, dist: np.ndarray, sources: np.ndarray) -> Tuple[np.
         fan = out_ptr[frontier + 1] - first
         at = np.arange(fan.sum())
         idx = np.repeat(first - np.cumsum(fan) + fan, fan) + at
-        out = heads[idx]
+        # in intp, which every index below would otherwise convert it to
+        out = heads[idx].astype(np.intp, copy=False)
         # out runs in (parent path order, child id) order, so a child's
         # first hit is the tight edge from its parent, in path order
         tag = level * len(heads) - at
         np.maximum.at(latest, out, tag)
-        firsts = idx[latest[out] == tag]
+        first_hit = latest[out] == tag
         hits = np.bincount(out)
-        child = heads[firsts]
+        child, firsts = out[first_hit], idx[first_hit]
         # only a child whose tight predecessors all sit on this level
         whole = hits[child] == indeg[child]
         child, parent = child[whole], tails[firsts[whole]]
         if not child.size:
             break
-        levels.append((child, parent))
+        levels.append((child.astype(index), parent))
         frontier = child
+    # the accumulation reads only the levels
+    del tails, heads, indeg, out_ptr, latest
     placed = sum(np.bincount(c // n, minlength=rows) for c, _ in levels)
     exact = placed + 1 == reached.sum(axis=1)
 

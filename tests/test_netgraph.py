@@ -1109,6 +1109,29 @@ class TestSparsityAndStrength:
             tracemalloc.stop()
         assert peak < 2 << 20, peak
 
+    @pytest.mark.parametrize("name, p_star, workers, block, rows, bound", [
+        ("square1024", 0.5, 1, 264, 264, 16),
+        ("airport", 0.1, 2, 64, 10, 10),
+    ])
+    def test_sweep_block_holds_its_slices(self, request, name, p_star, workers, block, rows, bound):
+        # one centrality block in its production shape: Square1024's one
+        # slice, and the airport's with 2 workers. Float gathers of a whole
+        # slice, 16 bytes per source x entry, would take 17 and 8 MB alone
+        if name == "airport":
+            net = id_ordered(request.getfixturevalue("airport_network"))
+        else:
+            net = build_topology(Square1024(0.9))
+        assert rows == ng._SWEEP_ELEMENTS // workers // len(net.w)
+        budget = ng._budget(p_star)
+        graph = ng._graph(net.tail, net.head, net.w, net.n_nodes, limit=budget)
+        tracemalloc.start()
+        try:
+            ng._canonical_sweep(net, graph, budget, rows, np.arange(block))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound << 20, peak
+
     def test_coop_at_most_noncoop_sparsity(self):
         rng = random.Random(3)
         for _ in range(15):
@@ -1229,6 +1252,30 @@ class TestCentralityOracle:
         net = build_topology(Circulant(16, 5, 0.7))
         _, exact = canonical_sweep(net, 0.01, np.arange(net.n_nodes - 1))
         assert not exact.all()
+
+    @pytest.mark.parametrize("name", ["square1024", "circulant"])
+    def test_int64_index_gives_the_same_counts(self, monkeypatch, name):
+        # the circulant at p* = 0.01 leaves sources to the fallback
+        if name == "square1024":
+            net, p_star = strings(build_topology(Square1024(0.9))), 0.5
+        else:
+            net, p_star = build_topology(Circulant(16, 5, 0.7)), 0.01
+        want, flat_type, shapes = centrality_all(net, p_star), ng._flat_type, []
+        monkeypatch.setattr(ng, "_flat_type", lambda *shape: shapes.append(shape) or np.int64)
+        assert centrality_all(net, p_star) == want
+        assert shapes and all(flat_type(*shape) is np.int32 for shape in shapes)
+
+    def test_flat_index_width(self):
+        # int32 while rows x n + 1 and rows x entries stay below 2**31
+        top = 2**31
+        assert ng._flat_type(1, top - 2, 1) is np.int32
+        assert ng._flat_type(1, top - 1, 1) is np.int64
+        assert ng._flat_type(2, top // 2 - 1, 1) is np.int32
+        assert ng._flat_type(2, top // 2, 1) is np.int64
+        assert ng._flat_type(1, 1, top - 1) is np.int32
+        assert ng._flat_type(1, 1, top) is np.int64
+        assert ng._flat_type(4, 1, top // 4 - 1) is np.int32
+        assert ng._flat_type(4, 1, top // 4) is np.int64
 
     def test_uniform_p_random_graphs(self):
         rng = random.Random(5)
