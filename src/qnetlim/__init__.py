@@ -5,7 +5,7 @@ Subpackages:
 - ``yields``   : numpy-free closed-form depolarizing and thermal yields
 - ``repeater`` : closed-form feasibility of linear repeater chains
 - ``topology`` : numpy-free reference topology generators and edge lists
-- ``netgraph`` : weighted-graph robustness metrics, topologies re-exported
+- ``netgraph`` : weighted-graph robustness metrics on ``topology``'s specs
 - ``scenario`` : satellite / atmospheric / airport-network calculators
 - ``buffersim``: deterministic entanglement-buffer simulation
 - ``cli``      : command-line front end (``python -m qnetlim``)

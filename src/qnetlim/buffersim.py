@@ -29,7 +29,7 @@ def decayed_fidelity(f0: float, p_mem: float, s: int, mode: DecayMode = DecayMod
     """Fidelity after s depolarizing steps from initial fidelity f0."""
     if mode is DecayMode.ITERATED:
         return (1.0 + (4.0 * f0 - 1.0) * (1.0 - p_mem) ** (2 * s)) / 4.0
-    return f0 if s == 0 else yields.depol_yield(p_mem, s, yields.DepolYieldMode.PAPER_FORMULA)
+    return f0 if s == 0 else yields.depol_yield(p_mem, s)
 
 
 @dataclass(slots=True)

@@ -19,7 +19,7 @@ import math
 import os
 import sys
 from dataclasses import MISSING, fields
-from typing import IO, TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple, get_type_hints
+from typing import IO, TYPE_CHECKING, Callable, Iterable, List, Optional, Sequence, Tuple, get_type_hints
 
 from . import EDGE_P, EVOLVE_K, EVOLVE_W, GRID_SIDE, P_STAR, TOPOLOGY_D, TOPOLOGY_N
 
@@ -335,85 +335,76 @@ def _frange(start: float, stop: float, step: float) -> List[float]:
     return out
 
 
+def _table(x: str, xs: Iterable, curve: str, values: Sequence, cell: Callable[..., str]) -> List[str]:
+    """A figure series: the header x,curve=v,..., then per point at of xs the row at,cell(at, v),..."""
+    lines = [",".join([x, *(f"{curve}={v}" for v in values)])]
+    lines.extend(",".join([str(at), *(cell(at, v) for v in values)]) for at in xs)
+    return lines
+
+
 def _fig_max_relays(kind: str, qs: Sequence[float], **params) -> List[str]:
     from . import repeater
 
     task = repeater.TaskSpec(repeater.TaskKind(kind), **params)
     # a sentinel count's cell; a repeater count prints as itself
     cells = {repeater.Unbounded: "unbounded", repeater.NoneFeasible: "0"}
-    lines = ["lambda," + ",".join(f"n_max_q={q}" for q in qs)]
-    for lam in _frange(0.7, 1.0, 0.005):
-        counts = (repeater.max_repeaters_floor_form(lam, q, task) for q in qs)
-        lines.append(",".join([f"{lam}", *(cells.get(type(n), str(n)) for n in counts)]))
-    return lines
+
+    def cell(lam, q):
+        n = repeater.max_repeaters_floor_form(lam, q, task)
+        return cells.get(type(n), str(n))
+
+    return _table("lambda", _frange(0.7, 1.0, 0.005), "n_max_q", qs, cell)
 
 
-def _fig_tradeoff_lines(curves: Sequence[Tuple[str, float]], budget: repeater.LinkBudget) -> List[str]:
-    """Storage time t against fiber length l on the budget line alpha*l + beta*t = B."""
-    lines = ["l_km," + ",".join(name for name, _ in curves)]
-    for l in _frange(0.0, 30.0, 0.5):
-        row = [f"{l}"]
-        for _, bound in curves:
-            t = (bound - budget.alpha * l) / budget.beta
-            row.append(repr(t) if t >= 0 else "")
-        lines.append(",".join(row))
-    return lines
+def _fig_tradeoff(curve: str, bounds: dict, budget: repeater.LinkBudget) -> List[str]:
+    """Storage time t against fiber length l on each budget line alpha*l + beta*t = bounds[v]."""
+
+    def cell(l, v):
+        t = (bounds[v] - budget.alpha * l) / budget.beta
+        return repr(t) if t >= 0 else ""
+
+    return _table("l_km", _frange(0.0, 30.0, 0.5), curve, bounds, cell)
 
 
 def _fig_satellite(curve_key: str, values: Sequence[float], **base) -> List[str]:
     from . import scenario
 
-    lines = ["n," + ",".join(f"yield_{curve_key}={v}" for v in values)]
-    for n in range(2, 21):
-        row = [str(n)]
-        for v in values:
-            swept = {"l_b": v / 2.0, "l_m": v / 2.0} if curve_key == "L" else {curve_key: v}
-            p = scenario.SatelliteYieldParams(n=n, **{**base, **swept})
-            row.append(repr(scenario.satellite_yield(p)))
-        lines.append(",".join(row))
-    return lines
+    def cell(n, v):
+        swept = {"l_b": v / 2.0, "l_m": v / 2.0} if curve_key == "L" else {curve_key: v}
+        return repr(scenario.satellite_yield(scenario.SatelliteYieldParams(n=n, **{**base, **swept})))
+
+    return _table("n", range(2, 21), f"yield_{curve_key}", values, cell)
 
 
 def _fig_airport(curve_key: str, values: Sequence[float]) -> List[str]:
     from . import scenario
 
-    lines = ["l0_km," + ",".join(f"yield_{curve_key}={v}" for v in values)]
-    for l0 in _frange(250.0, 2000.0, 50.0):
-        row = [str(l0)]
-        for v in values:
-            row.append(repr(scenario.airport_yield(l0_km=l0, **{**_AIRPORT, curve_key: v})))
-        lines.append(",".join(row))
-    return lines
+    return _table("l0_km", _frange(250.0, 2000.0, 50.0), f"yield_{curve_key}", values,
+                  lambda l0, v: repr(scenario.airport_yield(l0_km=l0, **{**_AIRPORT, curve_key: v})))
 
 
 def _fig_budget_sweep(field: str, values: Sequence[float], **base) -> List[str]:
     """Tradeoff lines for one LinkBudget field swept over values, from LinkBudget(**base)."""
     from . import repeater
 
-    curves = [
-        (f"t_s_{field}={v}",
-         repeater.critical_length_time_bound(repeater.LinkBudget(**{**base, field: v})).bound)
-        for v in values
-    ]
-    return _fig_tradeoff_lines(curves, repeater.LinkBudget(**base))
+    bounds = {v: repeater.critical_length_time_bound(repeater.LinkBudget(**{**base, field: v})).bound
+              for v in values}
+    return _fig_tradeoff(f"t_s_{field}", bounds, repeater.LinkBudget(**base))
 
 
 def _fig12() -> List[str]:
     from . import repeater
 
     alpha = repeater.LinkBudget().alpha
-    lines = ["l_km," + ",".join(f"eta_R_f={f}" for f in (1, 2, 4))]
-    for l in _frange(0.0, 100.0, 2.0):
-        lines.append(",".join([f"{l}"] + [repr(math.exp(-alpha * l / f)) for f in (1, 2, 4)]))
-    return lines
+    return _table("l_km", _frange(0.0, 100.0, 2.0), "eta_R_f", (1, 2, 4),
+                  lambda l, f: repr(math.exp(-alpha * l / f)))
 
 
 def _fig13() -> List[str]:
     from . import repeater
 
     budget = repeater.LinkBudget()
-    curves = [(f"t_s_f={f}", repeater.f_fold_bound(f, budget.p_star)) for f in (1, 2, 4)]
-    return _fig_tradeoff_lines(curves, budget)
+    return _fig_tradeoff("t_s_f", {f: repeater.f_fold_bound(f, budget.p_star) for f in (1, 2, 4)}, budget)
 
 
 # the swept key of a satellite or airport figure overrides its base value;

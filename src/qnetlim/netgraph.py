@@ -22,9 +22,8 @@ edges, is within _NUMPY_ELEMENTS: equal weights, the airport snapshot and
 lattices with a few odd edges. Only other graphs, such as those of random
 p, import scipy, whose ~0.4 s import is most of a small network's run.
 The pass reads each CSR row as the node's in-edges, which holds because
-every caller passes both directions of each edge. The reference
-topologies come from the numpy-free topology module, and are re-exported
-here.
+every caller passes both directions of each edge. build_topology wraps
+a reference topology of the numpy-free topology module in a Network.
 """
 
 from __future__ import annotations
@@ -40,20 +39,7 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple, 
 import numpy as np
 
 from . import EVOLVE_K, EVOLVE_W, P_STAR, Range, Sentinel
-from .topology import (  # noqa: F401  (re-exported)
-    CellKind,
-    Circulant,
-    FullMesh,
-    Grid,
-    NodeId,
-    ProcessorCell,
-    Square1024,
-    Star,
-    TopologySpec,
-    edge_key as _edge_key,
-    edge_table,
-    topology_edges,
-)
+from .topology import NodeId, TopologySpec, edge_key as _edge_key, edge_table, topology_edges
 
 
 def _budget(p_star: float) -> float:
@@ -957,15 +943,16 @@ def critically_large_check(net: Network, p_star: float, c: float) -> CriticalSiz
     path sums them, weighs more than the -log2 p_star budget. A pair more
     than n0 hops apart, required_distance = n0 + 1, certifies the network
     critically large; the witness is the first such pair in net order, a
-    disconnected pair included. Raises ValueError when c is so close to 1
-    that a hop leaves the summed weight unchanged within the budget.
+    disconnected pair included. The hop pass stops at n0 hops, so such a
+    pair reads +inf. Raises ValueError when c is so close to 1 that a hop
+    leaves the summed weight unchanged within the budget.
     """
     Range("(0, 1)").check("c", c)
     if (net.p > c).any():
         raise ValueError("some edge probability exceeds c")
     budget = _budget(p_star)
     n0 = _hops_over(-math.log2(c), budget)
-    hops = _distances(_graph(net.tail, net.head, np.ones(len(net.head)), net.n_nodes))
+    hops = _distances(_graph(net.tail, net.head, np.ones(len(net.head)), net.n_nodes, limit=n0), limit=n0)
     far = np.argwhere(np.triu(hops > n0, 1))
     witness = (net.nodes[far[0, 0]], net.nodes[far[0, 1]]) if len(far) else None
     return CriticalSizeResult(witness is not None, n0, n0 + 1, witness)

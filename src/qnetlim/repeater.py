@@ -35,10 +35,10 @@ class EntanglementMode(str, Enum):
 
 
 _OPEN_UNIT = Range("(0, 1)")
-_THETA = Range("(0, pi/2)")
+_THETA = Range("(0, pi/2)", "DIQKD requires theta in (0, pi/2)")
 # the parameter a task kind requires, and its range
 TASK_PARAMETERS = {
-    TaskKind.DIQKD: ("theta", Range("(0, pi/2)", "DIQKD requires theta in (0, pi/2)")),
+    TaskKind.DIQKD: ("theta", _THETA),
     TaskKind.CUSTOM: ("p_star", Range("(0, 1)", "Custom requires p_star in (0, 1)")),
 }
 
@@ -274,7 +274,7 @@ def required_f_diqkd(
     UNIT.check("p_mem", p_mem)
     Range("(0, 1]").check("gamma", gamma)
     Range("> 0").check("exponent_factor", exponent_factor)
-    eta_mem = yields.depol_yield(p_mem, s_steps, yields.DepolYieldMode.PAPER_FORMULA)
+    eta_mem = yields.depol_yield(p_mem, s_steps)
     if eta_mem**2 <= gamma:
         return math.inf
     return exponent_factor * alpha * length_km * t_links / math.log(eta_mem**2 / gamma)

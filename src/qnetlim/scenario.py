@@ -125,7 +125,7 @@ def bell_factor(q: float, n: int, convention: YieldConvention = YieldConvention.
 
 
 def memory_factor(p_mem: float, s: int) -> float:
-    return yields.depol_yield(p_mem, s, yields.DepolYieldMode.PAPER_FORMULA)
+    return yields.depol_yield(p_mem, s)
 
 
 def thermal_factor(eta_g: float, kappa_g: float) -> float:

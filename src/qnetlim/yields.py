@@ -9,34 +9,22 @@ check them against the density-matrix channels of their oracle,
 
 from __future__ import annotations
 
-from enum import Enum
-
 from . import UNIT, Range
 
 _STEPS = Range(">= 0")
 
 
-class DepolYieldMode(str, Enum):
-    PAPER_FORMULA = "paper-formula"
-    ITERATED_CHANNEL = "iterated-channel"
+def depol_yield(p: float, n: int) -> float:
+    """Fidelity with Psi+ after n two-sided depolarizing steps, by the published yield expression.
 
-
-def depol_yield(p: float, n: int, mode: DepolYieldMode = DepolYieldMode.PAPER_FORMULA) -> float:
-    """Fidelity with Psi+ after n two-sided depolarizing steps.
-
-    The two modes agree for n <= 2 and split for n >= 3; the closed-form
-    mode matches the published yield expression while the iterated mode
-    matches literal repeated channel application.
+    It agrees with literal repeated channel application, which
+    buffersim.decayed_fidelity gives, for n <= 2 and splits from it for
+    n >= 3.
     """
     _STEPS.check("n", n)
-    mode = DepolYieldMode(mode)
-    if mode is DepolYieldMode.PAPER_FORMULA:
-        if n == 0:
-            return 1.0
-        return (1 - p) ** (2 * n) - 0.25 * (p - 2) * p * (
-            (n - 1) * (1 - p) ** (2 * (n - 1)) + 1
-        )
-    return (1.0 + 3.0 * (1.0 - p) ** (2 * n)) / 4.0
+    if n == 0:
+        return 1.0
+    return (1 - p) ** (2 * n) - 0.25 * (p - 2) * p * ((n - 1) * (1 - p) ** (2 * (n - 1)) + 1)
 
 
 def thermal_yield(eta_g: float, kappa_g: float) -> float:

@@ -23,7 +23,7 @@ import numpy as np
 
 from qnetlim import UNIT, Range, check_fields, ranged
 # the scalar yields live in the numpy-free yields module; re-exported here
-from qnetlim.yields import DepolYieldMode, depol_yield, thermal_yield  # noqa: F401
+from qnetlim.yields import depol_yield, thermal_yield  # noqa: F401
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12

@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 
 import qstate
-from qnetlim import buffersim, netgraph, repeater, scenario
+from qnetlim import buffersim, netgraph, repeater, scenario, topology
 from qnetlim.netgraph import Network, PathStatus, StrategyKind
-from qstate import BellKind, DepolYieldMode
+from qnetlim.buffersim import DecayMode
+from qstate import BellKind
 
 NC = StrategyKind.NON_COOPERATIVE
 
@@ -34,7 +35,7 @@ def test_criterion_02_kraus_oracle_equivalence():
     for p in np.linspace(0.0, 1.0, 11):
         state = qstate.make_bell(BellKind.PSI_PLUS)
         for n in range(6):
-            want = qstate.depol_yield(p, n, DepolYieldMode.ITERATED_CHANNEL)
+            want = buffersim.decayed_fidelity(1.0, p, n, DecayMode.ITERATED)
             assert abs(qstate.fidelity_psi_plus(state) - want) < 1e-10
             state = qstate.apply_pair_channel(state, qstate.Depolarizing(p))
     for eta_g in (0.0, 0.25, 0.5, 0.75, 1.0):
@@ -46,13 +47,11 @@ def test_criterion_02_kraus_oracle_equivalence():
             assert abs(qstate.fidelity_psi_plus(out) - want) < 1e-10
     for p in np.linspace(0.0, 1.0, 11):
         for n in (0, 1, 2):
-            a = qstate.depol_yield(p, n, DepolYieldMode.PAPER_FORMULA)
-            b = qstate.depol_yield(p, n, DepolYieldMode.ITERATED_CHANNEL)
+            a = qstate.depol_yield(p, n)
+            b = buffersim.decayed_fidelity(1.0, p, n, DecayMode.ITERATED)
             assert abs(a - b) < 1e-12
-    assert qstate.depol_yield(0.1, 3, DepolYieldMode.PAPER_FORMULA) == pytest.approx(
-        0.641271, abs=1e-6
-    )
-    assert qstate.depol_yield(0.1, 3, DepolYieldMode.ITERATED_CHANNEL) == pytest.approx(
+    assert qstate.depol_yield(0.1, 3) == pytest.approx(0.641271, abs=1e-6)
+    assert buffersim.decayed_fidelity(1.0, 0.1, 3, DecayMode.ITERATED) == pytest.approx(
         0.648581, abs=1e-6
     )
 
@@ -103,28 +102,28 @@ def test_criterion_04_max_repeaters_oracle_and_points():
 
 
 def test_criterion_05_lattice_metrics():
-    big = netgraph.build_topology(netgraph.Square1024(0.9))
+    big = netgraph.build_topology(topology.Square1024(0.9))
     assert round(netgraph.link_sparsity(big, 0.5, NC), 4) == 0.9962
     cells = {
-        netgraph.CellKind.OCTAGONAL: 0.75,
-        netgraph.CellKind.SQUARE: 0.5,
-        netgraph.CellKind.HEAVY_HEXAGONAL: 0.8333,
+        topology.CellKind.OCTAGONAL: 0.75,
+        topology.CellKind.SQUARE: 0.5,
+        topology.CellKind.HEAVY_HEXAGONAL: 0.8333,
     }
     for kind, want in cells.items():
-        net = netgraph.build_topology(netgraph.ProcessorCell(kind, 0.9))
+        net = netgraph.build_topology(topology.ProcessorCell(kind, 0.9))
         assert netgraph.link_sparsity(net, 0.5, NC) == pytest.approx(want, abs=5e-5)
     for p in (0.3, 0.7):
-        grid = netgraph.build_topology(netgraph.Square1024(p))
+        grid = netgraph.build_topology(topology.Square1024(p))
         strengths = netgraph._all_strengths(grid, NC, 0.1)
         assert strengths[33] == pytest.approx(p / 256, abs=1e-12)
         assert strengths[1] == pytest.approx(3 * p / 1024, abs=1e-12)
         assert strengths[0] == pytest.approx(p / 512, abs=1e-12)
         for kind, denom in [
-            (netgraph.CellKind.SQUARE, 2),
-            (netgraph.CellKind.OCTAGONAL, 4),
-            (netgraph.CellKind.HEAVY_HEXAGONAL, 6),
+            (topology.CellKind.SQUARE, 2),
+            (topology.CellKind.OCTAGONAL, 4),
+            (topology.CellKind.HEAVY_HEXAGONAL, 6),
         ]:
-            cell = netgraph.build_topology(netgraph.ProcessorCell(kind, p))
+            cell = netgraph.build_topology(topology.ProcessorCell(kind, p))
             assert netgraph._all_strengths(cell, NC, 0.1)[0] == pytest.approx(
                 p / denom, abs=1e-12
             )
@@ -284,7 +283,7 @@ def test_criterion_11_task_reachability():
     assert rep.max_fraction == 0.07
     fracs = [
         netgraph.task_reachability(
-            netgraph.build_topology(netgraph.Grid(n, n, 0.9)), 0.5
+            netgraph.build_topology(topology.Grid(n, n, 0.9)), 0.5
         ).max_fraction
         for n in (10, 20, 40)
     ]

@@ -1127,7 +1127,7 @@ class TestClosedFormGoldens:
 _LOADED_AFTER = """
 import contextlib, io, json, sys
 from qnetlim.cli import main
-HEAVY = {"numpy", "scipy", "networkx", "qnetlim.netgraph", "qnetlim.qstate"}
+HEAVY = {"numpy", "scipy", "qnetlim.netgraph"}
 loaded = {}
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -1237,7 +1237,7 @@ class TestTopologyGoldens:
 
 
 class TestImportHygiene:
-    """Commands that never build a graph leave numpy, scipy, netgraph and qstate unimported."""
+    """Commands that never build a graph leave numpy, scipy and netgraph unimported."""
 
     def test_closed_form_commands(self, tmp_path):
         (tmp_path / "sim.json").write_text(json.dumps(buffer_config(1, 3, 60)))
@@ -1260,7 +1260,7 @@ class TestImportHygiene:
 
     def test_lattice_commands_load_numpy_not_scipy(self, tmp_path):
         edges = str(tmp_path / "sq.edges")
-        topology.write_edge_list(netgraph.build_topology(netgraph.Square1024(0.9)).edges, edges)
+        topology.write_edge_list(netgraph.build_topology(topology.Square1024(0.9)).edges, edges)
         argvs = [
             ["graph", "--in", edges],
             ["critical-nodes", "--in", edges],
@@ -1275,7 +1275,7 @@ class TestImportHygiene:
         # graph's unbounded pass over a ring of equal weights does at most n rounds
         # over its 2n entries: 1448 * 2896 <= 1 << 22 < 1449 * 2898
         edges = str(tmp_path / "ring.edges")
-        topology.write_edge_list(netgraph.build_topology(netgraph.Circulant(n, 2, 0.9)).edges, edges)
+        topology.write_edge_list(netgraph.build_topology(topology.Circulant(n, 2, 0.9)).edges, edges)
         (loaded,) = loaded_after(["graph", "--in", edges]).values()
         assert loaded[0] == 0 and ("scipy" in loaded) == scipy_loaded
 
@@ -1286,17 +1286,17 @@ class TestImportHygiene:
         # k rounds. FullMesh(40): g = 13, 39 * 19266 <= 1 << 22 < 507 * 19266;
         # FullMesh(95) and (96): g = 5, 94 * 5 * 94 * 93 <= 1 << 22 < 95 * 5 * 95 * 94
         edges = str(tmp_path / "mesh.edges")
-        topology.write_edge_list(netgraph.build_topology(netgraph.FullMesh(n, 0.9)).edges, edges)
+        topology.write_edge_list(netgraph.build_topology(topology.FullMesh(n, 0.9)).edges, edges)
         (loaded,) = loaded_after(["critical-nodes", "--in", edges]).values()
         assert loaded[:3] == [0, "numpy", "qnetlim.netgraph"] and ("scipy" in loaded) == scipy_loaded
 
     def test_unequal_weights(self, tmp_path):
         # numpy repairs edges off Square1024's p = 0.9: one on every pass, and ten
         # on the passes a budget bounds; a random-p grid loads scipy
-        net = netgraph.build_topology(netgraph.Square1024(0.9))
+        net = netgraph.build_topology(topology.Square1024(0.9))
         keys = list(net.edges)
         rng = random.Random(26)
-        grid = netgraph.build_topology(netgraph.Grid(32, 32, 0.9))
+        grid = netgraph.build_topology(topology.Grid(32, 32, 0.9))
         files = {
             "one": netgraph.Network(net.nodes, {**net.edges, keys[0]: 0.999999}),
             "ten": netgraph.Network(net.nodes, {**net.edges, **dict.fromkeys(keys[::199], 0.8)}),

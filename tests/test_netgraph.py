@@ -17,16 +17,10 @@ import test_cli
 from qnetlim import netgraph as ng
 from qnetlim import topology
 from qnetlim.cli import main as cli_main
+from qnetlim.topology import CellKind, Circulant, FullMesh, Grid, ProcessorCell, Square1024, Star
 from qnetlim.netgraph import (
-    CellKind,
-    Circulant,
-    FullMesh,
-    Grid,
     Network,
     PathStatus,
-    ProcessorCell,
-    Square1024,
-    Star,
     StrategyKind,
     Undefined,
     average_effective_weight,
@@ -1536,10 +1530,10 @@ class TestParallelSweep:
     def test_buffered_stdout_written_once(self):
         script = (
             "import sys\n"
-            "from qnetlim import netgraph as ng\n"
+            "from qnetlim import netgraph as ng, topology\n"
             "ng._FORK_ELEMENTS, ng._SWEEP_ELEMENTS, ng._workers = 0, 1 << 8, lambda: 2\n"
             "sys.stdout.write('before\\n')\n"
-            "tau = ng.centrality_all(ng.build_topology(ng.Grid(6, 6, 0.9)), 0.1)\n"
+            "tau = ng.centrality_all(ng.build_topology(topology.Grid(6, 6, 0.9)), 0.1)\n"
             "print('after', sum(tau.values()))\n"
         )
         src = os.path.dirname(os.path.dirname(ng.__file__))
@@ -1696,6 +1690,11 @@ class TestTopologies:
         with pytest.raises(ValueError):
             build_topology(Circulant(9, 3, 0.5))  # odd degree, odd node count
 
+    def test_specs_live_in_topology_alone(self):
+        names = ("CellKind", "Circulant", "FullMesh", "Grid", "ProcessorCell", "Square1024", "Star")
+        assert all(hasattr(topology, name) for name in names)
+        assert not any(hasattr(ng, name) for name in names)
+
 
 class TestPercolation:
     def test_critically_large(self):
@@ -1755,6 +1754,72 @@ class TestPercolation:
         net = build_topology(FullMesh(3, 0.95))
         with pytest.raises(ValueError):
             critically_large_check(net, 0.5, 0.9)
+
+    @staticmethod
+    def unbounded_check(net, p_star, c):
+        """critically_large_check's result from a hop pass with no bound: scipy's breadth-first search."""
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import shortest_path
+
+        n0 = hops_over_oracle(-math.log2(c), -math.log2(p_star))
+        graph = csr_matrix((np.ones(len(net.head)), net.head, net.ptr), shape=(net.n_nodes,) * 2)
+        far = np.argwhere(np.triu(shortest_path(graph, unweighted=True) > n0, 1))
+        witness = (net.nodes[far[0, 0]], net.nodes[far[0, 1]]) if len(far) else None
+        return ng.CriticalSizeResult(witness is not None, n0, n0 + 1, witness)
+
+    @pytest.mark.parametrize("engine", ["numpy", "scipy"])
+    def test_bounded_hop_pass_matches_unbounded(self, monkeypatch, engine):
+        # the hop pass stops at n0 hops; the verdict, n0 and witness are those of a pass with no bound
+        if engine == "scipy":
+            monkeypatch.setattr(ng, "_NUMPY_ELEMENTS", 0)
+        rng = random.Random(29)
+        randoms = [random_graph(rng, 12, rng.choice([0.15, 0.3, 0.6])) for _ in range(12)]
+        nets = [build_topology(Square1024(0.9)), build_topology(Grid(10, 10, 0.9)),
+                build_topology(Grid(1, 40, 0.8)), build_topology(Star(12, 0.9)),
+                build_topology(FullMesh(8, 0.9)), build_topology(Circulant(30, 2, 0.9)),
+                build_topology(Circulant(24, 5, 0.7)),
+                # two components and an isolated node
+                Network(range(7), [(0, 1, 0.9), (1, 2, 0.9), (3, 4, 0.9), (4, 5, 0.9)]),
+                *(net for net in randoms if net.n_edges and net.p.max() < 1.0)]
+        assert sum(not self.unbounded_check(net, 0.5, 0.99).is_critically_large for net in nets) >= 3
+        checked = 0
+        for net in nets:
+            c = max(0.5, float(net.p.max()))
+            for p_star in (0.5, 0.1, c**3, 1e-3):
+                assert critically_large_check(net, p_star, c) == self.unbounded_check(net, p_star, c), (
+                    net.edges, p_star)
+                checked += 1
+        assert checked > 60
+
+    @pytest.mark.parametrize("engine", ["numpy", "scipy"])
+    def test_bounded_hop_pass_keeps_a_pair_exactly_n0_hops_apart(self, monkeypatch, engine):
+        if engine == "scipy":
+            monkeypatch.setattr(ng, "_NUMPY_ELEMENTS", 0)
+        for c, p_star in ((0.9, 0.5), (0.8, 0.8**4), (0.5, 0.25), (0.7, 0.01)):
+            n0 = hops_over_oracle(-math.log2(c), -math.log2(p_star))
+            for hops in (n0, n0 + 1):
+                chain = Network(range(hops + 1), [(i, i + 1, c) for i in range(hops)])
+                res = critically_large_check(chain, p_star, c)
+                assert res == self.unbounded_check(chain, p_star, c)
+                assert res.witness_pair == ((0, hops) if hops > n0 else None), (c, p_star, hops)
+
+    def test_airport_check_loads_no_scipy(self):
+        # at p* = 0.1 and c = the largest route p, n0 = 39 bounds the hop pass's rounds
+        # far below the snapshot's 3463 nodes, which keeps it on numpy
+        code = (
+            "import sys\n"
+            "from qnetlim import netgraph, scenario\n"
+            "ds = scenario.load_airport_dataset(sys.argv[1], sys.argv[2])\n"
+            "net = scenario.load_airport_network(ds)\n"
+            "res = netgraph.critically_large_check(net, 0.1, float(net.p.max()))\n"
+            "print(res.is_critically_large, res.n0, 'scipy' in sys.modules)\n"
+        )
+        data = os.path.join(os.path.dirname(__file__), "..", "data", "airport_snapshot")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, os.path.join(data, "airports.csv"), os.path.join(data, "routes.csv")],
+            env=test_cli.src_env(), capture_output=True, text=True, check=True,
+        )
+        assert proc.stdout.split() == ["False", "39", "False"]
 
     def n0_cases(self):
         """(step, budget) pairs whose n0 is at most 1e6."""

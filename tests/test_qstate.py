@@ -10,7 +10,6 @@ import qstate
 from qstate import (
     BellKind,
     Depolarizing,
-    DepolYieldMode,
     Thermal,
     TwoQubitState,
     apply_pair_channel,
@@ -27,6 +26,7 @@ from qstate import (
     teleport_fidelity,
     thermal_yield,
 )
+from qnetlim.buffersim import DecayMode, decayed_fidelity
 from qnetlim.repeater import (
     EntanglementMode,
     TaskKind,
@@ -99,27 +99,36 @@ class TestChannels:
 
 
 class TestYields:
+    # the published yield, depol_yield, against the iterated channel's closed
+    # form, which lives in buffersim.decayed_fidelity
     def test_modes_agree_small_n(self):
         for p in np.linspace(0.0, 1.0, 11):
             for n in (0, 1, 2):
-                a = depol_yield(p, n, DepolYieldMode.PAPER_FORMULA)
-                b = depol_yield(p, n, DepolYieldMode.ITERATED_CHANNEL)
+                a = depol_yield(p, n)
+                b = decayed_fidelity(1.0, p, n, DecayMode.ITERATED)
                 assert a == pytest.approx(b, abs=1e-12)
 
     def test_modes_split_at_three(self):
-        assert depol_yield(0.1, 3, DepolYieldMode.PAPER_FORMULA) == pytest.approx(
-            0.641271, abs=1e-6
-        )
-        assert depol_yield(0.1, 3, DepolYieldMode.ITERATED_CHANNEL) == pytest.approx(
-            0.648581, abs=1e-6
-        )
+        assert depol_yield(0.1, 3) == pytest.approx(0.641271, abs=1e-6)
+        assert decayed_fidelity(1.0, 0.1, 3, DecayMode.ITERATED) == pytest.approx(0.648581, abs=1e-6)
 
     def test_iterated_matches_kraus(self):
         for p in (0.0, 0.1, 0.5, 1.0):
             state = make_bell(BellKind.PSI_PLUS)
             for n in range(5):
-                got = depol_yield(p, n, DepolYieldMode.ITERATED_CHANNEL)
+                got = decayed_fidelity(1.0, p, n, DecayMode.ITERATED)
                 assert fidelity_psi_plus(state) == pytest.approx(got, abs=1e-10)
+                state = apply_pair_channel(state, Depolarizing(p))
+
+    @pytest.mark.parametrize("f0", [0.25, 0.4, 0.5, 0.7, 0.9, 0.99])
+    def test_iterated_decay_from_any_fidelity_matches_kraus(self, f0):
+        # buffer pairs inserted below fidelity 1 decay by decayed_fidelity(f0, ...):
+        # the isotropic state of fidelity f0 has visibility (4 f0 - 1) / 3
+        for p in (0.0, 0.05, 0.1, 0.5, 1.0):
+            state = make_isotropic((4 * f0 - 1) / 3)
+            for s in range(6):
+                got = decayed_fidelity(f0, p, s, DecayMode.ITERATED)
+                assert fidelity_psi_plus(state) == pytest.approx(got, abs=1e-10), (f0, p, s)
                 state = apply_pair_channel(state, Depolarizing(p))
 
     def test_thermal_matches_kraus(self):
@@ -137,7 +146,6 @@ class TestYields:
 
         assert qstate.depol_yield is yields.depol_yield
         assert qstate.thermal_yield is yields.thermal_yield
-        assert qstate.DepolYieldMode is yields.DepolYieldMode
 
     @pytest.mark.parametrize("eta_g,kappa_g,bad", [(1.2, 0.0, "eta_g"), (0.5, -0.1, "kappa_g"),
                                                    (math.nan, 0.5, "eta_g")])

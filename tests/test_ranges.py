@@ -119,6 +119,15 @@ class TestCallSites:
         with pytest.raises(ValueError, match=r"^DIQKD requires theta in \(0, pi/2\)$"):
             repeater.TaskSpec(repeater.TaskKind.DIQKD, theta=theta)
 
+    @pytest.mark.parametrize("theta", [None, math.nan, 0.0, math.pi / 2])
+    def test_diqkd_theta_of_the_closed_forms(self, theta):
+        # the task's range is the one the closed forms that take theta check
+        for call in (lambda: repeater.critical_visibility_diqkd(theta),
+                     lambda: repeater.zero_key_window(0.9, 2, theta)):
+            with pytest.raises(ValueError, match=r"^DIQKD requires theta in \(0, pi/2\)$"):
+                call()
+        assert repeater.TASK_PARAMETERS[repeater.TaskKind.DIQKD] == ("theta", repeater._THETA)
+
 
 NC, CO = ng.StrategyKind.NON_COOPERATIVE, ng.StrategyKind.COOPERATIVE
 # every netgraph computation that takes p_star, as f(net, p_star): the public

@@ -232,7 +232,7 @@ class TestSatelliteYield:
         import qstate
 
         assert memory_factor(0.1, 3) == pytest.approx(
-            qstate.depol_yield(0.1, 3, qstate.DepolYieldMode.PAPER_FORMULA)
+            qstate.depol_yield(0.1, 3)
         )
 
     def test_validation(self):
