@@ -110,16 +110,18 @@ def ranged(spec: str, default=MISSING, message: Optional[str] = None):
 
 
 @cache
-def _ranged_fields(cls) -> tuple:
-    """(name, range, annotated int) of each field of cls that declares a Range."""
-    return tuple((f.name, f.metadata["range"], f.type in ("int", int))
-                 for f in fields(cls) if "range" in f.metadata)
+def _checked_fields(cls) -> tuple:
+    """(name, range or None, required type, its text) of each field of cls that declares a Range or is a str."""
+    kinds = {"int": (int, "an integer"), "float": (object, "a number"), "str": (str, "a string")}
+    return tuple((f.name, f.metadata.get("range"), *kinds[getattr(f.type, "__name__", f.type)])
+                 for f in fields(cls) if "range" in f.metadata or f.type in ("str", str))
 
 
 def check_fields(obj) -> None:
-    """Checks each Range a field of the dataclass obj declares; an int field must hold an int."""
-    for name, rng, integer in _ranged_fields(type(obj)):
+    """Checks the type of each ranged or str field of the dataclass obj, no bool passing, then its Range."""
+    for name, rng, kind, text in _checked_fields(type(obj)):
         v = getattr(obj, name)
-        if integer and not isinstance(v, int):
-            raise ValueError(f"{name} must be an integer")
-        rng.check(name, v)
+        if isinstance(v, bool) or not isinstance(v, kind):
+            raise ValueError(f"{name} must be {text}")
+        if rng is not None:
+            rng.check(name, v)

@@ -37,16 +37,17 @@ class DataError(Exception):
 def _emit(lines: Iterable[str], out: Optional[str], rows: Optional[IO[str]] = None) -> None:
     """Writes the lines, then the spooled `rows` file if any, to --out or stdout.
 
-    `rows` is closed in every case; an OSError is a DataError.
+    --out is written as UTF-8. `rows` is closed in every case; an OSError,
+    or text the stream cannot encode, is a DataError.
     """
     try:
-        with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
+        with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as fh:
             fh.write("\n".join(lines) + "\n")
             if rows is not None:
                 rows.seek(0)
                 while chunk := rows.read(1 << 20):
                     fh.write(chunk)
-    except OSError as exc:
+    except (OSError, UnicodeEncodeError) as exc:
         raise DataError(f"cannot write output: {exc}")
     finally:
         if rows is not None:

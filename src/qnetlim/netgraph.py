@@ -601,7 +601,9 @@ def graph_metrics(net: Network, p_star: float) -> List[Tuple[str, float, float]]
 # passes hold at once, summed over its worker processes. Such a slice holds
 # ~9 bytes per source x entry while it tests for tight edges (a bool mask,
 # and the float gathers of half its rows), ~9 MB at the bound, and then its
-# tight-edge CSR, int32 while its indices fit
+# tight-edge CSR, always int32: a slice's rows x max(n, entries) is at most
+# this bound unless it is one row, and one row overflows int32 only at 2**31
+# nodes or directed entries, far more than a Network can hold in memory
 _SWEEP_ELEMENTS = 1 << 20
 # a sweep over at least this many sources x directed edges runs in forked
 # worker processes, on either engine; a smaller one is not worth the fork
@@ -649,13 +651,14 @@ def centrality_all(net: Network, p_star: float) -> Dict[NodeId, int]:
     share _SWEEP_ELEMENTS: a block's tight-edge passes take as many
     sources at once as 1/workers of it holds, so the summed working set,
     ~9 bytes per source x entry while a slice tests for tight edges and 8
-    per tight edge after, stays the same. Its one distance pass takes the
-    whole block, up to a lane word of 64 sources whose distances fit in
-    that share. A block counts its own fallback sources, in the worker
-    that runs it. Blocks are independent and their counts are integers,
-    so the totals do not depend on the split or on the order of
-    summation: source-parallel Brandes, as in Bader and Madduri (ICPP
-    2006).
+    per tight edge after (an int32 CSR; see _SWEEP_ELEMENTS), stays the
+    same. Its one distance pass takes the whole block, up to a lane word
+    of 64 sources whose distances fit in that share. The workers adopt the
+    sweep as the pool starts them, and a block counts its own fallback
+    sources, in the worker that runs it. Blocks are independent and their
+    counts are integers, so the totals do not depend on the split or on
+    the order of summation: source-parallel Brandes, as in Bader and
+    Madduri (ICPP 2006).
     """
     n = net.n_nodes
     budget = _budget(p_star)
@@ -675,25 +678,25 @@ def centrality_all(net: Network, p_star: float) -> Dict[NodeId, int]:
 def _sweeps(sweep: Callable[[np.ndarray], np.ndarray], blocks: List[np.ndarray], workers: int):
     """Each block's counts by sweep, a _canonical_sweep given all but the sources, as it finishes.
 
-    The blocks run here, or in forked workers that inherit sweep.
+    The blocks run here, or in forked workers that adopt sweep.
     """
-    global _POOLED_SWEEP
     if workers == 1:
         yield from map(sweep, blocks)
         return
     import multiprocessing
 
-    # the workers inherit the sweep by fork, never by pickle
-    _POOLED_SWEEP = sweep
-    try:
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            yield from pool.imap_unordered(_pooled_sweep, blocks)
-    finally:
-        _POOLED_SWEEP = None
+    # a fork hands the initializer's arguments to the workers, never by pickle
+    with multiprocessing.get_context("fork").Pool(workers, _adopt_sweep, (sweep,)) as pool:
+        yield from pool.imap_unordered(_pooled_sweep, blocks)
 
 
-# set only while _sweeps runs a pool: its sweep
+# set only in a worker of _sweeps' pool: its sweep
 _POOLED_SWEEP: Optional[Callable[[np.ndarray], np.ndarray]] = None
+
+
+def _adopt_sweep(sweep: Callable[[np.ndarray], np.ndarray]) -> None:
+    global _POOLED_SWEEP
+    _POOLED_SWEEP = sweep
 
 
 def _pooled_sweep(sources: np.ndarray) -> np.ndarray:
@@ -733,24 +736,19 @@ def _canonical_sweep(g: Network, graph, budget: float, rows: int, sources: np.nd
     return tau
 
 
-def _flat_type(rows: int, n: int, entries: int) -> type:
-    """The integer type of the tight-edge CSR of a slice of rows sources.
+def _tight_edges(g: Network, dist: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The tight edges of the rows of dist, d[u] + w == d[v] exactly, as int32 tails and heads.
 
-    It is int32 while the CSR's rows x n + 1 pointers and its at most
-    rows x entries edges stay below 2**31, and int64 otherwise.
-    """
-    return np.int32 if rows * n + 1 < 2**31 and rows * entries < 2**31 else np.int64
-
-
-def _tight_mask(g: Network, dist: np.ndarray) -> np.ndarray:
-    """Per row of dist and CSR entry u -> v of g, whether the edge is tight: d[u] + w == d[v], exactly.
-
-    The test runs half the rows at a time. Both float gathers of a half
-    share one buffer, which takes 8 bytes per source x entry of the
-    slice, against 1 for the mask.
+    An edge of row r is numbered r x n + node at both ends, and the edges
+    come sorted by tail, as in g's CSR. The test runs half the rows at a
+    time into a mask, 1 byte per source x entry; both float gathers of a
+    half share one buffer, 8 bytes per source x entry of the slice, freed
+    before the edges are read. They are read half the rows at a time too,
+    through tables of every entry's ends in each row of a half, so that no
+    flat position is divided.
     """
     tail, head, w = g.tail, g.head, g.w
-    rows = len(dist)
+    n, rows = g.n_nodes, len(dist)
     half = -(-rows // 2)
     tight = np.empty((rows, len(w)), bool)
     pair = np.empty((2, half, len(w)))
@@ -762,23 +760,10 @@ def _tight_mask(g: Network, dist: np.ndarray) -> np.ndarray:
         du += w
         np.take(part, head, axis=1, out=dv, mode="clip")
         np.equal(dv, du, out=tight[lo:lo + half])
-    return tight
-
-
-def _tight_edges(g: Network, dist: np.ndarray, index: type) -> Tuple[np.ndarray, np.ndarray]:
-    """The tight edges of the rows of dist, as their tails and heads in integer type index.
-
-    An edge of row r is numbered r x n + node at both ends, and the edges
-    come sorted by tail, as in g's CSR. They are read from _tight_mask half
-    the rows at a time, through tables of every entry's ends in each row of
-    a half, so that no flat position is divided.
-    """
-    n, rows = g.n_nodes, len(dist)
-    half = -(-rows // 2)
-    tight = _tight_mask(g, dist)
-    offsets = np.arange(half, dtype=index)[:, None] * n
-    tail_at, head_at = (np.add(offsets, ends, dtype=index).ravel() for ends in (g.tail, g.head))
-    tails = np.empty(np.count_nonzero(tight), index)
+    del pair, du, dv
+    offsets = np.arange(half, dtype=np.int32)[:, None] * n
+    tail_at, head_at = (np.add(offsets, ends, dtype=np.int32).ravel() for ends in (tail, head))
+    tails = np.empty(np.count_nonzero(tight), np.int32)
     heads = np.empty_like(tails)
     end = 0
     for lo in range(0, rows, half):
@@ -799,11 +784,10 @@ def _tree_counts(g: Network, dist: np.ndarray, sources: np.ndarray) -> Tuple[np.
     reached = np.isfinite(dist)
     # nan never compares equal, so edges with an unreached end drop out
     dist[~reached] = np.nan
-    index = _flat_type(rows, n, len(g.w))
-    tails, heads = _tight_edges(g, dist, index)
+    tails, heads = _tight_edges(g, dist)
     size = rows * n
     indeg = np.bincount(heads, minlength=size)
-    out_ptr = np.zeros(size + 1, index)
+    out_ptr = np.zeros(size + 1, np.int32)
     np.cumsum(np.bincount(tails, minlength=size), out=out_ptr[1:])
 
     # hop levels of the canonical trees, each in path order
@@ -829,7 +813,7 @@ def _tree_counts(g: Network, dist: np.ndarray, sources: np.ndarray) -> Tuple[np.
         child, parent = child[whole], tails[firsts[whole]]
         if not child.size:
             break
-        levels.append((child.astype(index), parent))
+        levels.append((child.astype(np.int32), parent))
         frontier = child
     # the accumulation reads only the levels
     del tails, heads, indeg, out_ptr, latest
@@ -944,7 +928,9 @@ def critically_large_check(net: Network, p_star: float, c: float) -> CriticalSiz
     than n0 hops apart, required_distance = n0 + 1, certifies the network
     critically large; the witness is the first such pair in net order, a
     disconnected pair included. The hop pass stops at n0 hops, so such a
-    pair reads +inf. Raises ValueError when c is so close to 1 that a hop
+    pair reads +inf. It runs over blocks of 64 sources in net order and
+    stops at the first block that holds such a pair, so it holds 64 rows of
+    hops at a time. Raises ValueError when c is so close to 1 that a hop
     leaves the summed weight unchanged within the budget.
     """
     Range("(0, 1)").check("c", c)
@@ -952,10 +938,13 @@ def critically_large_check(net: Network, p_star: float, c: float) -> CriticalSiz
         raise ValueError("some edge probability exceeds c")
     budget = _budget(p_star)
     n0 = _hops_over(-math.log2(c), budget)
-    hops = _distances(_graph(net.tail, net.head, np.ones(len(net.head)), net.n_nodes, limit=n0), limit=n0)
-    far = np.argwhere(np.triu(hops > n0, 1))
-    witness = (net.nodes[far[0, 0]], net.nodes[far[0, 1]]) if len(far) else None
-    return CriticalSizeResult(witness is not None, n0, n0 + 1, witness)
+    graph = _graph(net.tail, net.head, np.ones(len(net.head)), net.n_nodes, limit=n0)
+    for lo in range(0, net.n_nodes, 64):
+        hops = _distances(graph, sources=np.arange(lo, min(lo + 64, net.n_nodes)), limit=n0)
+        far = np.argwhere(np.triu(hops > n0, lo + 1))
+        if len(far):
+            return CriticalSizeResult(True, n0, n0 + 1, (net.nodes[lo + far[0, 0]], net.nodes[far[0, 1]]))
+    return CriticalSizeResult(False, n0, n0 + 1, None)
 
 
 @dataclass(frozen=True)

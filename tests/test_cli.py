@@ -250,14 +250,20 @@ class TestRangeProbes:
         ({"capacity": 1.5}, "capacity must be an integer"),
         ({"p_mem": math.nan}, "p_mem must be in [0, 1]"),
         ({"eta_crit": 2}, "eta_crit must be in [0, 1]"),
+        ({"tick": True, "f0": True}, "tick must be an integer"),
+        ({"f0": True}, "f0 must be a number"),
+        # next to "F1" and "F2", which sorting the flows would compare it with
+        ({"flow_id": 7}, "flow_id must be a string"),
+        ({"producer_id": None}, "producer_id must be a string"),
     ], ids=["f0-nan", "f0-above-1", "fractional-horizon", "fractional-tick", "tick-0",
             "negative-arrival-tick", "negative-t-p", "fractional-n-pairs", "capacity-0",
-            "fractional-capacity", "p-mem-nan", "eta-crit-above-1"])
+            "fractional-capacity", "p-mem-nan", "eta-crit-above-1", "boolean-tick-and-f0",
+            "boolean-f0", "integer-flow-id", "null-producer-id"])
     def test_bad_buffer_config_is_a_data_error(self, capsys, tmp_path, edit, err):
         cfg = buffer_config(1, 3, 10)
-        if edit.keys() & {"f0", "tick"}:
+        if edit.keys() & {"f0", "tick", "producer_id"}:
             cfg["arrivals"][0].update(edit)
-        elif edit.keys() & {"arrival_tick", "t_p", "n_pairs"}:
+        elif edit.keys() & {"flow_id", "arrival_tick", "t_p", "n_pairs"}:
             cfg["flows"][0].update(edit)
         else:
             cfg.update(edit)
@@ -907,6 +913,25 @@ class TestOutput:
         assert code == 0
         assert out == ""
         assert "max_repeaters" in out_path.read_text()
+
+    @staticmethod
+    def run_in_c_locale(tmp_path, *out):
+        """critical-nodes on an edge list with the id 東京, in a process whose locale encodes only ASCII."""
+        (tmp_path / "g.edges").write_text("東京,b,0.9\nb,c,0.9\n", encoding="utf-8")
+        env = dict(src_env(), LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+        env.pop("PYTHONIOENCODING", None)
+        return subprocess.run([sys.executable, "-m", "qnetlim", "critical-nodes", "--in", "g.edges", *out],
+                              cwd=tmp_path, env=env, capture_output=True)
+
+    def test_out_is_utf8_in_any_locale(self, tmp_path):
+        proc = self.run_in_c_locale(tmp_path, "--out", "nodes.csv")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+        assert "\n東京," in (tmp_path / "nodes.csv").read_bytes().decode("utf-8")
+
+    def test_stdout_that_cannot_encode_is_a_data_error(self, tmp_path):
+        proc = self.run_in_c_locale(tmp_path)
+        assert (proc.returncode, proc.stdout) == (1, b"")
+        assert proc.stderr.startswith(b"error: cannot write output: 'ascii' codec can't encode"), proc.stderr
 
     @pytest.mark.parametrize("fig_id", FIGURE_IDS)
     def test_figures_deterministic(self, capsys, tmp_path, fig_id):

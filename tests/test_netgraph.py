@@ -1247,30 +1247,6 @@ class TestCentralityOracle:
         _, exact = canonical_sweep(net, 0.01, np.arange(net.n_nodes - 1))
         assert not exact.all()
 
-    @pytest.mark.parametrize("name", ["square1024", "circulant"])
-    def test_int64_index_gives_the_same_counts(self, monkeypatch, name):
-        # the circulant at p* = 0.01 leaves sources to the fallback
-        if name == "square1024":
-            net, p_star = strings(build_topology(Square1024(0.9))), 0.5
-        else:
-            net, p_star = build_topology(Circulant(16, 5, 0.7)), 0.01
-        want, flat_type, shapes = centrality_all(net, p_star), ng._flat_type, []
-        monkeypatch.setattr(ng, "_flat_type", lambda *shape: shapes.append(shape) or np.int64)
-        assert centrality_all(net, p_star) == want
-        assert shapes and all(flat_type(*shape) is np.int32 for shape in shapes)
-
-    def test_flat_index_width(self):
-        # int32 while rows x n + 1 and rows x entries stay below 2**31
-        top = 2**31
-        assert ng._flat_type(1, top - 2, 1) is np.int32
-        assert ng._flat_type(1, top - 1, 1) is np.int64
-        assert ng._flat_type(2, top // 2 - 1, 1) is np.int32
-        assert ng._flat_type(2, top // 2, 1) is np.int64
-        assert ng._flat_type(1, 1, top - 1) is np.int32
-        assert ng._flat_type(1, 1, top) is np.int64
-        assert ng._flat_type(4, 1, top // 4 - 1) is np.int32
-        assert ng._flat_type(4, 1, top // 4) is np.int64
-
     def test_uniform_p_random_graphs(self):
         rng = random.Random(5)
         for _ in range(60):
@@ -1466,9 +1442,16 @@ class TestParallelSweep:
         assert [centrality_all(net, p_star) for net, p_star in cases] == want
         assert asked == ["fork"] * len(cases)
 
+    def test_parent_keeps_no_pooled_sweep(self):
+        # the workers adopt the sweep, a lambda no pickle could carry, when the
+        # pool starts them; the parent's module global stays None between blocks
+        blocks = [np.arange(lo, lo + 3) for lo in range(0, 12, 3)]
+        seen = [(counts.tolist(), ng._POOLED_SWEEP) for counts in ng._sweeps(lambda s: s * 2, blocks, 2)]
+        assert sorted(seen) == [((b * 2).tolist(), None) for b in blocks]
+
     def test_worker_error_clears_the_pooled_sweep(self, monkeypatch):
         # a block that raises in a worker raises here, and the sweep, with its
-        # id-ordered network and graph, is not left in the module global
+        # id-ordered network and graph, never reaches the parent's module global
         def fail(*args):
             raise ValueError("sweep failed")
 
@@ -1820,6 +1803,27 @@ class TestPercolation:
             env=test_cli.src_env(), capture_output=True, text=True, check=True,
         )
         assert proc.stdout.split() == ["False", "39", "False"]
+
+    def test_airport_check_holds_a_block_of_rows(self, airport_network):
+        # the snapshot's 3463 x 3463 hop matrix alone would take 91.5 MiB
+        net = airport_network
+        tracemalloc.start()
+        try:
+            res = critically_large_check(net, 0.1, float(net.p.max()))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 << 20, peak
+        assert (res.is_critically_large, res.n0) == (False, 39)
+
+    def test_witness_in_a_later_block(self):
+        # a 64-node clique listed first fills the first block of sources; the
+        # only pair more than n0 = 2 hops apart is the two pendants 64 and 65
+        clique = [(i, j, 0.5) for i in range(64) for j in range(i + 1, 64)]
+        net = Network(range(66), clique + [(0, 64, 0.5), (1, 65, 0.5)])
+        res = critically_large_check(net, 0.3, 0.5)
+        assert res == ng.CriticalSizeResult(True, 2, 3, (64, 65))
+        assert res == self.unbounded_check(net, 0.3, 0.5)
 
     def n0_cases(self):
         """(step, budget) pairs whose n0 is at most 1e6."""

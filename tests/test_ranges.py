@@ -75,6 +75,20 @@ class TestDeclaredFields:
         with pytest.raises(ValueError, match="^horizon must be an integer$"):
             buffersim.SimConfig(1, 0.1, 0.5, (), (), 5.5)
 
+    def test_ranged_field_never_holds_a_bool(self):
+        with pytest.raises(ValueError, match="^r must be an integer$"):
+            repeater.LinkBudget(r=True)
+        with pytest.raises(ValueError, match="^q must be a number$"):
+            repeater.LinkBudget(q=True)
+        with pytest.raises(ValueError, match="^capacity must be an integer$"):
+            buffersim.SimConfig(True, 0.1, 0.5, (), (), 5)
+
+    def test_str_field_holds_a_str(self):
+        with pytest.raises(ValueError, match="^pair_id must be a string$"):
+            buffersim.Arrival(1, "P0", 3)
+        with pytest.raises(ValueError, match="^flow_id must be a string$"):
+            buffersim.FlowRequest(None, 1, 2)
+
     @pytest.mark.parametrize("cls", [buffersim.Arrival, buffersim.FlowRequest, buffersim.SimConfig],
                              ids=lambda c: c.__name__)
     def test_every_numeric_buffer_field_declares_a_range(self, cls):
