@@ -19,6 +19,7 @@ alone.
 """
 
 import math
+import numbers
 import sys
 from dataclasses import MISSING, field, fields
 from functools import cache
@@ -112,7 +113,7 @@ def ranged(spec: str, default=MISSING, message: Optional[str] = None):
 @cache
 def _checked_fields(cls) -> tuple:
     """(name, range or None, required type, its text) of each field of cls that declares a Range or is a str."""
-    kinds = {"int": (int, "an integer"), "float": (object, "a number"), "str": (str, "a string")}
+    kinds = {"int": (int, "an integer"), "float": (numbers.Real, "a number"), "str": (str, "a string")}
     return tuple((f.name, f.metadata.get("range"), *kinds[getattr(f.type, "__name__", f.type)])
                  for f in fields(cls) if "range" in f.metadata or f.type in ("str", str))
 

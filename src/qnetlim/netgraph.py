@@ -23,7 +23,8 @@ lattices with a few odd edges. Only other graphs, such as those of random
 p, import scipy, whose ~0.4 s import is most of a small network's run.
 The pass reads each CSR row as the node's in-edges, which holds because
 every caller passes both directions of each edge. build_topology wraps
-a reference topology of the numpy-free topology module in a Network.
+a reference topology of the numpy-free topology module in a Network, which
+holds each edge once, as arrays.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple, 
 import numpy as np
 
 from . import EVOLVE_K, EVOLVE_W, P_STAR, Range, Sentinel
-from .topology import NodeId, TopologySpec, edge_key as _edge_key, edge_table, topology_edges
+from .topology import NodeId, TopologySpec, edge_table, topology_edges
 
 
 def _budget(p_star: float) -> float:
@@ -73,14 +74,13 @@ class Network:
     """Undirected graph with per-edge success probabilities, held as arrays.
 
     Nodes keep their insertion order and index maps each id to its
-    position; edges keeps each edge once, keyed (smaller id, larger id), in
-    the order first given. The constructor also builds the adjacency once,
-    in both directions and sorted by (tail, head) over index positions, as
-    CSR arrays: the edges leaving node i are ptr[i]:ptr[i + 1] of tail,
-    head, p and w = -log2 p (math.log2 per edge, the step every path sum
-    adds). order[k] is where CSR entry k sits among the edge ends listed
-    edge by edge in insertion order, so x[order] = csr_array puts a CSR
-    array back in that order. A Network is the graph alone, with no
+    position. Each edge is held once, in the order first given: ends[e]
+    holds its two ends' positions, the smaller id first, and p[e] its
+    probability. From them the adjacency is derived once, in both
+    directions and sorted by (tail, head), as CSR arrays: the entries
+    leaving node i are ptr[i]:ptr[i + 1] of tail and head, edge[k] is the
+    edge of entry k, and w[k] its weight -log2 p (math.log2 per edge, the
+    step every path sum adds). A Network is the graph alone, with no
     scenario data (an airport route's length stays in the dataset) and no
     engine: each shortest-path pass over it, or over a graph derived from
     it, runs on the engine _graph picks from that graph's own edges.
@@ -101,42 +101,21 @@ class Network:
             raise ValueError("duplicate node ids")
         self.index = {v: i for i, v in enumerate(self.nodes)}
         items = ((a, b, p) for (a, b), p in edges.items()) if isinstance(edges, dict) else edges
-        self.edges: Dict[Tuple[NodeId, NodeId], float] = edge_table(items, self.index)
-
-        m, n = len(self.edges), len(self.nodes)
-        ends = np.fromiter((self.index[v] for key in self.edges for v in key), np.int64, 2 * m)
-        head = ends.reshape(m, 2)[:, ::-1].ravel()
-        self.order = order = np.lexsort((head, ends))
-        self.tail = ends[order]
+        table = edge_table(items, self.index)
+        self.n_nodes, self.n_edges = n, m = len(self.nodes), len(table)
+        self.ends = np.fromiter((self.index[v] for key in table for v in key), np.int64, 2 * m).reshape(m, 2)
+        self.p = np.fromiter(table.values(), float, m)
+        tails, heads = self.ends.ravel(), self.ends[:, ::-1].ravel()
+        order = np.lexsort((heads, tails))
+        self.edge = order // 2
+        self.tail, self.head = tails[order], heads[order]
         self.ptr = np.searchsorted(self.tail, np.arange(n + 1))
-        self.head = head[order]
-        self.p = np.repeat(np.fromiter(self.edges.values(), float, m), 2)[order]
-        self.w = np.repeat([-math.log2(x) for x in self.edges.values()], 2)[order]
+        self.w = np.array([-math.log2(p) for p in table.values()])[self.edge]
 
-    @property
-    def n_nodes(self) -> int:
-        return len(self.nodes)
 
-    @property
-    def n_edges(self) -> int:
-        return len(self.edges)
-
-    def edge_p(self, a: NodeId, b: NodeId) -> Optional[float]:
-        return self.edges.get(_edge_key(a, b))
-
-    def neighbors(self, v: NodeId, p_star: Optional[float] = None) -> List[NodeId]:
-        """v's neighbours, over the edges usable at p_star if given, in net order."""
-        i = self.index[v]
-        span = slice(self.ptr[i], self.ptr[i + 1])
-        heads = self.head[span]
-        if p_star is not None:
-            heads = heads[_strong(self, p_star)[span]]
-        return [self.nodes[j] for j in heads]
-
-    def relabeled(self, mapping: Dict[NodeId, NodeId]) -> "Network":
-        nodes = [mapping[v] for v in self.nodes]
-        edges = {_edge_key(mapping[a], mapping[b]): p for (a, b), p in self.edges.items()}
-        return Network(nodes, edges)
+def _records(net: Network) -> List[Tuple[NodeId, NodeId, float]]:
+    """net's edges as (id, id, p) records, in insertion order."""
+    return [(net.nodes[a], net.nodes[b], p) for (a, b), p in zip(net.ends.tolist(), net.p.tolist())]
 
 
 class StrategyKind(str, Enum):
@@ -431,9 +410,9 @@ def _co_sparsity(dist: np.ndarray, budget: float) -> float:
 
 def _direct_sums(net: Network, p_star: float) -> np.ndarray:
     """Per node, the sum of the p of its edges usable at p_star, in edge insertion order."""
-    ends, p, strong = np.empty_like(net.tail), np.empty_like(net.p), np.empty(len(net.p), bool)
-    ends[net.order], p[net.order], strong[net.order] = net.tail, net.p, _strong(net, p_star)
-    return np.bincount(ends[strong], p[strong], minlength=net.n_nodes)
+    strong = np.empty(net.n_edges, bool)
+    strong[net.edge] = _strong(net, p_star)
+    return np.bincount(net.ends[strong].ravel(), np.repeat(net.p[strong], 2), minlength=net.n_nodes)
 
 
 # rows of f* that the cooperative strengths hold at a time, beside the pass
@@ -662,8 +641,7 @@ def centrality_all(net: Network, p_star: float) -> Dict[NodeId, int]:
     """
     n = net.n_nodes
     budget = _budget(p_star)
-    ids = sorted(net.nodes)
-    g = net if ids == net.nodes else Network(ids, net.edges)
+    g = _id_ordered(net)
     width = max(len(g.w), n, 1)
     workers = _workers() if (n - 1) * width >= _FORK_ELEMENTS else 1
     rows = max(1, _SWEEP_ELEMENTS // workers // width)
@@ -673,6 +651,12 @@ def centrality_all(net: Network, p_star: float) -> Dict[NodeId, int]:
     sweep = functools.partial(_canonical_sweep, g, _graph(g.tail, g.head, g.w, n, limit=budget), budget, rows)
     tau = sum(_sweeps(sweep, blocks, workers), np.zeros(n, np.int64))
     return {v: int(tau[g.index[v]]) for v in net.nodes}
+
+
+def _id_ordered(net: Network) -> Network:
+    """net with its nodes in id order, through the checked constructor (net itself when they already are)."""
+    ids = sorted(net.nodes)
+    return net if ids == net.nodes else Network(ids, _records(net))
 
 
 def _sweeps(sweep: Callable[[np.ndarray], np.ndarray], blocks: List[np.ndarray], workers: int):
@@ -981,12 +965,12 @@ def evolve(
     for t in range(steps):
         if t:
             factor = w * math.exp(-k * t)
-            new_edges = {}
-            for key, p in current.edges.items():
+            records = []
+            for a, b, p in _records(current):
                 p_next = factor * p
                 if p_next > 0.0 and -math.log2(p_next) <= budget:
-                    new_edges[key] = p_next
-            current = Network(current.nodes, new_edges)
+                    records.append((a, b, p_next))
+            current = Network(current.nodes, records)
         out.append((current, link_sparsity(current, p_star, StrategyKind.COOPERATIVE)))
     return out
 

@@ -232,6 +232,7 @@ def load_airport_dataset(airports_csv, routes_csv) -> AirportDataset:
     and line. Duplicate undirected routes are deduplicated; routes naming
     unknown airports are skipped and counted.
     """
+    from .topology import edge_key  # here, so that satellite and atmosphere do not load it
     airports: Dict[str, Airport] = {}
     for lineno, row in _csv_records(airports_csv, "airport"):
         try:
@@ -253,7 +254,7 @@ def load_airport_dataset(airports_csv, routes_csv) -> AirportDataset:
         if src not in airports or dst not in airports or src == dst:
             skipped += 1
             continue
-        key = (src, dst) if src <= dst else (dst, src)
+        key = edge_key(src, dst)
         if key not in routes:
             a, b = airports[key[0]], airports[key[1]]
             routes[key] = great_circle_km(a.lat, a.lon, b.lat, b.lon)

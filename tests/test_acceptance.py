@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+import edgeviews
 import qstate
 from qnetlim import buffersim, netgraph, repeater, scenario, topology
 from qnetlim.netgraph import Network, PathStatus, StrategyKind
@@ -206,9 +207,9 @@ def test_criterion_09_shortest_path_oracle():
                 if best is None or key < best:
                     best = key
                 return
-            for u in sorted(net.neighbors(v)):
+            for u in sorted(edgeviews.neighbors(net, v)):
                 if u not in path:
-                    dfs(path + [u], weight - math.log2(net.edge_p(v, u)))
+                    dfs(path + [u], weight - math.log2(edgeviews.edge_p(net, v, u)))
 
         dfs([source], 0.0)
         if best is None or best[0] > -math.log2(p_star) + 1e-12:
@@ -265,7 +266,7 @@ def test_criterion_10_critical_parameter_example():
     for _ in range(20):
         perm = [1, 2, 3, 4]
         rng.shuffle(perm)
-        relabeled = net.relabeled(dict(zip([1, 2, 3, 4], perm)))
+        relabeled = edgeviews.relabeled(net, dict(zip([1, 2, 3, 4], perm)))
         got = netgraph.critical_parameters(relabeled, 0.1)
         assert got[0].critical_parameter == pytest.approx(1.125, abs=1e-9)
         values = sorted(
@@ -326,8 +327,8 @@ def test_criterion_12_buffer_determinism():
 def test_criterion_13_evolution():
     net = Network([1, 2], [(1, 2, 0.8)])
     seq = netgraph.evolve(net, 0.9, 0.3, 0.1, 2)
-    assert seq[1][0].edge_p(1, 2) == pytest.approx(0.9 * math.exp(-0.3) * 0.8, abs=1e-9)
-    assert seq[1][0].edge_p(1, 2) == pytest.approx(0.533389, abs=1e-6)
+    assert edgeviews.edge_p(seq[1][0], 1, 2) == pytest.approx(0.9 * math.exp(-0.3) * 0.8, abs=1e-9)
+    assert edgeviews.edge_p(seq[1][0], 1, 2) == pytest.approx(0.533389, abs=1e-6)
     rng = random.Random(13)
     for _ in range(20):
         n = rng.randint(4, 10)

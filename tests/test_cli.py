@@ -12,6 +12,7 @@ import sys
 
 import pytest
 
+import edgeviews
 import qnetlim
 from qnetlim import buffersim, cli, netgraph, repeater, scenario, topology
 from qnetlim.cli import FIGURE_IDS, main
@@ -62,7 +63,7 @@ def edge_file(tmp_path):
     net = netgraph.Network(
         [1, 2, 3], [(1, 2, 0.9), (2, 3, 0.9), (1, 3, 0.7)]
     )
-    topology.write_edge_list(net.edges, path)
+    topology.write_edge_list(edgeviews.edges(net), path)
     return str(path)
 
 
@@ -255,10 +256,11 @@ class TestRangeProbes:
         # next to "F1" and "F2", which sorting the flows would compare it with
         ({"flow_id": 7}, "flow_id must be a string"),
         ({"producer_id": None}, "producer_id must be a string"),
+        ({"p_mem": "0.05"}, "p_mem must be a number"),
     ], ids=["f0-nan", "f0-above-1", "fractional-horizon", "fractional-tick", "tick-0",
             "negative-arrival-tick", "negative-t-p", "fractional-n-pairs", "capacity-0",
             "fractional-capacity", "p-mem-nan", "eta-crit-above-1", "boolean-tick-and-f0",
-            "boolean-f0", "integer-flow-id", "null-producer-id"])
+            "boolean-f0", "integer-flow-id", "null-producer-id", "string-p-mem"])
     def test_bad_buffer_config_is_a_data_error(self, capsys, tmp_path, edit, err):
         cfg = buffer_config(1, 3, 10)
         if edit.keys() & {"f0", "tick", "producer_id"}:
@@ -391,10 +393,10 @@ class TestGraphCommands:
     def test_critical_nodes(self, capsys, tmp_path):
         f = tmp_path / "sq.edges"
         topology.write_edge_list(
-            netgraph.Network(
+            edgeviews.edges(netgraph.Network(
                 [1, 2, 3, 4],
                 [(1, 2, 0.5), (2, 3, 0.5), (3, 4, 0.5), (4, 1, 0.5), (1, 3, 0.5)],
-            ).edges,
+            )),
             f,
         )
         code, out, _ = run_cli(
@@ -1285,7 +1287,7 @@ class TestImportHygiene:
 
     def test_lattice_commands_load_numpy_not_scipy(self, tmp_path):
         edges = str(tmp_path / "sq.edges")
-        topology.write_edge_list(netgraph.build_topology(topology.Square1024(0.9)).edges, edges)
+        topology.write_edge_list(edgeviews.edges(netgraph.build_topology(topology.Square1024(0.9))), edges)
         argvs = [
             ["graph", "--in", edges],
             ["critical-nodes", "--in", edges],
@@ -1300,7 +1302,7 @@ class TestImportHygiene:
         # graph's unbounded pass over a ring of equal weights does at most n rounds
         # over its 2n entries: 1448 * 2896 <= 1 << 22 < 1449 * 2898
         edges = str(tmp_path / "ring.edges")
-        topology.write_edge_list(netgraph.build_topology(topology.Circulant(n, 2, 0.9)).edges, edges)
+        topology.write_edge_list(edgeviews.edges(netgraph.build_topology(topology.Circulant(n, 2, 0.9))), edges)
         (loaded,) = loaded_after(["graph", "--in", edges]).values()
         assert loaded[0] == 0 and ("scipy" in loaded) == scipy_loaded
 
@@ -1311,7 +1313,7 @@ class TestImportHygiene:
         # k rounds. FullMesh(40): g = 13, 39 * 19266 <= 1 << 22 < 507 * 19266;
         # FullMesh(95) and (96): g = 5, 94 * 5 * 94 * 93 <= 1 << 22 < 95 * 5 * 95 * 94
         edges = str(tmp_path / "mesh.edges")
-        topology.write_edge_list(netgraph.build_topology(topology.FullMesh(n, 0.9)).edges, edges)
+        topology.write_edge_list(edgeviews.edges(netgraph.build_topology(topology.FullMesh(n, 0.9))), edges)
         (loaded,) = loaded_after(["critical-nodes", "--in", edges]).values()
         assert loaded[:3] == [0, "numpy", "qnetlim.netgraph"] and ("scipy" in loaded) == scipy_loaded
 
@@ -1319,16 +1321,17 @@ class TestImportHygiene:
         # numpy repairs edges off Square1024's p = 0.9: one on every pass, and ten
         # on the passes a budget bounds; a random-p grid loads scipy
         net = netgraph.build_topology(topology.Square1024(0.9))
-        keys = list(net.edges)
+        edges = edgeviews.edges(net)
+        keys = list(edges)
         rng = random.Random(26)
         grid = netgraph.build_topology(topology.Grid(32, 32, 0.9))
         files = {
-            "one": netgraph.Network(net.nodes, {**net.edges, keys[0]: 0.999999}),
-            "ten": netgraph.Network(net.nodes, {**net.edges, **dict.fromkeys(keys[::199], 0.8)}),
-            "noisy": netgraph.Network(grid.nodes, {key: rng.uniform(0.5, 1.0) for key in grid.edges}),
+            "one": netgraph.Network(net.nodes, {**edges, keys[0]: 0.999999}),
+            "ten": netgraph.Network(net.nodes, {**edges, **dict.fromkeys(keys[::199], 0.8)}),
+            "noisy": netgraph.Network(grid.nodes, {key: rng.uniform(0.5, 1.0) for key in edgeviews.edges(grid)}),
         }
         for name, graph in files.items():
-            topology.write_edge_list(graph.edges, str(tmp_path / f"{name}.edges"))
+            topology.write_edge_list(edgeviews.edges(graph), str(tmp_path / f"{name}.edges"))
         numpy_side = [("graph", "one"), ("critical-nodes", "one"), ("critical-nodes", "ten"),
                       ("evolve", "ten")]
         for cmd, name in numpy_side:

@@ -13,6 +13,7 @@ import weakref
 import numpy as np
 import pytest
 
+import edgeviews
 import test_cli
 from qnetlim import netgraph as ng
 from qnetlim import topology
@@ -86,9 +87,9 @@ def enumerate_best_path(net, source, target, p_star):
             if best is None or key < best:
                 best = key
             return
-        for u in sorted(net.neighbors(v)):
+        for u in sorted(edgeviews.neighbors(net, v)):
             if u not in path:
-                dfs(path + [u], weight - math.log2(net.edge_p(v, u)))
+                dfs(path + [u], weight - math.log2(edgeviews.edge_p(net, v, u)))
     dfs([source], 0.0)
     if best is None or best[0] > -math.log2(p_star) + 1e-12:
         return None
@@ -135,7 +136,7 @@ def source_counts_oracle(net, g, number, p_star):
 
 def id_ordered(net):
     """net with its nodes in id order, the numbering _canonical_sweep works in."""
-    return Network(sorted(net.nodes), net.edges)
+    return Network(sorted(net.nodes), edgeviews.edges(net))
 
 
 def canonical_sweep(g, p_star, sources):
@@ -151,11 +152,11 @@ def canonical_sweep(g, p_star, sources):
 
 def neighbor_subgraph_oracle(net, v):
     """The subgraph induced by all of v's neighbours, nodes in net order."""
-    nodes = net.neighbors(v)
+    nodes = edgeviews.neighbors(net, v)
     edges = [
-        (a, b, net.edge_p(a, b))
+        (a, b, edgeviews.edge_p(net, a, b))
         for a, b in itertools.combinations(nodes, 2)
-        if net.edge_p(a, b) is not None
+        if edgeviews.edge_p(net, a, b) is not None
     ]
     return Network(nodes, edges)
 
@@ -166,26 +167,26 @@ def usable(p, p_star):
 
 
 def clustering_oracle(net, v, p_star):
-    nbrs = set(net.neighbors(v, p_star))
+    nbrs = set(edgeviews.neighbors(net, v, p_star))
     n_i = len(nbrs)
     if n_i < 2:
         return 0.0
     e_i = sum(
         1
         for a, b in itertools.combinations(nbrs, 2)
-        if usable(net.edge_p(a, b), p_star)
+        if usable(edgeviews.edge_p(net, a, b), p_star)
     )
     return 2.0 * e_i / (n_i * (n_i - 1))
 
 
 def strings(net):
     """The same network with string ids, which sort as "10" < "9"."""
-    return net.relabeled({v: str(v) for v in net.nodes})
+    return edgeviews.relabeled(net, {v: str(v) for v in net.nodes})
 
 
 def shuffled(net, rng):
     """The same network with its edges given in a random order."""
-    items = list(net.edges.items())
+    items = list(edgeviews.edges(net).items())
     rng.shuffle(items)
     return Network(net.nodes, dict(items))
 
@@ -194,16 +195,41 @@ def weight_matrix(net, p_star=None):
     """A, -log2 p per edge, or with p_star A*, its edges usable at p_star; 0 on the diagonal, else +inf."""
     a = np.full((net.n_nodes,) * 2, math.inf)
     np.fill_diagonal(a, 0.0)
-    for (u, v), p in net.edges.items():
+    for (u, v), p in edgeviews.edges(net).items():
         if p_star is None or usable(p, p_star):
             a[net.index[u], net.index[v]] = a[net.index[v], net.index[u]] = -math.log2(p)
     return a
 
 
+def assert_same_network(got, want):
+    """got and want hold the same nodes and, bit for bit, the same edge and CSR arrays."""
+    assert (got.nodes, got.index) == (want.nodes, want.index)
+    for name in ("ends", "p", "ptr", "tail", "head", "edge", "w"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
+def evolve_oracle(net, w, k, p_star, steps):
+    """evolve's networks by its former loop over the edge dict, each step built by the checked constructor."""
+    budget = -math.log2(p_star)
+    current, out = net, []
+    for t in range(steps):
+        if t:
+            factor = w * math.exp(-k * t)
+            new_edges = {}
+            for key, p in edgeviews.edges(current).items():
+                p_next = factor * p
+                if p_next > 0.0 and -math.log2(p_next) <= budget:
+                    new_edges[key] = p_next
+            current = Network(current.nodes, new_edges)
+        out.append(current)
+    return out
+
+
 def direct_sums_oracle(net, p_star):
-    """Per node, the p of its edges usable at p_star added up one by one in net.edges order."""
+    """Per node, the p of its edges usable at p_star added up one by one in insertion order."""
     sums = {v: 0.0 for v in net.nodes}
-    for (a, b), p in net.edges.items():
+    for (a, b), p in edgeviews.edges(net).items():
         if usable(p, p_star):
             sums[a] += p
             sums[b] += p
@@ -215,17 +241,20 @@ class TestNetwork:
         # node 0's edges summed in (tail, head) order, 0.1 + 0.2 + 0.3, give
         # 0.6000000000000001; in insertion order they give 0.6
         fan = Network([0, 1, 2, 3], [(0, 3, 0.3), (0, 2, 0.2), (0, 1, 0.1)])
-        assert sum(fan.p[fan.ptr[0]:fan.ptr[1]]) != direct_sums_oracle(fan, 0.05)[0]
+        assert sum(fan.p[fan.edge[fan.ptr[0]:fan.ptr[1]]]) != direct_sums_oracle(fan, 0.05)[0]
         rng = random.Random(12)
         for net in [fan] + [shuffled(strings(random_graph(rng, n_max=12)), rng) for _ in range(20)]:
             assert net.ptr[-1] == len(net.head) == 2 * net.n_edges
+            edges = edgeviews.edges(net)
             for i, v in enumerate(net.nodes):
                 span = slice(net.ptr[i], net.ptr[i + 1])
                 heads = list(net.head[span])
                 assert heads == sorted(heads)
                 assert list(net.tail[span]) == [i] * len(heads)
-                for j, p, w in zip(heads, net.p[span], net.w[span]):
-                    assert p == net.edge_p(v, net.nodes[j])
+                for j, e, w in zip(heads, net.edge[span], net.w[span]):
+                    p = net.p[e]
+                    assert sorted(net.ends[e]) == sorted([i, j])
+                    assert p == edges[topology.edge_key(v, net.nodes[j])]
                     assert w == -math.log2(p)
             # non-cooperative strengths add up in edge insertion order
             for p_star in (0.05, 0.5, 0.9):
@@ -239,15 +268,16 @@ class TestNetwork:
         for _ in range(20):
             net = shuffled(strings(random_graph(rng, n_max=12)), rng)
             for v in net.nodes:
-                want = [u for u in net.nodes if net.edge_p(v, u) is not None]
-                assert net.neighbors(v) == want
-                assert net.neighbors(v, 0.6) == [u for u in want if usable(net.edge_p(v, u), 0.6)]
+                want = [u for u in net.nodes if edgeviews.edge_p(net, v, u) is not None]
+                assert edgeviews.neighbors(net, v) == want
+                assert edgeviews.neighbors(net, v, 0.6) == [u for u in want if usable(edgeviews.edge_p(net, v, u), 0.6)]
 
     def test_repeated_edge_keeps_last_p(self):
         net = Network([1, 2, 3], [(1, 2, 0.5), (2, 3, 0.9), (2, 1, 0.7)])
-        assert net.edges == {(1, 2): 0.7, (2, 3): 0.9}
-        assert list(net.p) == [0.7, 0.7, 0.9, 0.9]
-        assert net.neighbors(2) == [1, 3]
+        assert edgeviews.edges(net) == {(1, 2): 0.7, (2, 3): 0.9}
+        assert (net.ends.tolist(), net.p.tolist()) == ([[0, 1], [1, 2]], [0.7, 0.9])
+        assert list(net.p[net.edge]) == [0.7, 0.7, 0.9, 0.9]
+        assert edgeviews.neighbors(net, 2) == [1, 3]
 
     @pytest.mark.parametrize("nodes,edges,err", [
         ([1, 2, 1], [], "duplicate node ids"),
@@ -257,6 +287,24 @@ class TestNetwork:
     def test_rejects_bad_input(self, nodes, edges, err):
         with pytest.raises(ValueError, match=err):
             Network(nodes, edges)
+
+    def test_id_order_copy_matches_checked_constructor(self):
+        # string ids, where "10" < "9", a record repeated reversed with a new p, and p = 1
+        records = [("b", "a", 0.9), ("10", "9", 1.0), ("b", "10", 0.5), ("a", "b", 0.7), ("9", "c", 0.25)]
+        cases = [(["b", "10", "a", "9", "c"], records)]
+        rng = random.Random(15)
+        for _ in range(30):
+            net = strings(random_graph(rng, n_max=14))
+            items = [(a, b, p) for (a, b), p in edgeviews.edges(net).items()]
+            items += [(b, a, rng.choice([1.0, 0.6])) for a, b, _ in rng.sample(items, min(3, len(items)))]
+            rng.shuffle(items)
+            nodes = list(net.nodes)
+            rng.shuffle(nodes)
+            cases.append((nodes, items))
+        for nodes, items in cases:
+            want = Network(sorted(nodes), items)
+            assert_same_network(ng._id_ordered(Network(nodes, items)), want)
+            assert ng._id_ordered(want) is want
 
     def test_unknown_node(self):
         net = square_plus_diagonal()
@@ -340,12 +388,12 @@ class TestShortestPath:
             res = shortest_path(net, 0, net.n_nodes - 1, 0.05)
             if res.status is PathStatus.FOUND and len(res.nodes) > 1:
                 total = sum(
-                    -math.log2(net.edge_p(a, b))
+                    -math.log2(edgeviews.edge_p(net, a, b))
                     for a, b in zip(res.nodes, res.nodes[1:])
                 )
                 assert res.total_weight == pytest.approx(total, abs=1e-12)
                 prod = math.prod(
-                    net.edge_p(a, b) for a, b in zip(res.nodes, res.nodes[1:])
+                    edgeviews.edge_p(net, a, b) for a, b in zip(res.nodes, res.nodes[1:])
                 )
                 assert res.probability == pytest.approx(prod, abs=1e-12)
 
@@ -408,8 +456,8 @@ class TestThresholdRule:
             net = Network(range(n), edges)
             walk = [rng.choice(edges)[0]]
             for _ in range(rng.randint(2, 4)):
-                walk.append(rng.choice(net.neighbors(walk[-1])))
-            product = math.prod(net.edge_p(a, b) for a, b in zip(walk, walk[1:]) if a != b)
+                walk.append(rng.choice(edgeviews.neighbors(net, walk[-1])))
+            product = math.prod(edgeviews.edge_p(net, a, b) for a, b in zip(walk, walk[1:]) if a != b)
             for p_star in (rng.choice(edges)[2], product):
                 if p_star < 1.0:
                     yield net, p_star
@@ -430,7 +478,7 @@ class TestThresholdRule:
             found = [shortest_path(net, s, t, p_star).status is PathStatus.FOUND for t in net.nodes]
             found[i] = False
             bad += [(s, t) for j, t in enumerate(net.nodes) if (f[i, j] > 0) != found[j]]
-            bad += [(s, t) for t in net.neighbors(s, p_star) if not found[net.index[t]]]
+            bad += [(s, t) for t in edgeviews.neighbors(net, s, p_star) if not found[net.index[t]]]
             if counts[s] != 1 + sum(found):
                 bad.append((s, "reachability"))
         return bad
@@ -495,8 +543,8 @@ class TestThresholdRule:
         net = Network(["a", "b", "c"], edges)
         budget = -math.log2(p_star)
         assert -math.log2(edges[0][2]) == budget
-        assert net.neighbors("a", p_star) == ["b"]
-        assert net.neighbors("b", p_star) == ["a", "c"]
+        assert edgeviews.neighbors(net, "a", p_star) == ["b"]
+        assert edgeviews.neighbors(net, "b", p_star) == ["a", "c"]
         # a -> b, the first CSR entry, weighs the budget and is usable
         assert net.w[0] == budget and ng._strong(net, p_star).all()
         assert shortest_path(net, "a", "c", p_star).status is PathStatus.FOUND
@@ -532,10 +580,10 @@ class TestThresholdRule:
     def test_random_graphs(self, kind):
         cases = list(self.random_cases(kind))
         assert len(cases) > 60
-        assert sum(any(p == self.tied_p(p_star) for p in net.edges.values())
+        assert sum(any(p == self.tied_p(p_star) for p in edgeviews.edges(net).values())
                    for net, p_star in cases) > 10
         for net, p_star in cases:
-            assert self.mismatches(net, p_star) == [], (net.edges, p_star)
+            assert self.mismatches(net, p_star) == [], (edgeviews.edges(net), p_star)
             assert link_sparsity(net, p_star, CO) <= link_sparsity(net, p_star, NC)
 
 
@@ -621,9 +669,9 @@ class TestBudgetLimitedPass:
             if not full_first:
                 average = average_effective_weight(net, p_star)
             got += (average,)
-            assert [bits(x) for x in got] == [bits(x) for x in want], (net.edges, p_star)
+            assert [bits(x) for x in got] == [bits(x) for x in want], (edgeviews.edges(net), p_star)
             strengths = ng._all_strengths(net, CO, p_star)
-            assert bits(strengths) == bits(want[0].sum(axis=1) / net.n_nodes), (net.edges, p_star)
+            assert bits(strengths) == bits(want[0].sum(axis=1) / net.n_nodes), (edgeviews.edges(net), p_star)
             checked += 1
         assert checked > 100, checked
 
@@ -692,8 +740,8 @@ def on_numpy(net, limit=math.inf):
 
 
 def edge_weights(net, per_edge):
-    """CSR weights from one weight per edge of net, in net.edges order: both directions alike."""
-    return np.repeat(np.asarray(per_edge, float), 2)[net.order]
+    """CSR weights from one weight per edge of net, in insertion order: both directions alike."""
+    return np.asarray(per_edge, float)[net.edge]
 
 
 def stored(weight):
@@ -753,7 +801,7 @@ class TestNumpyDistances:
         for net in self.networks():
             for w in WEIGHTS:
                 off = [math.nextafter(w, 0.0), math.nextafter(w, math.inf), w / 2, 2 * w, 3 * w, 0.0]
-                per_edge = [rng.choice(off) if rng.random() < 0.15 else w for _ in net.edges]
+                per_edge = [rng.choice(off) if rng.random() < 0.15 else w for _ in range(net.n_edges)]
                 yield net, stored(edge_weights(net, per_edge))
             yield net, stored(net.w)
 
@@ -835,7 +883,7 @@ class TestNumpyDistances:
         per_edge[0, 1] = 1.5
         per_edge[0, n // 2] = chord
         net = Network(range(n), dict.fromkeys(per_edge, 0.5))
-        weight = stored(edge_weights(net, [per_edge[key] for key in net.edges]))
+        weight = stored(edge_weights(net, [per_edge[key] for key in edgeviews.edges(net)]))
         assert len(ng._hops(net.ptr, net.head, weight).odd) == 4
         self.assert_same(net.ptr, net.head, weight)
         self.assert_same(net.ptr, net.head, weight, np.array([0, n // 2, 1, 7, n - 1]))
@@ -850,7 +898,7 @@ class TestNumpyDistances:
         rng = random.Random(count)
         w0 = -math.log2(0.9)
         off = [-math.log2(0.95), -math.log2(0.5), math.nextafter(w0, 0.0), math.nextafter(w0, math.inf), 0.0]
-        per_edge = dict.fromkeys(net.edges, w0)
+        per_edge = dict.fromkeys(edgeviews.edges(net), w0)
         for key in rng.sample(list(per_edge), count):
             per_edge[key] = rng.choice(off)
         weight = stored(edge_weights(net, list(per_edge.values())))
@@ -862,7 +910,7 @@ class TestNumpyDistances:
     def test_random_p(self):
         rng = random.Random(22)
         grid = build_topology(Grid(12, 12, 0.9))
-        for net in (Network(grid.nodes, {key: rng.uniform(0.5, 1.0) for key in grid.edges}),
+        for net in (Network(grid.nodes, {key: rng.uniform(0.5, 1.0) for key in edgeviews.edges(grid)}),
                     seeded_graph(10, 120)):
             weight = stored(net.w)
             self.assert_same(net.ptr, net.head, weight)
@@ -926,15 +974,16 @@ class TestNumpyDistances:
         assert work(airport_network, budget) <= ng._NUMPY_ELEMENTS < work(airport_network)
         # one edge off Square1024's p stays on numpy, two go to scipy unless a limit bounds the rounds
         net = build_topology(Square1024(0.9))
-        keys = list(net.edges)
+        edges = edgeviews.edges(net)
+        keys = list(edges)
         for p in (0.999999, 1.0, 0.8):
-            one = Network(net.nodes, {**net.edges, keys[0]: p})
-            two = Network(net.nodes, {**net.edges, keys[0]: p, keys[500]: p})
+            one = Network(net.nodes, {**edges, keys[0]: p})
+            two = Network(net.nodes, {**edges, keys[0]: p, keys[500]: p})
             assert on_numpy(one) and not on_numpy(two) and on_numpy(two, 1.0)
         # random p: every entry is repaired, so scipy at any limit
         rng = random.Random(25)
         grid = build_topology(Grid(32, 32, 0.9))
-        noisy = Network(grid.nodes, {key: rng.uniform(0.5, 1.0) for key in grid.edges})
+        noisy = Network(grid.nodes, {key: rng.uniform(0.5, 1.0) for key in edgeviews.edges(grid)})
         assert not on_numpy(noisy) and not on_numpy(noisy, 1.0)
 
     def test_every_caller_on_either_engine(self, monkeypatch):
@@ -943,10 +992,10 @@ class TestNumpyDistances:
         seeded = seeded_graph()
         grid = build_topology(Grid(7, 5, 0.9))
         # unequal weights, but at p* = 0.5 the usable edges all weigh the same
-        mostly = Network(grid.nodes, {key: 0.3 if sum(key) % 5 == 0 else 0.9 for key in grid.edges})
+        mostly = Network(grid.nodes, {key: 0.3 if sum(key) % 5 == 0 else 0.9 for key in edgeviews.edges(grid)})
         nets = [build_topology(Grid(6, 5, 0.9)), build_topology(Circulant(16, 2, 0.7)),
                 build_topology(FullMesh(6, 1.0)), id_ordered(strings(grid)), strings(grid),
-                Network(seeded.nodes, dict.fromkeys(seeded.edges, 0.8)), mostly,
+                Network(seeded.nodes, dict.fromkeys(edgeviews.edges(seeded), 0.8)), mostly,
                 build_topology(Circulant(16, 5, 0.7)),
                 Network(range(4), [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0), (0, 3, 0.5), (2, 3, 0.5)]),
                 seeded, strings(seeded_graph(9)), build_topology(Grid(1, 1500, 0.9))]
@@ -1067,14 +1116,14 @@ class TestSparsityAndStrength:
         # even degree: 1/N (1 + 2 p (p^{d/2} - 1)/(p - 1)), with the unit self term added
         for n, d, p in [(10, 4, 0.7), (12, 6, 0.5), (9, 2, 0.8)]:
             net = build_topology(Circulant(n, d, p))
-            assert all(len(net.neighbors(v)) == d for v in net.nodes)
+            assert all(len(edgeviews.neighbors(net, v)) == d for v in net.nodes)
             want = (1 + 2 * p * (p ** (d // 2) - 1) / (p - 1)) / n
             got = ng._all_strengths(net, NC, 1e-9)[0] + 1 / n
             assert got == pytest.approx(want, abs=1e-12)
         # odd degree adds the antipodal edge
         for n, d, p in [(10, 3, 0.7), (12, 5, 0.6)]:
             net = build_topology(Circulant(n, d, p))
-            assert all(len(net.neighbors(v)) == d for v in net.nodes)
+            assert all(len(edgeviews.neighbors(net, v)) == d for v in net.nodes)
             want = (1 + p) * (p ** ((d + 1) // 2) - 1) / (n * (p - 1))
             got = ng._all_strengths(net, NC, 1e-9)[0] + 1 / n
             assert got == pytest.approx(want, abs=1e-12)
@@ -1291,7 +1340,7 @@ class TestCentralityOracle:
         assert centrality_all(net, 0.1) == {0: 0, 1: 1, 2: 0}
         _, exact = canonical_sweep(net, 0.1, np.arange(2))
         assert list(exact) == [False, True]
-        flipped = net.relabeled({0: 0, 1: 2, 2: 1})
+        flipped = edgeviews.relabeled(net, {0: 0, 1: 2, 2: 1})
         assert centrality_all(flipped, 0.1) == {0: 0, 1: 0, 2: 0}
 
     def test_weight_equal_to_budget_counts(self):
@@ -1618,7 +1667,7 @@ class TestCriticalParameters:
             perm = [1, 2, 3, 4]
             rng.shuffle(perm)
             mapping = dict(zip([1, 2, 3, 4], perm))
-            relabeled = net.relabeled(mapping)
+            relabeled = edgeviews.relabeled(net, mapping)
             got = {r.node: r for r in critical_parameters(relabeled, 0.01)}
             for v, rep in base.items():
                 other = got[mapping[v]]
@@ -1636,7 +1685,7 @@ class TestCriticalParameters:
         net = square_plus_diagonal()
         base = centrality_all(net, 0.1)
         assert (base[1], base[3]) == (1, 0)
-        swapped = net.relabeled({1: 3, 2: 2, 3: 1, 4: 4})
+        swapped = edgeviews.relabeled(net, {1: 3, 2: 2, 3: 1, 4: 4})
         got = centrality_all(swapped, 0.1)
         assert (got[3], got[1]) == (0, 1)
 
@@ -1647,7 +1696,7 @@ class TestCriticalParameters:
             perm = list(net.nodes)
             rng.shuffle(perm)
             mapping = dict(zip(net.nodes, perm))
-            other = net.relabeled(mapping)
+            other = edgeviews.relabeled(net, mapping)
             assert link_sparsity(net, 0.4, CO) == pytest.approx(link_sparsity(other, 0.4, CO))
             assert total_connection_strength(net, NC, 0.4) == pytest.approx(
                 total_connection_strength(other, NC, 0.4)
@@ -1659,7 +1708,7 @@ class TestTopologies:
     def test_star(self):
         net = build_topology(Star(8, 0.5))
         assert net.n_edges == 7
-        assert len(net.neighbors(0)) == 7
+        assert len(edgeviews.neighbors(net, 0)) == 7
 
     def test_unknown_spec(self):
         with pytest.raises(TypeError, match="^unknown topology spec 'ring'$"):
@@ -1770,7 +1819,7 @@ class TestPercolation:
             c = max(0.5, float(net.p.max()))
             for p_star in (0.5, 0.1, c**3, 1e-3):
                 assert critically_large_check(net, p_star, c) == self.unbounded_check(net, p_star, c), (
-                    net.edges, p_star)
+                    edgeviews.edges(net), p_star)
                 checked += 1
         assert checked > 60
 
@@ -1889,26 +1938,51 @@ class TestPercolation:
 
 
 class TestEvolve:
+    def test_matches_dict_oracle(self):
+        rng = random.Random(42)
+        cases = [(random_graph(rng, n_max=12), 0.9, 0.25, 0.35, 8) for _ in range(10)]
+        cases += [
+            # p = 1 edges among full-precision ones, closing over several steps
+            (seeded_graph(), 0.95, 0.1, 0.1, 12),
+            (strings(seeded_graph(seed=3, n=40)), 1.0, 0.05, 0.2, 10),
+            # 0.5 decays onto p* = 0.25, the budget, and stays a step; its neighbour of p = 1 closes a step later
+            (Network([0, 1, 2], [(0, 1, 0.5), (1, 2, 1.0)]), 0.5, 0.0, 0.25, 5),
+            # p underflows to 0
+            (Network([0, 1], [(0, 1, 0.5)]), 0.5, 1000.0, 0.25, 3),
+        ]
+        for net, w, k, p_star, steps in cases:
+            got, want = evolve(net, w, k, p_star, steps), evolve_oracle(net, w, k, p_star, steps)
+            assert len(got) == len(want) == steps
+            for (g, sparsity), h in zip(got, want):
+                hexes = [[(key, p.hex()) for key, p in edgeviews.edges(x).items()] for x in (g, h)]
+                assert hexes[0] == hexes[1]
+                assert_same_network(g, h)
+                assert sparsity == link_sparsity(h, p_star, CO)
+        counts = [g.n_edges for g, _ in evolve(seeded_graph(), 0.95, 0.1, 0.1, 12)]
+        assert len(set(counts)) > 3
+        assert [g.n_edges for g, _ in evolve(cases[-2][0], 0.5, 0.0, 0.25, 5)] == [2, 2, 1, 0, 0]
+
     def test_single_step_value(self):
         net = Network([1, 2], [(1, 2, 0.8)])
         seq = evolve(net, 0.9, 0.3, 0.1, 2)
-        assert seq[1][0].edge_p(1, 2) == pytest.approx(0.9 * math.exp(-0.3) * 0.8, abs=1e-12)
-        assert seq[1][0].edge_p(1, 2) == pytest.approx(0.533389, abs=1e-6)
+        assert edgeviews.edge_p(seq[1][0], 1, 2) == pytest.approx(0.9 * math.exp(-0.3) * 0.8, abs=1e-12)
+        assert edgeviews.edge_p(seq[1][0], 1, 2) == pytest.approx(0.533389, abs=1e-6)
 
     def test_strict_decrease_and_closure(self):
         net = build_topology(FullMesh(4, 0.9))
         seq = evolve(net, 0.95, 0.2, 0.3, 12)
         for (g1, _), (g2, _) in zip(seq, seq[1:]):
-            for key, p in g2.edges.items():
-                assert p < g1.edges[key]
+            e1, e2 = edgeviews.edges(g1), edgeviews.edges(g2)
+            for key, p in e2.items():
+                assert p < e1[key]
             # closed edges never reopen
-            assert set(g2.edges) <= set(g1.edges)
+            assert set(e2) <= set(e1)
 
     def test_edge_landing_on_the_budget_stays(self):
         # at t = 2, p = 0.5 * 0.5 is exactly p* = 0.25: it weighs 2 bits, the
         # budget, so the edge stays as _strong would keep it; at t = 3 it weighs 3
         seq = evolve(Network([0, 1], [(0, 1, 0.5)]), 0.5, 0.0, 0.25, 3)
-        assert seq[1][0].edges == {(0, 1): 0.25}
+        assert edgeviews.edges(seq[1][0]) == {(0, 1): 0.25}
         assert ng._strong(seq[1][0], 0.25).all()
         assert seq[2][0].n_edges == 0
         # a decay that underflows p to 0 closes the edge
@@ -1927,16 +2001,16 @@ class TestIO:
     def test_roundtrip(self, tmp_path):
         net = Network(["x", "y", "z"], [("x", "y", 0.5), ("y", "z", 0.7125)])
         path = tmp_path / "g.edges"
-        topology.write_edge_list(net.edges, path)
+        topology.write_edge_list(edgeviews.edges(net), path)
         back = load_edge_list(path)
-        assert back.edges == net.edges
+        assert edgeviews.edges(back) == edgeviews.edges(net)
 
     def test_utf8_ids(self, tmp_path):
         net = Network(["Zürich", "Genève"], [("Zürich", "Genève", 0.5)])
         path = tmp_path / "g.edges"
-        topology.write_edge_list(net.edges, path)
+        topology.write_edge_list(edgeviews.edges(net), path)
         assert path.read_bytes().decode("utf-8").endswith("Genève,Zürich,0.5\n")
-        assert load_edge_list(path).edges == net.edges
+        assert edgeviews.edges(load_edge_list(path)) == edgeviews.edges(net)
 
     def test_comments_ignored(self, tmp_path):
         path = tmp_path / "g.edges"

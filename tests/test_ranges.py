@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 
+import numpy as np
 import pytest
 
 from qnetlim import Range, buffersim, repeater, scenario
@@ -72,6 +73,8 @@ class TestDeclaredFields:
     def test_int_field_holds_an_int(self):
         with pytest.raises(ValueError, match="^r must be an integer$"):
             repeater.LinkBudget(r=1.5)
+        with pytest.raises(ValueError, match="^r must be an integer$"):
+            repeater.LinkBudget(r="2")
         with pytest.raises(ValueError, match="^horizon must be an integer$"):
             buffersim.SimConfig(1, 0.1, 0.5, (), (), 5.5)
 
@@ -83,9 +86,21 @@ class TestDeclaredFields:
         with pytest.raises(ValueError, match="^capacity must be an integer$"):
             buffersim.SimConfig(True, 0.1, 0.5, (), (), 5)
 
+    def test_float_field_holds_a_real_number(self):
+        # numpy's floats and integers are numbers.Real; a string or numpy's bool is not
+        for q in (np.float32(0.5), np.float64(0.5), np.int64(1)):
+            assert repeater.LinkBudget(q=q).q == q
+        for q in ("0.5", np.bool_(True), None, 0.5j):
+            with pytest.raises(ValueError, match="^q must be a number$"):
+                repeater.LinkBudget(q=q)
+        with pytest.raises(ValueError, match="^p_mem must be a number$"):
+            buffersim.SimConfig(1, "0.05", 0.5, (), (), 5)
+
     def test_str_field_holds_a_str(self):
         with pytest.raises(ValueError, match="^pair_id must be a string$"):
             buffersim.Arrival(1, "P0", 3)
+        with pytest.raises(ValueError, match="^pair_id must be a string$"):
+            buffersim.Arrival(1, "P0", b"x0")
         with pytest.raises(ValueError, match="^flow_id must be a string$"):
             buffersim.FlowRequest(None, 1, 2)
 
